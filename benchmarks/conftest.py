@@ -1,11 +1,12 @@
 """Benchmark-suite configuration.
 
 Every file in this directory regenerates one table or figure of the paper's
-evaluation (see DESIGN.md for the index).  The simulation-backed benchmarks
-run each experiment exactly once per benchmark round (``rounds=1``) -- the
-interesting output is the reproduced numbers, which are attached to
-``benchmark.extra_info`` (and therefore land in the pytest-benchmark JSON) and
-printed when running with ``-s``.
+evaluation (the ``repro.experiments`` docstring maps each to the function that
+runs it).  The simulation-backed benchmarks run each experiment exactly once
+per benchmark round (``rounds=1``) -- the interesting output is the
+reproduced numbers, which are attached to ``benchmark.extra_info`` (and
+therefore land in the pytest-benchmark JSON) and printed when running with
+``-s``.
 """
 
 import os

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md."""
+"""Ablation benchmarks for the design choices listed in ``repro.experiments.ablation``."""
 
 from _bench_utils import run_once
 

@@ -60,6 +60,10 @@ fi
 echo "== fast tier: pytest -m 'not slow' =="
 python -m pytest -m "not slow" -q
 
+# The benchmark's own tests (perfbench/ is outside pytest's testpaths).
+echo "== perfbench self-tests =="
+python -m pytest perfbench -q
+
 # Streaming-vs-list parity: the lazy arrival-feeding engine path must stay
 # bit-identical to replaying the same entries from a materialized Trace.
 echo "== streaming-vs-list engine parity =="
@@ -110,6 +114,13 @@ echo "== fleet-planner smoke test (repro plan --jobs 2) =="
 python -m repro plan examples/configs/planner_slo.toml \
     --set workload.num_requests=16 --jobs 2 >/dev/null
 echo "  planner search OK"
+
+# Benchmark replay: each hetis-chat-longdoc input once (--seconds 0).  It
+# exits non-zero on any conservation, truncation or repeat-row failure, so
+# the certified dispatch path runs end to end.
+echo "== perfbench hetis replay (--seconds 0) =="
+python3 perfbench/run.py --workload hetis-chat-longdoc --seed 1 --seconds 0 --trace 0 >/dev/null
+echo "  hetis-chat-longdoc replay OK"
 
 # Perf trajectory: refresh BENCH_runner.json with CI-sized measurements.  The
 # timing numbers are recorded, not thresholded (CI boxes are noisy); the

@@ -17,12 +17,22 @@ Two practical behaviours from the paper are implemented on top of the raw LP:
 * **Greedy fallback.**  When the LP is infeasible or the solver fails, a
   water-filling heuristic is used instead, so dispatching never blocks the
   serving loop.
+
+Both the locality test and the re-dispatcher's imbalance check use the LP
+only to compare against its optimum.  Each first tries a *certificate*: a
+closed-form bound (:func:`~repro.solvers.head_dispatch.objective_lower_bound`,
+and the greedy objective as an upper bound on f*) that proves which way the
+comparison goes.  The solver runs only when the bounds leave the outcome
+open, and then exactly as it would without them, so every decision is the
+one the solver path takes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +40,23 @@ from repro.core.attention_parallel import HeadSplit
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import ModelSpec
 from repro.perf.attention_model import DeviceAttentionModel
-from repro.solvers.head_dispatch import HeadDispatchProblem, HeadDispatchSolution, solve_greedy, solve_lp
+from repro.solvers.head_dispatch import (
+    HeadDispatchProblem,
+    HeadDispatchSolution,
+    objective_lower_bound,
+    objective_lower_bounds,
+    solve_greedy,
+    solve_lp,
+)
+
+CERTIFICATE_SLACK = 1e-9
+"""Relative slack a certificate leaves toward "undecided".  It dwarfs the
+~1e-15 rounding of evaluating a bound or an objective, so a certified answer
+is always the one the solver path would give."""
+
+MAX_WAKE_CASES = 64
+"""Wake-up patterns the locality certificate enumerates at most; beyond this
+it stays undecided and the solver runs."""
 
 
 @dataclass
@@ -77,6 +103,18 @@ class DispatchDecision:
         return len(self.splits)
 
 
+class IdealCheck(NamedTuple):
+    """Whether the current objective exceeds the ideal f* by more than theta.
+
+    ``ideal`` is f* when ``exact``; otherwise it is the bound that settled the
+    answer (an upper bound on f* when ``over``).
+    """
+
+    over: bool
+    ideal: float
+    exact: bool = True
+
+
 class Dispatcher:
     """Dispatches Attention heads of incoming requests across targets."""
 
@@ -107,6 +145,7 @@ class Dispatcher:
             [t.device_model.head_coefficient(self.model) for t in self.targets]
         )
         self._cache_cost = np.array([t.device_model.cache_coefficient() for t in self.targets])
+        self._fixed_cost = np.array([t.device_model.fixed_cost() for t in self.targets])
 
     # -- problem construction ----------------------------------------------------------
 
@@ -151,8 +190,9 @@ class Dispatcher:
         if not requests:
             return DispatchDecision()
         contexts = [ctx for _, ctx in requests]
-        problem = self._build_problem(contexts)
-        solution = self._solve(problem)
+        heads = np.array([t.resident_heads for t in self.targets])
+        idle = heads == 0
+        problem = self._build_problem(contexts, base_heads=heads)
 
         # Light-load locality: the LP is linear and therefore blind to the fixed
         # activation cost (c_i + beta_i) of waking an idle Attention worker, so
@@ -161,14 +201,17 @@ class Dispatcher:
         # charges that activation cost, and prefer local when it is within
         # ``local_preference`` of the distributed optimum.
         local = self._local_only_solution(problem)
-        if local is not None and solution.feasible:
-            if self._activation_corrected_objective(problem, local.allocation) <= (
-                self._activation_corrected_objective(problem, solution.allocation)
+        if local is not None and self._local_certified(problem, idle, local):
+            solution = local
+        else:
+            solution = self._solve(problem)
+            if local is not None and (
+                not solution.feasible
+                or self._activation_corrected_objective(problem, local.allocation, idle)
+                <= self._activation_corrected_objective(problem, solution.allocation, idle)
                 * (1.0 + self.local_preference)
             ):
                 solution = local
-        elif local is not None and not solution.feasible:
-            solution = local
 
         if not solution.feasible:
             return DispatchDecision(method=solution.method, feasible=False, objective=float("inf"))
@@ -194,7 +237,7 @@ class Dispatcher:
         )
 
     def _activation_corrected_objective(
-        self, problem: HeadDispatchProblem, allocation: np.ndarray
+        self, problem: HeadDispatchProblem, allocation: np.ndarray, idle: np.ndarray
     ) -> float:
         """The min--max objective plus fixed activation costs for newly woken targets."""
         loads = (
@@ -202,10 +245,54 @@ class Dispatcher:
             + problem.head_cost * allocation.sum(axis=1)
             + problem.cache_cost * (allocation * problem.contexts[None, :]).sum(axis=1)
         )
-        for i, target in enumerate(self.targets):
-            if target.resident_heads == 0 and allocation[i].sum() > 0:
-                loads[i] += target.device_model.fixed_cost()
+        for i in np.flatnonzero(idle & (allocation.sum(axis=1) > 0)):
+            loads[i] += self._fixed_cost[i]
         return float(loads.max())
+
+    def _local_certified(
+        self, problem: HeadDispatchProblem, idle: np.ndarray, local: HeadDispatchSolution
+    ) -> bool:
+        """Whether a bound proves the local allocation wins without solving.
+
+        Local wins when the solver finds nothing, or when its activation-
+        corrected objective is within ``local_preference`` of the solver's.
+        :meth:`_corrected_lower_bound` bounds the corrected objective of every
+        allocation, the solver's included, from below.
+        """
+        bound = self._corrected_lower_bound(problem, idle)
+        corrected_local = self._activation_corrected_objective(problem, local.allocation, idle)
+        return corrected_local * (1.0 + CERTIFICATE_SLACK) <= bound * (1.0 + self.local_preference)
+
+    def _corrected_lower_bound(self, problem: HeadDispatchProblem, idle: np.ndarray) -> float:
+        """A lower bound on the activation-corrected objective of any allocation.
+
+        An allocation wakes some set W of the idle targets.  Those pay their
+        fixed cost on top of their load; the other idle targets get no heads
+        and keep their base load.  :func:`objective_lower_bounds` over the
+        busy targets plus W, with the fixed costs folded into W's bases, holds
+        for every allocation that wakes exactly W, so the minimum over all W
+        holds for any allocation.  Idle targets with equal coefficients are
+        interchangeable here, so only how many of each kind wake matters:
+        four identical idle workers give 5 cases, not 16.
+        """
+        busy = ~idle
+        kinds: Dict[Tuple[float, float, float, float], List[int]] = {}
+        for i in np.flatnonzero(idle):
+            key = (problem.head_cost[i], problem.cache_cost[i], problem.base_cost[i], self._fixed_cost[i])
+            kinds.setdefault(key, []).append(int(i))
+        groups = list(kinds.values())
+        if math.prod(len(g) + 1 for g in groups) > MAX_WAKE_CASES:
+            return -math.inf
+        cases = []
+        for counts in product(*(range(len(g) + 1) for g in groups)):
+            woken = np.zeros(len(idle), dtype=bool)
+            for group, count in zip(groups, counts):
+                woken[group[:count]] = True
+            if woken.any() or busy.any():
+                cases.append(woken)
+        woken_by_case = np.array(cases)
+        base = problem.base_cost + woken_by_case * self._fixed_cost
+        return float(objective_lower_bounds(problem, base, woken_by_case | busy).min())
 
     def _local_only_solution(self, problem: HeadDispatchProblem) -> Optional[HeadDispatchSolution]:
         """Allocation that keeps every new request entirely on the Primary."""
@@ -233,19 +320,61 @@ class Dispatcher:
         re-dispatched from scratch, subject only to total cluster capacity."""
         if not all_requests:
             return 0.0
+        return self._solve_ideal(self._ideal_problem(all_requests))
+
+    def check_ideal(
+        self, all_requests: Sequence[Tuple[int, int]], current: float, theta: float
+    ) -> IdealCheck:
+        """Answer the balance trigger's question: is ``current > f* * (1 + theta)``?
+
+        Bounds on f* settle most calls (:meth:`_certify_ideal`); the rest
+        solve for f* exactly as :meth:`ideal_objective` does.
+        """
+        if not all_requests:
+            return IdealCheck(over=False, ideal=0.0)
+        problem = self._ideal_problem(all_requests)
+        certified = self._certify_ideal(problem, current, theta)
+        if certified is not None:
+            return certified
+        ideal = self._solve_ideal(problem)
+        return IdealCheck(over=not (ideal <= 0 or current <= ideal * (1.0 + theta)), ideal=ideal)
+
+    def _ideal_problem(self, all_requests: Sequence[Tuple[int, int]]) -> HeadDispatchProblem:
         contexts = [ctx for _, ctx in all_requests]
         n = len(self.targets)
         capacities = np.array([t.total_token_heads_capacity for t in self.targets])
-        problem = self._build_problem(
+        return self._build_problem(
             contexts,
             capacities=capacities,
             base_heads=np.zeros(n),
             base_cache=np.zeros(n),
         )
+
+    def _solve_ideal(self, problem: HeadDispatchProblem) -> float:
         solution = self._solve(problem)
         if not solution.feasible:
             return float("inf")
         return solution.objective
+
+    def _certify_ideal(
+        self, problem: HeadDispatchProblem, current: float, theta: float
+    ) -> Optional[IdealCheck]:
+        """Settle ``current > f* * (1 + theta)`` from bounds on f*, or None.
+
+        f* is at least :func:`objective_lower_bound`.  It is at most the
+        greedy objective whenever greedy finds a placement: ``solve_lp`` keeps
+        the better of its rounded LP and greedy, and falls back to greedy when
+        the LP fails.
+        """
+        lower = objective_lower_bound(problem)
+        if current * (1.0 + CERTIFICATE_SLACK) <= lower * (1.0 + theta):
+            return IdealCheck(over=False, ideal=lower, exact=False)
+        if lower <= 0:
+            return None  # f* may be 0, which the trigger counts as balanced
+        greedy = solve_greedy(problem)
+        if greedy.feasible and current > greedy.objective * (1.0 + theta) * (1.0 + CERTIFICATE_SLACK):
+            return IdealCheck(over=True, ideal=greedy.objective, exact=False)
+        return None
 
     def current_objective(self) -> float:
         """Max per-target Attention time implied by the current placements."""

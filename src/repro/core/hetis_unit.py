@@ -12,7 +12,7 @@ This execution unit glues together every Hetis mechanism:
   requests and resolves per-device cache exhaustion, and the
   :class:`~repro.core.hauler.Hauler` prices the resulting partial migrations.
 
-Modelling note (documented in DESIGN.md): the Primary workers of an instance
+Modelling note: the Primary workers of an instance
 are treated as a single aggregate dispatch target -- heads kept "on the
 Primary" are executed by the Primary pipeline with its usual tensor/pipeline
 distribution and stored across the Primary devices' pooled KV memory.  This

@@ -69,8 +69,10 @@ class RedispatchPolicy:
         if not splits:
             return RedispatchDecision(RedispatchAction.NONE, reason="no active requests")
         current = self.dispatcher.current_objective()
-        ideal = self.dispatcher.ideal_objective([(rid, contexts[rid]) for rid in splits])
-        if ideal <= 0 or current <= ideal * (1.0 + self.theta):
+        check = self.dispatcher.check_ideal(
+            [(rid, contexts[rid]) for rid in splits], current, self.theta
+        )
+        if not check.over:
             return RedispatchDecision(RedispatchAction.NONE, reason="within threshold")
 
         victim = self._pick_compute_victim(splits, contexts)
@@ -83,7 +85,7 @@ class RedispatchPolicy:
             RedispatchAction.REDISPATCH,
             request_id=victim,
             new_split=new_split,
-            reason=f"imbalance {current / ideal:.2f}x over ideal",
+            reason=f"imbalance {'' if check.exact else '≥ '}{current / check.ideal:.2f}x over ideal",
         )
 
     def _pick_compute_victim(

@@ -4,7 +4,7 @@ Each module exposes ``run_*`` functions returning plain dataclasses / dicts so
 that the same logic backs the pytest-benchmark targets in ``benchmarks/``, the
 runnable scripts in ``examples/``, and the assertions in ``tests/``.
 
-Index (see DESIGN.md for the full mapping):
+Index of the paper's tables and figures:
 
 ========  =============================================================
 Table 1   :func:`repro.experiments.table1.run_table1`

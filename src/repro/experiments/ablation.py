@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of Hetis's main design choices.
 
 1. Splitting dimension: head-wise vs. sequence-wise vs. batch-wise (extends
    the Fig.-5 comparison with the batch-wise full-migration cost).

@@ -9,12 +9,16 @@ provides:
 * integral rounding to whole KV-head groups that preserves head-level
   integrity (Eq. 5) and the per-device memory budget (Eq. 7b),
 * a greedy water-filling solver used as a fast fallback and as an ablation
-  baseline.
+  baseline,
+* a closed-form lower bound on the min--max objective, which lets the
+  Dispatcher settle a comparison against the optimum without solving.
 """
 
 from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     HeadDispatchSolution,
+    objective_lower_bound,
+    objective_lower_bounds,
     solve_lp,
     solve_greedy,
     round_to_groups,
@@ -23,6 +27,8 @@ from repro.solvers.head_dispatch import (
 __all__ = [
     "HeadDispatchProblem",
     "HeadDispatchSolution",
+    "objective_lower_bound",
+    "objective_lower_bounds",
     "solve_lp",
     "solve_greedy",
     "round_to_groups",

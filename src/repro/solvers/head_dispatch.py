@@ -126,6 +126,56 @@ class HeadDispatchSolution:
         return self.allocation[:, j]
 
 
+def objective_lower_bound(problem: HeadDispatchProblem) -> float:
+    """A lower bound on the min--max objective of every allocation, without solving.
+
+    For weights ``mu_i >= 0`` summing to one, any ``x >= 0`` with
+    ``sum_i x_ij = H`` satisfies
+
+        max_i f_i(x) >= sum_i mu_i f_i(x)
+                     >= sum_i mu_i base_i + H * sum_j min_i mu_i (head_i + cache_i l_j)
+
+    and ``max_i base_i`` bounds it too.  Capacity and group integrality only
+    shrink the feasible set, so the result bounds the LP optimum, the rounded
+    LP objective and the greedy objective alike.  The weights tried are
+    ``mu_i ~ 1 / (head_i + cache_i l)`` for a few representative contexts
+    ``l`` (every context when there are at most four, else the mean, min and
+    max); for one request under slack capacity the bound equals the LP
+    optimum.
+    """
+    usable = np.ones((1, problem.n_devices), dtype=bool)
+    return float(objective_lower_bounds(problem, problem.base_cost[None, :], usable)[0])
+
+
+def objective_lower_bounds(
+    problem: HeadDispatchProblem, base_cost: np.ndarray, usable: np.ndarray
+) -> np.ndarray:
+    """:func:`objective_lower_bound` for several variants of ``problem`` at once.
+
+    Row ``k`` of the (variants x devices) arrays replaces the bases with
+    ``base_cost[k]`` and bounds only the allocations that place heads on
+    ``usable[k]`` devices; the other devices keep their base load.  Every row
+    needs at least one usable device.
+    """
+    contexts = problem.contexts
+    if contexts.shape[0] <= 4:
+        reps = contexts
+    else:
+        reps = np.array([contexts.mean(), contexts.min(), contexts.max()])
+    bound = base_cost.max(axis=1)
+    per_head = problem.head_cost[None, :] + problem.cache_cost[None, :] * reps[:, None]
+    if not np.all(per_head > 0):
+        return bound
+    # weights: (variants, reps, devices), zero on unusable devices.
+    weights = usable[:, None, :] / per_head[None, :, :]
+    weights /= weights.sum(axis=2, keepdims=True)
+    unit = problem.head_cost[:, None] + problem.cache_cost[:, None] * contexts[None, :]
+    weighted = np.where(usable[:, None, :, None], weights[..., None] * unit, np.inf)
+    spread = weighted.min(axis=2).sum(axis=2)
+    value = (weights * base_cost[:, None, :]).sum(axis=2) + problem.total_heads * spread
+    return np.maximum(bound, value.max(axis=1))
+
+
 def solve_lp(problem: HeadDispatchProblem) -> HeadDispatchSolution:
     """Solve the LP relaxation with HiGHS and round to integral head groups.
 

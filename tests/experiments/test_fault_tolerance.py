@@ -11,6 +11,7 @@ The chaos task kinds are registered at import time of this module; the pool
 uses the ``fork`` start method on Linux, so worker processes inherit them.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -137,11 +138,25 @@ class TestCrashIsolation:
         assert "worker process died" in results[1].error
 
     def test_crash_retry_consumes_budget_then_books(self):
+        # The crasher runs alone, so its first crash is never ambiguous
+        # (test_crash_kills_only_its_point covers bystanders).  A lone point
+        # runs in-process unless a task_timeout routes it through the pool.
+        runner = SweepRunner(
+            jobs=2, stop_on_error=False, max_retries=1, backoff_base=0.0, task_timeout=60.0
+        )
+        (result,) = runner.run_tasks([crash_task()])
+        assert result.error_kind == "crash"
+        assert result.attempts == 2
+
+    def test_ambiguous_crash_probe_attempt_does_not_consume_budget(self):
+        # The sleeper is still in flight when the crasher's worker dies, so the
+        # culprit is ambiguous: the probe lane re-runs each point alone and
+        # records that extra attempt without charging the retry budget.
         runner = SweepRunner(jobs=2, stop_on_error=False, max_retries=1, backoff_base=0.0)
-        results = runner.run_tasks([crash_task(), ok_task(5)])
-        assert results[0].error_kind == "crash"
-        assert results[0].attempts == 2
-        assert results[1].row == {"value": 5}
+        crashed, slept = runner.run_tasks([crash_task(), sleep_task(1.0)])
+        assert crashed.error_kind == "crash"
+        assert crashed.attempts == 3
+        assert slept.row == {"value": "slept"}
 
     def test_many_crashes_exhaust_pool_restart_budget_honestly(self):
         runner = SweepRunner(
@@ -280,9 +295,12 @@ class TestJournalResume:
             ]
 
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # Its own process group, so one killpg reaches the sweep's pool workers too;
+        # killing only the parent leaves them running, re-parented to init.
         proc = subprocess.Popen(
             sweep_args(journal, out_resumed), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120.0
@@ -292,12 +310,10 @@ class TestJournalResume:
                 if proc.poll() is not None:
                     break  # finished before we could kill it; resume still covers replay
                 time.sleep(0.05)
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
 
         resumed = subprocess.run(
             sweep_args(journal, out_resumed), env=env, capture_output=True, text=True
