@@ -115,12 +115,15 @@ python -m repro plan examples/configs/planner_slo.toml \
     --set workload.num_requests=16 --jobs 2 >/dev/null
 echo "  planner search OK"
 
-# Benchmark replay: each hetis-chat-longdoc input once (--seconds 0).  It
-# exits non-zero on any conservation, truncation or repeat-row failure, so
-# the certified dispatch path runs end to end.
-echo "== perfbench hetis replay (--seconds 0) =="
-python3 perfbench/run.py --workload hetis-chat-longdoc --seed 1 --seconds 0 --trace 0 >/dev/null
-echo "  hetis-chat-longdoc replay OK"
+# Benchmark replays: each input of every workload once (--seconds 0).  A
+# replay exits non-zero on any conservation, truncation or repeat-row
+# failure, so the certified dispatch path and the shared continuous-batching
+# core (static units alone and in a failing, migrating fleet) run end to end.
+for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; do
+    echo "== perfbench $workload replay (--seconds 0) =="
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 >/dev/null
+    echo "  $workload replay OK"
+done
 
 # Perf trajectory: refresh BENCH_runner.json with CI-sized measurements.  The
 # timing numbers are recorded, not thresholded (CI boxes are noisy); the

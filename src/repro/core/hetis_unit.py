@@ -22,8 +22,7 @@ capacity-aware re-dispatch) while keeping per-stage bookkeeping tractable.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,17 +45,16 @@ from repro.perf.attention_model import (
 )
 from repro.perf.commcost import CommModel, attention_transfer_bytes
 from repro.perf.roofline import RooflineExecutor
-from repro.sim.iteration import Iteration, IterationOutcome
-from repro.sim.request import Request, RequestStatus
-from repro.sim.scheduler import ContinuousBatchingPolicy, PrefillChunk, SchedulerLimits
-from repro.sim.units import ExecutionUnit
+from repro.sim.batching import ContinuousBatchingUnit
+from repro.sim.request import Request
+from repro.sim.scheduler import PrefillChunk, SchedulerLimits
 from repro.utils.rng import make_rng
 
 PRIMARY_TARGET_ID = -1
 """Pseudo device id of the aggregate Primary dispatch target."""
 
 
-class HetisInstanceUnit(ExecutionUnit):
+class HetisInstanceUnit(ContinuousBatchingUnit):
     """One Hetis serving instance plugged into the discrete-event engine."""
 
     def __init__(
@@ -75,27 +73,24 @@ class HetisInstanceUnit(ExecutionUnit):
         hauler_interference: float = 0.05,
         seed: int = 0,
     ) -> None:
-        super().__init__(name)
         config.validate_layer_count(model)
+        # -- KV managers per dispatch target -------------------------------------
+        kv_capacity = config.kv_capacity_per_device(model)
+        primary_capacity = sum(kv_capacity[d.device_id] for d in config.primary_devices)
+        self._managers: Dict[int, HeadwiseBlockManager] = {
+            PRIMARY_TARGET_ID: HeadwiseBlockManager(primary_capacity, model)
+        }
+        for w in config.attention_workers:
+            self._managers[w.device_id] = HeadwiseBlockManager(kv_capacity[w.device_id], model)
+        super().__init__(name, model, limits, self._managers[PRIMARY_TARGET_ID].block_size)
         self.config = config
-        self.model = model
         self.cluster = cluster
         self.executor = RooflineExecutor(model)
         self.cost_model = LayerCostModel(model)
         self.comm = CommModel(cluster, model)
-        self.policy = ContinuousBatchingPolicy(limits)
         self.enable_redispatch = enable_redispatch
         self.redispatch_check_interval = max(1, redispatch_check_interval)
         self._rng = make_rng(seed)
-
-        # -- KV managers per dispatch target -------------------------------------
-        kv_capacity = config.kv_capacity_per_device(model)
-        primary_capacity = sum(kv_capacity[d.device_id] for d in config.primary_devices)
-        self._primary_manager = HeadwiseBlockManager(primary_capacity, model)
-        self._worker_managers: Dict[int, HeadwiseBlockManager] = {
-            w.device_id: HeadwiseBlockManager(kv_capacity[w.device_id], model)
-            for w in config.attention_workers
-        }
         self._primary_front = config.stages[0].devices[0]
         self._device_host: Dict[int, int] = {PRIMARY_TARGET_ID: self._primary_front.host_id}
         for w in config.attention_workers:
@@ -117,7 +112,7 @@ class HetisInstanceUnit(ExecutionUnit):
                 target_id=PRIMARY_TARGET_ID,
                 name=f"{name}/primary",
                 device_model=device_models[PRIMARY_TARGET_ID],
-                manager=self._primary_manager,
+                manager=self._managers[PRIMARY_TARGET_ID],
                 is_primary=True,
             )
         ]
@@ -127,7 +122,7 @@ class HetisInstanceUnit(ExecutionUnit):
                     target_id=w.device_id,
                     name=w.name,
                     device_model=device_models[w.device_id],
-                    manager=self._worker_managers[w.device_id],
+                    manager=self._managers[w.device_id],
                 )
             )
         self.dispatcher = Dispatcher(
@@ -137,12 +132,10 @@ class HetisInstanceUnit(ExecutionUnit):
         self.hauler = Hauler(cluster, model, interference_factor=hauler_interference)
 
         # -- request state ------------------------------------------------------------
-        self.waiting: Deque[Request] = deque()
-        self.running: List[Request] = []
-        self.dropped: List[Request] = []
+        # Head splits of every request holding cache, in admission order (the
+        # order the modified-LIFO victim selection walks), and the requests.
         self._splits: Dict[int, HeadSplit] = {}
         self._requests: Dict[int, Request] = {}
-        self._admission_order: List[int] = []
         self._pending_penalty = 0.0
         self._iterations = 0
         self.num_redispatches = 0
@@ -247,117 +240,66 @@ class HetisInstanceUnit(ExecutionUnit):
         per_layer = self.executor.decode_attention_time(worker.spec, contexts, heads_per_req)
         return per_layer * self.model.num_layers
 
-    # ---------------------------------------------------------------- manager access --
-
-    def _manager(self, target_id: int) -> HeadwiseBlockManager:
-        if target_id == PRIMARY_TARGET_ID:
-            return self._primary_manager
-        return self._worker_managers[target_id]
-
-    def _all_managers(self) -> Dict[int, HeadwiseBlockManager]:
-        managers = {PRIMARY_TARGET_ID: self._primary_manager}
-        managers.update(self._worker_managers)
-        return managers
+    # ---------------------------------------------------------------- KV hooks --
 
     def _allocate_split(self, request: Request, split: HeadSplit) -> None:
         for target_id, heads in split.allocation.items():
             if heads > 0:
-                self._manager(target_id).allocate(request.request_id, heads, request.context_length)
+                self._managers[target_id].allocate(request.request_id, heads, request.context_length)
 
     def _free_request(self, request: Request) -> None:
-        for manager in self._all_managers().values():
+        for manager in self._managers.values():
             if manager.has_sequence(request.request_id):
                 manager.free(request.request_id)
 
     def _total_free_token_heads(self) -> float:
-        return sum(
-            m.free_blocks * m.block_size * self.model.gqa_ratio for m in self._all_managers().values()
-        )
+        return sum(m.free_blocks * m.block_size * self.model.gqa_ratio for m in self._managers.values())
 
-    # --------------------------------------------------------------------- ingress --
+    def _fits(self, request: Request) -> bool:
+        return request.context_length * self.model.num_heads <= self._total_free_token_heads()
 
-    def enqueue(self, request: Request, now: float) -> None:
-        self.waiting.append(request)
+    def _exhausted(self, request: Request) -> Optional[int]:
+        rid = request.request_id
+        for target_id in self._splits[rid].targets():
+            if not self._managers[target_id].can_append(rid):
+                return target_id
+        return None
+
+    def _append(self, request: Request) -> None:
+        # Every token reaches the managers: the dispatcher reads their
+        # token-heads (g_i), not only their block counts.
+        rid = request.request_id
+        for target_id in self._splits[rid].targets():
+            self._managers[target_id].append_token(rid)
+
+    def _release(self, request: Request) -> None:
+        self._free_request(request)
+        self._splits.pop(request.request_id, None)
+        self._requests.pop(request.request_id, None)
 
     # ------------------------------------------------------------------- scheduling --
 
-    def has_work(self) -> bool:
-        return bool(self.running or self.waiting)
-
-    def next_iteration(self, now: float) -> Optional[Iteration]:
-        # 1. Keep every running decode request appendable, resolving cache
-        #    exhaustion through re-dispatch or (modified-)LIFO preemption.
-        decode_requests: List[Request] = []
-        for req in list(self.running):
-            if req.status != RequestStatus.DECODING:
-                continue
-            if self._ensure_appendable(req):
-                decode_requests.append(req)
-        decode_requests = [r for r in decode_requests if r in self.running]
-
-        # 2. Admit and dispatch new prefill work (whole prefills, or chunks of
-        #    them when chunked prefill is enabled).
-        admitted_chunks = self._admit_prefill_chunks()
-        prefill_requests = [c.request for c in admitted_chunks if c.completes_prefill]
-        partial_prefills = [c for c in admitted_chunks if not c.completes_prefill]
-
-        if not admitted_chunks and not decode_requests:
-            if self.waiting and not self.running:
-                head = self.waiting[0]
-                demand = head.context_length * self.model.num_heads
-                if head.prefilled_tokens == 0 and demand > self._total_free_token_heads():
-                    self.dropped.append(self.waiting.popleft())
-            return None
-
-        batch = BatchProfile(
-            prefill_lengths=[c.new_tokens for c in admitted_chunks],
-            decode_contexts=[r.context_length for r in decode_requests],
-            prefill_cached=[c.cached_tokens for c in admitted_chunks]
-            if any(c.cached_tokens for c in admitted_chunks)
-            else (),
-        )
-        duration, module_times = self._iteration_time(batch, decode_requests)
-        duration += self._pending_penalty
-        self._pending_penalty = 0.0
-        return Iteration(
-            duration=duration,
-            prefill_requests=prefill_requests,
-            decode_requests=decode_requests,
-            partial_prefills=partial_prefills,
-            module_times=module_times,
-        )
-
-    def _admit_prefill_chunks(self) -> List[PrefillChunk]:
+    def _admit(self, decode_requests: List[Request]) -> List[PrefillChunk]:
         """Select the iteration's prefill chunks and dispatch new requests' heads.
 
         A request's head split and full-context KV allocation are established
         with its *first* chunk; resuming chunks of a partially-prefilled
-        request reuse them.  Only requests whose prefill completes this
-        iteration join ``running``; a partially-prefilled request stays at the
-        head of the waiting queue.
+        request reuse them.
         """
-        chunks = self.policy.select_prefill_chunks(
-            self.waiting,
-            num_running=len(self.running),
-            can_admit=lambda r: r.context_length * self.model.num_heads
-            <= self._total_free_token_heads(),
-        )
-        if not chunks:
-            return []
+        chunks = self.policy.select_prefill_chunks(self.waiting, len(self.running), self._fits)
         new_chunks = [c for c in chunks if c.is_first]
-        decision = None
-        if new_chunks:
-            decision = self.dispatcher.dispatch_new(
-                [(c.request.request_id, c.request.context_length) for c in new_chunks]
-            )
-            if not decision.feasible:
-                # Put popped requests back in arrival order and try again next
-                # iteration; chunks of already-dispatched requests may proceed.
-                for c in reversed(new_chunks):
-                    if c.completes_prefill:
-                        self.waiting.appendleft(c.request)
-                chunks = [c for c in chunks if not c.is_first]
-                new_chunks = []
+        if not new_chunks:
+            return chunks
+        decision = self.dispatcher.dispatch_new(
+            [(c.request.request_id, c.request.context_length) for c in new_chunks]
+        )
+        if not decision.feasible:
+            # Put popped requests back in arrival order and try again next
+            # iteration; chunks of already-dispatched requests may proceed.
+            for c in reversed(new_chunks):
+                if c.completes_prefill:
+                    self.waiting.appendleft(c.request)
+            return [c for c in chunks if not c.is_first]
         admitted: List[PrefillChunk] = []
         for chunk in chunks:
             req = chunk.request
@@ -376,51 +318,19 @@ class HetisInstanceUnit(ExecutionUnit):
                 req.start_prefill()
                 self._splits[req.request_id] = split
                 self._requests[req.request_id] = req
-                self._admission_order.append(req.request_id)
-            if chunk.completes_prefill:
-                self.running.append(req)
             admitted.append(chunk)
         return admitted
 
-    def _ensure_appendable(self, request: Request) -> bool:
-        """Guarantee one more token can be cached for ``request`` on all its targets."""
-        split = self._splits.get(request.request_id)
-        if split is None:
-            return False
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 64:
-                self._preempt(request)
-                return False
-            exhausted = None
-            for target_id in split.targets():
-                if not self._manager(target_id).can_append(request.request_id):
-                    exhausted = target_id
-                    break
-            if exhausted is None:
-                return True
-            resolved = self._resolve_cache_exhaustion(exhausted)
-            if not resolved:
-                self._preempt(request)
-                return False
-            split = self._splits.get(request.request_id)
-            if split is None:
-                return False
-
-    def _resolve_cache_exhaustion(self, target_id: int) -> bool:
+    def _make_room(self, request: Request, exhausted: int) -> bool:
         """Apply the cache-balance re-dispatching policy (or plain LIFO)."""
-        contexts = {rid: self._requests[rid].context_length for rid in self._splits}
         if not self.enable_redispatch:
-            # Plain LIFO over all running requests (the Fig.-15a baseline).
-            victims = [rid for rid in self._admission_order if rid in self._splits]
-            if not victims:
+            # Plain LIFO over every request holding cache (the Fig.-15a baseline).
+            if not self._splits:
                 return False
-            self._preempt(self._requests[victims[-1]])
+            self._preempt(self._requests[next(reversed(self._splits))])
             return True
-        decision = self.redispatcher.handle_cache_exhaustion(
-            target_id, self._splits, contexts, self._admission_order
-        )
+        contexts = {rid: self._requests[rid].context_length for rid in self._splits}
+        decision = self.redispatcher.handle_cache_exhaustion(exhausted, self._splits, contexts, self._splits)
         if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
             self._apply_redispatch(decision.request_id, decision.new_split)
             self.num_cache_redispatches += 1
@@ -444,6 +354,9 @@ class HetisInstanceUnit(ExecutionUnit):
         # Re-home the cache bookkeeping: free the old placement, then allocate
         # the new one (capacity was validated by the dispatcher's LP).
         self._free_request(request)
+        if request in self.running:
+            # Either placement below is allocated at the full context length.
+            self.running[request] = request.context_length
         try:
             self._allocate_split(request, new_split)
         except BlockAllocationError:
@@ -455,25 +368,24 @@ class HetisInstanceUnit(ExecutionUnit):
         self.num_redispatches += 1
         self._pending_penalty += report.blocking_seconds
 
-    def _preempt(self, request: Request) -> None:
-        self._free_request(request)
-        self._splits.pop(request.request_id, None)
-        if request.request_id in self._admission_order:
-            self._admission_order.remove(request.request_id)
-        if request in self.running:
-            self.running.remove(request)
-        request.preempt()
-        if request not in self.waiting:
-            # A partially-prefilled victim is still sitting at the head of the
-            # waiting queue; do not enqueue it a second time.
-            self.waiting.appendleft(request)
+    def _on_iteration_complete(self) -> None:
+        self._iterations += 1
+        if self.enable_redispatch and self._iterations % self.redispatch_check_interval == 0:
+            contexts = {rid: self._requests[rid].context_length for rid in self._splits}
+            decision = self.redispatcher.check_compute_balance(self._splits, contexts)
+            if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
+                self._apply_redispatch(decision.request_id, decision.new_split)
 
     # ----------------------------------------------------------------------- timing --
 
     def _iteration_time(
         self, batch: BatchProfile, decode_requests: Sequence[Request]
     ) -> Tuple[float, Dict[str, float]]:
-        """Iteration duration with dynamic-Attention-parallel decode Attention."""
+        """Iteration duration with dynamic-Attention-parallel decode Attention.
+
+        The duration also carries the blocking time of re-dispatches applied
+        since the last iteration was planned; the module metrics do not.
+        """
         tokens = batch.total_tokens
         n_stages = len(self.config.stages)
 
@@ -515,7 +427,8 @@ class HetisInstanceUnit(ExecutionUnit):
             "attention": decode_attn,
             "iteration": duration,
         }
-        return duration, module_times
+        penalty, self._pending_penalty = self._pending_penalty, 0.0
+        return duration + penalty, module_times
 
     def _decode_attention_time(self, decode_requests: Sequence[Request]) -> float:
         """Max over dispatch targets of their decode-Attention + transfer time."""
@@ -548,85 +461,20 @@ class HetisInstanceUnit(ExecutionUnit):
             times.append(compute + transfer)
         return max(times)
 
-    # -------------------------------------------------------------------- completion --
-
-    def complete_iteration(self, iteration: Iteration, now: float) -> IterationOutcome:
-        outcome = IterationOutcome()
-        for req in iteration.decode_requests:
-            if req not in self.running or req.status != RequestStatus.DECODING:
-                continue
-            # Earlier appends in this iteration may have consumed the last free
-            # blocks on a shared target; re-run the exhaustion handling before
-            # committing this request's new token.
-            if not self._ensure_appendable(req) or req not in self.running:
-                continue
-            split = self._splits.get(req.request_id)
-            if split is None:
-                continue
-            for target_id in split.targets():
-                self._manager(target_id).append_token(req.request_id)
-            req.add_decode_token(now)
-            if req.is_finished:
-                self._retire(req)
-                outcome.finished.append(req)
-        for chunk in iteration.partial_prefills:
-            # Non-final chunks only advance prefill progress (the request may
-            # have been preempted mid-iteration by cache exhaustion, in which
-            # case its progress was reset and the chunk is void).
-            if chunk.request.status == RequestStatus.PREFILLING:
-                chunk.request.advance_prefill(chunk.new_tokens)
-        for req in iteration.prefill_requests:
-            if req not in self.running:
-                continue
-            req.complete_prefill(now)
-            if req.is_finished:
-                self._retire(req)
-                outcome.finished.append(req)
-        self._iterations += 1
-        if self.enable_redispatch and self._iterations % self.redispatch_check_interval == 0:
-            self._check_compute_balance()
-        return outcome
-
-    def _retire(self, request: Request) -> None:
-        self._free_request(request)
-        self._splits.pop(request.request_id, None)
-        self._requests.pop(request.request_id, None)
-        if request.request_id in self._admission_order:
-            self._admission_order.remove(request.request_id)
-        if request in self.running:
-            self.running.remove(request)
-
-    def _check_compute_balance(self) -> None:
-        contexts = {rid: self._requests[rid].context_length for rid in self._splits}
-        decision = self.redispatcher.check_compute_balance(self._splits, contexts)
-        if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
-            self._apply_redispatch(decision.request_id, decision.new_split)
-
     # ------------------------------------------------------------------ introspection --
 
     def kv_utilization(self) -> Dict[str, float]:
-        usage = {f"{self.name}/primary": self._primary_manager.utilization}
+        usage = {f"{self.name}/primary": self._managers[PRIMARY_TARGET_ID].utilization}
         for worker in self.config.attention_workers:
-            usage[worker.name] = self._worker_managers[worker.device_id].utilization
+            usage[worker.name] = self._managers[worker.device_id].utilization
         return usage
 
     def head_counts(self) -> Dict[str, float]:
         """Query heads currently resident per dispatch target (Fig. 14 series)."""
-        counts = {f"{self.name}/primary": float(self._primary_manager.total_query_heads())}
+        counts = {f"{self.name}/primary": float(self._managers[PRIMARY_TARGET_ID].total_query_heads())}
         for worker in self.config.attention_workers:
-            counts[worker.name] = float(self._worker_managers[worker.device_id].total_query_heads())
+            counts[worker.name] = float(self._managers[worker.device_id].total_query_heads())
         return counts
 
     def available_kv_bytes(self) -> float:
-        total = self._primary_manager.total_blocks * self._primary_manager.bytes_per_block_group
-        for manager in self._worker_managers.values():
-            total += manager.total_blocks * manager.bytes_per_block_group
-        return float(total)
-
-    @property
-    def num_waiting(self) -> int:
-        return len(self.waiting)
-
-    @property
-    def num_running(self) -> int:
-        return len(self.running)
+        return float(sum(m.total_blocks * m.bytes_per_block_group for m in self._managers.values()))

@@ -1,19 +1,16 @@
-"""Execution units: the per-replica iteration loops of a serving system.
+"""The static pipeline execution unit of the baselines and Hetis' Primary workers.
 
-An :class:`ExecutionUnit` owns a waiting queue, a running batch, and the KV
-cache of one model replica (or one phase-specific replica for Splitwise), and
-turns batches into timed :class:`~repro.sim.iteration.Iteration` objects.
 :class:`StaticPipelineUnit` implements the conventional execution model used
 by the baselines and by Hetis' Primary workers for dense computation: a
-pipeline of (possibly asymmetric) tensor-parallel stages with token-granular
-paged KV caches and vLLM-style LIFO preemption.
+pipeline of (possibly asymmetric) tensor-parallel stages with paged KV caches
+and vLLM-style LIFO preemption, on the shared continuous-batching core
+(:mod:`repro.sim.batching`).
 """
 
 from __future__ import annotations
 
-import abc
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.hardware.cluster import Cluster
 from repro.kvcache.block_manager import PagedBlockManager
@@ -22,94 +19,14 @@ from repro.models.spec import ModelSpec
 from repro.parallel.config import InstanceParallelConfig
 from repro.perf.commcost import CommModel
 from repro.perf.roofline import RooflineExecutor
-from repro.sim.iteration import Handoff, Iteration, IterationOutcome
+from repro.sim.batching import DECODING, PREFILLING, ContinuousBatchingUnit, ExecutionUnit
 from repro.sim.request import Request, RequestStatus
-from repro.sim.scheduler import ContinuousBatchingPolicy, PrefillChunk, SchedulerLimits
+from repro.sim.scheduler import PrefillChunk, SchedulerLimits
+
+__all__ = ["ExecutionUnit", "StaticPipelineUnit"]
 
 
-class ExecutionUnit(abc.ABC):
-    """One independently clocked iteration loop of a serving system."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        # Failure injection: while ``now < paused_until`` the engine will not
-        # start iterations on this unit (the replica is down); queued work
-        # stays put and resumes after recovery.  0.0 = never paused.
-        self.paused_until: float = 0.0
-
-    # -- request ingress ---------------------------------------------------------
-
-    @abc.abstractmethod
-    def enqueue(self, request: Request, now: float) -> None:
-        """Accept a fresh request that still needs its prefill."""
-
-    def enqueue_prefilled(self, request: Request, now: float) -> None:
-        """Accept a request whose prefill ran elsewhere (Splitwise hand-off)."""
-        raise NotImplementedError(f"{self.name} does not accept prefilled requests")
-
-    # -- request egress (drains / failures) ---------------------------------------
-
-    def evict_queued(self, now: float) -> List[Request]:
-        """Remove and return requests that can move to another unit.
-
-        Only requests with no live KV on this unit -- freshly queued or
-        preempted (recompute-on-preempt drops their cache) -- are movable;
-        requests mid-prefill hold blocks and stay.  The base implementation
-        moves nothing, so units without an eviction story (e.g. Hetis
-        instance units with head-sliced placements) simply keep their work.
-        """
-        return []
-
-    def preempt_running(self, now: float) -> List[Request]:
-        """Preempt every in-flight request (failure injection).
-
-        Preempted requests lose their KV cache and land back in the waiting
-        queue with recompute-on-restart semantics; the returned list is what
-        was preempted.  Base implementation: nothing to preempt.
-        """
-        return []
-
-    # -- iteration protocol --------------------------------------------------------
-
-    @abc.abstractmethod
-    def has_work(self) -> bool:
-        """Whether the unit could make progress if stepped now."""
-
-    @abc.abstractmethod
-    def next_iteration(self, now: float) -> Optional[Iteration]:
-        """Plan the next iteration (batch selection + timing), or ``None`` if idle."""
-
-    @abc.abstractmethod
-    def complete_iteration(self, iteration: Iteration, now: float) -> IterationOutcome:
-        """Apply the effects of a finished iteration at time ``now``."""
-
-    # -- introspection ---------------------------------------------------------------
-
-    @abc.abstractmethod
-    def kv_utilization(self) -> Dict[str, float]:
-        """Per-device KV-cache utilization in [0, 1]."""
-
-    @abc.abstractmethod
-    def available_kv_bytes(self) -> float:
-        """Total KV-cache bytes this unit can ever host (capacity, not free space)."""
-
-    @property
-    @abc.abstractmethod
-    def num_waiting(self) -> int:
-        ...
-
-    @property
-    @abc.abstractmethod
-    def num_running(self) -> int:
-        ...
-
-    @property
-    def load(self) -> int:
-        """Routing heuristic: requests currently owned by this unit."""
-        return self.num_waiting + self.num_running
-
-
-class StaticPipelineUnit(ExecutionUnit):
+class StaticPipelineUnit(ContinuousBatchingUnit):
     """Pipeline-parallel, (asymmetric) tensor-parallel execution unit.
 
     Parameters
@@ -132,51 +49,42 @@ class StaticPipelineUnit(ExecutionUnit):
         limits: SchedulerLimits | None = None,
         mode: str = "both",
     ) -> None:
-        super().__init__(name)
         if mode not in ("both", "prefill", "decode"):
             raise ValueError(f"invalid mode {mode!r}")
         config.validate_layer_count(model)
         self.config = config
-        self.model = model
         self.cluster = cluster
         self.mode = mode
+        self.hands_off = mode == "prefill"
         self.executor = RooflineExecutor(model)
         self.cost_model = LayerCostModel(model)
         self.comm = CommModel(cluster, model)
-        self.policy = ContinuousBatchingPolicy(limits)
 
         # Per-device KV share: fraction of a request's total KV bytes stored on
         # each device = (layers on the device / all layers) * its shard fraction.
         total_layers = config.total_layers
-        self._share: Dict[int, float] = {}
+        share: Dict[int, float] = {}
         for stage in config.stages:
             layer_frac = stage.num_layers / total_layers
             for dev, frac in zip(stage.devices, stage.fractions()):
-                self._share[dev.device_id] = self._share.get(dev.device_id, 0.0) + layer_frac * frac
+                share[dev.device_id] = share.get(dev.device_id, 0.0) + layer_frac * frac
         kv_capacity = config.kv_capacity_per_device(model)
-        self._managers: Dict[int, PagedBlockManager] = {}
-        self._device_names: Dict[int, str] = {}
-        for dev in config.primary_devices:
-            share = self._share.get(dev.device_id, 0.0)
-            if share <= 0:
-                continue
-            self._managers[dev.device_id] = PagedBlockManager(
-                capacity_bytes=kv_capacity[dev.device_id],
-                kv_bytes_per_token=model.kv_bytes_per_token() * share,
-            )
-            self._device_names[dev.device_id] = dev.name
-        # Hot-loop view: the manager set is fixed after construction, and the
-        # per-iteration cache checks walk it many times per simulated second.
-        self._manager_list = list(self._managers.values())
+        managers = {
+            dev.name: PagedBlockManager(kv_capacity[dev.device_id], model.kv_bytes_per_token() * share[dev.device_id])
+            for dev in config.primary_devices
+            if share.get(dev.device_id, 0.0) > 0
+        }
+        # Every device allocates, grows and frees the same sequences in
+        # lockstep, so all hold identical per-sequence block counts: one table
+        # sized by the smallest device decides for all of them.
+        self._device_blocks = {dev: m.total_blocks for dev, m in managers.items()}
+        self._table = min(managers.values(), key=lambda m: m.total_blocks)
+        super().__init__(name, model, limits, self._table.block_size)
 
         # Per-stage (spec, fraction) de-duplication for timing (see
         # StageConfig.unique_shards).
         self._stage_unique_shards = [stage.unique_shards() for stage in config.stages]
-
-        self.waiting: Deque[Request] = deque()
         self.pending_prefilled: Deque[Request] = deque()
-        self.running: List[Request] = []
-        self.dropped: List[Request] = []
 
     # -- ingress -----------------------------------------------------------------------
 
@@ -189,6 +97,9 @@ class StaticPipelineUnit(ExecutionUnit):
         if self.mode == "prefill":
             raise RuntimeError(f"{self.name} is prefill-only and cannot decode")
         self.pending_prefilled.append(request)
+
+    def has_work(self) -> bool:
+        return bool(self.running or self.waiting or self.pending_prefilled)
 
     # -- egress (drains / failures) ------------------------------------------------
 
@@ -203,203 +114,98 @@ class StaticPipelineUnit(ExecutionUnit):
         return movable
 
     def preempt_running(self, now: float) -> List[Request]:
-        victims = [r for r in self.running if not r.is_finished]
         # Partially-prefilled requests sit in the waiting queue but hold KV
         # blocks for their full prefill target; a failure drops those too.
-        victims += [r for r in self.waiting if r.status == RequestStatus.PREFILLING]
+        # They go first, so the running victims queue up ahead of them.
+        victims = [r for r in self.waiting if r.status == PREFILLING]
+        victims += [r for r in self.running if not r.is_finished]
         for req in victims:
             self._preempt(req)
         return victims
 
-    # -- cache helpers -------------------------------------------------------------------
+    # -- KV block table ----------------------------------------------------------------
 
-    def _can_host(self, context_tokens: int) -> bool:
-        for m in self._manager_list:
-            if not m.can_allocate(context_tokens):
-                return False
-        return True
+    def hostable_tokens(self) -> int:
+        """Context tokens the unit can hold in an empty cache (its smallest device decides)."""
+        return self._table.total_blocks * self._table.block_size
 
-    def _batch_admit_checker(self):
-        """A ``can_admit`` callable that accounts for the batch it approves.
+    def _allocate(self, request: Request, tokens: int) -> None:
+        # The table reserves whole blocks, so it is only touched again when
+        # the cached count reaches the end of the last one (see _append).
+        self._table.allocate(request.request_id, -(-tokens // self.block_size) * self.block_size)
 
-        The selectors check candidates one by one, but every approved request
-        allocates its full context only after selection finishes -- so a
-        per-candidate ``_can_host`` lets two requests through that each fit
-        alone yet not together, and the second allocation blows up.  The
-        returned checker keeps a running block reservation per manager; sums
-        of per-request block needs equal the blocks the later allocations
-        take, so single-candidate decisions are unchanged.
-        """
-        reserved: Dict[int, int] = {}
+    def _fits(self, request: Request) -> bool:
+        return self._table.can_allocate(request.context_length)
 
-        def can_admit(request: Request) -> bool:
-            tokens = request.context_length
-            needs = []
-            for m in self._manager_list:
-                need = m.blocks_needed(tokens)
-                if reserved.get(id(m), 0) + need > m.free_blocks:
-                    return False
-                needs.append((m, need))
-            for m, need in needs:
-                reserved[id(m)] = reserved.get(id(m), 0) + need
-            return True
+    def _exhausted(self, request: Request) -> object:
+        return None if self._table.can_append(request.request_id, self.block_size) else self._table
 
-        return can_admit
+    def _make_room(self, request: Request, exhausted: object) -> bool:
+        """LIFO: preempt the most recently admitted other decoding request."""
+        for victim in reversed(self.running):
+            if victim.status is DECODING and victim is not request:
+                self._preempt(victim)
+                return True
+        return False
 
-    def _can_ever_host(self, context_tokens: int) -> bool:
-        """Whether ``context_tokens`` would fit even in a completely empty cache."""
-        for m in self._manager_list:
-            if context_tokens > m.total_blocks * m.block_size:
-                return False
-        return True
+    def _append(self, request: Request) -> None:
+        # A token that starts a block reserves all of it; the rest land in it.
+        if self.running[request] % self.block_size == 0:
+            self._table.append(request.request_id, self.block_size)
 
-    def _allocate(self, request: Request, context_tokens: int) -> None:
-        for manager in self._manager_list:
-            manager.allocate(request.request_id, context_tokens)
+    def _release(self, request: Request) -> None:
+        if self._table.has_sequence(request.request_id):
+            self._table.free(request.request_id)
 
-    def _free(self, request: Request) -> None:
-        for manager in self._manager_list:
-            if manager.has_sequence(request.request_id):
-                manager.free(request.request_id)
+    # -- admission ---------------------------------------------------------------------
 
-    def _can_append_all(self, request: Request) -> bool:
-        rid = request.request_id
-        for m in self._manager_list:
-            if not m.can_append(rid):
-                return False
-        return True
-
-    def _append_all(self, request: Request) -> None:
-        rid = request.request_id
-        for manager in self._manager_list:
-            manager.append(rid)
-
-    def _preempt(self, victim: Request) -> None:
-        """Drop the victim's cache and send it back for re-prefill (LIFO policy)."""
-        self._free(victim)
-        victim.preempt()
-        if victim in self.running:
-            self.running.remove(victim)
-        if victim not in self.waiting:
-            # A partially-prefilled victim is still sitting in the waiting
-            # queue; do not enqueue it a second time.
-            self.waiting.appendleft(victim)
-
-    def _ensure_appendable(self, request: Request) -> bool:
-        """Make room for one more token of ``request``, preempting LIFO if needed.
-
-        Returns False when the request itself had to be preempted.
-        """
-        while not self._can_append_all(request):
-            victims = [r for r in self.running if r.status == RequestStatus.DECODING]
-            if not victims:
-                return False
-            victim = victims[-1]
-            if victim is request and len(victims) == 1:
-                self._preempt(request)
-                return False
-            if victim is request:
-                victim = victims[-2]
-            self._preempt(victim)
-        return True
-
-    # -- iteration planning ---------------------------------------------------------------
-
-    def has_work(self) -> bool:
-        return bool(self.running or self.waiting or self.pending_prefilled)
-
-    def next_iteration(self, now: float) -> Optional[Iteration]:
-        # 1. Decode step for every running request that still fits.
-        decode_requests: List[Request] = []
-        for req in list(self.running):
-            if req.status != RequestStatus.DECODING:
-                continue
-            if self._ensure_appendable(req):
-                decode_requests.append(req)
-        decode_requests = [r for r in decode_requests if r in self.running]
-
-        # 2. Admit prefilled hand-offs (decode / both modes).
-        while self.pending_prefilled:
-            candidate = self.pending_prefilled[0]
-            if len(self.running) >= self.policy.limits.max_running_requests:
-                break
-            if not self._can_host(candidate.context_length):
-                # A preempted victim can sit ahead of an in-flight partial
-                # prefill, so scan the queue for block holders, not just the head.
-                holds_blocks = any(
-                    r.status == RequestStatus.PREFILLING for r in self.waiting
-                )
-                if not self._can_ever_host(candidate.context_length) or (
-                    not self.running and not holds_blocks
-                ):
+    def _admit(self, decode_requests: List[Request]) -> List[PrefillChunk]:
+        table, pending = self._table, self.pending_prefilled
+        # Prefilled hand-offs first (decode / both modes).
+        while pending and len(self.running) < self.policy.limits.max_running_requests:
+            candidate = pending[0]
+            if not self._fits(candidate):
+                # The only block holder besides running requests is an
+                # in-flight partial prefill, and it sits at the queue head.
+                holds_blocks = bool(self.waiting) and self.waiting[0].status is PREFILLING
+                if candidate.context_length > self.hostable_tokens() or (not self.running and not holds_blocks):
                     # Shed instead of deadlocking: the hand-off exceeds the
-                    # unit's total capacity, or nothing is running (and no
-                    # chunked prefill holds blocks) so no block will ever be
-                    # freed.  Keep scanning -- requests queued behind a doomed
-                    # hand-off may still fit.
-                    self.pending_prefilled.popleft()
-                    self.dropped.append(candidate)
+                    # unit's total capacity, or nothing holds blocks that
+                    # could ever be freed.  Keep scanning -- requests queued
+                    # behind a doomed hand-off may still fit.
+                    self.dropped.append(pending.popleft())
                     continue
                 break
-            self.pending_prefilled.popleft()
+            pending.popleft()
             self._allocate(candidate, candidate.context_length)
-            candidate.status = RequestStatus.DECODING
-            self.running.append(candidate)
+            candidate.status = DECODING
+            self.running[candidate] = candidate.context_length
             decode_requests.append(candidate)
+        if self.mode == "decode":
+            return []
 
-        # 3. Admit new prefill work -- whole prefills, or chunks of them when
-        #    chunked prefill is enabled (a partially-prefilled request stays at
-        #    the head of the waiting queue between chunks).
-        prefill_requests: List[Request] = []
-        partial_prefills: List[PrefillChunk] = []
-        prefill_chunks: List[PrefillChunk] = []
-        if self.mode in ("both", "prefill"):
-            prefill_chunks = self.policy.select_prefill_chunks(
-                self.waiting,
-                num_running=len(self.running),
-                can_admit=self._batch_admit_checker(),
-            )
-            for chunk in prefill_chunks:
-                req = chunk.request
-                if chunk.is_first:
-                    # The full-context KV allocation happens with the first
-                    # chunk; later chunks fill blocks already reserved.
-                    self._allocate(req, req.prefill_target)
-                    req.start_prefill()
-                if chunk.completes_prefill:
-                    self.running.append(req)
-                    prefill_requests.append(req)
-                else:
-                    partial_prefills.append(chunk)
-            if (
-                not prefill_chunks
-                and not decode_requests
-                and self.waiting
-                and not self.running
-                and self.waiting[0].prefilled_tokens == 0
-                and not self._can_host(self.waiting[0].context_length)
-            ):
-                # A request that can never fit alone would deadlock the unit.
-                self.dropped.append(self.waiting.popleft())
+        # New prefill work -- whole prefills, or chunks of them.  Approved
+        # candidates allocate only after selection finishes, so the check
+        # keeps a running reservation: two requests that each fit alone but
+        # not together must not both pass.
+        reserved = 0
 
-        if not prefill_chunks and not decode_requests:
-            return None
+        def can_admit(request: Request) -> bool:
+            nonlocal reserved
+            need = table.blocks_needed(request.context_length)
+            if reserved + need > table.free_blocks:
+                return False
+            reserved += need
+            return True
 
-        batch = BatchProfile(
-            prefill_lengths=[c.new_tokens for c in prefill_chunks],
-            decode_contexts=[r.context_length for r in decode_requests],
-            prefill_cached=[c.cached_tokens for c in prefill_chunks]
-            if any(c.cached_tokens for c in prefill_chunks)
-            else (),
-        )
-        duration, module_times = self._iteration_time(batch)
-        return Iteration(
-            duration=duration,
-            prefill_requests=prefill_requests,
-            decode_requests=decode_requests,
-            partial_prefills=partial_prefills,
-            module_times=module_times,
-        )
+        chunks = self.policy.select_prefill_chunks(self.waiting, len(self.running), can_admit)
+        for chunk in chunks:
+            if chunk.is_first:
+                # The full-context KV allocation happens with the first chunk;
+                # later chunks fill blocks already reserved.
+                self._allocate(chunk.request, chunk.request.prefill_target)
+                chunk.request.start_prefill()
+        return chunks
 
     # -- timing -----------------------------------------------------------------------------
 
@@ -436,7 +242,7 @@ class StaticPipelineUnit(ExecutionUnit):
             comm_t = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
         return {"dense": dense_t, "mlp": mlp_t, "attention": attn_t, "comm": comm_t}
 
-    def _iteration_time(self, batch: BatchProfile) -> tuple[float, Dict[str, float]]:
+    def _iteration_time(self, batch: BatchProfile, decode_requests: List[Request]) -> tuple[float, Dict[str, float]]:
         """Total iteration duration plus the module-latency metrics.
 
         The duration is the latency of the batch traversing the full pipeline
@@ -472,62 +278,11 @@ class StaticPipelineUnit(ExecutionUnit):
         }
         return duration, module_times
 
-    # -- iteration completion ----------------------------------------------------------------
-
-    def complete_iteration(self, iteration: Iteration, now: float) -> IterationOutcome:
-        outcome = IterationOutcome()
-        for req in iteration.decode_requests:
-            if req not in self.running or req.status != RequestStatus.DECODING:
-                continue  # got preempted after planning (should not happen, defensive)
-            # Appends of earlier requests in this very iteration may have taken
-            # the last free blocks; re-establish appendability (possibly by
-            # preempting LIFO victims) before committing this request's token.
-            if not self._ensure_appendable(req) or req not in self.running:
-                continue
-            self._append_all(req)
-            if req.prefill_completion_time is None:
-                # Disaggregated hand-off: the first token is only produced once
-                # the migrated cache lands on the decode workers, so the
-                # migration delay is part of TTFT (the effect the paper
-                # attributes Splitwise's prefill-latency penalty to).
-                req.status = RequestStatus.PREFILLING
-                req.complete_prefill(now)
-            else:
-                req.add_decode_token(now)
-            if req.is_finished:
-                self._free(req)
-                self.running.remove(req)
-                outcome.finished.append(req)
-        for chunk in iteration.partial_prefills:
-            # A non-final chunk only advances prefill progress; the request is
-            # still at the head of the waiting queue and produces no token.
-            # (TTFT and the Splitwise hand-off both wait for the last chunk.)
-            if chunk.request.status == RequestStatus.PREFILLING:
-                chunk.request.advance_prefill(chunk.new_tokens)
-        for req in iteration.prefill_requests:
-            if req not in self.running:
-                continue
-            if self.mode == "prefill":
-                kv_bytes = req.context_length * self.model.kv_bytes_per_token()
-                self._free(req)
-                self.running.remove(req)
-                req.begin_migration()
-                outcome.handoffs.append(Handoff(request=req, kv_bytes=kv_bytes))
-                continue
-            req.complete_prefill(now)
-            if req.is_finished:
-                self._free(req)
-                self.running.remove(req)
-                outcome.finished.append(req)
-        return outcome
-
     # -- introspection ---------------------------------------------------------------------------
 
     def kv_utilization(self) -> Dict[str, float]:
-        return {
-            self._device_names[dev_id]: manager.stats().utilization
-            for dev_id, manager in self._managers.items()
-        }
+        used = self._table.used_blocks
+        return {dev: used / blocks if blocks else 0.0 for dev, blocks in self._device_blocks.items()}
 
     def available_kv_bytes(self) -> float:
         """Effective KV capacity: what the bottleneck device lets the unit host.
@@ -539,15 +294,8 @@ class StaticPipelineUnit(ExecutionUnit):
         Fig. 1(b) and measures in Fig. 11.  The value reported here is that
         hostable token count priced at the full per-token KV footprint.
         """
-        if not self._managers:
-            return 0.0
-        hostable_tokens = min(m.total_blocks * m.block_size for m in self._managers.values())
-        return float(hostable_tokens * self.model.kv_bytes_per_token())
+        return float(self.hostable_tokens() * self.model.kv_bytes_per_token())
 
     @property
     def num_waiting(self) -> int:
         return len(self.waiting) + len(self.pending_prefilled)
-
-    @property
-    def num_running(self) -> int:
-        return len(self.running)

@@ -273,6 +273,33 @@ class TestChunkedPrefill:
         iterations, finished, _ = self.run_until_idle(unit, now=it.duration)
         assert req in finished
 
+    def test_preempted_request_queues_behind_partial_prefill(self):
+        # Regression: a LIFO victim used to be re-queued ahead of the in-flight
+        # partial prefill that holds the blocks.  With nothing left running,
+        # the "can never fit alone" escape then saw no free blocks and shed a
+        # request that needs 5 of the cache's 1001 blocks.
+        from repro.hardware.cluster import ClusterBuilder
+
+        cluster = ClusterBuilder().add_host("p100", 1).build()
+        model = get_model_spec("opt-2.7b")
+        config = InstanceParallelConfig(
+            stages=[StageConfig(devices=cluster.devices, num_layers=model.num_layers)]
+        )
+        unit = StaticPipelineUnit("tiny", config, model, cluster, limits=self.chunked_limits(chunk=512, budget=512))
+        blocks = unit.hostable_tokens() // 16
+        assert blocks == 1001
+        short = make_request(0, prompt=63, output=50)
+        unit.enqueue(short, 0.0)
+        it = unit.next_iteration(0.0)
+        unit.complete_iteration(it, it.duration)
+        # Takes every block the short request does not hold.
+        long = make_request(1, prompt=16 * (blocks - 4), output=4, arrival=it.duration)
+        unit.enqueue(long, it.duration)
+        _, finished, _ = self.run_until_idle(unit, now=it.duration, max_iters=500)
+        assert short.num_preemptions == 1
+        assert unit.dropped == []
+        assert finished == [long, short]
+
     def test_chunking_off_is_monolithic(self):
         unit = make_unit(limits=SchedulerLimits())
         req = make_request(prompt=3000, output=2)
@@ -285,9 +312,7 @@ class TestChunkedPrefill:
 class TestHandoffShed:
     def oversized(self, req_id, unit):
         # A context no empty cache on this unit could ever hold.
-        managers = unit._manager_list
-        max_tokens = min(m.total_blocks * m.block_size for m in managers)
-        return make_request(req_id, prompt=max_tokens + 1024, output=4)
+        return make_request(req_id, prompt=unit.hostable_tokens() + 1024, output=4)
 
     def prefilled(self, req):
         req.start_prefill()
@@ -322,8 +347,7 @@ class TestHandoffShed:
         unit = make_unit(mode="decode")
         # Fill the unit with a running request, then queue a hand-off that fits
         # an empty cache but not the current one: it must wait, not shed.
-        managers = unit._manager_list
-        max_tokens = min(m.total_blocks * m.block_size for m in managers)
+        max_tokens = unit.hostable_tokens()
         hog = self.prefilled(make_request(0, prompt=int(max_tokens * 0.9), output=50))
         unit.enqueue_prefilled(hog, 0.0)
         it = unit.next_iteration(0.0)
