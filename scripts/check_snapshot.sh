@@ -9,6 +9,9 @@
 # the comparison robust to BLAS/platform differences; only a code change can
 # make it fail.  Chunked prefill is off by default, so this guards the
 # "existing metric snapshots stay bit-identical unless opted in" contract.
+# The same comparison then runs for replicated deployments
+# (scripts/cluster_snapshot.py) and for the text `repro serve` / `repro
+# compare` print (scripts/cli_snapshot.py).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,4 +67,20 @@ if PYTHONPATH="$WORKDIR/base/src" python -c "from repro.api import build_replica
     fi
 else
     echo "cluster snapshot check skipped: $BASE_REF predates multi-replica serving"
+fi
+
+# CLI parity: the HEAD copy of cli_snapshot.py runs a fixed list of `serve` /
+# `compare` command lines through repro.cli.main against both src trees, so
+# any change to how the CLI builds or reports a deployment shows up as a diff
+# of the printed text.
+echo "== cli snapshot @ $BASE_REF =="
+PYTHONPATH="$WORKDIR/base/src" python scripts/cli_snapshot.py "$WORKDIR/base-cli.json"
+echo "== cli snapshot @ working tree =="
+PYTHONPATH=src python scripts/cli_snapshot.py "$WORKDIR/head-cli.json"
+if cmp -s "$WORKDIR/base-cli.json" "$WORKDIR/head-cli.json"; then
+    echo "cli snapshot check: byte-identical to $BASE_REF"
+else
+    echo "cli snapshot check FAILED: serve/compare output diverges from $BASE_REF" >&2
+    diff "$WORKDIR/base-cli.json" "$WORKDIR/head-cli.json" | head -40 >&2 || true
+    exit 1
 fi

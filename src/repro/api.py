@@ -45,8 +45,6 @@ from repro.core.elasticity import (
     AUTOSCALERS,
     AdmissionController,
     AutoscalerPolicy,
-    make_admission,
-    make_autoscaler,
 )
 from repro.hardware.cluster import Cluster, cluster_from_blueprint, paper_cluster, simple_cluster
 from repro.models.spec import MODEL_CATALOG, get_model_spec
@@ -189,15 +187,13 @@ class PreparedRun:
 
     def run(self) -> SimulationResult:
         """Simulate the prepared deployment against its trace."""
-        metrics = self.spec.metrics
-        engine = Engine(
+        return run_system(
             self.system,
+            self.trace,
             max_simulated_time=self.max_simulated_time,
             slo=self.slo,
-            collector=metrics.build_collector(self.slo) if metrics is not None else None,
-            recorder=metrics.build_recorder() if metrics is not None else None,
+            metrics=self.spec.metrics,
         )
-        return engine.run(self.trace)
 
 
 def build(
@@ -239,13 +235,10 @@ def build(
         if cs.replica_kinds is not None:
             raise ValueError("pass clusters or cluster.replica_kinds, not both")
     replicated = replicate if replicate is not None else (
-        num_replicas > 1
-        or cs.replica_kinds is not None
+        spec.is_replicated
         or clusters is not None
         or autoscaler is not None
         or admission is not None
-        or (spec.elasticity is not None and spec.elasticity.migration)
-        or (spec.failures is not None and spec.failures.enabled)
     )
 
     dataset = spec.workload.dataset
@@ -276,27 +269,19 @@ def build(
                     spec.system, pool, spec.model, dataset, limits=limits, extra=system_kwargs
                 )
             )
-        failure_schedule = None
-        recovery_time, check_interval = 30.0, 1.0
-        if spec.failures is not None and spec.failures.enabled:
-            failure_schedule = spec.failures.build_schedule(num_replicas)
-            recovery_time = spec.failures.recovery_time
-            check_interval = spec.failures.check_interval
+        elasticity = spec.elasticity if spec.elasticity is not None else ElasticitySpec()
+        failures = spec.failures if spec.failures is not None else FailureSpec()
         serving = ClusterServingSystem(
             replicas,
             router=router if router is not None else spec.router.build(spec.workload.seed),
             seed=spec.workload.seed,
             autoscaler=autoscaler,
             admission=admission,
-            migration=spec.elasticity.migration if spec.elasticity is not None else False,
-            migration_bandwidth_gbps=(
-                spec.elasticity.migration_bandwidth_gbps
-                if spec.elasticity is not None
-                else 100.0
-            ),
-            failure_schedule=failure_schedule,
-            failure_recovery_time=recovery_time,
-            failure_check_interval=check_interval,
+            migration=elasticity.migration,
+            migration_bandwidth_gbps=elasticity.migration_bandwidth_gbps,
+            failure_schedule=failures.build_schedule(num_replicas) if failures.enabled else None,
+            failure_recovery_time=failures.recovery_time,
+            failure_check_interval=failures.check_interval,
         )
 
     return PreparedRun(
@@ -340,6 +325,62 @@ def run_system(
 # The pre-spec keyword API.  Each helper assembles the equivalent spec (plus
 # live-object overrides) and delegates to the shared construction path above,
 # so keyword and config-driven deployments can never drift apart.
+
+
+def _build_from_keywords(
+    *,
+    system: str,
+    model: str,
+    num_replicas: int,
+    router: "str | ReplicaRouter",
+    cluster_kind: str,
+    cluster_kinds: Optional[Sequence[str]],
+    autoscaler: "str | AutoscalerPolicy | None",
+    admission: "str | AdmissionController | None",
+    prefill_chunk_tokens: Optional[int],
+    migration: bool,
+    migration_bandwidth_gbps: float,
+    failures: Optional[FailureSpec],
+    workload: WorkloadSpec,
+    slo: Optional[SLOSpec] = None,
+    **build_overrides: Any,
+) -> PreparedRun:
+    """Assemble the spec the keyword helpers describe and ``build`` it.
+
+    Names go into the spec, which validates them.  Router and policy
+    *instances* are live objects, so like ``build_overrides`` they reach
+    ``build`` as keyword overrides; an instance policy therefore forces the
+    replicated path even though the spec alone would not.
+    """
+    elasticity = None
+    if isinstance(autoscaler, str) or isinstance(admission, str) or migration:
+        elasticity = ElasticitySpec(
+            autoscaler=autoscaler if isinstance(autoscaler, str) else None,
+            admission=admission if isinstance(admission, str) else None,
+            migration=migration,
+            migration_bandwidth_gbps=migration_bandwidth_gbps,
+        )
+    spec = DeploymentSpec(
+        model=model,
+        system=SystemSpec(name=system, prefill_chunk_tokens=prefill_chunk_tokens),
+        cluster=ClusterSpec(
+            kind=cluster_kind,
+            replicas=num_replicas,
+            replica_kinds=tuple(cluster_kinds) if cluster_kinds is not None else None,
+        ),
+        router=RouterSpec() if isinstance(router, ReplicaRouter) else RouterSpec(name=router),
+        elasticity=elasticity,
+        slo=slo,
+        workload=workload,
+        failures=failures,
+    )
+    return build(
+        spec,
+        router=router if isinstance(router, ReplicaRouter) else None,
+        autoscaler=autoscaler if isinstance(autoscaler, AutoscalerPolicy) else None,
+        admission=admission if isinstance(admission, AdmissionController) else None,
+        **build_overrides,
+    )
 
 
 def build_system(
@@ -396,46 +437,16 @@ def build_replicated_system(
     ``failures`` injects a deterministic spot-churn schedule (a
     :class:`~repro.config.FailureSpec`).
     """
-    if num_replicas <= 0:
-        raise ValueError("num_replicas must be > 0")
-    if clusters is not None and cluster_kinds is not None:
-        raise ValueError("pass clusters or cluster_kinds, not both")
-    if clusters is not None and len(clusters) != num_replicas:
-        raise ValueError(f"expected {num_replicas} clusters, got {len(clusters)}")
-    if cluster_kinds is not None and len(cluster_kinds) != num_replicas:
-        raise ValueError(f"expected {num_replicas} cluster kinds, got {len(cluster_kinds)}")
-    spec = DeploymentSpec(
-        model=model_name,
-        system=SystemSpec(name=system, prefill_chunk_tokens=prefill_chunk_tokens),
-        cluster=ClusterSpec(
-            # With prebuilt clusters the kind is never used to build anything;
-            # default it so an unrelated caller-side kind cannot fail validation.
-            kind=cluster_kind if clusters is None else "paper",
-            replicas=num_replicas,
-            replica_kinds=tuple(cluster_kinds) if cluster_kinds is not None else None,
-        ),
-        router=RouterSpec() if isinstance(router, ReplicaRouter) else RouterSpec(name=router),
-        elasticity=(
-            ElasticitySpec(
-                migration=migration, migration_bandwidth_gbps=migration_bandwidth_gbps
-            )
-            if migration
-            else None
-        ),
+    prepared = _build_from_keywords(
+        system=system, model=model_name, num_replicas=num_replicas, router=router,
+        # With prebuilt clusters the kind is never used to build anything;
+        # default it so an unrelated caller-side kind cannot fail validation.
+        cluster_kind=cluster_kind if clusters is None else "paper",
+        cluster_kinds=cluster_kinds, autoscaler=autoscaler, admission=admission,
+        prefill_chunk_tokens=prefill_chunk_tokens, migration=migration,
+        migration_bandwidth_gbps=migration_bandwidth_gbps, failures=failures,
         workload=WorkloadSpec(dataset=dataset, seed=seed),
-        failures=failures,
-    )
-    # Instances (router/policies) and prebuilt clusters are live objects: they
-    # bypass the spec and go through build()'s override channel; string policy
-    # names resolve here so the two shapes share one code path.
-    prepared = build(
-        spec,
-        clusters=clusters,
-        router=router if isinstance(router, ReplicaRouter) else None,
-        autoscaler=make_autoscaler(autoscaler),
-        admission=make_admission(admission),
-        limits=limits,
-        system_kwargs=kwargs or None,
+        clusters=clusters, limits=limits, system_kwargs=kwargs or None,
         # This helper's contract is a ClusterServingSystem even for one fixed
         # replica; without forcing, a 1-replica non-elastic spec would build
         # the bare system.
@@ -484,31 +495,12 @@ def quick_serve(
     normalized latency, TTFT/TPOT percentiles, throughput, and the
     SLO-attainment/goodput block.
     """
-    if cluster_kinds is not None and num_replicas == 1:
-        num_replicas = len(cluster_kinds)
-    if cluster is not None and num_replicas > 1:
-        raise ValueError("pass cluster_kind (not a shared cluster) when num_replicas > 1")
-    if cluster_kinds is not None and len(cluster_kinds) != num_replicas:
-        raise ValueError(f"expected {num_replicas} cluster kinds, got {len(cluster_kinds)}")
-    elasticity = None
-    if isinstance(autoscaler, str) or isinstance(admission, str) or migration:
-        elasticity = ElasticitySpec(
-            autoscaler=autoscaler if isinstance(autoscaler, str) else None,
-            admission=admission if isinstance(admission, str) else None,
-            migration=migration,
-            migration_bandwidth_gbps=migration_bandwidth_gbps,
-        )
-    spec = DeploymentSpec(
-        model=model,
-        system=SystemSpec(name=system, prefill_chunk_tokens=prefill_chunk_tokens),
-        cluster=ClusterSpec(
-            kind=cluster_kind,
-            replicas=num_replicas,
-            replica_kinds=tuple(cluster_kinds) if cluster_kinds is not None else None,
-        ),
-        router=RouterSpec() if isinstance(router, ReplicaRouter) else RouterSpec(name=router),
-        elasticity=elasticity,
-        slo=slo,
+    return _build_from_keywords(
+        system=system, model=model, num_replicas=num_replicas, router=router,
+        cluster_kind=cluster_kind, cluster_kinds=cluster_kinds,
+        autoscaler=autoscaler, admission=admission,
+        prefill_chunk_tokens=prefill_chunk_tokens, migration=migration,
+        migration_bandwidth_gbps=migration_bandwidth_gbps, failures=failures,
         workload=WorkloadSpec(
             dataset=dataset,
             request_rate=request_rate,
@@ -516,17 +508,5 @@ def quick_serve(
             seed=seed,
             phases=tuple(phases) if phases is not None else None,
         ),
-        failures=failures,
-    )
-    # Policy instances stay live objects; an elasticity *instance* forces the
-    # replicated path even though the spec alone would not (matching the
-    # pre-spec behaviour of quick_serve).
-    return run(
-        spec,
-        cluster=cluster,
-        router=router if isinstance(router, ReplicaRouter) else None,
-        autoscaler=autoscaler if isinstance(autoscaler, AutoscalerPolicy) else None,
-        admission=admission if isinstance(admission, AdmissionController) else None,
-        limits=limits,
-        system_kwargs=system_kwargs or None,
-    )
+        slo=slo, cluster=cluster, limits=limits, system_kwargs=system_kwargs or None,
+    ).run()

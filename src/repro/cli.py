@@ -19,6 +19,10 @@ The subcommands cover the common workflows:
     Run the same workload through several systems and print a comparison
     table (the quickest way to reproduce one point of Figs. 8-10).
 
+``serve`` and ``compare`` are ``run`` on a spec built from their flags: each
+flag sets the dotted path ``run --set`` takes (``_FLAG_PATHS`` and
+``_spec_from_args``), and the spec goes through the same ``api.build``.
+
 ``run``
     Run a deployment described by a JSON/TOML config file
     (:class:`~repro.config.DeploymentSpec`); ``--dry-run`` builds and
@@ -89,52 +93,52 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api import (
+    PreparedRun,
     available_admission_policies,
     available_autoscalers,
     available_routers,
     build,
     build_cluster,
-    build_replicated_system,
-    build_system,
-    run_system,
 )
 from repro.config import (
     ConfigError,
     DeploymentSpec,
     ExecutionSpec,
-    FailureSpec,
-    MetricsSpec,
     expand_grid,
     extract_execution,
     load_config_mapping,
     parse_grid_axis,
     parse_grid_value,
 )
-from repro.core.elasticity import make_admission, make_autoscaler
 from repro.core.parallelizer import Parallelizer, WorkloadHint
 
 # The experiment runner/driver are imported lazily inside the sweep and
 # experiment commands: importing repro.experiments eagerly pulls in every
 # figure module, which `repro serve`/`run`/`plan` (and --help) never need.
-from repro.hardware.cluster import Cluster, ClusterBuilder, parse_blueprint
 from repro.models.spec import get_model_spec
 from repro.sim.engine import SimulationResult
-from repro.sim.metrics import SLOSpec
-from repro.workloads.trace import StreamingTrace, generate_trace, generate_trace_stream
+from repro.workloads.trace import StreamingTrace
 
 
-def _cluster_from_args(gpu_hosts: Optional[Sequence[str]]) -> Cluster:
-    """Build a cluster from ``type:count`` host descriptions (default: paper cluster)."""
-    if not gpu_hosts:
-        return build_cluster("paper")
-    builder = ClusterBuilder()
+def _gpus_kind(gpus: Optional[Sequence[str]]) -> str:
+    """The ``cluster.kind`` a ``--gpus`` host list names (default: paper cluster)."""
+    if not gpus:
+        return "paper"
+    kind = ",".join(gpus)
+    # --gpus reads a bare "a100" as one GPU; a spec blueprint needs a ':' to
+    # tell it from a named topology.
+    return kind if ":" in kind else f"{kind}:1"
+
+
+def _fail_at(value: str) -> List[Any]:
+    """Parse one ``--fail-at TIME:REPLICA`` into a ``failures.events`` pair."""
+    time_s, sep, replica_s = value.partition(":")
     try:
-        for host in gpu_hosts:
-            for name, count in parse_blueprint(host):
-                builder.add_host(name, count=count)
-        return builder.build()
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+        if sep:
+            return [float(time_s), int(replica_s)]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"takes TIME:REPLICA (e.g. 30:0), got {value!r}")
 
 
 def _positive_int(value: str) -> int:
@@ -212,7 +216,7 @@ def _add_common_workload_args(parser: argparse.ArgumentParser) -> None:
         help="inter-replica link bandwidth used to price KV transfers",
     )
     scaling.add_argument(
-        "--fail-at", action="append", default=None, metavar="TIME:REPLICA",
+        "--fail-at", action="append", type=_fail_at, default=None, metavar="TIME:REPLICA",
         help="inject a replica failure at TIME seconds (repeatable)",
     )
     scaling.add_argument(
@@ -546,7 +550,10 @@ _HEADER = (
 
 
 def cmd_plan(args: argparse.Namespace, out=sys.stdout) -> int:
-    cluster = _cluster_from_args(args.gpus)
+    try:
+        cluster = build_cluster(_gpus_kind(args.gpus))
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     model = get_model_spec(args.model)
     hint = WorkloadHint(
         avg_prompt_tokens=args.avg_prompt,
@@ -663,211 +670,100 @@ def cmd_fleet_plan(args: argparse.Namespace, out=sys.stdout) -> int:
     return 0
 
 
-def _elasticity_from_args(args: argparse.Namespace):
-    """Build the (autoscaler, admission) pair a workload subcommand asked for.
+#: ``serve``/``compare`` flags that copy their value to one spec path (the
+#: dotted syntax of ``repro run --set``); a flag left unset writes nothing.
+_FLAG_PATHS = {
+    "model": "model",
+    "prefill_chunk_tokens": "system.prefill_chunk_tokens",
+    "router": "router.name",
+    "dataset": "workload.dataset",
+    "rate": "workload.request_rate",
+    "requests": "workload.num_requests",
+    "seed": "workload.seed",
+    "streaming": "workload.streaming",
+    "replicas": "cluster.replicas",
+    "slo_ttft": "slo.ttft_s",
+    "slo_tpot": "slo.tpot_s",
+}
 
-    Out-of-range values are user input, so policy-constructor ValueErrors are
-    re-raised as clean ``error: ...`` exits rather than tracebacks.
+
+def _spec_from_args(args: argparse.Namespace, system: str) -> DeploymentSpec:
+    """The deployment a ``serve``/``compare`` command line describes.
+
+    Every flag sets the spec path ``repro run --set`` takes (the table in the
+    README's "Configuration-driven runs"), so ``serve`` is ``run`` on this
+    spec.  Policy options are written only when their policy flag is set.
     """
-    autoscaler = None
-    admission = None
-    try:
-        if getattr(args, "autoscaler", None):
-            kwargs = {"interval": args.autoscaler_interval, "min_replicas": args.min_replicas}
-            if args.autoscaler_target is not None:
-                key = (
-                    "target_utilization" if args.autoscaler == "target-kv"
-                    else "target_queue_per_replica"
-                )
-                kwargs[key] = args.autoscaler_target
-            autoscaler = make_autoscaler(args.autoscaler, **kwargs)
-        if getattr(args, "admission", None):
-            kwargs = {"mode": args.admission_mode}
-            if args.admission_threshold is not None:
-                if args.admission == "kv-threshold":
-                    kwargs["max_utilization"] = args.admission_threshold
-                else:
-                    depth = round(args.admission_threshold)
-                    if depth != args.admission_threshold or depth < 1:
-                        raise ValueError(
-                            "--admission-threshold must be a whole number >= 1 "
-                            f"for queue-threshold, got {args.admission_threshold!r}"
-                        )
-                    kwargs["max_queue_depth"] = int(depth)
-            admission = make_admission(args.admission, **kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    return autoscaler, admission
-
-
-def _failures_from_args(args: argparse.Namespace) -> Optional[FailureSpec]:
-    """Build the FailureSpec a workload subcommand asked for (``None`` = off)."""
-    events = []
-    for entry in getattr(args, "fail_at", None) or []:
-        time_s, sep, replica_s = str(entry).partition(":")
-        try:
-            if not sep:
-                raise ValueError("missing ':'")
-            events.append([float(time_s), int(replica_s)])
-        except ValueError:
-            raise SystemExit(
-                f"error: --fail-at takes TIME:REPLICA (e.g. 30:0), got {entry!r}"
-            ) from None
-    rate = getattr(args, "failure_rate", 0.0)
-    count = getattr(args, "failures", 0)
-    if not events and not (rate > 0 and count > 0):
-        if rate > 0 or count > 0:
-            raise SystemExit(
-                "error: --failure-rate and --failures must be set together"
-            )
-        return None
-    try:
-        return FailureSpec(
-            events=events,
-            rate=rate,
-            num_failures=count,
-            seed=getattr(args, "failure_seed", 0),
-            recovery_time=getattr(args, "failure_recovery", 30.0),
-        )
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-
-def _slo_from_args(args: argparse.Namespace) -> Optional[SLOSpec]:
-    """Build the SLOSpec a subcommand asked for (``None`` = loose defaults)."""
-    ttft = getattr(args, "slo_ttft", None)
-    tpot = getattr(args, "slo_tpot", None)
-    if ttft is None and tpot is None:
-        return None
-    if ttft is not None and ttft <= 0:
-        raise SystemExit(f"error: --slo-ttft must be > 0, got {ttft}")
-    if tpot is not None and tpot <= 0:
-        raise SystemExit(f"error: --slo-tpot must be > 0, got {tpot}")
-    kwargs = {}
-    if ttft is not None:
-        kwargs["ttft_s"] = ttft
-    if tpot is not None:
-        kwargs["tpot_s"] = tpot
-    return SLOSpec(**kwargs)
-
-
-def _build_serving(name: str, args: argparse.Namespace):
-    """Build the (possibly replicated, possibly elastic) system a subcommand asked for."""
-    replicas = getattr(args, "replicas", 1)
-    chunk_tokens = getattr(args, "prefill_chunk_tokens", None)
-    replica_specs = getattr(args, "replica_gpus", None)
-    autoscaler, admission = _elasticity_from_args(args)
-    failures = _failures_from_args(args)
-    migration = bool(getattr(args, "migration", False))
-    if replica_specs:
-        # Heterogeneous mix: one blueprint spec per replica.
-        try:
-            clusters = [build_cluster(spec) for spec in replica_specs]
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-    elif (
-        replicas > 1
-        or autoscaler is not None
-        or admission is not None
-        or migration
-        or failures is not None
-    ):
-        clusters = [_cluster_from_args(args.gpus) for _ in range(replicas)]
+    overrides: Dict[str, Any] = {
+        path: getattr(args, flag)
+        for flag, path in _FLAG_PATHS.items()
+        if getattr(args, flag, None) is not None
+    }
+    overrides["system.name"] = system
+    if args.replica_gpus:
+        # One blueprint per replica; overrides --replicas and --gpus.
+        overrides["cluster.replica_kinds"] = args.replica_gpus
+        overrides["cluster.replicas"] = len(args.replica_gpus)
     else:
-        return build_system(
-            name,
-            _cluster_from_args(args.gpus),
-            args.model,
-            dataset=args.dataset,
-            prefill_chunk_tokens=chunk_tokens,
+        overrides["cluster.kind"] = _gpus_kind(args.gpus)
+    if args.autoscaler:
+        target = (
+            "target_utilization" if args.autoscaler == "target-kv" else "target_queue_per_replica"
         )
+        overrides["elasticity.autoscaler"] = args.autoscaler
+        overrides["elasticity.autoscaler_options.interval"] = args.autoscaler_interval
+        overrides["elasticity.autoscaler_options.min_replicas"] = args.min_replicas
+        if args.autoscaler_target is not None:
+            overrides[f"elasticity.autoscaler_options.{target}"] = args.autoscaler_target
+    if args.admission:
+        bound = "max_utilization" if args.admission == "kv-threshold" else "max_queue_depth"
+        overrides["elasticity.admission"] = args.admission
+        overrides["elasticity.admission_options.mode"] = args.admission_mode
+        if args.admission_threshold is not None:
+            overrides[f"elasticity.admission_options.{bound}"] = args.admission_threshold
+    if args.migration:
+        overrides["elasticity.migration"] = True
+        overrides["elasticity.migration_bandwidth_gbps"] = args.migration_gbps
+    if args.fail_at or args.failure_rate or args.failures:
+        overrides["failures.events"] = args.fail_at or []
+        overrides["failures.rate"] = args.failure_rate
+        overrides["failures.num_failures"] = args.failures
+        overrides["failures.seed"] = args.failure_seed
+        overrides["failures.recovery_time"] = args.failure_recovery
+    if getattr(args, "bounded_memory", False):
+        overrides["metrics.mode"] = "bounded"
     try:
-        return build_replicated_system(
-            name,
-            args.model,
-            len(clusters),
-            router=args.router,
-            clusters=clusters,
-            dataset=args.dataset,
-            seed=args.seed,
-            prefill_chunk_tokens=chunk_tokens,
-            autoscaler=autoscaler,
-            admission=admission,
-            migration=migration,
-            migration_bandwidth_gbps=getattr(args, "migration_gbps", 100.0),
-            failures=failures,
-        )
+        return DeploymentSpec().with_overrides(overrides)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
+
+
+def _build(spec: DeploymentSpec, where: str = "") -> PreparedRun:
+    """``api.build`` with builder errors turned into clean ``error:`` exits."""
+    try:
+        return build(spec)
+    # TypeError covers free-form spec.system.options that the builder rejects.
+    except (ValueError, TypeError, MemoryError) as exc:
+        raise SystemExit(f"error: {where}{exc}") from None
 
 
 def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
-    system = _build_serving(args.system, args)
-    slo = _slo_from_args(args)
-    if args.streaming:
-        trace = generate_trace_stream(args.dataset, args.rate, args.requests, seed=args.seed)
-    else:
-        trace = generate_trace(args.dataset, args.rate, args.requests, seed=args.seed)
-    metrics = MetricsSpec(mode="bounded") if args.bounded_memory else None
-    result = run_system(system, trace, slo=slo, metrics=metrics)
-    num_replicas = len(getattr(system, "replicas", [None]))
+    prepared = _build(_spec_from_args(args, args.system))
+    num_replicas = len(getattr(prepared.system, "replicas", [None]))
     label = args.system if num_replicas == 1 else f"{num_replicas}x {args.system} [{args.router}]"
     print(f"{label} serving {args.requests} x {args.dataset} @ {args.rate} req/s ({args.model})", file=out)
-    print(_HEADER, file=out)
-    print(_format_summary(args.system, result), file=out)
-    s = result.summary
-    if slo is not None:
-        print(
-            f"slo [TTFT<={slo.ttft_s:g}s, TPOT<={slo.tpot_s:g}s]: "
-            f"attainment {s.slo_attainment:.1%}, goodput {s.goodput_rps:.2f} req/s",
-            file=out,
-        )
-    if args.admission:
-        print(
-            f"admission [{args.admission}/{args.admission_mode}]: "
-            f"{s.num_rejected} rejected ({s.rejection_rate:.1%}), "
-            f"{s.num_deferrals} deferrals; SLO attainment {s.slo_attainment:.1%}, "
-            f"goodput {s.goodput_rps:.2f} req/s",
-            file=out,
-        )
-    if args.autoscaler and getattr(system, "scale_events", None) is not None:
-        timeline = ", ".join(f"t={t:.0f}s->{n}" for t, n in system.scale_events) or "no changes"
-        print(
-            f"autoscaler [{args.autoscaler}]: active replicas {system.num_active}/"
-            f"{num_replicas} at end; timeline: {timeline}",
-            file=out,
-        )
-    failure_events = getattr(system, "failure_events", None)
-    if failure_events:
-        fired = ", ".join(f"t={t:.0f}s replica {i}" for t, i in failure_events)
-        print(f"failures: {len(failure_events)} injected ({fired})", file=out)
-    if getattr(args, "migration", False) and getattr(system, "migration_enabled", False):
-        print(
-            f"migration [{args.migration_gbps:g} Gbps]: "
-            f"{system.num_migrated_requests} request(s) moved, "
-            f"{system.migrated_bytes / 1e9:.3f} GB of KV transferred",
-            file=out,
-        )
-    if result.num_dropped:
-        print(f"warning: {result.num_dropped} request(s) dropped (did not fit in cluster memory)", file=out)
-    if result.truncated:
-        print(
-            f"warning: run truncated ({result.truncation_reason}); "
-            "metrics cover only the simulated prefix",
-            file=out,
-        )
+    _print_result(prepared, prepared.run(), out)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace, out=sys.stdout) -> int:
+    specs = [_spec_from_args(args, name) for name in args.systems]
     print(f"comparing {args.systems} on {args.requests} x {args.dataset} @ {args.rate} req/s ({args.model})", file=out)
-    slo = _slo_from_args(args)
+    slo = specs[0].slo
     print(_HEADER + (f"{'slo att':>8}" if slo is not None else ""), file=out)
     best_name, best_latency = None, float("inf")
-    for name in args.systems:
-        system = _build_serving(name, args)
-        trace = generate_trace(args.dataset, args.rate, args.requests, seed=args.seed)
-        result = run_system(system, trace, slo=slo)
+    for name, spec in zip(args.systems, specs):
+        result = _build(spec).run()
         line = _format_summary(name, result)
         if slo is not None:
             line += f"{result.summary.slo_attainment:>8.1%}"
@@ -902,8 +798,12 @@ def _load_spec(args: argparse.Namespace):
         raise SystemExit(f"error: {exc}") from None
 
 
-def _print_result(spec: DeploymentSpec, result: SimulationResult, out) -> None:
-    """Summary block shared by ``run`` and the sweep's verbose path."""
+def _print_result(prepared: PreparedRun, result: SimulationResult, out) -> None:
+    """Summary block shared by ``run`` and ``serve``."""
+    spec, elasticity = prepared.spec, prepared.spec.elasticity
+    # Duck-typed: the fleet attributes read below exist only on the
+    # ClusterServingSystem that a spec with elasticity or failures builds.
+    system: Any = prepared.system
     print(_HEADER, file=out)
     print(_format_summary(spec.system.name, result), file=out)
     s = result.summary
@@ -913,10 +813,30 @@ def _print_result(spec: DeploymentSpec, result: SimulationResult, out) -> None:
             f"attainment {s.slo_attainment:.1%}, goodput {s.goodput_rps:.2f} req/s",
             file=out,
         )
-    if spec.elasticity is not None and spec.elasticity.admission:
+    if elasticity is not None and elasticity.admission:
         print(
-            f"admission [{spec.elasticity.admission}]: {s.num_rejected} rejected "
-            f"({s.rejection_rate:.1%}), {s.num_deferrals} deferrals",
+            f"admission [{elasticity.admission}/{system.admission.mode}]: "
+            f"{s.num_rejected} rejected ({s.rejection_rate:.1%}), "
+            f"{s.num_deferrals} deferrals; SLO attainment {s.slo_attainment:.1%}, "
+            f"goodput {s.goodput_rps:.2f} req/s",
+            file=out,
+        )
+    if elasticity is not None and elasticity.autoscaler:
+        timeline = ", ".join(f"t={t:.0f}s->{n}" for t, n in system.scale_events) or "no changes"
+        print(
+            f"autoscaler [{elasticity.autoscaler}]: active replicas {system.num_active}/"
+            f"{len(system.replicas)} at end; timeline: {timeline}",
+            file=out,
+        )
+    failure_events = getattr(system, "failure_events", None)
+    if failure_events:
+        fired = ", ".join(f"t={t:.0f}s replica {i}" for t, i in failure_events)
+        print(f"failures: {len(failure_events)} injected ({fired})", file=out)
+    if elasticity is not None and elasticity.migration and system.migration_enabled:
+        print(
+            f"migration [{elasticity.migration_bandwidth_gbps:g} Gbps]: "
+            f"{system.num_migrated_requests} request(s) moved, "
+            f"{system.migrated_bytes / 1e9:.3f} GB of KV transferred",
             file=out,
         )
     if result.num_dropped:
@@ -934,11 +854,7 @@ def _print_result(spec: DeploymentSpec, result: SimulationResult, out) -> None:
 
 def cmd_run(args: argparse.Namespace, out=sys.stdout) -> int:
     spec, _ = _load_spec(args)
-    try:
-        prepared = build(spec)
-    # TypeError covers free-form spec.system.options that the builder rejects.
-    except (ValueError, TypeError, MemoryError) as exc:
-        raise SystemExit(f"error: building {args.config}: {exc}") from None
+    prepared = _build(spec, where=f"building {args.config}: ")
     if args.dry_run:
         print(f"config OK: {spec.describe()}", file=out)
         print(f"system: {prepared.describe()}", file=out)
@@ -951,8 +867,7 @@ def cmd_run(args: argparse.Namespace, out=sys.stdout) -> int:
             print(f"trace: {len(trace)} requests over {trace.duration:.1f}s", file=out)
         return 0
     print(spec.describe(), file=out)
-    result = prepared.run()
-    _print_result(spec, result, out)
+    _print_result(prepared, prepared.run(), out)
     return 0
 
 

@@ -312,7 +312,8 @@ class ClusterSpec:
             _check(
                 self.replicas == len(kinds),
                 f"cluster.replica_kinds has {len(kinds)} entries but "
-                f"cluster.replicas is {self.replicas}",
+                f"cluster.replicas is {self.replicas}; expected one of the "
+                "cluster kinds per replica",
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -631,6 +632,11 @@ class FailureSpec:
             not (self.rate > 0) or self.num_failures > 0,
             "failures.rate > 0 requires failures.num_failures > 0 "
             "(the generated schedule must be finite)",
+        )
+        _check(
+            not (self.num_failures > 0) or self.rate > 0,
+            "failures.num_failures > 0 requires failures.rate > 0 "
+            "(a zero rate generates no failures)",
         )
         _check(
             isinstance(self.seed, int) and not isinstance(self.seed, bool),

@@ -361,22 +361,12 @@ ROUTERS.register(
     help="power-of-two with capacity-proportional candidate sampling",
 )
 
-#: Legacy alias: the pre-registry factory dict.  A Registry is a Mapping, so
-#: ``sorted(ROUTER_FACTORIES)`` / ``ROUTER_FACTORIES[name]`` keep working.
-ROUTER_FACTORIES = ROUTERS
-
 
 def make_router(router: "str | ReplicaRouter", seed: int = 0) -> ReplicaRouter:
     """Resolve a router name (or pass through an instance)."""
     if isinstance(router, ReplicaRouter):
         return router
     return ROUTERS.create(router, seed)
-
-
-# Replicas usually share a cluster blueprint, so their unit and device names
-# collide; the per-replica prefix keeps their time series apart.  The view
-# lives in repro.sim.recorder; the alias preserves this module's old name.
-_ReplicaRecorderView = PrefixedRecorderView
 
 
 class ClusterServingSystem(ServingSystem):
@@ -393,7 +383,7 @@ class ClusterServingSystem(ServingSystem):
         different cluster blueprints); the ``weighted-*`` routers account for
         the capacity differences.
     router:
-        Router name or instance (see :data:`ROUTER_FACTORIES`).
+        Router name or instance (see :data:`ROUTERS`).
     autoscaler:
         Optional :class:`~repro.core.elasticity.AutoscalerPolicy` (or factory
         name) that activates/drains replicas on its decision interval.  When

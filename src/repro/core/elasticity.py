@@ -246,9 +246,6 @@ AUTOSCALERS.register(
     help="cap the queue depth each active replica carries",
 )
 
-#: Legacy alias: the pre-registry factory dict (a Registry is a Mapping).
-AUTOSCALER_FACTORIES = AUTOSCALERS
-
 
 def make_autoscaler(policy: "str | AutoscalerPolicy | None", **kwargs) -> Optional[AutoscalerPolicy]:
     """Resolve an autoscaler name (or pass through an instance / ``None``)."""
@@ -341,9 +338,11 @@ class QueueThresholdAdmission(AdmissionController):
 
     def __init__(self, max_queue_depth: int = 16, **kwargs) -> None:
         super().__init__(**kwargs)
-        if max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        self.max_queue_depth = max_queue_depth
+        if not float(max_queue_depth).is_integer() or max_queue_depth < 1:
+            raise ValueError(
+                f"max_queue_depth must be a whole number >= 1, got {max_queue_depth!r}"
+            )
+        self.max_queue_depth = int(max_queue_depth)
 
     def overloaded(self, state: ReplicaState) -> bool:
         return state.queue_depth >= self.max_queue_depth
@@ -362,9 +361,6 @@ ADMISSIONS.register(
     "queue-threshold", QueueThresholdAdmission,
     help="turn arrivals away while every active replica's queue is above a bound",
 )
-
-#: Legacy alias: the pre-registry factory dict (a Registry is a Mapping).
-ADMISSION_FACTORIES = ADMISSIONS
 
 
 def make_admission(

@@ -1,10 +1,7 @@
 """Generic plugin registry backing every string-keyed extension point.
 
 Routers, autoscalers, admission controllers, serving systems, and datasets
-were historically wired through four parallel ad-hoc factory dicts
-(``ROUTER_FACTORIES``, ``AUTOSCALER_FACTORIES``, ``ADMISSION_FACTORIES`` and
-the ``SYSTEMS`` tuple / if-elif chain in :mod:`repro.api`).  This module
-replaces them with one :class:`Registry` type so that
+all resolve through one :class:`Registry` type so that
 
 * every extension point resolves, lists, and errors the same way
   (``unknown <kind> 'x'; available: a, b, c``),
@@ -14,12 +11,10 @@ replaces them with one :class:`Registry` type so that
   surface per-entry help text in CLI listings.
 
 A :class:`Registry` is a read-only :class:`~collections.abc.Mapping` from
-canonical name to registered value, so legacy call sites that treated the
-factory dicts as plain mappings (``sorted(ROUTER_FACTORIES)``,
-``ROUTER_FACTORIES[name]``, ``DATASET_CATALOG.items()``) keep working against
-the module-level aliases that now point at registries.  Aliases resolve on
-lookup but are excluded from iteration, ``available()``, and ``len()`` --
-listing "static-tp" three times under three spellings helps nobody.
+canonical name to registered value (``sorted(ROUTERS)``, ``ROUTERS[name]``,
+``DATASETS.items()``).  Aliases resolve on lookup but are excluded from
+iteration, ``available()``, and ``len()`` -- listing "static-tp" three times
+under three spellings helps nobody.
 """
 
 from __future__ import annotations
@@ -172,7 +167,7 @@ class Registry(Mapping, Generic[T]):
             lines.append(f"  {name}{help_part}{suffix}")
         return "\n".join(lines)
 
-    # -- Mapping protocol (legacy factory-dict compatibility) --------------------------
+    # -- Mapping protocol (sorted(ROUTERS), set(DATASETS), ...) ----------------------
 
     def __getitem__(self, name: str) -> T:
         return self._entries[self._aliases.get(name, name)].value

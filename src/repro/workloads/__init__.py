@@ -12,7 +12,6 @@ arrival processes.
 from repro.workloads.datasets import (
     DatasetSpec,
     DATASETS,
-    DATASET_CATALOG,
     get_dataset_spec,
     sample_requests,
     RequestSample,
@@ -37,7 +36,6 @@ from repro.workloads.trace import (
 __all__ = [
     "DatasetSpec",
     "DATASETS",
-    "DATASET_CATALOG",
     "get_dataset_spec",
     "sample_requests",
     "RequestSample",

@@ -136,9 +136,7 @@ DATASETS.register(
     aliases=("lb",),
 )
 
-#: Legacy aliases: the pre-registry catalog dict (a Registry is a Mapping)
-#: and the paper's two-letter figure abbreviations.
-DATASET_CATALOG: Registry = DATASETS
+#: The paper's two-letter figure abbreviations.
 DATASET_ALIASES = {"sg": "sharegpt", "he": "humaneval", "lb": "longbench"}
 
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster_system import (
-    ROUTER_FACTORIES,
+    ROUTERS,
     LeastKVLoadRouter,
     PowerOfTwoChoicesRouter,
     RoundRobinRouter,
@@ -73,7 +73,7 @@ def make_replicas(utils, caps=None):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    router_name=st.sampled_from(sorted(ROUTER_FACTORIES)),
+    router_name=st.sampled_from(sorted(ROUTERS)),
     utils=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     caps=st.data(),
     seed=st.integers(0, 100),

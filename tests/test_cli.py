@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_args, build_parser, main
+from repro.config import DeploymentSpec
 
 
 def run_cli(args):
@@ -380,7 +381,7 @@ def test_serve_slo_flags_print_block():
 
 
 def test_serve_slo_flags_validated():
-    with pytest.raises(SystemExit, match="--slo-ttft must be > 0"):
+    with pytest.raises(SystemExit, match="slo.ttft_s must be > 0"):
         main(["serve", "--system", "static-tp", "--gpus", "a100:1",
               "--rate", "5", "--requests", "2", "--slo-ttft", "-1"], out=io.StringIO())
 
@@ -655,3 +656,140 @@ def test_figures_degrades_on_invalid_config_and_min_success_gates(tmp_path):
 def test_figures_empty_configs_dir_fails_cleanly(tmp_path):
     with pytest.raises(SystemExit, match="no .toml/.json study configs"):
         main(["figures", "--configs-dir", str(tmp_path)], out=io.StringIO())
+
+
+# --- serve / compare are `run` on a spec built from their flags -----------
+
+SMALL_GPUS = ["--gpus", "a100:1", "rtx3090:2"]
+
+# Each flag set is paired with the config it means, written out by hand (not
+# derived through the CLI's mapping).  Every mapped flag appears with a
+# non-default value in at least one case.
+SERVE_PARITY_CASES = {
+    "workload-chunking-slo": (
+        ["--system", "hetis", "--model", "llama2-7b", *SMALL_GPUS, "--dataset", "humaneval",
+         "--rate", "9", "--requests", "12", "--seed", "3", "--prefill-chunk-tokens", "64",
+         "--slo-ttft", "0.2", "--slo-tpot", "0.05"],
+        {"model": "llama2-7b",
+         "system": {"name": "hetis", "prefill_chunk_tokens": 64},
+         "cluster": {"kind": "a100:1,rtx3090:2"},
+         "slo": {"ttft_s": 0.2, "tpot_s": 0.05},
+         "workload": {"dataset": "humaneval", "request_rate": 9.0, "num_requests": 12,
+                      "seed": 3}},
+    ),
+    "streaming-bounded": (
+        ["--system", "static-tp", "--gpus", "a100:1", "--rate", "8", "--requests", "16",
+         "--streaming", "--bounded-memory"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "a100:1"},
+         "metrics": {"mode": "bounded"},
+         "workload": {"request_rate": 8.0, "num_requests": 16, "streaming": True}},
+    ),
+    "router-target-kv-autoscaler": (
+        ["--system", "static-tp", "--gpus", "a100:1", "--replicas", "3", "--router",
+         "least-kv", "--autoscaler", "target-kv", "--autoscaler-interval", "1",
+         "--autoscaler-target", "0.3", "--min-replicas", "2", "--rate", "12",
+         "--requests", "16"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "a100:1", "replicas": 3},
+         "router": {"name": "least-kv"},
+         "elasticity": {"autoscaler": "target-kv",
+                        "autoscaler_options": {"interval": 1.0, "min_replicas": 2,
+                                               "target_utilization": 0.3}},
+         "workload": {"request_rate": 12.0, "num_requests": 16}},
+    ),
+    "queue-depth-autoscaler": (
+        ["--system", "static-tp", "--gpus", "a100:1", "--replicas", "2",
+         "--autoscaler", "queue-depth", "--autoscaler-target", "2", "--rate", "12",
+         "--requests", "16"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "a100:1", "replicas": 2},
+         "elasticity": {"autoscaler": "queue-depth",
+                        "autoscaler_options": {"interval": 5.0, "min_replicas": 1,
+                                               "target_queue_per_replica": 2.0}},
+         "workload": {"request_rate": 12.0, "num_requests": 16}},
+    ),
+    "kv-admission-defer": (
+        ["--system", "static-tp", "--gpus", "rtx3090:2", "--dataset", "longbench",
+         "--replicas", "2", "--admission", "kv-threshold", "--admission-threshold", "0.05",
+         "--admission-mode", "defer", "--rate", "20", "--requests", "12"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "rtx3090:2", "replicas": 2},
+         "elasticity": {"admission": "kv-threshold",
+                        "admission_options": {"mode": "defer", "max_utilization": 0.05}},
+         "workload": {"dataset": "longbench", "request_rate": 20.0, "num_requests": 12}},
+    ),
+    "queue-admission-reject": (
+        ["--system", "static-tp", "--gpus", "rtx3090:2", "--dataset", "longbench",
+         "--replicas", "2", "--admission", "queue-threshold", "--admission-threshold", "1",
+         "--rate", "20", "--requests", "12"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "rtx3090:2", "replicas": 2},
+         "elasticity": {"admission": "queue-threshold",
+                        "admission_options": {"mode": "reject", "max_queue_depth": 1}},
+         "workload": {"dataset": "longbench", "request_rate": 20.0, "num_requests": 12}},
+    ),
+    "fail-at": (
+        ["--system", "static-tp", "--gpus", "a100:1", "--replicas", "2",
+         "--fail-at", "0.5:0", "--fail-at", "1:1", "--failure-recovery", "2",
+         "--rate", "12", "--requests", "16"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "a100:1", "replicas": 2},
+         "failures": {"events": [[0.5, 0], [1.0, 1]], "recovery_time": 2.0},
+         "workload": {"request_rate": 12.0, "num_requests": 16}},
+    ),
+    "failure-rate-migration": (
+        ["--system", "static-tp", "--gpus", "a100:1", "--replicas", "2",
+         "--failure-rate", "1", "--failures", "2", "--failure-seed", "3",
+         "--migration", "--migration-gbps", "25", "--rate", "12", "--requests", "16"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"kind": "a100:1", "replicas": 2},
+         "elasticity": {"migration": True, "migration_bandwidth_gbps": 25.0},
+         "failures": {"rate": 1.0, "num_failures": 2, "seed": 3},
+         "workload": {"request_rate": 12.0, "num_requests": 16}},
+    ),
+    "replica-blueprints": (
+        # --replica-gpus overrides --replicas: one replica per blueprint.
+        ["--system", "static-tp", "--replicas", "3", "--replica-gpus", "a100:1",
+         "--replica-gpus", "rtx3090:2", "--router", "weighted-round-robin", "--rate", "10",
+         "--requests", "12"],
+        {"system": {"name": "static-tp"},
+         "cluster": {"replica_kinds": ["a100:1", "rtx3090:2"]},
+         "router": {"name": "weighted-round-robin"},
+         "workload": {"request_rate": 10.0, "num_requests": 12}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_PARITY_CASES))
+def test_serve_is_run_on_the_equivalent_config(tmp_path, case):
+    flags, config = SERVE_PARITY_CASES[case]
+    args = build_parser().parse_args(["serve", *flags])
+    assert _spec_from_args(args, args.system) == DeploymentSpec.from_dict(config)
+    code, served = run_cli(["serve", *flags])
+    assert code == 0
+    code, ran = run_cli(["run", write_config(tmp_path, config)])
+    assert code == 0
+    # First lines differ by design (serve's label vs run's describe()); the
+    # summary row and every SLO/admission/autoscaler/failure/migration line match.
+    assert served.splitlines()[1:] == ran.splitlines()[1:]
+
+
+def test_compare_rows_are_run_rows(tmp_path):
+    flags = ["--systems", "static-tp", "hexgen", *SMALL_GPUS, "--replicas", "2",
+             "--router", "power-of-two", "--slo-ttft", "5", "--rate", "10",
+             "--requests", "12"]
+    code, compared = run_cli(["compare", *flags])
+    assert code == 0
+    rows = {line.split()[0]: line for line in compared.splitlines()[2:-1]}
+    for system in ("static-tp", "hexgen"):
+        config = {"system": {"name": system},
+                  "cluster": {"kind": "a100:1,rtx3090:2", "replicas": 2},
+                  "router": {"name": "power-of-two"},
+                  "slo": {"ttft_s": 5.0},
+                  "workload": {"request_rate": 10.0, "num_requests": 12}}
+        code, ran = run_cli(["run", write_config(tmp_path, config, name=f"{system}.json")])
+        assert code == 0
+        row, slo_line = ran.splitlines()[2:4]
+        attainment = slo_line.split("attainment ")[1].split(",")[0]
+        assert rows[system] == f"{row}{attainment:>8}"

@@ -160,6 +160,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="options given without"):
             ElasticitySpec(autoscaler_options={"interval": 1.0})
 
+    def test_fractional_queue_depth_rejected_on_every_path(self):
+        """A queue depth counts requests: config files, --set and sweeps reject
+        1.5 at parse time, and a whole float is stored as an int."""
+        queue = {"elasticity.admission": "queue-threshold"}
+        with pytest.raises(ConfigError, match="max_queue_depth must be a whole number"):
+            DeploymentSpec().with_overrides(
+                {**queue, "elasticity.admission_options.max_queue_depth": 1.5}
+            )
+        spec = DeploymentSpec().with_overrides(
+            {**queue, "elasticity.admission_options.max_queue_depth": 2.0}
+        )
+        depth = spec.elasticity.build_admission().max_queue_depth
+        assert depth == 2 and isinstance(depth, int)
+
     def test_unknown_keys_rejected_with_expected_list(self):
         with pytest.raises(ConfigError, match="unknown key.*'requests'.*expected"):
             DeploymentSpec.from_dict({"workload": {"requests": 10}})
@@ -483,6 +497,19 @@ class TestFailureSpec:
             FailureSpec(check_interval=0.0)
         with pytest.raises(ConfigError, match="unknown"):
             FailureSpec.from_dict({"rates": 0.5})
+
+    def test_failure_count_without_rate_rejected_in_configs(self):
+        """A count with a zero rate would generate nothing while describe()
+        still counted it as churn, so every config path rejects it."""
+        with pytest.raises(ConfigError, match="num_failures > 0 requires failures.rate > 0"):
+            FailureSpec(num_failures=2)
+        spec = DeploymentSpec(cluster=ClusterSpec(kind="small", replicas=2))
+        with pytest.raises(ConfigError, match="requires failures.rate > 0"):
+            spec.with_overrides({"failures.num_failures": 3})
+        with pytest.raises(ConfigError, match="requires failures.rate > 0"):
+            DeploymentSpec.from_dict(
+                {"failures": {"events": [[1.0, 0]], "num_failures": 1}}
+            )
 
     def test_build_schedule_deterministic_and_sorted(self):
         fs = FailureSpec(events=[[30.0, 1]], rate=0.1, num_failures=4, seed=3)

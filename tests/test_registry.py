@@ -111,32 +111,23 @@ class TestBuiltinRegistries:
     """The four converted extension points still expose mapping-compatible views."""
 
     def test_router_registry(self):
-        from repro.core.cluster_system import ROUTER_FACTORIES, ROUTERS, make_router
+        from repro.core.cluster_system import ROUTERS, make_router
 
-        assert ROUTER_FACTORIES is ROUTERS
-        assert "least-kv" in sorted(ROUTER_FACTORIES)
+        assert "least-kv" in sorted(ROUTERS)
         router = make_router("round-robin", seed=3)
         assert router.name == "round-robin"
         with pytest.raises(ValueError, match="unknown router"):
             make_router("teleport")
 
     def test_elasticity_registries(self):
-        from repro.core.elasticity import (
-            ADMISSION_FACTORIES,
-            ADMISSIONS,
-            AUTOSCALER_FACTORIES,
-            AUTOSCALERS,
-        )
+        from repro.core.elasticity import ADMISSIONS, AUTOSCALERS
 
-        assert AUTOSCALER_FACTORIES is AUTOSCALERS
-        assert ADMISSION_FACTORIES is ADMISSIONS
         assert set(AUTOSCALERS.available()) == {"target-kv", "queue-depth"}
         assert set(ADMISSIONS.available()) == {"kv-threshold", "queue-threshold"}
 
     def test_dataset_registry_aliases(self):
-        from repro.workloads.datasets import DATASET_CATALOG, DATASETS, get_dataset_spec
+        from repro.workloads.datasets import DATASETS, get_dataset_spec
 
-        assert DATASET_CATALOG is DATASETS
         assert set(DATASETS) == {"sharegpt", "humaneval", "longbench"}
         assert get_dataset_spec("sg").name == "sharegpt"  # paper alias still works
 

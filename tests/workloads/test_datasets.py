@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import make_rng
-from repro.workloads.datasets import DATASET_CATALOG, get_dataset_spec, sample_requests
+from repro.workloads.datasets import DATASETS, get_dataset_spec, sample_requests
 
 
 def test_catalog_contains_paper_workloads():
-    assert set(DATASET_CATALOG) == {"sharegpt", "humaneval", "longbench"}
+    assert set(DATASETS) == {"sharegpt", "humaneval", "longbench"}
 
 
 def test_aliases_resolve():
@@ -23,7 +23,7 @@ def test_unknown_dataset():
 
 
 def test_sample_counts_and_bounds():
-    for name, spec in DATASET_CATALOG.items():
+    for name, spec in DATASETS.items():
         samples = spec.sample(make_rng(0), 500)
         assert len(samples) == 500
         for s in samples:
@@ -75,6 +75,6 @@ def test_negative_samples_rejected():
 
 
 def test_mean_helpers_positive():
-    for spec in DATASET_CATALOG.values():
+    for spec in DATASETS.values():
         assert spec.mean_prompt_tokens > 0
         assert spec.mean_output_tokens > 0
