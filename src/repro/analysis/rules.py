@@ -17,9 +17,10 @@ flaky snapshot diff:
 * ``DET002`` -- iterating a ``set``/``frozenset`` in code feeding the event
   heap, the routers, or a hash payload injects hash-seed-dependent order.
 * ``DET003`` -- ``id()`` in ordering or hashing ties results to memory layout.
-* ``SPEC001`` -- a spec dataclass field missing from ``to_dict``/``from_dict``
-  silently drops a knob from serialized configs *and* from the spec-hash
-  cache key, so two different deployments can share a cache entry.
+* ``SPEC001`` -- a spec dataclass that is not frozen can change after its
+  spec-hash cache key was taken, and a field missing from a hand-written
+  ``to_dict``/``from_dict`` silently drops a knob from serialized configs
+  *and* from that key, so two different deployments can share a cache entry.
 * ``SPEC002`` -- a registry plugin whose signature drifts from the call
   contract of its spec layer fails only when that plugin is first selected.
 * ``FLT001`` -- ``==``/``!=`` on floats in metrics/perf code makes
@@ -418,14 +419,15 @@ def _is_classvar(annotation: ast.expr) -> bool:
 
 @LINT_RULES.register(
     "SPEC001",
-    help="spec dataclass not frozen, or a field missing from to_dict/from_dict",
+    help="spec dataclass not frozen, or a field missing from a hand-written to_dict/from_dict",
 )
 class SpecDataclassRule(LintRule):
     code = "SPEC001"
     summary = (
-        "dataclasses with to_dict() must be frozen=True and serialize every "
-        "field in both to_dict and from_dict (a dropped field silently "
-        "vanishes from configs and the spec-hash cache key)"
+        "spec dataclasses (Spec subclasses, or anything with to_dict()) must be "
+        "frozen=True, and a hand-written to_dict/from_dict must serialize every "
+        "field (a dropped field silently vanishes from configs and the "
+        "spec-hash cache key)"
     )
     scopes = None  # spec trees can live anywhere
 
@@ -453,14 +455,20 @@ class SpecDataclassRule(LintRule):
             for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        if not is_dataclass or "to_dict" not in methods:
+        # A class on the config codec (repro.config.Spec) serializes through
+        # its fields, so only frozenness is left to check for it.
+        on_codec = any(
+            (_dotted_name(base) or "").split(".")[-1] == "Spec" for base in node.bases
+        )
+        if not is_dataclass or not (on_codec or "to_dict" in methods):
             return
         if not frozen:
+            how = "serializes through Spec" if on_codec else "defines to_dict()"
             self.report(
                 node,
-                f"spec dataclass {node.name} defines to_dict() but is not "
-                "frozen=True; mutable specs can change after their spec-hash "
-                "cache key was computed",
+                f"spec dataclass {node.name} {how} but is not frozen=True; "
+                "mutable specs can change after their spec-hash cache key was "
+                "computed",
             )
         field_names = [
             stmt.target.id

@@ -924,7 +924,7 @@ def _run_grid_points(
         jobs=args.jobs,
         cache_dir=args.cache,
         stop_on_error=not keep_going,
-        **(execution.runner_kwargs() if execution is not None else {}),
+        **(execution.to_dict() if execution is not None else {}),
     )
     results = runner.run(combos)
     rows: List[Dict[str, Any]] = []

@@ -8,7 +8,9 @@ fleets), replica router, elasticity policies, latency SLOs, and the workload
 
 * validate at *parse time* with actionable, field-pointing errors (rather
   than deep inside the builders),
-* round-trip losslessly through plain dicts (``to_dict`` / ``from_dict``) and
+* serialize through one field-driven codec, :class:`Spec`: a field's
+  declaration is its schema and its default is written once, and every spec
+  round-trips losslessly through plain dicts (``to_dict`` / ``from_dict``) and
   therefore through JSON and TOML files (:meth:`DeploymentSpec.load` /
   :meth:`DeploymentSpec.save`), and
 * support dotted-path overrides (:meth:`DeploymentSpec.with_overrides`),
@@ -32,10 +34,13 @@ True
 
 from __future__ import annotations
 
+import collections.abc
 import json
-from dataclasses import dataclass, field, fields
+import re
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar, Union
 
 from repro.core.cluster_system import ROUTERS
 from repro.core.elasticity import (
@@ -52,16 +57,13 @@ from repro.sim.recorder import TimeSeriesRecorder
 from repro.sim.scheduler import SchedulerLimits
 from repro.systems import SYSTEMS
 from repro.utils.rng import make_rng
+from repro.utils.validation import ConfigError, is_integer, is_number
 from repro.workloads.arrivals import RatePhase
 from repro.workloads.datasets import DATASETS
 
 #: Named cluster topologies understood by :func:`repro.api.build_cluster`;
 #: anything else must parse as an inline ``type:count,...`` blueprint.
 NAMED_CLUSTERS = ("paper", "small")
-
-
-class ConfigError(ValueError):
-    """A deployment spec failed validation; the message names the field."""
 
 
 def load_config_mapping(path: "str | Path") -> Dict[str, Any]:
@@ -126,19 +128,6 @@ def _check_mapping(value: "Mapping[str, Any] | None", where: str) -> Dict[str, A
     return dict(value) if value else {}
 
 
-def _known_keys(cls) -> List[str]:
-    return [f.name for f in fields(cls)]
-
-
-def _reject_unknown_keys(cls, data: Mapping, where: str) -> None:
-    unknown = sorted(set(data) - set(_known_keys(cls)))
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {', '.join(repr(k) for k in unknown)} in {where}; "
-            f"expected: {', '.join(_known_keys(cls))}"
-        )
-
-
 def _validate_cluster_kind(kind: str, where: str) -> None:
     _check(isinstance(kind, str) and bool(kind), f"{where} must be a non-empty string")
     if kind in NAMED_CLUSTERS:
@@ -156,11 +145,123 @@ def _validate_cluster_kind(kind: str, where: str) -> None:
     )
 
 
+# ------------------------------------------------------------------ the codec
+
+
+class _Field(NamedTuple):
+    """How the codec reads one dataclass field, taken from its annotation."""
+
+    section: Optional[type]  # the dataclass a mapping under this key decodes into
+    optional: bool  # annotated Optional[...]: null is a value
+    null_is_default: bool  # a section or collection that is not Optional: null means "absent"
+
+
+class _Schema(NamedTuple):
+    name: str  # what errors call the section when it is decoded on its own
+    fields: Dict[str, _Field]
+    required: Tuple[str, ...]
+
+
+_SCHEMAS: Dict[type, _Schema] = {}
+
+
+def _field_codec(hint: Any) -> _Field:
+    args = typing.get_args(hint)
+    optional = typing.get_origin(hint) is Union and type(None) in args
+    if optional:
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    section = hint if isinstance(hint, type) and is_dataclass(hint) else None
+    collection = typing.get_origin(hint) in (tuple, dict, collections.abc.Mapping)
+    return _Field(section, optional, not optional and (section is not None or collection))
+
+
+def _schema(cls: Type[Any]) -> _Schema:
+    """The codec's view of a dataclass, resolved from its annotations once per class."""
+    schema = _SCHEMAS.get(cls)
+    if schema is None:
+        hints = typing.get_type_hints(cls)
+        schema = _SCHEMAS[cls] = _Schema(
+            name=re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__.replace("Spec", "")).lower(),
+            fields={f.name: _field_codec(hints[f.name]) for f in fields(cls)},
+            required=tuple(
+                f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+            ),
+        )
+    return schema
+
+
+def _encode(value: Any) -> Any:
+    """Plain-data form of a field value: dataclasses become dicts, tuples lists."""
+    if isinstance(value, (str, int, float, type(None))):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if is_dataclass(value):
+        return {name: _encode(getattr(value, name)) for name in _schema(type(value)).fields}
+    if isinstance(value, collections.abc.Mapping):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
+
+
+T = TypeVar("T")
+
+
+def _decode(cls: Type[T], data: Any, where: str) -> T:
+    """Build ``cls`` from a mapping of its field names (the ``where`` section)."""
+    if not isinstance(data, collections.abc.Mapping):
+        raise ConfigError(f"{where} spec must be a mapping, got {type(data).__name__}")
+    schema = _schema(cls)
+    unknown = [key for key in data if key not in schema.fields]
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {', '.join(map(repr, sorted(unknown)))} in {where} spec; "
+            f"expected: {', '.join(schema.fields)}"
+        )
+    kwargs: Dict[str, Any] = {}
+    for key, value in data.items():
+        codec = schema.fields[key]
+        if value is None:
+            if codec.null_is_default:
+                continue
+        elif codec.section is not None and isinstance(value, collections.abc.Mapping):
+            value = _decode(codec.section, value, key)
+        kwargs[key] = value
+    missing = [key for key in schema.required if key not in kwargs]
+    if missing:
+        raise ConfigError(f"{where} spec needs {', '.join(map(repr, missing))}")
+    return cls(**kwargs)
+
+
+S = TypeVar("S", bound="Spec")
+
+
+class Spec:
+    """Base of the spec dataclasses: one field-driven codec serializes them all.
+
+    A subclass is a ``frozen=True`` dataclass whose field declarations are
+    its schema.  ``to_dict`` walks :func:`dataclasses.fields`: nested
+    dataclasses (other specs, :class:`~repro.sim.metrics.SLOSpec`,
+    :class:`~repro.workloads.arrivals.RatePhase`) become dicts and tuples
+    become lists.  ``from_dict`` maps keys back onto fields: an unknown key
+    fails naming the section, an absent key keeps the field's default, a
+    mapping under a field annotated with a dataclass decodes into it, and a
+    null section or collection counts as absent.  Validation and
+    normalization stay in each subclass's ``__post_init__``.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        return typing.cast(Dict[str, Any], _encode(self))
+
+    @classmethod
+    def from_dict(cls: Type[S], data: Mapping[str, Any]) -> S:
+        return _decode(cls, data, _schema(cls).name)
+
+
 # ------------------------------------------------------------- execution spec
 
 
 @dataclass(frozen=True)
-class ExecutionSpec:
+class ExecutionSpec(Spec):
     """How experiment points *execute*, as distinct from what they simulate.
 
     An optional top-level ``[execution]`` table in sweep / experiment /
@@ -185,6 +286,9 @@ class ExecutionSpec:
         errored point; re-running with the same journal resumes instead of
         recomputing.
 
+    The field names are :class:`~repro.experiments.runner.SweepRunner`'s
+    keyword arguments, so ``SweepRunner(**execution.to_dict())`` applies them.
+
     Deliberately *not* part of :class:`DeploymentSpec`: execution knobs never
     change what a point computes, so they must not perturb spec hashes (cache
     keys and journal keys stay stable whatever the timeout settings are).
@@ -198,23 +302,16 @@ class ExecutionSpec:
     def __post_init__(self) -> None:
         if self.task_timeout is not None:
             _check(
-                isinstance(self.task_timeout, (int, float))
-                and not isinstance(self.task_timeout, bool)
-                and float(self.task_timeout) > 0.0,
-                f"execution.task_timeout must be a number > 0 or null, "
-                f"got {self.task_timeout!r}",
+                is_number(self.task_timeout) and self.task_timeout > 0,
+                f"execution.task_timeout must be a number > 0 or null, got {self.task_timeout!r}",
             )
             object.__setattr__(self, "task_timeout", float(self.task_timeout))
         _check(
-            isinstance(self.max_retries, int)
-            and not isinstance(self.max_retries, bool)
-            and self.max_retries >= 0,
+            is_integer(self.max_retries) and self.max_retries >= 0,
             f"execution.max_retries must be an integer >= 0, got {self.max_retries!r}",
         )
         _check(
-            isinstance(self.backoff_base, (int, float))
-            and not isinstance(self.backoff_base, bool)
-            and float(self.backoff_base) >= 0.0,
+            is_number(self.backoff_base) and self.backoff_base >= 0,
             f"execution.backoff_base must be a number >= 0, got {self.backoff_base!r}",
         )
         object.__setattr__(self, "backoff_base", float(self.backoff_base))
@@ -223,37 +320,6 @@ class ExecutionSpec:
                 isinstance(self.journal, str) and bool(self.journal),
                 f"execution.journal must be a non-empty path or null, got {self.journal!r}",
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "task_timeout": self.task_timeout,
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "journal": self.journal,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionSpec":
-        _check(
-            isinstance(data, Mapping),
-            f"execution spec must be a mapping, got {type(data).__name__}",
-        )
-        _reject_unknown_keys(cls, data, "[execution]")
-        return cls(
-            task_timeout=data.get("task_timeout"),
-            max_retries=data.get("max_retries", 0),
-            backoff_base=data.get("backoff_base", 0.5),
-            journal=data.get("journal"),
-        )
-
-    def runner_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for :class:`~repro.experiments.runner.SweepRunner`."""
-        return {
-            "task_timeout": self.task_timeout,
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "journal": self.journal,
-        }
 
 
 def extract_execution(
@@ -280,7 +346,7 @@ def extract_execution(
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Spec):
     """Hardware shape of the deployment.
 
     ``kind`` is a named topology (``"paper"``, ``"small"``) or an inline
@@ -296,8 +362,7 @@ class ClusterSpec:
 
     def __post_init__(self) -> None:
         _check(
-            isinstance(self.replicas, int) and not isinstance(self.replicas, bool)
-            and self.replicas >= 1,
+            is_integer(self.replicas) and self.replicas >= 1,
             f"cluster.replicas must be an integer >= 1, got {self.replicas!r}",
         )
         _validate_cluster_kind(self.kind, "cluster.kind")
@@ -316,35 +381,18 @@ class ClusterSpec:
                 "cluster kinds per replica",
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "replicas": self.replicas,
-            "replica_kinds": list(self.replica_kinds) if self.replica_kinds else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClusterSpec":
-        _reject_unknown_keys(cls, data, "cluster spec")
-        kinds = data.get("replica_kinds")
-        return cls(
-            kind=data.get("kind", "paper"),
-            replicas=data.get("replicas", 1),
-            # `is not None` (not truthiness): an explicit [] must reach the
-            # must-not-be-empty validation, not silently mean "unset".
-            replica_kinds=tuple(kinds) if kinds is not None else None,
-        )
-
 
 @dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Spec):
     """Which serving system to build, and its scheduler knobs.
 
     ``limits`` overrides individual :class:`~repro.sim.scheduler.SchedulerLimits`
     fields; ``prefill_chunk_tokens`` opts into chunked prefill (``None`` keeps
-    the legacy monolithic-prefill path bit-for-bit); ``options`` is forwarded
-    to the system builder as extra keyword arguments (serializable ones only
-    -- live objects travel through the legacy keyword API instead).
+    the monolithic-prefill path bit-for-bit); ``options`` is forwarded to the
+    system builder as extra keyword arguments.  Options must be serializable;
+    live objects (a ``SchedulerLimits`` instance, a Parallelizer ``hint``)
+    go to :func:`repro.api.build` as its ``limits=`` / ``system_kwargs=``
+    keywords instead.
     """
 
     name: str = "hetis"
@@ -359,7 +407,7 @@ class SystemSpec:
         )
         if self.prefill_chunk_tokens is not None:
             _check(
-                isinstance(self.prefill_chunk_tokens, int) and self.prefill_chunk_tokens > 0,
+                is_integer(self.prefill_chunk_tokens) and self.prefill_chunk_tokens > 0,
                 "system.prefill_chunk_tokens must be a positive integer or null, "
                 f"got {self.prefill_chunk_tokens!r}",
             )
@@ -386,27 +434,9 @@ class SystemSpec:
             return None
         return SchedulerLimits(**self.limits)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "prefill_chunk_tokens": self.prefill_chunk_tokens,
-            "limits": dict(self.limits) if self.limits is not None else None,
-            "options": dict(self.options),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SystemSpec":
-        _reject_unknown_keys(cls, data, "system spec")
-        return cls(
-            name=data.get("name", "hetis"),
-            prefill_chunk_tokens=data.get("prefill_chunk_tokens"),
-            limits=data.get("limits"),
-            options=data.get("options") or {},
-        )
-
 
 @dataclass(frozen=True)
-class RouterSpec:
+class RouterSpec(Spec):
     """Replica router for replicated deployments.
 
     ``options`` is forwarded to the router factory after the run seed; the
@@ -429,17 +459,9 @@ class RouterSpec:
             return factory(seed, **self.options)
         return factory(seed)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RouterSpec":
-        _reject_unknown_keys(cls, data, "router spec")
-        return cls(name=data.get("name", "round-robin"), options=data.get("options") or {})
-
 
 @dataclass(frozen=True)
-class ElasticitySpec:
+class ElasticitySpec(Spec):
     """Elastic-serving control plane: autoscaler and/or admission control.
 
     Either half may be ``None`` (off).  ``*_options`` are the keyword
@@ -506,9 +528,7 @@ class ElasticitySpec:
             f"elasticity.migration must be a boolean, got {self.migration!r}",
         )
         _check(
-            isinstance(self.migration_bandwidth_gbps, (int, float))
-            and not isinstance(self.migration_bandwidth_gbps, bool)
-            and self.migration_bandwidth_gbps > 0,
+            is_number(self.migration_bandwidth_gbps) and self.migration_bandwidth_gbps > 0,
             "elasticity.migration_bandwidth_gbps must be > 0, "
             f"got {self.migration_bandwidth_gbps!r}",
         )
@@ -530,31 +550,9 @@ class ElasticitySpec:
             return None
         return ADMISSIONS.create(self.admission, **self.admission_options)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "autoscaler": self.autoscaler,
-            "autoscaler_options": dict(self.autoscaler_options),
-            "admission": self.admission,
-            "admission_options": dict(self.admission_options),
-            "migration": self.migration,
-            "migration_bandwidth_gbps": self.migration_bandwidth_gbps,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ElasticitySpec":
-        _reject_unknown_keys(cls, data, "elasticity spec")
-        return cls(
-            autoscaler=data.get("autoscaler"),
-            autoscaler_options=data.get("autoscaler_options") or {},
-            admission=data.get("admission"),
-            admission_options=data.get("admission_options") or {},
-            migration=data.get("migration", False),
-            migration_bandwidth_gbps=data.get("migration_bandwidth_gbps", 100.0),
-        )
-
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Spec):
     """Deterministic spot-churn schedule for replicated deployments.
 
     Two (combinable) sources of failures, both deterministic:
@@ -601,31 +599,17 @@ class FailureSpec:
                     f"failures.events entries must be [time, replica] pairs, got {entry!r}",
                 )
                 time, replica = entry
+            _check(is_number(time) and time >= 0, f"failures.events: time must be >= 0, got {time!r}")
             _check(
-                isinstance(time, (int, float))
-                and not isinstance(time, bool)
-                and time >= 0,
-                f"failures.events: time must be >= 0, got {time!r}",
-            )
-            _check(
-                isinstance(replica, int)
-                and not isinstance(replica, bool)
-                and replica >= 0,
+                is_integer(replica) and replica >= 0,
                 f"failures.events: replica must be an integer >= 0, got {replica!r}",
             )
             normalized.append((float(time), replica))
         object.__setattr__(self, "events", tuple(normalized))
-        _check(
-            isinstance(self.rate, (int, float))
-            and not isinstance(self.rate, bool)
-            and self.rate >= 0,
-            f"failures.rate must be >= 0, got {self.rate!r}",
-        )
+        _check(is_number(self.rate) and self.rate >= 0, f"failures.rate must be >= 0, got {self.rate!r}")
         object.__setattr__(self, "rate", float(self.rate))
         _check(
-            isinstance(self.num_failures, int)
-            and not isinstance(self.num_failures, bool)
-            and self.num_failures >= 0,
+            is_integer(self.num_failures) and self.num_failures >= 0,
             f"failures.num_failures must be an integer >= 0, got {self.num_failures!r}",
         )
         _check(
@@ -638,21 +622,14 @@ class FailureSpec:
             "failures.num_failures > 0 requires failures.rate > 0 "
             "(a zero rate generates no failures)",
         )
+        _check(is_integer(self.seed), f"failures.seed must be an integer, got {self.seed!r}")
         _check(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool),
-            f"failures.seed must be an integer, got {self.seed!r}",
-        )
-        _check(
-            isinstance(self.recovery_time, (int, float))
-            and not isinstance(self.recovery_time, bool)
-            and self.recovery_time >= 0,
+            is_number(self.recovery_time) and self.recovery_time >= 0,
             f"failures.recovery_time must be >= 0, got {self.recovery_time!r}",
         )
         object.__setattr__(self, "recovery_time", float(self.recovery_time))
         _check(
-            isinstance(self.check_interval, (int, float))
-            and not isinstance(self.check_interval, bool)
-            and self.check_interval > 0,
+            is_number(self.check_interval) and self.check_interval > 0,
             f"failures.check_interval must be > 0, got {self.check_interval!r}",
         )
         object.__setattr__(self, "check_interval", float(self.check_interval))
@@ -686,31 +663,9 @@ class FailureSpec:
         schedule.sort()
         return schedule
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [[t, r] for t, r in self.events],
-            "rate": self.rate,
-            "num_failures": self.num_failures,
-            "seed": self.seed,
-            "recovery_time": self.recovery_time,
-            "check_interval": self.check_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FailureSpec":
-        _reject_unknown_keys(cls, data, "failures spec")
-        return cls(
-            events=data.get("events") or (),
-            rate=data.get("rate", 0.0),
-            num_failures=data.get("num_failures", 0),
-            seed=data.get("seed", 0),
-            recovery_time=data.get("recovery_time", 30.0),
-            check_interval=data.get("check_interval", 1.0),
-        )
-
 
 @dataclass(frozen=True)
-class MetricsSpec:
+class MetricsSpec(Spec):
     """How a run collects metrics: exact (default) or bounded-memory.
 
     ``mode="bounded"`` switches the engine's collector to streaming
@@ -733,16 +688,13 @@ class MetricsSpec:
             f"metrics.mode must be 'exact' or 'bounded', got {self.mode!r}",
         )
         _check(
-            isinstance(self.quantile_epsilon, (int, float))
-            and 0.0 < self.quantile_epsilon < 0.5,
+            is_number(self.quantile_epsilon) and 0.0 < self.quantile_epsilon < 0.5,
             f"metrics.quantile_epsilon must be in (0, 0.5), got {self.quantile_epsilon!r}",
         )
         object.__setattr__(self, "quantile_epsilon", float(self.quantile_epsilon))
         if self.max_recorder_samples_per_key is not None:
             _check(
-                isinstance(self.max_recorder_samples_per_key, int)
-                and not isinstance(self.max_recorder_samples_per_key, bool)
-                and self.max_recorder_samples_per_key >= 2,
+                is_integer(self.max_recorder_samples_per_key) and self.max_recorder_samples_per_key >= 2,
                 "metrics.max_recorder_samples_per_key must be an integer >= 2 or null, "
                 f"got {self.max_recorder_samples_per_key!r}",
             )
@@ -761,25 +713,9 @@ class MetricsSpec:
     def build_recorder(self) -> TimeSeriesRecorder:
         return TimeSeriesRecorder(max_samples_per_key=self.max_recorder_samples_per_key)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "quantile_epsilon": self.quantile_epsilon,
-            "max_recorder_samples_per_key": self.max_recorder_samples_per_key,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MetricsSpec":
-        _reject_unknown_keys(cls, data, "metrics spec")
-        return cls(
-            mode=data.get("mode", "exact"),
-            quantile_epsilon=data.get("quantile_epsilon", 0.005),
-            max_recorder_samples_per_key=data.get("max_recorder_samples_per_key"),
-        )
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """The trace to replay: dataset, arrival process, and size.
 
     With ``phases`` set, arrivals follow the piecewise-constant schedule (the
@@ -805,6 +741,10 @@ class WorkloadSpec:
             f"workload.streaming must be a boolean, got {self.streaming!r}",
         )
         _check(
+            is_integer(self.num_requests) and self.num_requests >= 0,
+            f"workload.num_requests must be an integer >= 0, got {self.num_requests!r}",
+        )
+        _check(
             not (self.streaming and self.phases is None and self.num_requests <= 0),
             "workload.streaming with Poisson arrivals needs num_requests > 0 "
             "(the arrival process never terminates on its own)",
@@ -814,19 +754,13 @@ class WorkloadSpec:
             self, "dataset", _check_name(DATASETS, self.dataset.lower(), "workload.dataset")
         )
         _check(
-            isinstance(self.request_rate, (int, float))
-            and (self.request_rate > 0 or self.phases is not None),
+            is_number(self.request_rate) and (self.request_rate > 0 or self.phases is not None),
             f"workload.request_rate must be > 0, got {self.request_rate!r} "
             "(with phases set, the rate is bookkeeping-only and 0 is allowed)",
         )
         object.__setattr__(self, "request_rate", float(self.request_rate))
         _check(
-            isinstance(self.num_requests, int) and not isinstance(self.num_requests, bool)
-            and self.num_requests >= 0,
-            f"workload.num_requests must be an integer >= 0, got {self.num_requests!r}",
-        )
-        _check(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0,
+            is_integer(self.seed) and self.seed >= 0,
             f"workload.seed must be an integer >= 0, got {self.seed!r}",
         )
         if self.phases is not None:
@@ -839,77 +773,22 @@ class WorkloadSpec:
         if isinstance(value, RatePhase):
             return value
         try:
-            if isinstance(value, Mapping):
-                return RatePhase(rate=float(value["rate"]), duration=float(value["duration"]))
-            rate, duration = value
+            mapping = isinstance(value, collections.abc.Mapping)
+            rate, duration = (value.get("rate"), value.get("duration")) if mapping else value
+            _check(is_number(rate) and is_number(duration), "rate and duration must be numbers")
             return RatePhase(rate=float(rate), duration=float(duration))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"workload.phases[{index}] must be a {{rate, duration}} pair, "
                 f"got {value!r} ({exc})"
             ) from None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "request_rate": self.request_rate,
-            "num_requests": self.num_requests,
-            "seed": self.seed,
-            "phases": (
-                [{"rate": p.rate, "duration": p.duration} for p in self.phases]
-                if self.phases is not None
-                else None
-            ),
-            "streaming": self.streaming,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorkloadSpec":
-        _reject_unknown_keys(cls, data, "workload spec")
-        phases = data.get("phases")
-        return cls(
-            dataset=data.get("dataset", "sharegpt"),
-            request_rate=data.get("request_rate", 5.0),
-            num_requests=data.get("num_requests", 64),
-            seed=data.get("seed", 0),
-            # `is not None`: an explicit [] must fail validation, not vanish.
-            phases=tuple(phases) if phases is not None else None,
-            streaming=data.get("streaming", False),
-        )
-
-
-def _slo_to_dict(slo: SLOSpec) -> Dict[str, Any]:
-    return {"ttft_s": slo.ttft_s, "tpot_s": slo.tpot_s}
-
-
-def _slo_from_dict(data: Mapping) -> SLOSpec:
-    unknown = sorted(set(data) - {"ttft_s", "tpot_s"})
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in slo spec; "
-            "expected: ttft_s, tpot_s"
-        )
-
-    def bound(key: str, default: float) -> float:
-        raw = data.get(key, default)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"slo.{key} must be a number, got {raw!r}") from None
-        _check(value > 0, f"slo.{key} must be > 0, got {value!r}")
-        return value
-
-    return SLOSpec(
-        ttft_s=bound("ttft_s", SLOSpec.ttft_s),
-        tpot_s=bound("tpot_s", SLOSpec.tpot_s),
-    )
 
 
 # ------------------------------------------------------------------ deployment
 
 
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(Spec):
     """A complete, serializable description of one simulated deployment.
 
     ``repro.api.build`` turns a spec into a ready-to-run system + trace;
@@ -935,28 +814,16 @@ class DeploymentSpec:
             self.model in MODEL_CATALOG,
             f"unknown model {self.model!r}; available: {', '.join(sorted(MODEL_CATALOG))}",
         )
-        _check(isinstance(self.system, SystemSpec), "system must be a SystemSpec")
-        _check(isinstance(self.cluster, ClusterSpec), "cluster must be a ClusterSpec")
-        _check(isinstance(self.router, RouterSpec), "router must be a RouterSpec")
+        for name, codec in _schema(DeploymentSpec).fields.items():
+            value = getattr(self, name)
+            if codec.section is None or isinstance(value, codec.section) or (codec.optional and value is None):
+                continue
+            raise ConfigError(
+                f"{name} must be a mapping or {codec.section.__name__}"
+                f"{', or null' if codec.optional else ''}, got {type(value).__name__}"
+            )
         _check(
-            self.elasticity is None or isinstance(self.elasticity, ElasticitySpec),
-            "elasticity must be an ElasticitySpec or null",
-        )
-        _check(
-            self.slo is None or isinstance(self.slo, SLOSpec),
-            "slo must be an SLOSpec or null",
-        )
-        _check(isinstance(self.workload, WorkloadSpec), "workload must be a WorkloadSpec")
-        _check(
-            self.metrics is None or isinstance(self.metrics, MetricsSpec),
-            "metrics must be a MetricsSpec or null",
-        )
-        _check(
-            self.failures is None or isinstance(self.failures, FailureSpec),
-            "failures must be a FailureSpec or null",
-        )
-        _check(
-            isinstance(self.max_simulated_time, (int, float)) and self.max_simulated_time > 0,
+            is_number(self.max_simulated_time) and self.max_simulated_time > 0,
             f"max_simulated_time must be > 0, got {self.max_simulated_time!r}",
         )
         object.__setattr__(self, "max_simulated_time", float(self.max_simulated_time))
@@ -1006,46 +873,6 @@ class DeploymentSpec:
 
     # -- serialization ---------------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "model": self.model,
-            "system": self.system.to_dict(),
-            "cluster": self.cluster.to_dict(),
-            "router": self.router.to_dict(),
-            "elasticity": self.elasticity.to_dict() if self.elasticity is not None else None,
-            "slo": _slo_to_dict(self.slo) if self.slo is not None else None,
-            "workload": self.workload.to_dict(),
-            "metrics": self.metrics.to_dict() if self.metrics is not None else None,
-            "failures": self.failures.to_dict() if self.failures is not None else None,
-            "max_simulated_time": self.max_simulated_time,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DeploymentSpec":
-        _check(isinstance(data, Mapping), f"deployment spec must be a mapping, got {type(data).__name__}")
-        _reject_unknown_keys(cls, data, "deployment spec")
-
-        def sub(key: str, loader: Callable[[Mapping[str, Any]], Any], default: Any) -> Any:
-            value = data.get(key)
-            if value is None:
-                return default() if callable(default) else default
-            if isinstance(value, Mapping):
-                return loader(value)
-            return value  # already a spec object (programmatic use)
-
-        return cls(
-            model=data.get("model", "llama-13b"),
-            system=sub("system", SystemSpec.from_dict, SystemSpec),
-            cluster=sub("cluster", ClusterSpec.from_dict, ClusterSpec),
-            router=sub("router", RouterSpec.from_dict, RouterSpec),
-            elasticity=sub("elasticity", ElasticitySpec.from_dict, None),
-            slo=sub("slo", _slo_from_dict, None),
-            workload=sub("workload", WorkloadSpec.from_dict, WorkloadSpec),
-            metrics=sub("metrics", MetricsSpec.from_dict, None),
-            failures=sub("failures", FailureSpec.from_dict, None),
-            max_simulated_time=data.get("max_simulated_time", 24 * 3600.0),
-        )
-
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
@@ -1085,7 +912,7 @@ class DeploymentSpec:
                 # Unknown *intermediate* segments fail here, pointed at the
                 # override path -- not later, as a from_dict unknown-key error
                 # that has forgotten which dotted override put the key there.
-                known = _known_keys_for_path(trail)
+                known = _section_keys(trail)
                 if known is not None and key not in known:
                     raise ConfigError(
                         f"override path {dotted!r}: unknown section {key!r} "
@@ -1104,7 +931,7 @@ class DeploymentSpec:
                 isinstance(node, dict),
                 f"override path {dotted!r}: {'.'.join(trail)} is not a section",
             )
-            leaf_parent_keys = _known_keys_for_path(keys[:-1])
+            leaf_parent_keys = _section_keys(keys[:-1])
             if leaf_parent_keys is not None and keys[-1] not in leaf_parent_keys:
                 raise ConfigError(
                     f"override path {dotted!r}: unknown field {keys[-1]!r}; "
@@ -1114,27 +941,17 @@ class DeploymentSpec:
         return DeploymentSpec.from_dict(data)
 
 
-_SECTION_CLASSES: Dict[Tuple[str, ...], Any] = {
-    (): DeploymentSpec,
-    ("system",): SystemSpec,
-    ("cluster",): ClusterSpec,
-    ("router",): RouterSpec,
-    ("elasticity",): ElasticitySpec,
-    ("workload",): WorkloadSpec,
-    ("metrics",): MetricsSpec,
-    ("failures",): FailureSpec,
-}
+def _section_keys(path: Sequence[str]) -> Optional[List[str]]:
+    """Field names of the section at a dotted path, or ``None`` under a free-form map.
 
-
-def _known_keys_for_path(path: Sequence[str]) -> Optional[List[str]]:
-    """Valid field names under a dotted path, or ``None`` for free-form maps."""
-    key = tuple(path)
-    if key == ("slo",):
-        return ["ttft_s", "tpot_s"]
-    cls = _SECTION_CLASSES.get(key)
-    if cls is None:
-        return None  # options/limits mappings accept arbitrary keys
-    return _known_keys(cls)
+    Walks the same annotations ``from_dict`` decodes with, so options and
+    limits mappings (no dataclass behind them) accept arbitrary keys.
+    """
+    section: Optional[type] = DeploymentSpec
+    for key in path:
+        codec = _schema(section).fields.get(key) if section is not None else None
+        section = codec.section if codec is not None else None
+    return list(_schema(section).fields) if section is not None else None
 
 
 # ------------------------------------------------------------------ sweep grids
@@ -1195,3 +1012,51 @@ def expand_grid(
                 next_pairs.append((merged, base.with_overrides({key: value})))
         pairs = next_pairs
     return pairs
+
+
+def grid_axes(raw: Any, where: str) -> Dict[str, Tuple[Any, ...]]:
+    """Validate ``{dotted path: values}`` axes; a scalar value is a one-point axis."""
+    _check(
+        isinstance(raw, Mapping),
+        f"{where} must be a mapping of axis -> values, got {type(raw).__name__}",
+    )
+    axes: Dict[str, Tuple[Any, ...]] = {}
+    for key, values in raw.items():
+        if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+            values = [values]
+        _check(len(values) > 0, f"{where} axis {key!r} has no values")
+        axes[str(key)] = tuple(values)
+    return axes
+
+
+# ------------------------------------------------------------------ study files
+
+
+def study_config(data: Any, section: str, default_name: Optional[str] = None) -> Dict[str, Any]:
+    """Flatten a study config file into its ``[<section>]`` table.
+
+    Experiment and planner configs share one file shape: a ``[<section>]``
+    table, a top-level ``[deployment]`` base and an optional top-level
+    ``[execution]`` table.  Returns the section's keys with ``deployment``
+    and (when given) ``execution`` merged in, and ``name`` defaulting to
+    ``default_name``.
+    """
+    _check(isinstance(data, Mapping), f"{section} config must be a mapping, got {type(data).__name__}")
+    expected = (section, "deployment", "execution")
+    unknown = sorted(set(data) - set(expected))
+    _check(
+        not unknown,
+        f"unknown top-level key(s) {', '.join(map(repr, unknown))} in {section} config; "
+        f"expected: {', '.join(expected)}",
+    )
+    body = data.get(section)
+    _check(isinstance(body, Mapping), f"{section} config has no [{section}] section")
+    for table in ("deployment", "execution"):
+        _check(table not in body, f"{table} belongs in its own top-level [{table}] table, not inside [{section}]")
+    _check(isinstance(data.get("deployment"), Mapping), f"{section} config has no [deployment] section")
+    merged = dict(body, deployment=data["deployment"])
+    if "execution" in data:
+        merged["execution"] = data["execution"]
+    if default_name is not None:
+        merged.setdefault("name", default_name)
+    return merged

@@ -29,14 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import (
     ConfigError,
     DeploymentSpec,
     ExecutionSpec,
     expand_grid,
+    grid_axes,
     load_config_mapping,
+    study_config,
 )
 from repro.experiments.runner import PointResult, SweepRunner, table_row
 
@@ -102,48 +104,20 @@ class ExperimentSpec:
     def from_dict(
         cls, data: Mapping[str, Any], default_name: Optional[str] = None
     ) -> "ExperimentSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"experiment config must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"experiment", "deployment", "execution"})
-        if unknown:
-            raise ConfigError(
-                f"unknown top-level key(s) {', '.join(map(repr, unknown))} in "
-                "experiment config; expected: experiment, deployment, execution"
-            )
-        exp = data.get("experiment")
-        if not isinstance(exp, Mapping):
-            raise ConfigError("experiment config needs an [experiment] section")
-        unknown = sorted(set(exp) - set(_EXPERIMENT_KEYS))
+        """Parse the config-file shape: an ``[experiment]`` table over a ``[deployment]`` base."""
+        exp = study_config(data, "experiment", default_name)
+        unknown = sorted(set(exp) - {*_EXPERIMENT_KEYS, "deployment", "execution"})
         if unknown:
             raise ConfigError(
                 f"unknown key(s) {', '.join(map(repr, unknown))} in [experiment]; "
                 f"expected: {', '.join(_EXPERIMENT_KEYS)}"
             )
-        deployment = data.get("deployment")
-        if not isinstance(deployment, Mapping):
-            raise ConfigError("experiment config needs a [deployment] section")
-        raw_grid = exp.get("grid") or {}
-        if not isinstance(raw_grid, Mapping):
-            raise ConfigError(
-                f"experiment.grid must be a mapping of axis -> values, "
-                f"got {type(raw_grid).__name__}"
-            )
-        grid: List[Tuple[str, Tuple[Any, ...]]] = []
-        for key, values in raw_grid.items():
-            if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
-                values = [values]  # a scalar axis is a 1-point axis
-            values = tuple(values)
-            if not values:
-                raise ConfigError(f"experiment.grid axis {key!r} has no values")
-            grid.append((str(key), values))
         return cls(
-            name=str(exp.get("name", default_name or "experiment")),
+            name=str(exp.get("name", "experiment")),
             description=str(exp.get("description", "")),
-            base=DeploymentSpec.from_dict(deployment),
-            grid=tuple(grid),
-            execution=data.get("execution"),
+            base=DeploymentSpec.from_dict(exp["deployment"]),
+            grid=tuple(grid_axes(exp.get("grid") or {}, "experiment.grid").items()),
+            execution=exp.get("execution"),
         )
 
 
@@ -197,6 +171,6 @@ def run_experiment(
         jobs=jobs,
         cache_dir=cache_dir,
         stop_on_error=stop_on_error,
-        **(effective.runner_kwargs() if effective is not None else {}),
+        **(effective.to_dict() if effective is not None else {}),
     )
     return ExperimentRun(experiment=experiment, results=runner.run(experiment.expand()))

@@ -203,7 +203,7 @@ def _make_runner(
     execution: Optional[ExecutionSpec],
     journal: Optional[RunJournal],
 ) -> SweepRunner:
-    kwargs = execution.runner_kwargs() if execution is not None else {}
+    kwargs = execution.to_dict() if execution is not None else {}
     if journal is not None:
         # One shared, already-open journal for every sweep-shaped config:
         # appends hit disk immediately, so later configs (and resumed runs)

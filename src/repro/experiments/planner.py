@@ -48,7 +48,7 @@ table over a ``[deployment]`` base (see ``examples/configs/planner_slo.toml``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,12 +56,16 @@ from repro.config import (
     ConfigError,
     DeploymentSpec,
     ExecutionSpec,
+    Spec,
     expand_grid,
+    grid_axes,
     load_config_mapping,
+    study_config,
 )
 from repro.experiments.runner import SweepRunner, overrides_label
 from repro.registry import Registry
 from repro.utils.rng import make_rng
+from repro.utils.validation import is_integer, is_number
 
 #: What the planner minimises; the same column sweep/experiment rows report.
 OBJECTIVE = "cost_per_hour"
@@ -135,20 +139,23 @@ def fits_inventory(spec: DeploymentSpec, inventory: Mapping[str, int]) -> bool:
 
 
 @dataclass(frozen=True)
-class PlannerSpec:
+class PlannerSpec(Spec):
     """A fleet-planning problem: base deployment, search axes, target, knobs.
 
-    ``search`` axes are dotted-path overrides with candidate values (the
+    ``search`` maps dotted-path overrides to their candidate values (the
     :func:`~repro.config.expand_grid` shape); ``target_attainment`` is the
     SLO-attainment fraction a feasible plan must reach; ``inventory`` caps
     devices per GPU type (``None`` = unlimited); ``budget`` caps how many
     candidate simulations the search may request (cache hits count, so the
-    search trajectory is independent of cache warmth).
+    search trajectory is independent of cache warmth).  ``deployment`` is
+    required; its ``None`` default only lets the fields keep their
+    serialized order.
     """
 
-    name: str
-    deployment: DeploymentSpec
-    search: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
+    name: str = "plan"
+    description: str = ""
+    deployment: Optional[DeploymentSpec] = None
+    search: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
     target_attainment: float = 0.99
     strategies: Tuple[str, ...] = ("greedy", "evolutionary")
     budget: Optional[int] = None
@@ -156,63 +163,41 @@ class PlannerSpec:
     generations: int = 2
     population: int = 6
     inventory: Optional[Mapping[str, int]] = None
-    description: str = ""
     execution: Optional[ExecutionSpec] = None
 
     def __post_init__(self) -> None:
-        if self.execution is not None and not isinstance(self.execution, ExecutionSpec):
-            if isinstance(self.execution, Mapping):
-                object.__setattr__(self, "execution", ExecutionSpec.from_dict(self.execution))
-            else:
-                raise ConfigError(
-                    "planner execution must be an ExecutionSpec or a mapping, "
-                    f"got {type(self.execution).__name__}"
-                )
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("planner.name must be a non-empty string")
+        if not isinstance(self.description, str):
+            raise ConfigError(f"planner.description must be a string, got {self.description!r}")
         if not isinstance(self.deployment, DeploymentSpec):
-            raise ConfigError("planner deployment must be a DeploymentSpec")
-        search: List[Tuple[str, Tuple[Any, ...]]] = []
-        for axis in self.search:
-            try:
-                key, values = axis
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"planner.search axes are (path, values) pairs, got {axis!r}"
-                ) from None
-            values = tuple(values)
-            if not values:
-                raise ConfigError(f"planner.search axis {key!r} has no values")
-            search.append((str(key), values))
-        object.__setattr__(self, "search", tuple(search))
-        if (
-            not isinstance(self.target_attainment, (int, float))
-            or isinstance(self.target_attainment, bool)
-            or not 0.0 < float(self.target_attainment) <= 1.0
-        ):
+            raise ConfigError("planner spec needs a deployment (the search base)")
+        if self.execution is not None and not isinstance(self.execution, ExecutionSpec):
+            raise ConfigError(
+                f"planner execution must be an [execution] mapping, got {type(self.execution).__name__}"
+            )
+        object.__setattr__(self, "search", grid_axes(self.search, "planner.search"))
+        if not is_number(self.target_attainment) or not 0.0 < self.target_attainment <= 1.0:
             raise ConfigError(
                 "planner.target_attainment must be a fraction in (0, 1], "
                 f"got {self.target_attainment!r}"
             )
         object.__setattr__(self, "target_attainment", float(self.target_attainment))
-        if not self.strategies:
+        strategies = (self.strategies,) if isinstance(self.strategies, str) else self.strategies
+        if not strategies:
             raise ConfigError("planner.strategies must name at least one strategy")
         try:
-            canonical = tuple(PLANNER_STRATEGIES.resolve(n) for n in self.strategies)
+            canonical = tuple(PLANNER_STRATEGIES.resolve(n) for n in strategies)
         except ValueError as exc:
             raise ConfigError(f"planner.strategies: {exc}") from None
         object.__setattr__(self, "strategies", canonical)
-        if self.budget is not None and (
-            not isinstance(self.budget, int)
-            or isinstance(self.budget, bool)
-            or self.budget < 1
-        ):
+        if self.budget is not None and (not is_integer(self.budget) or self.budget < 1):
             raise ConfigError(
                 f"planner.budget must be an integer >= 1 or null, got {self.budget!r}"
             )
         for field_name, minimum in (("seed", 0), ("generations", 0), ("population", 1)):
             value = getattr(self, field_name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            if not is_integer(value) or value < minimum:
                 raise ConfigError(
                     f"planner.{field_name} must be an integer >= {minimum}, got {value!r}"
                 )
@@ -230,7 +215,7 @@ class PlannerSpec:
                     get_gpu_spec(str(gpu))
                 except KeyError as exc:
                     raise ConfigError(f"planner.inventory: {exc.args[0]}") from None
-                if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                if not is_integer(count) or count < 0:
                     raise ConfigError(
                         f"planner.inventory[{gpu!r}] must be an integer >= 0, "
                         f"got {count!r}"
@@ -241,17 +226,17 @@ class PlannerSpec:
         # a bad axis fails at load time with the offending combination named.
         # Kept as a non-field attribute so expand() does not re-pay the
         # O(points) spec construction.
-        object.__setattr__(self, "_points", expand_grid(self.deployment, self.axes))
+        object.__setattr__(self, "_points", expand_grid(self.deployment, self.search))
 
     @property
     def axes(self) -> Dict[str, List[Any]]:
         """Search axes as an insertion-ordered ``{dotted path: values}`` map."""
-        return {key: list(values) for key, values in self.search}
+        return {key: list(values) for key, values in self.search.items()}
 
     @property
     def num_points(self) -> int:
         n = 1
-        for _, values in self.search:
+        for values in self.search.values():
             n *= len(values)
         return n
 
@@ -259,117 +244,13 @@ class PlannerSpec:
         """All ``(overrides, spec)`` candidates, first axis varying slowest."""
         return [(dict(overrides), spec) for overrides, spec in self._points]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "deployment": self.deployment.to_dict(),
-            "search": {key: list(values) for key, values in self.search},
-            "target_attainment": self.target_attainment,
-            "strategies": list(self.strategies),
-            "budget": self.budget,
-            "seed": self.seed,
-            "generations": self.generations,
-            "population": self.population,
-            "inventory": dict(self.inventory) if self.inventory is not None else None,
-            "execution": self.execution.to_dict() if self.execution is not None else None,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], default_name: Optional[str] = None
-    ) -> "PlannerSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"planner spec must be a mapping, got {type(data).__name__}"
-            )
-        allowed = (
-            "name",
-            "description",
-            "deployment",
-            "search",
-            "target_attainment",
-            "strategies",
-            "budget",
-            "seed",
-            "generations",
-            "population",
-            "inventory",
-            "execution",
-        )
-        unknown = sorted(set(data) - set(allowed))
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) {', '.join(map(repr, unknown))} in planner "
-                f"spec; expected: {', '.join(allowed)}"
-            )
-        deployment = data.get("deployment")
-        if deployment is None:
-            raise ConfigError("planner spec needs a deployment (the search base)")
-        if isinstance(deployment, Mapping):
-            deployment = DeploymentSpec.from_dict(deployment)
-        raw_search = data.get("search") or {}
-        if not isinstance(raw_search, Mapping):
-            raise ConfigError(
-                f"planner.search must be a mapping of axis -> values, "
-                f"got {type(raw_search).__name__}"
-            )
-        search: List[Tuple[str, Tuple[Any, ...]]] = []
-        for key, values in raw_search.items():
-            if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
-                values = [values]  # a scalar axis is a 1-point axis
-            search.append((str(key), tuple(values)))
-        strategies = data.get("strategies", ("greedy", "evolutionary"))
-        if isinstance(strategies, str):
-            strategies = (strategies,)
-        inventory = data.get("inventory")
-        return cls(
-            name=str(data.get("name", default_name or "plan")),
-            description=str(data.get("description", "")),
-            deployment=deployment,
-            search=tuple(search),
-            target_attainment=data.get("target_attainment", 0.99),
-            strategies=tuple(strategies),
-            budget=data.get("budget"),
-            seed=data.get("seed", 0),
-            generations=data.get("generations", 2),
-            population=data.get("population", 6),
-            inventory=dict(inventory) if inventory is not None else None,
-            execution=data.get("execution"),
-        )
-
     @classmethod
     def from_config(
         cls, data: Mapping[str, Any], default_name: Optional[str] = None
     ) -> "PlannerSpec":
         """Parse the config-file shape: a ``[planner]`` table over a
         ``[deployment]`` base (mirroring ``[experiment]`` configs)."""
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"planner config must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"planner", "deployment", "execution"})
-        if unknown:
-            raise ConfigError(
-                f"unknown top-level key(s) {', '.join(map(repr, unknown))} in "
-                "planner config; expected: planner, deployment, execution"
-            )
-        planner = data.get("planner")
-        if not isinstance(planner, Mapping):
-            raise ConfigError("planner config needs a [planner] section")
-        if "deployment" in planner:
-            raise ConfigError(
-                "the deployment base lives in its own top-level [deployment] "
-                "table, not inside [planner]"
-            )
-        deployment = data.get("deployment")
-        if not isinstance(deployment, Mapping):
-            raise ConfigError("planner config needs a [deployment] section")
-        merged: Dict[str, Any] = dict(planner)
-        merged["deployment"] = deployment
-        if "execution" in data:
-            merged["execution"] = data.get("execution")
-        return cls.from_dict(merged, default_name=default_name)
+        return cls.from_dict(study_config(data, "planner", default_name))
 
 
 def load_planner(path: "str | Path") -> PlannerSpec:
@@ -385,7 +266,7 @@ def load_planner(path: "str | Path") -> PlannerSpec:
 
 
 @dataclass(frozen=True)
-class PlanCandidate:
+class PlanCandidate(Spec):
     """One point of the search space, as the ranked result table reports it.
 
     ``cost_per_hour`` is the provisioned fleet price (the objective);
@@ -415,36 +296,9 @@ class PlanCandidate:
     def label(self) -> str:
         return overrides_label(self.overrides)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "overrides": dict(self.overrides),
-            "cost_per_hour": self.cost_per_hour,
-            "slo_attainment": self.slo_attainment,
-            "goodput_rps": self.goodput_rps,
-            "feasible": self.feasible,
-            "evaluated": self.evaluated,
-            "pruned": self.pruned,
-            "source": self.source,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlanCandidate":
-        return cls(
-            overrides=data.get("overrides") or {},
-            cost_per_hour=data["cost_per_hour"],
-            slo_attainment=data.get("slo_attainment"),
-            goodput_rps=data.get("goodput_rps"),
-            feasible=data.get("feasible"),
-            evaluated=data.get("evaluated", False),
-            pruned=data.get("pruned", False),
-            source=data.get("source", "grid"),
-            error=data.get("error"),
-        )
-
 
 @dataclass(frozen=True)
-class PlanResult:
+class PlanResult(Spec):
     """Outcome of one planning run: the ranked table plus the chosen plan.
 
     ``candidates`` is every inventory-feasible grid point, ranked best first
@@ -468,49 +322,14 @@ class PlanResult:
     candidates: Tuple[PlanCandidate, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+        candidates = (PlanCandidate.from_dict(c) if isinstance(c, Mapping) else c for c in self.candidates)
+        object.__setattr__(self, "candidates", tuple(candidates))
         if self.best_spec is not None:
             object.__setattr__(self, "best_spec", dict(self.best_spec))
 
     @property
     def feasible(self) -> bool:
         return self.best is not None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "planner": self.planner,
-            "objective": self.objective,
-            "target_attainment": self.target_attainment,
-            "total_points": self.total_points,
-            "num_evaluated": self.num_evaluated,
-            "num_pruned": self.num_pruned,
-            "num_filtered": self.num_filtered,
-            "budget": self.budget,
-            "budget_exhausted": self.budget_exhausted,
-            "best": self.best.to_dict() if self.best is not None else None,
-            "best_spec": dict(self.best_spec) if self.best_spec is not None else None,
-            "candidates": [c.to_dict() for c in self.candidates],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlanResult":
-        best = data.get("best")
-        return cls(
-            planner=data["planner"],
-            objective=data.get("objective", OBJECTIVE),
-            target_attainment=data["target_attainment"],
-            total_points=data["total_points"],
-            num_evaluated=data["num_evaluated"],
-            num_pruned=data["num_pruned"],
-            num_filtered=data.get("num_filtered", 0),
-            budget=data.get("budget"),
-            budget_exhausted=data.get("budget_exhausted", False),
-            best=PlanCandidate.from_dict(best) if best is not None else None,
-            best_spec=data.get("best_spec"),
-            candidates=tuple(
-                PlanCandidate.from_dict(c) for c in data.get("candidates") or ()
-            ),
-        )
 
 
 # ------------------------------------------------------------- the search core
@@ -539,7 +358,7 @@ class SimulatorOracle:
             jobs=jobs,
             cache_dir=cache_dir,
             stop_on_error=False,
-            **(execution.runner_kwargs() if execution is not None else {}),
+            **(execution.to_dict() if execution is not None else {}),
         )
 
     def __call__(
@@ -576,7 +395,7 @@ class _SearchState:
         self.overrides = [overrides for overrides, _ in points]
         self.specs = [dspec for _, dspec in points]
         self.costs = [fleet_cost_per_hour(dspec) for dspec in self.specs]
-        sizes = [len(values) for _, values in spec.search]
+        sizes = [len(values) for values in spec.search.values()]
         keys = list(itertools.product(*[range(n) for n in sizes])) or [()]
         assert len(keys) == len(points)
         self.keys = keys
@@ -745,7 +564,7 @@ def _greedy(spec: PlannerSpec, state: _SearchState) -> None:
     help="seeded refinement: perturb the incumbent one search axis at a time",
 )
 def _evolutionary(spec: PlannerSpec, state: _SearchState) -> None:
-    sizes = [len(values) for _, values in spec.search]
+    sizes = [len(values) for values in spec.search.values()]
     mutable = [axis for axis, n in enumerate(sizes) if n > 1]
     if not mutable or spec.generations == 0:
         return

@@ -23,6 +23,7 @@ from repro.sim.request import Request, RequestStatus
 from repro.sim.scheduler import ContinuousBatchingPolicy, PrefillChunk, SchedulerLimits
 
 DECODING, PREFILLING = RequestStatus.DECODING, RequestStatus.PREFILLING
+QUEUED, PREEMPTED = RequestStatus.QUEUED, RequestStatus.PREEMPTED
 
 MAX_ROOM_ROUNDS = 64
 """Preemption-hook rounds before a request that still cannot append is preempted itself."""
@@ -50,25 +51,23 @@ class ExecutionUnit(abc.ABC):
 
     # -- request egress (drains / failures) ---------------------------------------
 
+    @abc.abstractmethod
     def evict_queued(self, now: float) -> List[Request]:
         """Remove and return requests that can move to another unit.
 
         Only requests with no live KV on this unit -- freshly queued or
         preempted (recompute-on-preempt drops their cache) -- are movable;
-        requests mid-prefill hold blocks and stay.  The base implementation
-        moves nothing, so units without an eviction story (e.g. Hetis
-        instance units with head-sliced placements) simply keep their work.
+        requests mid-prefill hold blocks and stay.
         """
-        return []
 
+    @abc.abstractmethod
     def preempt_running(self, now: float) -> List[Request]:
         """Preempt every in-flight request (failure injection).
 
         Preempted requests lose their KV cache and land back in the waiting
         queue with recompute-on-restart semantics; the returned list is what
-        was preempted.  Base implementation: nothing to preempt.
+        was preempted.
         """
-        return []
 
     # -- iteration protocol --------------------------------------------------------
 
@@ -191,6 +190,24 @@ class ContinuousBatchingUnit(ExecutionUnit):
     @property
     def num_running(self) -> int:
         return len(self.running)
+
+    # -- egress (drains / failures) ----------------------------------------------------------
+
+    def evict_queued(self, now: float) -> List[Request]:
+        movable = [r for r in self.waiting if r.status in (QUEUED, PREEMPTED)]
+        for req in movable:
+            self.waiting.remove(req)
+        return movable
+
+    def preempt_running(self, now: float) -> List[Request]:
+        # Partially-prefilled requests sit in the waiting queue but hold KV
+        # blocks for their full prefill target; a failure drops those too.
+        # They go first, so the running victims queue up ahead of them.
+        victims = [r for r in self.waiting if r.status is PREFILLING]
+        victims += [r for r in self.running if not r.is_finished]
+        for req in victims:
+            self._preempt(req)
+        return victims
 
     # -- preemption -----------------------------------------------------------------------------
 

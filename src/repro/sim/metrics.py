@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.sim.request import Request
+from repro.utils.validation import ConfigError, is_number
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -210,6 +211,15 @@ class SLOSpec:
 
     ttft_s: float = 10.0
     tpot_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name in ("ttft_s", "tpot_s"):
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ConfigError(f"slo.{name} must be a number, got {value!r}")
+            if not value > 0:
+                raise ConfigError(f"slo.{name} must be > 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     def attained(self, ttft: float, tpot: float) -> bool:
         return ttft <= self.ttft_s and tpot <= self.tpot_s

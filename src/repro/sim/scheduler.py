@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 from repro.sim.request import Request, RequestStatus
+from repro.utils.validation import is_integer
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,13 @@ class SchedulerLimits:
     prefill_chunk_tokens: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_running_requests <= 0:
-            raise ValueError("max_running_requests must be > 0")
-        if self.max_prefill_tokens_per_iteration <= 0:
-            raise ValueError("max_prefill_tokens_per_iteration must be > 0")
-        if self.max_prefills_per_iteration <= 0:
-            raise ValueError("max_prefills_per_iteration must be > 0")
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens <= 0:
-            raise ValueError("prefill_chunk_tokens must be > 0 (or None to disable chunking)")
+        for name in ("max_running_requests", "max_prefill_tokens_per_iteration", "max_prefills_per_iteration"):
+            value = getattr(self, name)
+            if not is_integer(value) or value <= 0:
+                raise ValueError(f"{name} must be an integer > 0, got {value!r}")
+        chunk = self.prefill_chunk_tokens
+        if chunk is not None and (not is_integer(chunk) or chunk <= 0):
+            raise ValueError(f"prefill_chunk_tokens must be an integer > 0 (or None to disable chunking), got {chunk!r}")
 
 
 @dataclass(frozen=True)

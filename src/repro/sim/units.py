@@ -20,7 +20,7 @@ from repro.parallel.config import InstanceParallelConfig
 from repro.perf.commcost import CommModel
 from repro.perf.roofline import RooflineExecutor
 from repro.sim.batching import DECODING, PREFILLING, ContinuousBatchingUnit, ExecutionUnit
-from repro.sim.request import Request, RequestStatus
+from repro.sim.request import Request
 from repro.sim.scheduler import PrefillChunk, SchedulerLimits
 
 __all__ = ["ExecutionUnit", "StaticPipelineUnit"]
@@ -100,28 +100,6 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
 
     def has_work(self) -> bool:
         return bool(self.running or self.waiting or self.pending_prefilled)
-
-    # -- egress (drains / failures) ------------------------------------------------
-
-    def evict_queued(self, now: float) -> List[Request]:
-        movable = [
-            r
-            for r in self.waiting
-            if r.status in (RequestStatus.QUEUED, RequestStatus.PREEMPTED)
-        ]
-        for req in movable:
-            self.waiting.remove(req)
-        return movable
-
-    def preempt_running(self, now: float) -> List[Request]:
-        # Partially-prefilled requests sit in the waiting queue but hold KV
-        # blocks for their full prefill target; a failure drops those too.
-        # They go first, so the running victims queue up ahead of them.
-        victims = [r for r in self.waiting if r.status == PREFILLING]
-        victims += [r for r in self.running if not r.is_finished]
-        for req in victims:
-            self._preempt(req)
-        return victims
 
     # -- KV block table ----------------------------------------------------------------
 

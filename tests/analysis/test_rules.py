@@ -226,6 +226,39 @@ def test_spec001_clean_on_frozen_covered_and_delegating_specs():
     assert lint_source(SPEC001_GOOD, "specs.py", scope_parts=frozenset()) == []
 
 
+SPEC001_CODEC_BAD = """
+from dataclasses import dataclass
+
+from repro.config import Spec
+
+
+@dataclass
+class MutableSpec(Spec):
+    knob: int = 3
+"""
+
+SPEC001_CODEC_GOOD = """
+from dataclasses import dataclass
+
+from repro import config
+
+
+@dataclass(frozen=True)
+class FrozenSpec(config.Spec):
+    knob: int = 3
+"""
+
+
+def test_spec001_flags_unfrozen_spec_on_the_codec():
+    findings = lint_source(SPEC001_CODEC_BAD, "specs.py", scope_parts=frozenset())
+    assert [f.code for f in findings] == ["SPEC001"]
+    assert "MutableSpec serializes through Spec but is not frozen=True" in findings[0].message
+
+
+def test_spec001_clean_on_frozen_spec_without_its_own_to_dict():
+    assert lint_source(SPEC001_CODEC_GOOD, "specs.py", scope_parts=frozenset()) == []
+
+
 # --------------------------------------------------------------------- SPEC002
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import api
 from repro.api import build_replicated_system, quick_serve, run_system
-from repro.config import FailureSpec
+from repro.config import DeploymentSpec, FailureSpec
 from repro.core.cluster_system import ClusterServingSystem, replica_cost_per_hour
 from repro.sim.metrics import SLOSpec
 from repro.workloads.trace import generate_trace
@@ -139,6 +140,33 @@ class TestLiveMigration:
         system = build_replicated_system("static-tp", "llama-13b", 2, cluster_kind="small")
         assert not system.migration_enabled
         assert system.num_migrated_requests == 0
+
+    def test_failed_hetis_replica_drops_its_kv_and_migrates_its_work(self):
+        """A Hetis replica that fails must not sit on its running work.
+
+        Its running requests lose their head-sliced KV and, with migration
+        on, move to the survivor.  The replica never recovers here, so work
+        left behind would never finish.
+        """
+        spec = DeploymentSpec.from_dict({
+            "model": "llama-13b",
+            "system": {"name": "hetis"},
+            "cluster": {"kind": "small", "replicas": 2},
+            "elasticity": {"migration": True},
+            "failures": {"events": [[4.0, 0]], "recovery_time": 1e9},
+            "workload": {"dataset": "sharegpt", "request_rate": 6.0, "num_requests": 60, "seed": 1},
+            "max_simulated_time": 600.0,
+        })
+        prepared = api.build(spec)
+        result = prepared.run()
+        system = prepared.system
+        assert system.failure_events == [(4.0, 0)]
+        assert system.num_migrated_requests > 0
+        assert not result.truncated
+        assert result.summary.num_finished == 60
+        for unit in system.replicas[0].units:
+            assert unit.load == 0
+            assert set(unit.kv_utilization().values()) == {0.0}
 
 
 class TestReplicaCosts:

@@ -2,7 +2,8 @@
 
 After a drained run every block manager of every unit must report no used
 blocks and no resident sequence, whatever the system, prefill mode or fleet
-churn (failures preempt running work and migrate queued work away).
+churn (failures preempt running work and migrate queued work away, on static
+and Hetis fleets alike).
 """
 
 import pytest
@@ -52,9 +53,22 @@ def fleet_spec(seed):
     })
 
 
+def hetis_fleet_spec():
+    # A failure preempts a Hetis replica's head-sliced work and migrates it.
+    return DeploymentSpec.from_dict({
+        "model": "llama-13b",
+        "system": {"name": "hetis"},
+        "cluster": {"kind": "small", "replicas": 2},
+        "elasticity": {"migration": True},
+        "failures": {"events": [[4.0, 0], [9.0, 1]], "recovery_time": 3.0},
+        "workload": {"dataset": "sharegpt", "request_rate": 6.0, "num_requests": 60, "seed": 1},
+    })
+
+
 SPECS = {f"{system}-{'chunked' if chunk else 'whole'}": paper_spec(system, chunk)
          for system in ("static-tp", "splitwise", "hexgen", "hetis") for chunk in (None, 512)}
 SPECS.update({f"fleet-seed{seed}": fleet_spec(seed) for seed in (1, 2, 3)})
+SPECS["hetis-fleet"] = hetis_fleet_spec()
 
 
 @pytest.mark.slow

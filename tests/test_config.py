@@ -608,13 +608,71 @@ class TestExecutionSpec:
             "deployment", with_exec.to_dict()
         )
 
-    def test_runner_kwargs_match_sweeprunner_signature(self):
+    def test_to_dict_matches_sweeprunner_signature(self):
         from repro.config import ExecutionSpec
         from repro.experiments.runner import SweepRunner
 
         spec = ExecutionSpec(task_timeout=10.0, max_retries=3, backoff_base=0.1)
-        runner = SweepRunner(**spec.runner_kwargs())
+        runner = SweepRunner(**spec.to_dict())
         assert runner.task_timeout == 10.0
         assert runner.max_retries == 3
         assert runner.backoff_base == 0.1
         assert runner.journal is None
+
+
+# Every numeric field of every spec section, with values that must fail at
+# parse time: a boolean everywhere (Python counts True as the int 1), and a
+# fraction wherever the field counts something.
+NUMERIC_FIELDS = {
+    "max_simulated_time": [True],
+    "system.prefill_chunk_tokens": [True, 0.5],
+    "system.limits.max_running_requests": [True, 2.5],
+    "system.limits.max_prefill_tokens_per_iteration": [True, 0.5],
+    "system.limits.max_prefills_per_iteration": [True, 1.5],
+    "system.limits.prefill_chunk_tokens": [True, 0.5],
+    "cluster.replicas": [True, 1.5],
+    "elasticity.migration_bandwidth_gbps": [True],
+    "slo.ttft_s": [True],
+    "slo.tpot_s": [True],
+    "workload.request_rate": [True],
+    "workload.num_requests": [True, 1.5],
+    "workload.seed": [True, 1.5],
+    "workload.phases": [[[True, 5.0]], [[5.0, True]]],
+    "metrics.quantile_epsilon": [True],
+    "metrics.max_recorder_samples_per_key": [True, 2.5],
+    "failures.events": [[[True, 0]], [[1.0, True]], [[1.0, 0.5]]],
+    "failures.rate": [True],
+    "failures.num_failures": [True, 1.5],
+    "failures.seed": [True, 1.5],
+    "failures.recovery_time": [True],
+    "failures.check_interval": [True],
+    "execution.task_timeout": [True],
+    "execution.max_retries": [True, 1.5],
+    "execution.backoff_base": [True],
+    "planner.target_attainment": [True],
+    "planner.budget": [True, 1.5],
+    "planner.seed": [True, 1.5],
+    "planner.generations": [True, 1.5],
+    "planner.population": [True, 1.5],
+    "planner.inventory": [{"a100": True}, {"a100": 1.5}],
+}
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [(path, value) for path, values in NUMERIC_FIELDS.items() for value in values],
+    ids=[f"{path}={json.dumps(value)}" for path, values in NUMERIC_FIELDS.items() for value in values],
+)
+def test_booleans_and_fractions_fail_numeric_fields_naming_the_field(path, value):
+    from repro.config import ExecutionSpec
+    from repro.experiments.planner import PlannerSpec
+
+    section, _, key = path.partition(".")
+    with pytest.raises(ConfigError) as excinfo:
+        if section == "execution":
+            ExecutionSpec.from_dict({key: value})
+        elif section == "planner":
+            PlannerSpec.from_dict({"deployment": {"cluster": {"kind": "a100:1"}}, key: value})
+        else:
+            DeploymentSpec().with_overrides({path: value})
+    assert all(part in str(excinfo.value) for part in path.split("."))
