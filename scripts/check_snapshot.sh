@@ -4,14 +4,16 @@
 #   scripts/check_snapshot.sh [base-ref]     # default: origin/main, then main
 #
 # Generates scripts/metrics_snapshot.py output twice on the SAME machine --
-# once from a clean worktree of the base revision, once from the current
-# tree -- and diffs the JSON byte-for-byte.  Running both sides locally keeps
-# the comparison robust to BLAS/platform differences; only a code change can
-# make it fail.  Chunked prefill is off by default, so this guards the
-# "existing metric snapshots stay bit-identical unless opted in" contract.
-# The same comparison then runs for replicated deployments
-# (scripts/cluster_snapshot.py) and for the text `repro serve` / `repro
-# compare` print (scripts/cli_snapshot.py).
+# the working tree's copy of the script run once against the src tree of a
+# clean worktree of the base revision, once against the current tree -- and
+# diffs the JSON byte-for-byte.  Running both sides locally keeps the
+# comparison robust to BLAS/platform differences; only a code change can make
+# it fail.  The scenarios cover every system, a GQA model and chunked prefill;
+# the rest run with chunking off, guarding the "existing metric snapshots stay
+# bit-identical unless opted in" contract.  The same comparison then runs for
+# replicated deployments (scripts/cluster_snapshot.py), for the text `repro
+# serve` / `repro compare` print (scripts/cli_snapshot.py), and for the
+# seed-1 sim_digest of every perfbench workload.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +38,7 @@ trap 'git worktree remove --force "$WORKDIR/base" 2>/dev/null || true; rm -rf "$
 
 echo "== snapshot @ $BASE_REF =="
 git worktree add --detach "$WORKDIR/base" "$BASE_REF" >/dev/null
-(cd "$WORKDIR/base" && PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/base.json")
+PYTHONPATH="$WORKDIR/base/src" python scripts/metrics_snapshot.py "$WORKDIR/base.json"
 
 echo "== snapshot @ working tree =="
 PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/head.json"
@@ -44,7 +46,7 @@ PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/head.json"
 if cmp -s "$WORKDIR/base.json" "$WORKDIR/head.json"; then
     echo "snapshot check: bit-identical to $BASE_REF"
 else
-    echo "snapshot check FAILED: metrics diverge from $BASE_REF (chunking off)" >&2
+    echo "snapshot check FAILED: metrics diverge from $BASE_REF" >&2
     diff "$WORKDIR/base.json" "$WORKDIR/head.json" | head -40 >&2 || true
     exit 1
 fi
@@ -83,4 +85,24 @@ else
     echo "cli snapshot check FAILED: serve/compare output diverges from $BASE_REF" >&2
     diff "$WORKDIR/base-cli.json" "$WORKDIR/head-cli.json" | head -40 >&2 || true
     exit 1
+fi
+
+# Benchmark parity: every perfbench workload replays each of its seed-1
+# inputs once (--seconds 0) and prints a sim_digest of the summary rows.  Each
+# tree runs its own perfbench, as the benchmark itself compares revisions.
+# Skipped when the base predates perfbench.
+if [[ -f "$WORKDIR/base/perfbench/run.py" ]]; then
+    for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; do
+        echo "== perfbench $workload sim_digest @ $BASE_REF and working tree =="
+        base_digest="$(cd "$WORKDIR/base" && python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | grep '^sim_digest')"
+        head_digest="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | grep '^sim_digest')"
+        if [[ -n "$base_digest" && "$base_digest" == "$head_digest" ]]; then
+            echo "perfbench $workload: $head_digest, identical to $BASE_REF"
+        else
+            echo "perfbench $workload FAILED: '$head_digest' vs '$base_digest' at $BASE_REF" >&2
+            exit 1
+        fi
+    done
+else
+    echo "perfbench digest check skipped: $BASE_REF predates perfbench"
 fi

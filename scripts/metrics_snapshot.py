@@ -3,6 +3,9 @@
 
 Used to verify that engine/performance refactors do not change simulation
 outputs: run once before the change, once after, and diff the JSON files.
+``check_snapshot.sh`` runs this same file against the base revision's ``src``
+tree and the working tree's, so it sticks to ``quick_serve`` keywords both
+sides accept.
 
     PYTHONPATH=src python scripts/metrics_snapshot.py out.json
 """
@@ -15,21 +18,28 @@ import sys
 from repro.api import quick_serve
 
 SCENARIOS = [
-    # (system, model, dataset, rate, num_requests)
-    ("hetis", "llama-13b", "sharegpt", 5.0, 48),
-    ("hexgen", "llama-13b", "sharegpt", 5.0, 48),
-    ("splitwise", "llama-13b", "sharegpt", 5.0, 48),
-    ("static-tp", "llama-13b", "sharegpt", 5.0, 48),
-    ("hetis", "llama-13b", "humaneval", 30.0, 48),
-    ("hexgen", "llama-13b", "longbench", 6.0, 32),
-    ("splitwise", "llama-13b", "longbench", 6.0, 32),
-    ("hetis", "opt-30b", "sharegpt", 4.0, 32),
+    # (system, model, dataset, rate, num_requests, prefill_chunk_tokens)
+    ("hetis", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("hexgen", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("splitwise", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("static-tp", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("hetis", "llama-13b", "humaneval", 30.0, 48, None),
+    ("hexgen", "llama-13b", "longbench", 6.0, 32, None),
+    ("splitwise", "llama-13b", "longbench", 6.0, 32, None),
+    ("hetis", "opt-30b", "sharegpt", 4.0, 32, None),
+    # GQA (r = 8): KV groups are shared by query heads.
+    ("hetis", "llama-70b", "sharegpt", 4.0, 32, None),
+    ("hexgen", "llama-70b", "sharegpt", 4.0, 32, None),
+    # Chunked prefill: chunks attend to the context earlier chunks cached.
+    ("hetis", "llama-13b", "longbench", 6.0, 32, 512),
+    ("hexgen", "llama-13b", "longbench", 6.0, 32, 512),
+    ("splitwise", "llama-13b", "longbench", 6.0, 32, 512),
 ]
 
 
 def snapshot() -> dict:
     out = {}
-    for system, model, dataset, rate, n in SCENARIOS:
+    for system, model, dataset, rate, n, chunk in SCENARIOS:
         result = quick_serve(
             model=model,
             system=system,
@@ -37,10 +47,12 @@ def snapshot() -> dict:
             request_rate=rate,
             num_requests=n,
             seed=0,
+            prefill_chunk_tokens=chunk,
         )
         s = result.summary
         records = sorted(result.metrics.records, key=lambda r: r.request_id)
-        out[f"{system}/{model}/{dataset}/r{rate:g}/n{n}"] = {
+        key = f"{system}/{model}/{dataset}/r{rate:g}/n{n}" + (f"/chunk{chunk}" if chunk else "")
+        out[key] = {
             "mean_normalized_latency": s.mean_normalized_latency,
             "p95_normalized_latency": s.p95_normalized_latency,
             "p95_ttft": s.p95_ttft,

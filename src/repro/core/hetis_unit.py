@@ -22,7 +22,7 @@ capacity-aware re-dispatch) while keeping per-stage bookkeeping tractable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,16 +34,17 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUDevice
 from repro.kvcache.block_manager import BlockAllocationError
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
-from repro.models.flops import BatchProfile, LayerCostModel
 from repro.models.spec import ModelSpec
 from repro.parallel.config import InstanceParallelConfig
 from repro.perf.attention_model import (
+    AttentionTimeModel,
     DeviceAttentionModel,
     LOCAL_TRANSFER,
     fit_linear_attention_model,
     fit_linear_transfer_model,
 )
 from repro.perf.commcost import CommModel, attention_transfer_bytes
+from repro.perf.pipeline_cost import PipelineCost
 from repro.perf.roofline import RooflineExecutor
 from repro.sim.batching import ContinuousBatchingUnit
 from repro.sim.request import Request
@@ -52,6 +53,9 @@ from repro.utils.rng import make_rng
 
 PRIMARY_TARGET_ID = -1
 """Pseudo device id of the aggregate Primary dispatch target."""
+
+HeadShares = Tuple[Tuple[int, int, int], ...]
+"""``(slot, query heads, KV groups)`` of one request, for each decode-Attention slot it has heads on."""
 
 
 class HetisInstanceUnit(ContinuousBatchingUnit):
@@ -85,9 +89,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         super().__init__(name, model, limits, self._managers[PRIMARY_TARGET_ID].block_size)
         self.config = config
         self.cluster = cluster
-        self.executor = RooflineExecutor(model)
-        self.cost_model = LayerCostModel(model)
-        self.comm = CommModel(cluster, model)
+        self.pipeline = PipelineCost(config, RooflineExecutor(model), CommModel(cluster, model))
         self.enable_redispatch = enable_redispatch
         self.redispatch_check_interval = max(1, redispatch_check_interval)
         self._rng = make_rng(seed)
@@ -96,10 +98,12 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         for w in config.attention_workers:
             self._device_host[w.device_id] = w.host_id
 
-        # Distinct (spec, fraction) pairs per stage: symmetric TP shards on
-        # identical GPUs time out identically, so the per-stage max only needs
-        # one evaluation per distinct pair (see StageConfig.unique_shards).
-        self._stage_unique_shards = [stage.unique_shards() for stage in config.stages]
+        # Decode Attention is priced per slot: one per distinct Primary shard
+        # fraction, then one per Attention worker.  A request's head shares
+        # per slot are memoized by its split's allocation (see _head_shares),
+        # so a re-dispatch, which installs a new allocation, needs no
+        # invalidation.
+        self._head_shares_memo: Dict[Tuple[Tuple[int, int], ...], HeadShares] = {}
         # Per-(worker, total offloaded heads) scatter/gather time memo: head
         # counts repeat across decode iterations while the underlying p2p cost
         # is a pure function of (bytes, link).
@@ -154,46 +158,35 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         ctx_grid = np.linspace(128, 4096, 6).astype(int)
         models: Dict[int, DeviceAttentionModel] = {}
 
-        def fit(compute_fn) -> Tuple[List[float], List[float], List[float]]:
+        def fit(target_id: int, time_of) -> AttentionTimeModel:
             hs, gs, ts = [], [], []
             for h in heads_grid:
                 for ctx in ctx_grid:
+                    # n_req requests of per_req heads each, all on the target.
                     n_req = max(1, int(h) // max(1, self.model.num_heads // 2))
                     per_req = max(self.model.gqa_ratio, int(h) // n_req)
-                    heads = [per_req] * n_req
-                    contexts = [int(ctx)] * n_req
-                    hs.append(float(sum(heads)))
-                    gs.append(float(sum(hh * cc for hh, cc in zip(heads, contexts))))
-                    ts.append(compute_fn(contexts, heads))
-            return hs, gs, ts
+                    hs.append(float(n_req * per_req))
+                    gs.append(float(n_req * per_req * int(ctx)))
+                    shares = self._head_shares({target_id: per_req})
+                    ts.append(time_of(self._slot_sums([(shares, n_req * int(ctx), n_req)])))
+            return fit_linear_attention_model(hs, gs, ts)
 
-        primary_fit = fit(self._primary_decode_attention_time)
-        primary_compute = fit_linear_attention_model(*primary_fit)
         models[PRIMARY_TARGET_ID] = DeviceAttentionModel(
             device_id=PRIMARY_TARGET_ID,
             device_name=f"{self.name}/primary",
-            compute=primary_compute,
+            compute=fit(PRIMARY_TARGET_ID, self.pipeline.primary_decode_attention_time),
             transfer=LOCAL_TRANSFER,
             is_remote=False,
         )
-        for worker in self.config.attention_workers:
-            worker_fit = fit(lambda ctxs, hds, w=worker: self._worker_decode_attention_time(w, ctxs, hds))
-            compute = fit_linear_attention_model(*worker_fit)
+        for slot, worker in enumerate(self.config.attention_workers, len(self.pipeline.fractions)):
+            compute = fit(worker.device_id, lambda sums, w=worker, i=slot: self._worker_attention_time(w, *sums[i]))
             # The transfer model is expressed over the *total* per-iteration byte
             # volume, but the underlying traffic is one scatter/gather per layer,
             # so the fitted beta absorbs `num_layers` point-to-point latencies --
             # this fixed cost is what makes premature offloading unattractive
             # under light load (the delayed ramp-up in Fig. 14).
             sizes = [attention_transfer_bytes(self.model, float(h), per_layer=False) for h in heads_grid]
-            times = [
-                self.model.num_layers
-                * self.cluster.p2p_time(
-                    attention_transfer_bytes(self.model, float(h), per_layer=True),
-                    self._primary_front,
-                    worker,
-                )
-                for h in heads_grid
-            ]
+            times = [self._transfer_time(worker, int(h)) for h in heads_grid]
             transfer = fit_linear_transfer_model(sizes, times)
             dev_model = DeviceAttentionModel(
                 device_id=worker.device_id,
@@ -209,36 +202,47 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
 
     # --------------------------------------------------------------- ground truth --
 
-    def _primary_decode_attention_time(
-        self, contexts: Sequence[int], heads_per_req: Sequence[int]
-    ) -> float:
-        """Decode Attention time per iteration for heads retained on the Primary."""
-        if not contexts or sum(heads_per_req) == 0:
-            return 0.0
-        total = 0.0
-        frac_heads: Dict[float, List[int]] = {}
-        for stage_idx, stage in enumerate(self.config.stages):
-            per_layer = 0.0
-            for spec, frac in self._stage_unique_shards[stage_idx]:
-                dev_heads = frac_heads.get(frac)
-                if dev_heads is None:
-                    dev_heads = [max(0, int(round(h * frac))) for h in heads_per_req]
-                    frac_heads[frac] = dev_heads
-                per_layer = max(
-                    per_layer,
-                    self.executor.decode_attention_time(spec, contexts, dev_heads),
-                )
-            total += stage.num_layers * per_layer
-        return total
+    def _head_shares(self, allocation: Mapping[int, int]) -> HeadShares:
+        """The head shares of a request with ``allocation``.
 
-    def _worker_decode_attention_time(
-        self, worker: GPUDevice, contexts: Sequence[int], heads_per_req: Sequence[int]
-    ) -> float:
+        Every Primary shard runs its fraction of the request's Primary heads;
+        every Attention worker runs the heads the allocation gives it.
+        """
+        primary = allocation.get(PRIMARY_TARGET_ID, 0)
+        heads = [max(0, int(round(primary * frac))) for frac in self.pipeline.fractions]
+        heads += [allocation.get(w.device_id, 0) for w in self.config.attention_workers]
+        r = self.model.gqa_ratio
+        return tuple((slot, h, -(-h // r)) for slot, h in enumerate(heads) if h > 0)
+
+    def _slot_sums(self, groups: Iterable[Tuple[HeadShares, int, int]]) -> List[List[int]]:
+        """Per slot, the decode batch's ``[Σ h·ctx, Σ ⌈h/r⌉·ctx, Σ h]``.
+
+        ``groups`` holds ``(head shares, Σ ctx, count)`` for each set of
+        requests sharing their head shares.  The sums are integers, so the
+        grouping cannot change a bit of the closed-form price.
+        """
+        sums = [[0, 0, 0] for _ in range(len(self.pipeline.fractions) + len(self.config.attention_workers))]
+        for shares, context, count in groups:
+            for slot, heads, kv_groups in shares:
+                slot_sums = sums[slot]
+                slot_sums[0] += heads * context
+                slot_sums[1] += kv_groups * context
+                slot_sums[2] += heads * count
+        return sums
+
+    def _worker_attention_time(self, worker: GPUDevice, head_context: int, group_context: int, heads: int) -> float:
         """Decode Attention time per iteration for heads offloaded to ``worker``."""
-        if not contexts or sum(heads_per_req) == 0:
-            return 0.0
-        per_layer = self.executor.decode_attention_time(worker.spec, contexts, heads_per_req)
-        return per_layer * self.model.num_layers
+        return self.pipeline.decode_attention_time(worker.spec, head_context, group_context, heads) * self.model.num_layers
+
+    def _transfer_time(self, worker: GPUDevice, heads: int) -> float:
+        """One per-head scatter/gather per layer for ``heads`` heads offloaded to ``worker``."""
+        key = (worker.device_id, heads)
+        transfer = self._worker_transfer_cache.get(key)
+        if transfer is None:
+            transfer = self._worker_transfer_cache[key] = self.model.num_layers * self.cluster.p2p_time(
+                attention_transfer_bytes(self.model, float(heads), per_layer=True), self._primary_front, worker
+            )
+        return transfer
 
     # ---------------------------------------------------------------- KV hooks --
 
@@ -379,86 +383,49 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
     # ----------------------------------------------------------------------- timing --
 
     def _iteration_time(
-        self, batch: BatchProfile, decode_requests: Sequence[Request]
+        self, chunks: List[PrefillChunk], decode_requests: Sequence[Request]
     ) -> Tuple[float, Dict[str, float]]:
         """Iteration duration with dynamic-Attention-parallel decode Attention.
 
-        The duration also carries the blocking time of re-dispatches applied
-        since the last iteration was planned; the module metrics do not.
+        The Primary pipeline runs the dense modules and prefill Attention;
+        decode Attention runs wherever the dispatcher put each head.  The
+        duration also carries the blocking time of re-dispatches applied since
+        the last iteration was planned; the module metrics do not.
         """
-        tokens = batch.total_tokens
-        n_stages = len(self.config.stages)
-
-        # Dense pipeline (QKV + projection + MLP + prefill attention + TP comm).
-        stage_totals: List[float] = []
-        max_mlp = 0.0
-        for stage_idx, stage in enumerate(self.config.stages):
-            per_layer_dense = 0.0
-            per_layer_mlp = 0.0
-            per_layer_prefill_attn = 0.0
-            for spec, frac in self._stage_unique_shards[stage_idx]:
-                heads = max(self.model.gqa_ratio, int(round(self.model.num_heads * frac)))
-                dense = self.cost_model.dense_cost(batch).scaled(frac)
-                mlp = self.cost_model.mlp_cost(tokens).scaled(frac)
-                pre_attn = self.cost_model.prefill_attention_batch_cost(batch, heads)
-                per_layer_dense = max(per_layer_dense, self.executor.module_time(dense, spec, tokens))
-                per_layer_mlp = max(per_layer_mlp, self.executor.module_time(mlp, spec, tokens))
-                per_layer_prefill_attn = max(
-                    per_layer_prefill_attn, self.executor.attention_module_time(pre_attn, spec)
-                )
-            comm = 0.0
-            if stage.tp_degree > 1:
-                comm = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
-            stage_totals.append(stage.num_layers * (per_layer_dense + per_layer_prefill_attn + comm))
-            max_mlp = max(max_mlp, stage.num_layers * per_layer_mlp)
-
-        last_stage = self.config.stages[-1]
-        lm_head = self.executor.lm_head_time(
-            last_stage.devices[0].spec, tokens, tp_degree=last_stage.tp_degree
-        )
-        handoff = 0.0
-        for prev, nxt in zip(self.config.stages[:-1], self.config.stages[1:]):
-            handoff += self.comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
-
+        dense, mlp, _ = self.pipeline.iteration(chunks, len(decode_requests))
         decode_attn = self._decode_attention_time(decode_requests)
-        duration = sum(stage_totals) + lm_head + handoff + decode_attn
-        module_times = {
-            "mlp": max_mlp * n_stages,
-            "attention": decode_attn,
-            "iteration": duration,
-        }
+        duration = dense + decode_attn
         penalty, self._pending_penalty = self._pending_penalty, 0.0
-        return duration + penalty, module_times
+        return duration + penalty, {"mlp": mlp, "attention": decode_attn, "iteration": duration}
 
     def _decode_attention_time(self, decode_requests: Sequence[Request]) -> float:
         """Max over dispatch targets of their decode-Attention + transfer time."""
         if not decode_requests:
             return 0.0
-        contexts = [r.context_length for r in decode_requests]
-        # Primary retained heads.
-        primary_heads = [
-            self._splits[r.request_id].heads_on(PRIMARY_TARGET_ID) for r in decode_requests
-        ]
-        times = [self._primary_decode_attention_time(contexts, primary_heads)]
-        for worker in self.config.attention_workers:
-            heads = [
-                self._splits[r.request_id].heads_on(worker.device_id) for r in decode_requests
-            ]
-            total_heads = sum(heads)
-            if total_heads == 0:
-                continue
-            compute = self._worker_decode_attention_time(worker, contexts, heads)
-            # One per-head scatter/gather per layer (matching the fitted model).
-            transfer_key = (worker.device_id, total_heads)
-            transfer = self._worker_transfer_cache.get(transfer_key)
-            if transfer is None:
-                transfer = self.model.num_layers * self.cluster.p2p_time(
-                    attention_transfer_bytes(self.model, float(total_heads), per_layer=True),
-                    self._primary_front,
-                    worker,
-                )
-                self._worker_transfer_cache[transfer_key] = transfer
-            times.append(compute + transfer)
+        # Σ ctx and count of the requests sharing each head allocation.
+        groups: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
+        for req in decode_requests:
+            key = tuple(self._splits[req.request_id].allocation.items())
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [req.context_length, 1]
+            else:
+                group[0] += req.context_length
+                group[1] += 1
+        memo = self._head_shares_memo
+        batch = []
+        for key, (context, count) in groups.items():
+            shares = memo.get(key)
+            if shares is None:
+                shares = memo[key] = self._head_shares(dict(key))
+            batch.append((shares, context, count))
+        sums = self._slot_sums(batch)
+        fractions = self.pipeline.fractions
+        times = [self.pipeline.primary_decode_attention_time(sums)]
+        for worker, (head_context, group_context, heads) in zip(self.config.attention_workers, sums[len(fractions):]):
+            if heads:
+                compute = self._worker_attention_time(worker, head_context, group_context, heads)
+                times.append(compute + self._transfer_time(worker, heads))
         return max(times)
 
     # ------------------------------------------------------------------ introspection --

@@ -1073,15 +1073,3 @@ class SweepRunner:
             results[idx] = PointResult(
                 index=idx, label=task.label, overrides=dict(task.overrides), skipped=True
             )
-
-
-def run_grid(
-    spec: DeploymentSpec,
-    axes: Mapping[str, Sequence[Any]],
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> List[PointResult]:
-    """Expand ``axes`` over ``spec`` and run every point (one-call convenience)."""
-    from repro.config import expand_grid
-
-    return SweepRunner(jobs=jobs, cache_dir=cache_dir).run(expand_grid(spec, axes))

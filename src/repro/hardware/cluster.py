@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.hardware.gpu import GPUDevice, GPUSpec, get_gpu_spec
-from repro.hardware.interconnect import Interconnect, Link
+from repro.hardware.interconnect import Interconnect
 from repro.hardware.node import Host
 
 
@@ -140,11 +140,6 @@ class ClusterBuilder:
         for name in names:
             get_gpu_spec(name)
         self._host_specs.append(names)
-        return self
-
-    def with_interconnect(self, intra_host: Link | None = None, inter_host: Link | None = None) -> "ClusterBuilder":
-        """Override the default PCIe / 100 Gbps LAN interconnect."""
-        self._interconnect = Interconnect(intra_host=intra_host, inter_host=inter_host)
         return self
 
     def build(self) -> Cluster:

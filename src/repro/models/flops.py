@@ -20,7 +20,7 @@ needed by head-wise dynamic Attention parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 from repro.models.spec import ModelSpec
 
@@ -205,13 +205,15 @@ class LayerCostModel:
         act_bytes = num_tokens * (2 * m.hidden_size + n_mats * m.ffn_hidden_size) * m.dtype_bytes
         return ModuleCost(flops, weight_bytes, act_bytes, kernels=n_mats).scaled(1.0 / tp_degree)
 
-    def dense_cost(self, batch: BatchProfile, tp_degree: int = 1) -> ModuleCost:
+    def dense_cost(self, batch: BatchProfile | int, tp_degree: int = 1) -> ModuleCost:
         """All dense modules of one layer over an iteration batch.
 
         Dense work only depends on the number of tokens flowing through the
-        layer, not on per-request context lengths.
+        layer, not on per-request context lengths, so ``batch`` may also be
+        that token count.
         """
-        return self._memoized("dense", self._dense_cost, batch.total_tokens, tp_degree)
+        tokens = batch if isinstance(batch, int) else batch.total_tokens
+        return self._memoized("dense", self._dense_cost, tokens, tp_degree)
 
     def _dense_cost(self, num_tokens: int, tp_degree: int) -> ModuleCost:
         return (
@@ -263,24 +265,30 @@ class LayerCostModel:
     def prefill_attention_batch_cost(self, batch: BatchProfile, num_query_heads: int | None = None) -> ModuleCost:
         """Sum of prefill attention costs over all prefill requests in a batch.
 
-        Accumulates scalars in request order (identical floating-point results
-        to summing per-request :class:`ModuleCost` records) without building an
-        intermediate object per request -- this runs once per iteration per
-        device in the simulation hot loop.  Chunked-prefill slices (non-empty
-        ``batch.prefill_cached``) are costed against their cached context.
+        Chunked-prefill slices (non-empty ``batch.prefill_cached``) are costed
+        against their cached context.
         """
-        if not batch.prefill_lengths:
-            return ZERO_COST
+        cached = batch.prefill_cached or (0,) * len(batch.prefill_lengths)
+        return self.prefill_chunks_cost(zip(batch.prefill_lengths, cached), num_query_heads)
+
+    def prefill_chunks_cost(
+        self, chunks: Iterable[Tuple[int, int]], num_query_heads: int | None = None
+    ) -> ModuleCost:
+        """Sum of prefill attention costs over ``(new tokens, cached tokens)`` slices.
+
+        Accumulates scalars in slice order (identical floating-point results
+        to summing per-slice :meth:`prefill_attention_cost` records) without
+        building an intermediate object per slice.
+        """
         m = self.model
         heads = m.num_heads if num_query_heads is None else num_query_heads
         frac = heads / m.num_heads
         flops = 0.0
         act_bytes = 0.0
         kernels = 0
-        for idx, length in enumerate(batch.prefill_lengths):
+        for length, cached in chunks:
             if length == 0:
                 continue
-            cached = batch.cached_for(idx)
             if cached == 0:
                 flops += 2.0 * 2.0 * length * length * m.hidden_size * 0.5 * frac
                 act_bytes += (
@@ -337,36 +345,40 @@ class LayerCostModel:
         ``heads_per_request`` is how the head-wise dispatcher expresses a
         device's share of each request; ``None`` means the device computes all
         heads of every request (the non-parallelized baseline behaviour).
-        PagedAttention batches requests into a single kernel launch, so the
-        kernel count does not grow with the batch.
+        One integer pass gathers the batch's sums for
+        :meth:`decode_attention_from_sums`.
         """
         if heads_per_request is not None and len(heads_per_request) != len(contexts):
             raise ValueError("heads_per_request must align with contexts")
-        # Scalar accumulation in request order: identical floating-point result
-        # to summing per-request :class:`ModuleCost` records, without the
-        # object churn.  This is the hottest cost-model path in the simulator
-        # (one evaluation per device per iteration).
-        m = self.model
-        full_heads = m.num_heads
-        head_dim = m.head_dim
-        gqa = m.gqa_ratio
-        dtype_bytes = m.dtype_bytes
-        flops = 0.0
-        act_bytes = 0.0
-        kernels = 0
+        full_heads = self.model.num_heads
+        gqa = self.model.gqa_ratio
+        head_context = group_context = total_heads = 0
         for idx, ctx in enumerate(contexts):
             heads = full_heads if heads_per_request is None else heads_per_request[idx]
             if heads <= 0 or ctx == 0:
                 continue
-            flops += heads * ctx * (4.0 * head_dim + 1.0)
-            kv_head_groups = -(-heads // gqa)  # ceil division
-            act_bytes += (
-                2.0 * ctx * kv_head_groups * head_dim * dtype_bytes
-                + 2.0 * heads * head_dim * dtype_bytes
-            )
-            kernels += 1
-        if kernels == 0:
+            head_context += heads * ctx
+            group_context += -(-heads // gqa) * ctx  # ceil division
+            total_heads += heads
+        return self.decode_attention_from_sums(head_context, group_context, total_heads)
+
+    def decode_attention_from_sums(self, head_context: int, group_context: int, heads: int) -> ModuleCost:
+        """Decode attention of a batch, in closed form from three integer sums.
+
+        Over the requests that run ``h > 0`` query heads here, ``head_context``
+        is the cached token-heads Σ h·ctx, ``group_context`` the cached tokens
+        of the KV groups they read, Σ ⌈h/r⌉·ctx, and ``heads`` is Σ h.  The
+        cost is :meth:`decode_attention_cost` summed over those requests.  Each
+        of its terms is an integer-valued float below 2**53, so this equals the
+        per-request sum bit for bit, in any summation order.  PagedAttention
+        batches requests into a single kernel launch, so the kernel count does
+        not grow with the batch.
+        """
+        if heads <= 0:
             return ZERO_COST
+        m = self.model
+        flops = head_context * (4.0 * m.head_dim + 1.0)
+        act_bytes = 2.0 * m.head_dim * m.dtype_bytes * (group_context + heads)
         return ModuleCost(flops, 0.0, act_bytes, kernels=1)
 
     # -- whole layer ------------------------------------------------------------

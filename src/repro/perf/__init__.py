@@ -15,6 +15,9 @@ The package layers three models:
    *paper's* lightweight linear models (Eq. 3 and Eq. 4), fitted by the
    Profiler from a handful of roofline measurements, which is exactly how the
    real Hetis profiles a handful of configurations on real hardware.
+
+:mod:`repro.perf.pipeline_cost` compiles the first two into the iteration
+cost of one execution unit's stage pipeline, the simulator's hot path.
 """
 
 from repro.perf.roofline import RooflineExecutor, ModuleTiming, IterationTiming

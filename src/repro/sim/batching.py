@@ -16,7 +16,6 @@ import abc
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.models.flops import BatchProfile
 from repro.models.spec import ModelSpec
 from repro.sim.iteration import Handoff, Iteration, IterationOutcome
 from repro.sim.request import Request, RequestStatus
@@ -168,9 +167,9 @@ class ContinuousBatchingUnit(ExecutionUnit):
 
     @abc.abstractmethod
     def _iteration_time(
-        self, batch: BatchProfile, decode_requests: List[Request]
+        self, chunks: List[PrefillChunk], decode_requests: List[Request]
     ) -> Tuple[float, Dict[str, float]]:
-        """Duration and module-latency metrics of a planned iteration."""
+        """Duration and module-latency metrics of an iteration running ``chunks`` and ``decode_requests``."""
 
     def _on_iteration_complete(self) -> None:
         """Runs after every completed iteration's effects are applied."""
@@ -270,12 +269,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
                 prefill_requests.append(chunk.request)
             else:
                 partial_prefills.append(chunk)
-        batch = BatchProfile(
-            prefill_lengths=[c.new_tokens for c in chunks],
-            decode_contexts=[r.context_length for r in decode_requests],
-            prefill_cached=[c.cached_tokens for c in chunks] if any(c.cached_tokens for c in chunks) else (),
-        )
-        duration, module_times = self._iteration_time(batch, decode_requests)
+        duration, module_times = self._iteration_time(chunks, decode_requests)
         return Iteration(
             duration=duration,
             prefill_requests=prefill_requests,

@@ -1,23 +1,23 @@
-"""The static pipeline execution unit of the baselines and Hetis' Primary workers.
+"""The static pipeline execution unit of the baselines.
 
-:class:`StaticPipelineUnit` implements the conventional execution model used
-by the baselines and by Hetis' Primary workers for dense computation: a
-pipeline of (possibly asymmetric) tensor-parallel stages with paged KV caches
-and vLLM-style LIFO preemption, on the shared continuous-batching core
-(:mod:`repro.sim.batching`).
+:class:`StaticPipelineUnit` implements the conventional execution model of
+the baselines: a pipeline of (possibly asymmetric) tensor-parallel stages with
+paged KV caches and vLLM-style LIFO preemption, on the shared
+continuous-batching core (:mod:`repro.sim.batching`), priced by a
+:class:`~repro.perf.pipeline_cost.PipelineCost`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.kvcache.block_manager import PagedBlockManager
-from repro.models.flops import BatchProfile, LayerCostModel
 from repro.models.spec import ModelSpec
 from repro.parallel.config import InstanceParallelConfig
 from repro.perf.commcost import CommModel
+from repro.perf.pipeline_cost import PipelineCost
 from repro.perf.roofline import RooflineExecutor
 from repro.sim.batching import DECODING, PREFILLING, ContinuousBatchingUnit, ExecutionUnit
 from repro.sim.request import Request
@@ -56,9 +56,7 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
         self.cluster = cluster
         self.mode = mode
         self.hands_off = mode == "prefill"
-        self.executor = RooflineExecutor(model)
-        self.cost_model = LayerCostModel(model)
-        self.comm = CommModel(cluster, model)
+        self.pipeline = PipelineCost(config, RooflineExecutor(model), CommModel(cluster, model))
 
         # Per-device KV share: fraction of a request's total KV bytes stored on
         # each device = (layers on the device / all layers) * its shard fraction.
@@ -80,10 +78,6 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
         self._device_blocks = {dev: m.total_blocks for dev, m in managers.items()}
         self._table = min(managers.values(), key=lambda m: m.total_blocks)
         super().__init__(name, model, limits, self._table.block_size)
-
-        # Per-stage (spec, fraction) de-duplication for timing (see
-        # StageConfig.unique_shards).
-        self._stage_unique_shards = [stage.unique_shards() for stage in config.stages]
         self.pending_prefilled: Deque[Request] = deque()
 
     # -- ingress -----------------------------------------------------------------------
@@ -187,74 +181,20 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
 
     # -- timing -----------------------------------------------------------------------------
 
-    def _stage_times(self, stage_idx: int, batch: BatchProfile) -> Dict[str, float]:
-        """Per-layer module times of one stage (max over its TP shard devices).
-
-        Iterates the stage's distinct ``(GPU spec, shard fraction)`` pairs
-        instead of every device: identical shards on identical GPUs produce
-        identical times, so the max over the de-duplicated set is the same
-        value at a fraction of the cost (paper-cluster stages are typically
-        4-way symmetric TP).
-        """
-        stage = self.config.stages[stage_idx]
-        tokens = batch.total_tokens
-        dense_t = mlp_t = attn_t = 0.0
-        n_decode = len(batch.decode_contexts)
-        for spec, frac in self._stage_unique_shards[stage_idx]:
-            heads = max(self.model.gqa_ratio, int(round(self.model.num_heads * frac)))
-            dense_cost = self.cost_model.dense_cost(batch).scaled(frac)
-            mlp_cost = self.cost_model.mlp_cost(tokens).scaled(frac)
-            pre_attn = self.cost_model.prefill_attention_batch_cost(batch, heads)
-            dec_attn = self.cost_model.decode_attention_batch_cost(
-                batch.decode_contexts, [heads] * n_decode
-            )
-            dense_t = max(dense_t, self.executor.module_time(dense_cost, spec, tokens))
-            mlp_t = max(mlp_t, self.executor.module_time(mlp_cost, spec, tokens))
-            attn_t = max(
-                attn_t,
-                self.executor.attention_module_time(pre_attn, spec)
-                + self.executor.attention_module_time(dec_attn, spec),
-            )
-        comm_t = 0.0
-        if stage.tp_degree > 1:
-            comm_t = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
-        return {"dense": dense_t, "mlp": mlp_t, "attention": attn_t, "comm": comm_t}
-
-    def _iteration_time(self, batch: BatchProfile, decode_requests: List[Request]) -> tuple[float, Dict[str, float]]:
+    def _iteration_time(
+        self, chunks: List[PrefillChunk], decode_requests: List[Request]
+    ) -> Tuple[float, Dict[str, float]]:
         """Total iteration duration plus the module-latency metrics.
 
         The duration is the latency of the batch traversing the full pipeline
-        (sum of stage times plus hidden-state hand-offs); the module metrics
-        follow the paper's definition (max per-stage module time multiplied by
-        the number of stages, reflecting pipeline bubbles).
+        (sum of stage times plus hidden-state hand-offs); every shard runs its
+        share of every request's heads.
         """
-        tokens = batch.total_tokens
-        n_stages = len(self.config.stages)
-        stage_totals: List[float] = []
-        max_mlp = max_attn = 0.0
-        for stage_idx, stage in enumerate(self.config.stages):
-            per_layer = self._stage_times(stage_idx, batch)
-            stage_total = stage.num_layers * (
-                per_layer["dense"] + per_layer["attention"] + per_layer["comm"]
-            )
-            stage_totals.append(stage_total)
-            max_mlp = max(max_mlp, stage.num_layers * per_layer["mlp"])
-            max_attn = max(max_attn, stage.num_layers * per_layer["attention"])
-        # LM head on the last stage.
-        last_stage = self.config.stages[-1]
-        lm_head = self.executor.lm_head_time(
-            last_stage.devices[0].spec, tokens, tp_degree=last_stage.tp_degree
-        )
-        handoff = 0.0
-        for prev, nxt in zip(self.config.stages[:-1], self.config.stages[1:]):
-            handoff += self.comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
-        duration = sum(stage_totals) + lm_head + handoff
-        module_times = {
-            "mlp": max_mlp * n_stages,
-            "attention": max_attn * n_stages,
-            "iteration": duration,
-        }
-        return duration, module_times
+        context = 0
+        for req in decode_requests:
+            context += req.context_length
+        duration, mlp, attention = self.pipeline.iteration(chunks, len(decode_requests), context)
+        return duration, {"mlp": mlp, "attention": attention, "iteration": duration}
 
     # -- introspection ---------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the analytic FLOP/byte cost model."""
 
+import numpy as np
 import pytest
 
 from repro.models.flops import BatchProfile, LayerCostModel, ModuleCost
@@ -138,6 +139,30 @@ class TestLayerCostModel:
     def test_batch_cost_single_kernel(self):
         cost = self.cm.decode_attention_batch_cost([100, 200, 300])
         assert cost.kernels == 1
+
+    @pytest.mark.parametrize("model_name", ["llama-13b", "llama-70b"])
+    def test_decode_attention_closed_form_matches_per_request_sum(self, model_name):
+        cm = LayerCostModel(get_model_spec(model_name))
+        r = cm.model.gqa_ratio
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 65))
+            contexts = [int(c) for c in rng.integers(1, 32768, size=n)]
+            heads = [int(h) for h in rng.integers(0, cm.model.num_heads + 1, size=n)]
+            per_request = [cm.decode_attention_cost(c, h) for c, h in zip(contexts, heads)]
+            batch = cm.decode_attention_batch_cost(contexts, heads)
+            assert batch.flops == sum(c.flops for c in per_request)
+            assert batch.activation_bytes == sum(c.activation_bytes for c in per_request)
+            assert batch.weight_bytes == 0.0 and batch.kernels == (1 if any(heads) else 0)
+            closed = cm.decode_attention_from_sums(
+                sum(h * c for c, h in zip(contexts, heads)),
+                sum(-(-h // r) * c for c, h in zip(contexts, heads)),
+                sum(heads),
+            )
+            assert closed == batch
+        if r > 1:
+            # The draws include head counts r does not divide (their KV groups round up).
+            assert any(h % r for h in heads)
 
     def test_layer_cost_positive(self):
         batch = BatchProfile(prefill_lengths=[128], decode_contexts=[256, 512])

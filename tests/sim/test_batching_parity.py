@@ -1,4 +1,4 @@
-"""Parity of the continuous-batching core's fast path against per-token KV checks.
+"""Parity of the continuous-batching core's fast paths against the paths they replace.
 
 The core asks a unit's KV stores for room only when a request's cached token
 count sits on a block boundary, and a static unit keeps one lockstep block
@@ -6,21 +6,33 @@ table sized by its smallest device.  The reference path undoes both by
 monkeypatch: the boundary is every token, and the static table fans every
 call out to one ``PagedBlockManager`` per device.  Seeded runs on tiny caches
 must plan the same iterations and stamp the same token times either way.
+
+Both units price an iteration through a compiled
+:class:`~repro.perf.pipeline_cost.PipelineCost`: stage costs memoized by token
+count and decode Attention in closed form.  A second reference mode prices
+every iteration the way the units did before, per request, from a
+``BatchProfile`` and a fresh ``RooflineExecutor``; durations and module
+latencies must match bit for bit.
 """
 
-from typing import Dict, List
+from functools import partial
+from typing import Dict, List, Sequence
 
 import numpy as np
 import pytest
 
+from repro.baselines.hexgen import HexGenSystem
 from repro.baselines.splitwise import build_splitwise_system
 from repro.baselines.static_tp import StaticTPSystem
-from repro.core.hetis_unit import HetisInstanceUnit
+from repro.core.hetis_unit import PRIMARY_TARGET_ID, HetisInstanceUnit
 from repro.core.system import HetisSystem
 from repro.hardware.cluster import ClusterBuilder
 from repro.kvcache.block_manager import PagedBlockManager
+from repro.models.flops import ZERO_COST, BatchProfile, LayerCostModel, ModuleCost
 from repro.models.spec import get_model_spec
 from repro.parallel.config import InstanceParallelConfig, StageConfig
+from repro.perf.commcost import CommModel, attention_transfer_bytes
+from repro.perf.roofline import RooflineExecutor
 from repro.sim.engine import Engine
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
@@ -103,6 +115,22 @@ def splitwise_system(limits):
     return build_splitwise_system(cluster_of("v100", "p100", "t4"), get_model_spec("llama2-7b"), limits)
 
 
+def hexgen_system(limits, model_name, hosts, layers, fractions):
+    """Asymmetric TP over mixed GPUs: one two-device stage per host."""
+    builder = ClusterBuilder()
+    for host in hosts:
+        builder.add_host(host)
+    cluster = builder.build()
+    model = get_model_spec(model_name)
+    devices = iter(cluster.devices)
+    stages = [
+        StageConfig(devices=[next(devices), next(devices)], num_layers=n, shard_fractions=list(fracs))
+        for n, fracs in zip(layers, fractions)
+    ]
+    unit = StaticPipelineUnit("hexgen", InstanceParallelConfig(stages=stages), model, cluster, limits=limits)
+    return HexGenSystem([unit])
+
+
 def hetis_system(limits, enable_redispatch):
     cluster = cluster_of("p100", "p100")
     model = get_model_spec("opt-2.7b")
@@ -114,6 +142,19 @@ def hetis_system(limits, enable_redispatch):
     return HetisSystem([unit])
 
 
+def hetis_gqa_system(limits):
+    # llama-70b (r = 8) nearly fills two A100s, so requests offload heads to
+    # the P100s.  Neither shard runs a multiple of r of a request's 64 heads
+    # (33 and 31 of them), so the KV groups it reads are rounded up.
+    cluster = ClusterBuilder().add_host("a100", count=2).add_host("p100").add_host("p100").build()
+    model = get_model_spec("llama-70b")
+    config = InstanceParallelConfig(
+        stages=[StageConfig(devices=cluster.devices[:2], num_layers=model.num_layers, shard_fractions=[0.51, 0.49])],
+        attention_workers=cluster.devices[2:],
+    )
+    return HetisSystem([HetisInstanceUnit("hetis", config, model, cluster, limits=limits)])
+
+
 def seeded_trace(seed: int, n: int, rate: float, prompt_max: int, output_max: int) -> Trace:
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(1.0 / rate, size=n))
@@ -123,7 +164,7 @@ def seeded_trace(seed: int, n: int, rate: float, prompt_max: int, output_max: in
 
 
 def replay(system, trace):
-    """Every planned iteration as (unit, prefill ids, decode ids, partial chunks, duration), plus the requests."""
+    """Every planned iteration as (unit, prefill ids, decode ids, partial chunks, duration, module times), plus the requests."""
     iterations: List[tuple] = []
     requests: Dict[int, Request] = {}
     for unit in system.units:
@@ -140,6 +181,7 @@ def replay(system, trace):
                     [r.request_id for r in it.decode_requests],
                     [(c.request.request_id, c.new_tokens, c.cached_tokens) for c in it.partial_prefills],
                     it.duration,
+                    it.module_times,
                 ))
             return it
 
@@ -179,6 +221,160 @@ def test_fast_path_matches_per_token_per_device_checks(case, monkeypatch):
         assert sum(u.num_cache_redispatches for u in system.units) > 0
     else:
         assert sum(r.num_preemptions for r in fast_reqs.values()) > 0
+
+
+# -- the per-request pricing the compiled iteration cost replaced ---------------------
+
+
+def parent_batch(chunks, decode_requests) -> BatchProfile:
+    return BatchProfile(
+        prefill_lengths=[c.new_tokens for c in chunks],
+        decode_contexts=[r.context_length for r in decode_requests],
+        prefill_cached=[c.cached_tokens for c in chunks] if any(c.cached_tokens for c in chunks) else (),
+    )
+
+
+def per_request_prefill_attention(cost_model: LayerCostModel, batch: BatchProfile, heads: int) -> ModuleCost:
+    """Sum of ``prefill_attention_cost`` over the batch's prefill slices."""
+    costs = (cost_model.prefill_attention_cost(n, heads, batch.cached_for(i)) for i, n in enumerate(batch.prefill_lengths))
+    return sum(costs, ZERO_COST)
+
+
+def per_request_decode_attention(cost_model: LayerCostModel, contexts: Sequence[int], heads: Sequence[int]) -> ModuleCost:
+    """Sum of ``decode_attention_cost`` over the requests, in one PagedAttention launch."""
+    costs = [cost_model.decode_attention_cost(ctx, h) for ctx, h in zip(contexts, heads) if h > 0]
+    if not costs:
+        return ZERO_COST
+    total = sum(costs, ZERO_COST)
+    return ModuleCost(total.flops, 0.0, total.activation_bytes, kernels=1)
+
+
+def parent_pipeline(unit, executor, comm, batch, decode_in_stages):
+    """The dense-pipeline stage loop: duration, MLP and Attention module latency."""
+    model, stages = unit.model, unit.config.stages
+    cost_model = executor.cost_model
+    tokens = batch.total_tokens
+    stage_totals: List[float] = []
+    max_mlp = max_attn = 0.0
+    for stage in stages:
+        dense_t = mlp_t = attn_t = 0.0
+        for spec, frac in stage.unique_shards():
+            heads = max(model.gqa_ratio, int(round(model.num_heads * frac)))
+            dense_t = max(dense_t, executor.module_time(cost_model.dense_cost(batch).scaled(frac), spec, tokens))
+            mlp_t = max(mlp_t, executor.module_time(cost_model.mlp_cost(tokens).scaled(frac), spec, tokens))
+            attn = executor.attention_module_time(per_request_prefill_attention(cost_model, batch, heads), spec)
+            if decode_in_stages:
+                heads_per_request = [heads] * len(batch.decode_contexts)
+                dec = per_request_decode_attention(cost_model, batch.decode_contexts, heads_per_request)
+                attn = attn + executor.attention_module_time(dec, spec)
+            attn_t = max(attn_t, attn)
+        comm_t = 2.0 * comm.tp_allreduce_time(stage.devices, tokens) if stage.tp_degree > 1 else 0.0
+        stage_totals.append(stage.num_layers * (dense_t + attn_t + comm_t))
+        max_mlp = max(max_mlp, stage.num_layers * mlp_t)
+        max_attn = max(max_attn, stage.num_layers * attn_t)
+    last = stages[-1]
+    lm_head = executor.lm_head_time(last.devices[0].spec, tokens, tp_degree=last.tp_degree)
+    handoff = 0.0
+    for prev, nxt in zip(stages[:-1], stages[1:]):
+        handoff += comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
+    return sum(stage_totals) + lm_head + handoff, max_mlp * len(stages), max_attn * len(stages)
+
+
+def parent_static_time(unit, executor, comm, chunks, decode_requests):
+    duration, mlp, attention = parent_pipeline(unit, executor, comm, parent_batch(chunks, decode_requests), True)
+    return duration, {"mlp": mlp, "attention": attention, "iteration": duration}
+
+
+def parent_hetis_decode_time(unit, executor, decode_requests):
+    """Max over dispatch targets of decode Attention (+ transfer), priced per request."""
+    if not decode_requests:
+        return 0.0
+    model, cost_model = unit.model, executor.cost_model
+    contexts = [r.context_length for r in decode_requests]
+    splits = [unit._splits[r.request_id] for r in decode_requests]
+    primary_heads = [s.heads_on(PRIMARY_TARGET_ID) for s in splits]
+    primary = 0.0
+    if sum(primary_heads):
+        for stage in unit.config.stages:
+            per_layer = 0.0
+            for spec, frac in stage.unique_shards():
+                dev_heads = [max(0, int(round(h * frac))) for h in primary_heads]
+                cost = per_request_decode_attention(cost_model, contexts, dev_heads)
+                per_layer = max(per_layer, executor.attention_module_time(cost, spec))
+            primary += stage.num_layers * per_layer
+    times = [primary]
+    for worker in unit.config.attention_workers:
+        heads = [s.heads_on(worker.device_id) for s in splits]
+        if sum(heads) == 0:
+            continue
+        cost = per_request_decode_attention(cost_model, contexts, heads)
+        compute = executor.attention_module_time(cost, worker.spec) * model.num_layers
+        transfer = model.num_layers * unit.cluster.p2p_time(
+            attention_transfer_bytes(model, float(sum(heads)), per_layer=True), unit.config.stages[0].devices[0], worker
+        )
+        times.append(compute + transfer)
+    return max(times)
+
+
+def parent_hetis_time(unit, executor, comm, chunks, decode_requests):
+    dense, mlp, _ = parent_pipeline(unit, executor, comm, parent_batch(chunks, decode_requests), False)
+    decode_attn = parent_hetis_decode_time(unit, executor, decode_requests)
+    duration = dense + decode_attn
+    penalty, unit._pending_penalty = unit._pending_penalty, 0.0
+    return duration + penalty, {"mlp": mlp, "attention": decode_attn, "iteration": duration}
+
+
+def use_parent_pricing(units, monkeypatch) -> None:
+    for unit in units:
+        executor, comm = RooflineExecutor(unit.model), CommModel(unit.cluster, unit.model)
+        price = parent_hetis_time if isinstance(unit, HetisInstanceUnit) else parent_static_time
+        monkeypatch.setattr(unit, "_iteration_time", partial(price, unit, executor, comm))
+
+
+PRICING_CASES = dict(
+    CASES,
+    **{
+        # Four distinct shard fractions; small caches force preemptions.
+        "hexgen-asymmetric": (
+            lambda: hexgen_system(CHUNKED, "llama2-7b", [["v100", "p100"], ["t4", "p100"]], [18, 14], [(0.6, 0.4), (0.7, 0.3)]),
+            (7, 80, 20.0, 3000, 600),
+        ),
+        # llama-70b (r = 8): the shards run 33, 31, 38 and 26 of a request's 64
+        # heads, none a multiple of r, so the KV groups they read round up.
+        "hexgen-gqa": (
+            lambda: hexgen_system(WHOLE, "llama-70b", [["a100", "a100"], ["a6000", "rtx3090"]], [60, 20], [(0.51, 0.49), (0.6, 0.4)]),
+            (9, 40, 8.0, 2000, 400),
+        ),
+        "hetis-gqa-offload": (lambda: hetis_gqa_system(CHUNKED), (8, 40, 10.0, 2000, 600)),
+    },
+)
+
+
+@pytest.mark.parametrize("case", sorted(PRICING_CASES))
+def test_compiled_cost_matches_per_request_pricing(case, monkeypatch):
+    build, trace_args = PRICING_CASES[case]
+    trace = seeded_trace(*trace_args)
+    system = build()
+    fast_its, fast_reqs, _ = replay(system, trace)
+    reference = build()
+    use_parent_pricing(reference.units, monkeypatch)
+    ref_its, ref_reqs, _ = replay(reference, trace)
+
+    # Durations and module latencies compare with ==: the compiled cost is exact.
+    assert fast_its == ref_its
+    for rid, req in fast_reqs.items():
+        assert req.token_times == ref_reqs[rid].token_times, rid
+    unit = system.units[0]
+    if case == "hexgen-asymmetric":
+        assert len(unit.pipeline.fractions) == 4
+        assert sum(r.num_preemptions for r in fast_reqs.values()) > 0
+    if case == "hexgen-gqa":
+        assert all(shard.heads % unit.model.gqa_ratio for shards in unit.pipeline.shards for shard in shards)
+    if case == "hetis-gqa-offload":
+        shares = [share for shares in unit._head_shares_memo.values() for share in shares]
+        assert any(slot >= len(unit.pipeline.fractions) for slot, _, _ in shares), "no request offloaded heads"
+        assert any(heads % unit.model.gqa_ratio for _, heads, _ in shares), "every share was a multiple of r"
+        assert unit.num_redispatches > 0
 
 
 def test_cached_counts_follow_redispatched_placements():
