@@ -13,7 +13,7 @@
 # bit-identical unless opted in" contract.  The same comparison then runs for
 # replicated deployments (scripts/cluster_snapshot.py), for the text `repro
 # serve` / `repro compare` print (scripts/cli_snapshot.py), and for the
-# seed-1 sim_digest of every perfbench workload.
+# sim_digest of every perfbench workload at seeds 1, 2 and 3.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,21 +87,23 @@ else
     exit 1
 fi
 
-# Benchmark parity: every perfbench workload replays each of its seed-1
-# inputs once (--seconds 0) and prints a sim_digest of the summary rows.  Each
-# tree runs its own perfbench, as the benchmark itself compares revisions.
-# Skipped when the base predates perfbench.
+# Benchmark parity: every perfbench workload replays each of its inputs for
+# seeds 1, 2 and 3 once (--seconds 0) and prints a sim_digest of the summary
+# rows.  Each tree runs its own perfbench, as the benchmark itself compares
+# revisions.  Skipped when the base predates perfbench.
 if [[ -f "$WORKDIR/base/perfbench/run.py" ]]; then
     for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; do
-        echo "== perfbench $workload sim_digest @ $BASE_REF and working tree =="
-        base_digest="$(cd "$WORKDIR/base" && python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | grep '^sim_digest')"
-        head_digest="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | grep '^sim_digest')"
-        if [[ -n "$base_digest" && "$base_digest" == "$head_digest" ]]; then
-            echo "perfbench $workload: $head_digest, identical to $BASE_REF"
-        else
-            echo "perfbench $workload FAILED: '$head_digest' vs '$base_digest' at $BASE_REF" >&2
-            exit 1
-        fi
+        for seed in 1 2 3; do
+            echo "== perfbench $workload seed $seed sim_digest @ $BASE_REF and working tree =="
+            base_digest="$(cd "$WORKDIR/base" && python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | grep '^sim_digest')"
+            head_digest="$(python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | grep '^sim_digest')"
+            if [[ -n "$base_digest" && "$base_digest" == "$head_digest" ]]; then
+                echo "perfbench $workload seed $seed: $head_digest, identical to $BASE_REF"
+            else
+                echo "perfbench $workload seed $seed FAILED: '$head_digest' vs '$base_digest' at $BASE_REF" >&2
+                exit 1
+            fi
+        done
     done
 else
     echo "perfbench digest check skipped: $BASE_REF predates perfbench"

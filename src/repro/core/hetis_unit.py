@@ -22,7 +22,7 @@ capacity-aware re-dispatch) while keeping per-stage bookkeeping tractable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,10 +99,10 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             self._device_host[w.device_id] = w.host_id
 
         # Decode Attention is priced per slot: one per distinct Primary shard
-        # fraction, then one per Attention worker.  A request's head shares
-        # per slot are memoized by its split's allocation (see _head_shares),
-        # so a re-dispatch, which installs a new allocation, needs no
-        # invalidation.
+        # fraction, then one per Attention worker.  Decoding requests are
+        # priced in groups that share a head allocation (_pricing_group), and
+        # a group's head shares per slot are memoized by that allocation (see
+        # _head_shares), so a re-dispatch needs no invalidation.
         self._head_shares_memo: Dict[Tuple[Tuple[int, int], ...], HeadShares] = {}
         # Per-(worker, total offloaded heads) scatter/gather time memo: head
         # counts repeat across decode iterations while the underlying p2p cost
@@ -141,7 +141,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self._splits: Dict[int, HeadSplit] = {}
         self._requests: Dict[int, Request] = {}
         self._pending_penalty = 0.0
-        self._iterations = 0
         self.num_redispatches = 0
         self.num_cache_redispatches = 0
 
@@ -263,18 +262,32 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         return request.context_length * self.model.num_heads <= self._total_free_token_heads()
 
     def _exhausted(self, request: Request) -> Optional[int]:
+        # The managers saw the request's tokens up to its last block start;
+        # ask them for the rest through the next token.
         rid = request.request_id
-        for target_id in self._splits[rid].targets():
-            if not self._managers[target_id].can_append(rid):
+        targets = list(self._splits[rid].targets())
+        missing = self.cached_tokens(request) + 1 - self._managers[targets[0]].tokens_of(rid)
+        for target_id in targets:
+            if not self._managers[target_id].can_append(rid, missing):
                 return target_id
         return None
 
     def _append(self, request: Request) -> None:
-        # Every token reaches the managers: the dispatcher reads their
-        # token-heads (g_i), not only their block counts.
+        self._bring_current(request, self.cached_tokens(request) + 1)
+
+    def _bring_current(self, request: Request, cached: int) -> None:
+        """Give ``request``'s managers the tokens they have not seen, up to ``cached``."""
         rid = request.request_id
         for target_id in self._splits[rid].targets():
-            self._managers[target_id].append_token(rid)
+            manager = self._managers[target_id]
+            missing = cached - manager.tokens_of(rid)
+            if missing:
+                manager.append_token(rid, missing)
+
+    def _sync_managers(self) -> None:
+        """Bring every manager's token counts current: the dispatcher reads g_i from them."""
+        for request in self.running:
+            self._bring_current(request, self.cached_tokens(request))
 
     def _release(self, request: Request) -> None:
         self._free_request(request)
@@ -294,6 +307,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         new_chunks = [c for c in chunks if c.is_first]
         if not new_chunks:
             return chunks
+        self._sync_managers()
         decision = self.dispatcher.dispatch_new(
             [(c.request.request_id, c.request.context_length) for c in new_chunks]
         )
@@ -333,6 +347,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
                 return False
             self._preempt(self._requests[next(reversed(self._splits))])
             return True
+        self._sync_managers()
         contexts = {rid: self._requests[rid].context_length for rid in self._splits}
         decision = self.redispatcher.handle_cache_exhaustion(exhausted, self._splits, contexts, self._splits)
         if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
@@ -356,25 +371,26 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             self._device_host,
         )
         # Re-home the cache bookkeeping: free the old placement, then allocate
-        # the new one (capacity was validated by the dispatcher's LP).
+        # the new one (capacity was validated by the dispatcher's LP).  Either
+        # placement below is allocated at the full context length.
         self._free_request(request)
-        if request in self.running:
-            # Either placement below is allocated at the full context length.
-            self.running[request] = request.context_length
+        self._recache(request)
         try:
             self._allocate_split(request, new_split)
         except BlockAllocationError:
             # Restore the previous placement; abandon this re-dispatch.
             self._allocate_split(request, old_split)
             return
+        self._regroup(request, -1)
         self._splits[request_id] = new_split
+        self._regroup(request, 1)
         request.num_redispatches += 1
         self.num_redispatches += 1
         self._pending_penalty += report.blocking_seconds
 
     def _on_iteration_complete(self) -> None:
-        self._iterations += 1
-        if self.enable_redispatch and self._iterations % self.redispatch_check_interval == 0:
+        if self.enable_redispatch and self.clock.epoch % self.redispatch_check_interval == 0:
+            self._sync_managers()
             contexts = {rid: self._requests[rid].context_length for rid in self._splits}
             decision = self.redispatcher.check_compute_balance(self._splits, contexts)
             if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
@@ -398,23 +414,16 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         penalty, self._pending_penalty = self._pending_penalty, 0.0
         return duration + penalty, {"mlp": mlp, "attention": decode_attn, "iteration": duration}
 
+    def _pricing_group(self, request: Request) -> Hashable:
+        return tuple(self._splits[request.request_id].allocation.items())
+
     def _decode_attention_time(self, decode_requests: Sequence[Request]) -> float:
         """Max over dispatch targets of their decode-Attention + transfer time."""
         if not decode_requests:
             return 0.0
-        # Σ ctx and count of the requests sharing each head allocation.
-        groups: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
-        for req in decode_requests:
-            key = tuple(self._splits[req.request_id].allocation.items())
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [req.context_length, 1]
-            else:
-                group[0] += req.context_length
-                group[1] += 1
         memo = self._head_shares_memo
         batch = []
-        for key, (context, count) in groups.items():
+        for key, context, count in self._decode_groups():
             shares = memo.get(key)
             if shares is None:
                 shares = memo[key] = self._head_shares(dict(key))

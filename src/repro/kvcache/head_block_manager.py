@@ -57,6 +57,12 @@ class HeadwiseBlockManager:
         per-token per-head-group byte footprint.
     block_size:
         Token slots per block (per head group).
+
+    Block counts, and so every capacity answer, are always exact.  A caller
+    may append a sequence's tokens in bulk, though: the Hetis unit appends
+    only at block starts, so between those points :meth:`tokens_of` and
+    :meth:`total_token_heads` (g_i) lag behind the sequence.  The unit brings
+    them current before the dispatcher or re-dispatcher reads g_i.
     """
 
     def __init__(self, capacity_bytes: float, model: ModelSpec, block_size: int = 16) -> None:
@@ -111,12 +117,6 @@ class HeadwiseBlockManager:
         return self.total_blocks * self.block_size
 
     @property
-    def used_token_groups(self) -> int:
-        return sum(
-            self._head_groups(h) * t for h, t in zip(self._heads.values(), self._tokens.values())
-        )
-
-    @property
     def utilization(self) -> float:
         return self._used_blocks / self.total_blocks if self.total_blocks else 0.0
 
@@ -131,13 +131,6 @@ class HeadwiseBlockManager:
 
     def sequences(self) -> List[int]:
         return list(self._heads)
-
-    def placements(self) -> List[HeadPlacement]:
-        """All resident placements, for the dispatcher's g_i / h_i bookkeeping."""
-        return [
-            HeadPlacement(seq_id=s, num_query_heads=self._heads[s], context_tokens=self._tokens[s])
-            for s in self._heads
-        ]
 
     def total_query_heads(self) -> int:
         """The h_i quantity: query heads resident on this device (all sequences)."""
@@ -204,37 +197,6 @@ class HeadwiseBlockManager:
         )
         self._used_blocks -= self._blocks.pop(seq_id)
         return placement
-
-    def resize_heads(self, seq_id: int, new_num_query_heads: int) -> HeadPlacement:
-        """Change how many heads of a sequence live here (re-dispatching).
-
-        Returns the *previous* placement so the Hauler can compute the moved
-        head delta.  Shrinking always succeeds; growing may raise
-        :class:`BlockAllocationError`.
-        """
-        if seq_id not in self._heads:
-            raise KeyError(f"sequence {seq_id} has no placement on this device")
-        old = HeadPlacement(seq_id, self._heads[seq_id], self._tokens[seq_id])
-        if new_num_query_heads == 0:
-            self.free(seq_id)
-            return old
-        new_blocks = self._blocks_needed(new_num_query_heads, old.context_tokens)
-        delta = new_blocks - self._blocks[seq_id]
-        if delta > self.free_blocks:
-            raise BlockAllocationError(
-                f"seq {seq_id}: growing to {new_num_query_heads} heads needs {delta} blocks, "
-                f"only {self.free_blocks} free"
-            )
-        self._heads[seq_id] = int(new_num_query_heads)
-        self._blocks[seq_id] = new_blocks
-        self._used_blocks += delta
-        return old
-
-    def free_all(self) -> None:
-        self._heads.clear()
-        self._tokens.clear()
-        self._blocks.clear()
-        self._used_blocks = 0
 
     # -- overhead accounting (Fig. 15b) -------------------------------------------------
 

@@ -13,12 +13,14 @@ the preemption policy and the timing model through the hooks below.
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.models.spec import ModelSpec
 from repro.sim.iteration import Handoff, Iteration, IterationOutcome
-from repro.sim.request import Request, RequestStatus
+from repro.sim.request import DecodeClock, Request, RequestStatus
 from repro.sim.scheduler import ContinuousBatchingPolicy, PrefillChunk, SchedulerLimits
 
 DECODING, PREFILLING = RequestStatus.DECODING, RequestStatus.PREFILLING
@@ -26,6 +28,14 @@ QUEUED, PREEMPTED = RequestStatus.QUEUED, RequestStatus.PREEMPTED
 
 MAX_ROOM_ROUNDS = 64
 """Preemption-hook rounds before a request that still cannot append is preempted itself."""
+
+
+def _discard(heap: List[Any], request: Request) -> None:
+    """Remove ``request``'s entries from ``heap``, whose entries end with their request."""
+    kept = [entry for entry in heap if entry[-1] is not request]
+    if len(kept) < len(heap):
+        heap[:] = kept
+        heapify(heap)
 
 
 class ExecutionUnit(abc.ABC):
@@ -111,12 +121,29 @@ class ExecutionUnit(abc.ABC):
 class ContinuousBatchingUnit(ExecutionUnit):
     """Waiting queue, running set, and the plan/commit loops of one unit.
 
-    ``running`` maps each running request, in admission order, to the number
-    of tokens its KV cache holds.  A cache grows by a block only when that
-    count is a multiple of ``block_size``; every other token lands in the
-    request's last, partly filled block.  So the plan and commit loops ask the
-    KV stores for room only at those boundaries, which keeps every decision
-    identical to asking on every token.
+    ``running`` holds, in admission order, every request whose KV cache lives
+    on the unit, mapped to its cached token count less its context length (0
+    or -1, constant while it decodes; see :meth:`cached_tokens`).
+
+    Decoding requests advance on the unit's decode epoch, ``clock.epoch``: the
+    number of iterations it has committed.  Each committed iteration adds a
+    token to every decoding request without touching it.  Only three kinds of
+    token need work: one that starts a KV block (the KV stores need room, and
+    a block), a request's last token (it finishes) and a hand-off's first
+    token (it stamps TTFT).  Every decoding request has one *due event* on
+    ``_events``, a heap of ``(epoch, admission position, request)``: the epoch
+    of its next such token.  Plan and commit visit only the events due this
+    iteration, in admission order, so every decision is the one a walk over
+    every request on every token would make.  The commit moves
+    ``clock.cursor`` along as it goes, so a request it has passed already
+    counts the iteration's token and every count stays exact mid-commit.  A
+    re-dispatch re-allocates a request's cache at its full context, which
+    moves its next block start, possibly onto this iteration (:meth:`_recache`).
+
+    The iteration cost needs the decode batch's context sum per *pricing
+    group* (:meth:`_pricing_group`).  A decoding request's ``context_length``
+    less the epoch never changes, so ``_groups`` keeps those sums and counts
+    per group, touched only when a request joins, leaves or changes group.
     """
 
     hands_off = False
@@ -130,6 +157,17 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self.waiting: Deque[Request] = deque()
         self.running: Dict[Request, int] = {}
         self.dropped: List[Request] = []
+        self.clock = DecodeClock()
+        self._events: List[Tuple[int, int, Request]] = []
+        # This iteration's due events, ``(position, request)``, as a heap: the
+        # plan collects them, the commit pops them.
+        self._due: List[Tuple[int, Request]] = []
+        # Position through which this iteration's events have left ``_events``
+        # (None between iterations), and the request whose event is in hand.
+        self._taken: Optional[float] = None
+        self._current: Optional[Request] = None
+        self._admissions = 0
+        self._groups: Dict[Hashable, List[int]] = {}
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -139,7 +177,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
 
         A first chunk allocates its request's full context and starts its
         prefill.  A request admitted straight into decoding (a hand-off) joins
-        ``running`` and ``decode_requests`` here.
+        (:meth:`_join`) and is appended to ``decode_requests`` here.
         """
 
     @abc.abstractmethod
@@ -159,7 +197,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
 
     @abc.abstractmethod
     def _append(self, request: Request) -> None:
-        """Cache one more token of ``request`` (``running[request]`` still counts the old total)."""
+        """Cache ``request``'s next token, which starts a KV block (:meth:`cached_tokens` excludes it)."""
 
     @abc.abstractmethod
     def _release(self, request: Request) -> None:
@@ -170,6 +208,10 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self, chunks: List[PrefillChunk], decode_requests: List[Request]
     ) -> Tuple[float, Dict[str, float]]:
         """Duration and module-latency metrics of an iteration running ``chunks`` and ``decode_requests``."""
+
+    def _pricing_group(self, request: Request) -> Hashable:
+        """Key of the decode requests the iteration cost prices together (one group by default)."""
+        return None
 
     def _on_iteration_complete(self) -> None:
         """Runs after every completed iteration's effects are applied."""
@@ -190,6 +232,15 @@ class ContinuousBatchingUnit(ExecutionUnit):
     def num_running(self) -> int:
         return len(self.running)
 
+    def cached_tokens(self, request: Request) -> int:
+        """Tokens of running ``request``'s context that its KV cache on this unit holds."""
+        return request.context_length + self.running[request]
+
+    def _decode_groups(self) -> List[Tuple[Hashable, int, int]]:
+        """``(pricing group, Σ context_length, count)`` of the decoding requests."""
+        epoch = self.clock.epoch
+        return [(key, base + count * epoch, count) for key, (base, count) in self._groups.items()]
+
     # -- egress (drains / failures) ----------------------------------------------------------
 
     def evict_queued(self, now: float) -> List[Request]:
@@ -207,6 +258,59 @@ class ContinuousBatchingUnit(ExecutionUnit):
         for req in victims:
             self._preempt(req)
         return victims
+
+    # -- decode membership ---------------------------------------------------------------------
+
+    def _join(self, request: Request, cached: int) -> None:
+        """Start decoding running ``request``, whose KV cache holds ``cached`` tokens."""
+        request.join_decode(self.clock, self._admissions)
+        self._admissions += 1
+        self.running[request] = cached - request.context_length
+        self._regroup(request, 1)
+        self._schedule(request)
+
+    def _regroup(self, request: Request, sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) decoding ``request`` in its pricing group's sums."""
+        if request.decode_clock is not self.clock:
+            return
+        key = self._pricing_group(request)
+        sums = self._groups.get(key)
+        if sums is None:
+            sums = self._groups[key] = [0, 0]
+        sums[0] += sign * request.decode_base
+        sums[1] += sign
+        if not sums[1]:
+            del self._groups[key]
+
+    def _schedule(self, request: Request) -> None:
+        """Queue decoding ``request``'s next due event where the loop that must visit it looks."""
+        clock = self.clock
+        # The epoch whose iteration makes the next token: this one, unless the
+        # commit has already given the request this iteration's token.
+        epoch = clock.epoch + (request.decode_position < clock.cursor)
+        if request.prefill_completion_time is not None:
+            ahead = min(-self.cached_tokens(request) % self.block_size,
+                        request.output_tokens - request.generated_tokens - 1)
+            epoch += ahead
+        position = request.decode_position
+        if epoch == clock.epoch and self._taken is not None and position < self._taken:
+            heappush(self._due, (position, request))
+        else:
+            heappush(self._events, (epoch, position, request))
+
+    def _recache(self, request: Request) -> None:
+        """``request``'s KV was re-allocated with its whole context cached (a re-dispatch).
+
+        That moves its next block boundary, possibly onto this iteration's token.
+        """
+        if request not in self.running:
+            return
+        self.running[request] = 0
+        if request.decode_clock is not self.clock or request is self._current:
+            return  # not decoding yet, or the loop visiting it reschedules it
+        _discard(self._events, request)
+        _discard(self._due, request)
+        self._schedule(request)
 
     # -- preemption -----------------------------------------------------------------------------
 
@@ -229,6 +333,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
 
     def _preempt(self, victim: Request) -> None:
         """Drop ``victim``'s cache and queue it for a fresh prefill (recompute-on-preempt)."""
+        self._regroup(victim, -1)
         self._release(victim)
         victim.preempt()
         if self.running.pop(victim, None) is None and victim in self.waiting:
@@ -239,21 +344,29 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self.waiting.insert(1 if head_holds_blocks else 0, victim)
 
     def _retire(self, request: Request) -> None:
+        self._regroup(request, -1)
         self._release(request)
         del self.running[request]
 
     # -- iteration protocol -------------------------------------------------------------------------
 
     def next_iteration(self, now: float) -> Optional[Iteration]:
-        running, block_size = self.running, self.block_size
-        decode_requests: List[Request] = []
-        for req in list(running):
-            if req.status is DECODING and (running[req] % block_size or self._room_for_new_block(req)):
-                decode_requests.append(req)
-        # Room made for a later request may have preempted an earlier one.
-        decode_requests = [r for r in decode_requests if r in running]
+        running, clock, events, block_size = self.running, self.clock, self._events, self.block_size
+        epoch = clock.epoch
+        due = self._due = []
+        while events and events[0][0] == epoch:
+            _, position, req = heappop(events)
+            if req.decode_clock is not clock or req.decode_position != position:
+                continue  # left the unit after the event was queued
+            self._taken, self._current = position, req
+            if self.cached_tokens(req) % block_size or self._room_for_new_block(req):
+                due.append((position, req))
+        self._taken, self._current = math.inf, None
+        # Room made for one request may have preempted others: the rest decode.
+        decode_requests = list(running)
         chunks = self._admit(decode_requests)
         if not chunks and not decode_requests:
+            self._taken = None
             waiting = self.waiting
             if waiting and not running and waiting[0].prefilled_tokens == 0 and not self._fits(waiting[0]):
                 # Nothing runs and no partial prefill holds blocks, so a head
@@ -265,7 +378,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
         partial_prefills: List[PrefillChunk] = []
         for chunk in chunks:
             if chunk.completes_prefill:
-                running[chunk.request] = chunk.request.context_length
+                running[chunk.request] = 0  # the whole context is cached
                 prefill_requests.append(chunk.request)
             else:
                 partial_prefills.append(chunk)
@@ -280,27 +393,35 @@ class ContinuousBatchingUnit(ExecutionUnit):
 
     def complete_iteration(self, iteration: Iteration, now: float) -> IterationOutcome:
         outcome = IterationOutcome()
-        running, block_size = self.running, self.block_size
-        for req in iteration.decode_requests:
-            if req not in running or req.status is not DECODING:
-                continue
+        running, clock, due, block_size = self.running, self.clock, self._due, self.block_size
+        while due:
+            position, req = heappop(due)
+            if req.decode_clock is not clock or req.decode_position != position:
+                continue  # preempted since planning
+            self._current = req
+            clock.cursor = position
             # Appends committed earlier in this loop may have taken the last
             # free blocks, so a token that starts a block needs room again.
-            if running[req] % block_size == 0 and not self._room_for_new_block(req):
-                continue
-            self._append(req)
-            running[req] += 1
+            if self.cached_tokens(req) % block_size == 0:
+                if not self._room_for_new_block(req):
+                    continue
+                self._append(req)
             if req.prefill_completion_time is None:
                 # Disaggregated hand-off: the first token only exists once the
                 # migrated cache lands on the decode workers, so the migration
                 # delay is part of TTFT (Splitwise's prefill-latency penalty).
-                req.status = PREFILLING
-                req.complete_prefill(now)
-            else:
-                req.add_decode_token(now)
-            if req.is_finished:
+                req.first_token(now)
+            clock.cursor = position + 1
+            if req.generated_tokens >= req.output_tokens:
                 self._retire(req)
+                req.finish(now)
                 outcome.finished.append(req)
+            else:
+                self._schedule(req)
+        # Every decoding request now holds this iteration's token.
+        clock.epoch += 1
+        clock.cursor = 0
+        self._taken = self._current = None
         for chunk in iteration.partial_prefills:
             # A non-final chunk only advances prefill progress; a request
             # preempted mid-iteration restarted from scratch, voiding it.
@@ -314,9 +435,12 @@ class ContinuousBatchingUnit(ExecutionUnit):
                 req.begin_migration()
                 outcome.handoffs.append(Handoff(req, req.context_length * self.model.kv_bytes_per_token()))
                 continue
+            cached = self.cached_tokens(req)
             req.complete_prefill(now)
             if req.is_finished:
                 self._retire(req)
                 outcome.finished.append(req)
+            else:
+                self._join(req, cached)
         self._on_iteration_complete()
         return outcome

@@ -143,6 +143,9 @@ class SimulationResult:
     # before the cutoff is reported, but callers must be able to tell.
     truncated: bool = False
     truncation_reason: Optional[str] = None
+    # Requests a unit still held after a drained, non-truncated run: they will
+    # never finish, and nothing else counts them.
+    stranded: int = 0
 
     @property
     def normalized_latency(self) -> float:
@@ -432,6 +435,7 @@ class Engine:
         # drop count comes from the snapshot -- re-reading ``system.units``
         # here would rebuild the per-access lists one more time for nothing.
         num_dropped = sum(len(getattr(u, "dropped", [])) for u in units)
+        stranded = 0 if truncated else sum(u.load for u in units)
         return SimulationResult(
             system_name=self.system.name,
             summary=self.metrics.summary(),
@@ -442,4 +446,5 @@ class Engine:
             wall_clock_events=processed,
             truncated=truncated,
             truncation_reason=truncation_reason,
+            stranded=stranded,
         )

@@ -4,7 +4,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
+
+
+class DecodeClock:
+    """The decode epoch of one execution unit: how many iterations it has committed.
+
+    While a commit walks its due events, ``cursor`` is the admission position
+    it has reached: requests admitted before it already hold the iteration's
+    token.  Outside that walk ``cursor`` is 0, and no request is ahead of it.
+    """
+
+    __slots__ = ("epoch", "cursor")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        self.cursor = 0
 
 
 class RequestStatus(str, enum.Enum):
@@ -31,6 +46,12 @@ class Request:
     Identity comparison keeps ``req in running_list`` membership checks (a
     simulator hot path) at pointer-comparison cost and makes requests
     hashable for set-based bookkeeping.
+
+    While the request decodes on a unit it holds that unit's
+    :class:`DecodeClock` in ``decode_clock``, and every iteration the unit
+    commits adds one generated token without touching the request:
+    :attr:`generated_tokens` is computed from the clock when read, and is
+    exact at every point, the middle of a commit included.
     """
 
     request_id: int
@@ -39,13 +60,16 @@ class Request:
     output_tokens: int
 
     status: RequestStatus = RequestStatus.QUEUED
-    generated_tokens: int = 0
     prefilled_tokens: int = 0
     prefill_completion_time: Optional[float] = None
     finish_time: Optional[float] = None
-    token_times: List[float] = field(default_factory=list)
     num_preemptions: int = 0
     num_redispatches: int = 0
+    decode_clock: Optional[DecodeClock] = field(default=None, init=False, repr=False)
+    decode_position: int = field(default=-1, init=False, repr=False)
+    """Admission position on the unit of ``decode_clock`` (unique per admission)."""
+    # Generated tokens; while decoding, less the clock's epoch at the join.
+    _generated: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.prompt_tokens <= 0:
@@ -56,6 +80,23 @@ class Request:
             raise ValueError("arrival_time must be >= 0")
 
     # -- derived state ----------------------------------------------------------
+
+    @property
+    def generated_tokens(self) -> int:
+        """Output tokens produced so far."""
+        clock = self.decode_clock
+        if clock is None:
+            return self._generated
+        return self._generated + clock.epoch + (self.decode_position < clock.cursor)
+
+    @property
+    def decode_base(self) -> int:
+        """``context_length`` less the decode epoch, read outside a commit.
+
+        Constant while the request decodes, so a unit keeps its batch context
+        sums from it without a per-token update.
+        """
+        return self.prompt_tokens + self._generated
 
     @property
     def context_length(self) -> int:
@@ -111,24 +152,41 @@ class Request:
         """The last prefill chunk produced the first output token at ``now``."""
         if self.status != RequestStatus.PREFILLING:
             raise RuntimeError(f"cannot complete prefill from status {self.status}")
-        self.prefilled_tokens = self.prefill_target
-        if self.prefill_completion_time is None:
-            self.prefill_completion_time = now
-        self.generated_tokens += 1
-        self.token_times.append(now)
-        if self.generated_tokens >= self.output_tokens:
-            self._finish(now)
+        self.first_token(now)
+        self._generated += 1
+        if self._generated >= self.output_tokens:
+            self.finish(now)
         else:
             self.status = RequestStatus.DECODING
 
-    def add_decode_token(self, now: float) -> None:
-        """One decode iteration produced a token for this request at ``now``."""
+    def first_token(self, now: float) -> None:
+        """The prefill is complete, and its first output token comes out at ``now``.
+
+        Stamps TTFT.  A Splitwise hand-off calls this on the decode unit, for
+        the token its first decode iteration there produces.
+        """
+        self.prefilled_tokens = self.prefill_target
+        if self.prefill_completion_time is None:
+            self.prefill_completion_time = now
+
+    def join_decode(self, clock: DecodeClock, position: int) -> None:
+        """Start decoding on the unit of ``clock``: one token per iteration it commits."""
         if self.status != RequestStatus.DECODING:
             raise RuntimeError(f"cannot decode in status {self.status}")
-        self.generated_tokens += 1
-        self.token_times.append(now)
-        if self.generated_tokens >= self.output_tokens:
-            self._finish(now)
+        self._generated -= clock.epoch
+        self.decode_clock = clock
+        self.decode_position = position
+
+    def leave_decode(self) -> None:
+        """Stop decoding: ``generated_tokens`` keeps its current value."""
+        self._generated = self.generated_tokens
+        self.decode_clock = None
+
+    def finish(self, now: float) -> None:
+        """The request produced its last token at ``now``."""
+        self.leave_decode()
+        self.status = RequestStatus.FINISHED
+        self.finish_time = now
 
     def preempt(self) -> None:
         """Evict the request; its cache is dropped and prefill must be redone.
@@ -138,6 +196,7 @@ class Request:
         """
         if self.is_finished:
             raise RuntimeError("cannot preempt a finished request")
+        self.leave_decode()
         self.status = RequestStatus.PREEMPTED
         self.prefilled_tokens = 0
         self.num_preemptions += 1
@@ -151,10 +210,6 @@ class Request:
         if self.status != RequestStatus.MIGRATING:
             raise RuntimeError("request is not migrating")
         self.status = RequestStatus.DECODING
-
-    def _finish(self, now: float) -> None:
-        self.status = RequestStatus.FINISHED
-        self.finish_time = now
 
     # -- metrics ----------------------------------------------------------------------
 

@@ -122,8 +122,7 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
 
     def _append(self, request: Request) -> None:
         # A token that starts a block reserves all of it; the rest land in it.
-        if self.running[request] % self.block_size == 0:
-            self._table.append(request.request_id, self.block_size)
+        self._table.append(request.request_id, self.block_size)
 
     def _release(self, request: Request) -> None:
         if self._table.has_sequence(request.request_id):
@@ -151,7 +150,7 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
             pending.popleft()
             self._allocate(candidate, candidate.context_length)
             candidate.status = DECODING
-            self.running[candidate] = candidate.context_length
+            self._join(candidate, candidate.context_length)
             decode_requests.append(candidate)
         if self.mode == "decode":
             return []
@@ -190,9 +189,7 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
         (sum of stage times plus hidden-state hand-offs); every shard runs its
         share of every request's heads.
         """
-        context = 0
-        for req in decode_requests:
-            context += req.context_length
+        context = sum(group_context for _, group_context, _ in self._decode_groups())
         duration, mlp, attention = self.pipeline.iteration(chunks, len(decode_requests), context)
         return duration, {"mlp": mlp, "attention": attention, "iteration": duration}
 

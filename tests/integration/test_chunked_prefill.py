@@ -84,9 +84,12 @@ class TestLongBenchChunking:
             cluster = build_cluster("small")
             system = build_system("static-tp", cluster, "llama-13b", limits=limits)
             finished = {}
+            decoded_at = {}  # request id -> completion times of the iterations that decoded it
             original = system.on_iteration
 
             def spy(unit, iteration, outcome, now, recorder):
+                for req in iteration.decode_requests:
+                    decoded_at.setdefault(req.request_id, []).append(now)
                 for req in outcome.finished:
                     finished[req.request_id] = req
                 return original(unit, iteration, outcome, now, recorder)
@@ -104,10 +107,14 @@ class TestLongBenchChunking:
             assert result.summary.num_finished == 8
             gaps = []
             for req in finished.values():
-                if req.prompt_tokens < 12000 and len(req.token_times) > 1:
-                    gaps += [
-                        b - a for a, b in zip(req.token_times, req.token_times[1:])
-                    ]
+                if req.prompt_tokens >= 12000:
+                    continue
+                # Without a preemption every decode batch a request sat in gave
+                # it one token, so these are all of its token times.
+                assert req.num_preemptions == 0
+                token_times = [req.prefill_completion_time] + decoded_at.get(req.request_id, [])
+                assert len(token_times) == req.generated_tokens
+                gaps += [b - a for a, b in zip(token_times, token_times[1:])]
             return max(gaps)
 
         chunked = worst_gap(LIMITS)

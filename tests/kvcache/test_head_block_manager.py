@@ -79,22 +79,6 @@ def test_free_returns_placement(mha_manager):
     assert mha_manager.used_blocks == 0
 
 
-def test_resize_heads_shrink_and_grow(mha_manager):
-    mha_manager.allocate(1, 20, 100)
-    before = mha_manager.used_blocks
-    old = mha_manager.resize_heads(1, 10)
-    assert old.num_query_heads == 20
-    assert mha_manager.used_blocks < before
-    mha_manager.resize_heads(1, 30)
-    assert mha_manager.heads_of(1) == 30
-
-
-def test_resize_to_zero_frees(mha_manager):
-    mha_manager.allocate(1, 10, 100)
-    mha_manager.resize_heads(1, 0)
-    assert not mha_manager.has_sequence(1)
-
-
 def test_allocation_failure_when_exhausted():
     model = get_model_spec("llama-13b")
     tiny = HeadwiseBlockManager(capacity_bytes=10**7, model=model)
@@ -114,14 +98,6 @@ def test_utilization_and_capacity_token_groups(mha_manager):
     mha_manager.allocate(1, 40, 1600)
     assert 0.0 < mha_manager.utilization <= 1.0
     assert mha_manager.capacity_token_groups == mha_manager.total_blocks * mha_manager.block_size
-
-
-def test_placements_listing(mha_manager):
-    mha_manager.allocate(1, 10, 100)
-    mha_manager.allocate(2, 20, 50)
-    placements = {p.seq_id: p for p in mha_manager.placements()}
-    assert placements[1].token_heads == 1000
-    assert placements[2].token_heads == 1000
 
 
 def test_store_ops_per_token(mha_manager, gqa_manager):

@@ -1,9 +1,9 @@
 """KV conservation: every block returns to the pool once a run drains.
 
 After a drained run every block manager of every unit must report no used
-blocks and no resident sequence, whatever the system, prefill mode or fleet
-churn (failures preempt running work and migrate queued work away, on static
-and Hetis fleets alike).
+blocks and no resident sequence, and no unit may still hold a request,
+whatever the system, prefill mode or fleet churn (failures preempt running
+work and migrate queued work away, on static and Hetis fleets alike).
 """
 
 import pytest
@@ -79,6 +79,7 @@ def test_blocks_return_to_zero_after_a_drained_run(name):
     result = prepared.run()
     s = result.summary
     assert not result.truncated
+    assert result.stranded == 0
     assert s.num_finished + s.num_rejected + result.num_dropped == spec.workload.num_requests
     if spec.failures is not None:
         assert prepared.system.failure_events
@@ -88,3 +89,22 @@ def test_blocks_return_to_zero_after_a_drained_run(name):
         for manager in managers:
             assert manager.used_blocks == 0, unit.name
             assert manager.sequences() == [], unit.name
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP: Splitwise decode units strand preempted requests, and a paper figure reports only the survivors",
+)
+def test_splitwise_longbench_strands_no_request():
+    # A Fig. 8 LongBench point: the decode unit preempts one request, queues it
+    # for a prefill it never runs, and the run still drains.
+    spec = DeploymentSpec.from_dict({
+        "model": "llama-13b",
+        "system": {"name": "splitwise"},
+        "cluster": {"kind": "paper"},
+        "workload": {"dataset": "longbench", "request_rate": 3.0, "num_requests": 48, "seed": 0},
+    })
+    result = api.build(spec).run()
+    assert not result.truncated
+    assert result.stranded == 0
+    assert result.summary.num_finished == 48

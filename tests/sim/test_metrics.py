@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.metrics import MetricsCollector, RequestRecord, percentile
-from repro.sim.request import Request, RequestStatus
+from repro.sim.request import DecodeClock, Request, RequestStatus
 
 
 def finished_request(req_id=0, arrival=0.0, prompt=100, output=4, iteration=0.5):
@@ -11,9 +11,12 @@ def finished_request(req_id=0, arrival=0.0, prompt=100, output=4, iteration=0.5)
     req.start_prefill()
     now = arrival + iteration
     req.complete_prefill(now)
-    while not req.is_finished:
+    clock = DecodeClock()
+    req.join_decode(clock, 0)
+    while req.generated_tokens < output:
         now += iteration
-        req.add_decode_token(now)
+        clock.epoch += 1
+    req.finish(now)
     return req
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.request import Request, RequestStatus
+from repro.sim.request import DecodeClock, Request, RequestStatus
 
 
 def make(prompt=100, output=5, arrival=1.0):
@@ -32,8 +32,11 @@ def test_full_lifecycle_and_metrics():
     req.complete_prefill(now=2.0)
     assert req.status == RequestStatus.DECODING
     assert req.generated_tokens == 1
-    req.add_decode_token(now=2.5)
-    req.add_decode_token(now=3.0)
+    clock = DecodeClock()
+    req.join_decode(clock, position=0)
+    clock.epoch += 2  # the unit commits two decode iterations
+    assert req.generated_tokens == 3
+    req.finish(now=3.0)
     assert req.is_finished
     assert req.ttft == pytest.approx(1.0)
     assert req.tpot == pytest.approx(0.5)
@@ -61,7 +64,7 @@ def test_invalid_transitions():
     with pytest.raises(RuntimeError):
         req.complete_prefill(1.0)
     with pytest.raises(RuntimeError):
-        req.add_decode_token(1.0)
+        req.join_decode(DecodeClock(), 0)
     req.start_prefill()
     with pytest.raises(RuntimeError):
         req.start_prefill()
@@ -71,11 +74,15 @@ def test_preemption_and_recovery():
     req = make(output=10)
     req.start_prefill()
     req.complete_prefill(2.0)
-    req.add_decode_token(2.5)
+    clock = DecodeClock()
+    req.join_decode(clock, 0)
+    clock.epoch += 1
     req.preempt()
     assert req.status == RequestStatus.PREEMPTED
     assert req.num_preemptions == 1
-    # Re-prefill covers prompt + already generated tokens.
+    # Re-prefill covers prompt + already generated tokens; the unit's later
+    # iterations no longer count for the request.
+    clock.epoch += 5
     assert req.context_length == 102
     req.start_prefill()
     req.complete_prefill(4.0)
@@ -146,3 +153,44 @@ def test_preemption_resets_prefill_progress():
     req.preempt()
     assert req.prefilled_tokens == 0
     assert req.remaining_prefill_tokens == req.prefill_target
+
+
+def test_decode_count_follows_the_clock_from_the_join():
+    clock = DecodeClock()
+    clock.epoch = 40
+    req = make(prompt=100, output=10)
+    req.start_prefill()
+    req.complete_prefill(1.0)
+    req.join_decode(clock, position=3)
+    assert req.generated_tokens == 1
+    clock.epoch += 4
+    assert req.generated_tokens == 5
+    assert req.context_length == 105
+    assert req.decode_base == req.context_length - clock.epoch
+
+
+def test_mid_commit_count_includes_the_token_once_the_cursor_passes():
+    clock = DecodeClock()
+    early, late = make(), make()
+    for position, req in enumerate((early, late)):
+        req.start_prefill()
+        req.complete_prefill(1.0)
+        req.join_decode(clock, position)
+    clock.cursor = 1  # the commit has passed position 0 only
+    assert (early.generated_tokens, late.generated_tokens) == (2, 1)
+    early.leave_decode()
+    clock.epoch, clock.cursor = 1, 0  # the commit ends
+    assert (early.generated_tokens, late.generated_tokens) == (2, 2)
+
+
+def test_finish_stops_the_count():
+    clock = DecodeClock()
+    req = make(output=3)
+    req.start_prefill()
+    req.complete_prefill(1.0)
+    req.join_decode(clock, 0)
+    clock.epoch += 2
+    req.finish(2.0)
+    clock.epoch += 3
+    assert req.generated_tokens == 3
+    assert req.decode_clock is None and req.finish_time == 2.0
