@@ -125,6 +125,22 @@ for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; d
     echo "  $workload replay OK"
 done
 
+# Traced benchmark smoke: each workload once with every layer wrapped
+# (--trace 1, about 33 s for all three on a 2-core VM).  perfbench patches
+# simulator methods by name, so a src change that deletes one crashes the run
+# (non-zero exit).  A change that silences a layer breaks one of the
+# per-layer predictions instead, which the exit code does not cover, so the
+# output is searched for them.
+for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; do
+    echo "== perfbench $workload traced (--trace 1) =="
+    traced=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 1)
+    if grep "prediction not met" <<<"$traced"; then
+        echo "  $workload: per-layer prediction not met" >&2
+        exit 1
+    fi
+    echo "  $workload traced OK"
+done
+
 # Perf trajectory: refresh BENCH_runner.json with CI-sized measurements.  The
 # timing numbers are recorded, not thresholded (CI boxes are noisy); the
 # script itself gates on parallel/cached rows being bit-identical to serial.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.hardware.gpu import GPUDevice, GPUSpec, get_gpu_spec
-from repro.hardware.interconnect import Interconnect
+from repro.hardware.interconnect import Interconnect, Link
 from repro.hardware.node import Host
 
 
@@ -85,11 +85,13 @@ class Cluster:
 
     # -- communication helpers -------------------------------------------------
 
+    def link_between(self, src: GPUDevice, dst: GPUDevice) -> Link:
+        """The link a transfer from ``src`` to ``dst`` uses."""
+        return self.interconnect.link_between(src.host_id, dst.host_id, same_device=src.device_id == dst.device_id)
+
     def p2p_time(self, n_bytes: float, src: GPUDevice, dst: GPUDevice) -> float:
         """Point-to-point transfer time between two devices of this cluster."""
-        return self.interconnect.p2p_time(
-            n_bytes, src.host_id, dst.host_id, same_device=src.device_id == dst.device_id
-        )
+        return self.link_between(src, dst).transfer_time(n_bytes)
 
     def allreduce_time(self, n_bytes: float, devices: Sequence[GPUDevice]) -> float:
         """Ring all-reduce time across ``devices``."""

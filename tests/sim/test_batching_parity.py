@@ -10,10 +10,12 @@ request the same outcome either way.
 
 Both units price an iteration through a compiled
 :class:`~repro.perf.pipeline_cost.PipelineCost`: stage costs memoized by token
-count and decode Attention in closed form.  A second reference mode prices
-every iteration the way the units did before, per request, from a
-``BatchProfile`` and a fresh ``RooflineExecutor``; durations and module
-latencies must match bit for bit.
+count and computed, like decode Attention, in closed form from per-layout
+constants.  A second reference mode prices every iteration the way the units
+did before, per request, from a ``BatchProfile`` and a fresh
+``RooflineExecutor``; durations and module latencies must match bit for bit.
+A run reaches a few hundred token counts; ``tests/perf/test_pipeline_cost.py``
+checks the closed form at every one a unit can carry.
 """
 
 from functools import partial
@@ -117,7 +119,7 @@ def splitwise_system(limits):
 
 
 def hexgen_system(limits, model_name, hosts, layers, fractions):
-    """Asymmetric TP over mixed GPUs: one two-device stage per host."""
+    """TP over mixed GPUs: one stage per host, split by ``fractions`` (``None``: evenly)."""
     builder = ClusterBuilder()
     for host in hosts:
         builder.add_host(host)
@@ -125,8 +127,8 @@ def hexgen_system(limits, model_name, hosts, layers, fractions):
     model = get_model_spec(model_name)
     devices = iter(cluster.devices)
     stages = [
-        StageConfig(devices=[next(devices), next(devices)], num_layers=n, shard_fractions=list(fracs))
-        for n, fracs in zip(layers, fractions)
+        StageConfig(devices=[next(devices) for _ in host], num_layers=n, shard_fractions=fracs and list(fracs))
+        for host, n, fracs in zip(hosts, layers, fractions)
     ]
     unit = StaticPipelineUnit("hexgen", InstanceParallelConfig(stages=stages), model, cluster, limits=limits)
     return HexGenSystem([unit])
@@ -354,6 +356,12 @@ PRICING_CASES = dict(
             (9, 40, 8.0, 2000, 400),
         ),
         "hetis-gqa-offload": (lambda: hetis_gqa_system(CHUNKED), (8, 40, 10.0, 2000, 600)),
+        # The last stage splits every layer three ways: its shard fraction and
+        # the LM head's 1 / TP degree are both 1/3, which no float holds exactly.
+        "three-device-last-stage": (
+            lambda: hexgen_system(CHUNKED, "llama2-7b", [["v100"], ["rtx3090"] * 3], [14, 18], [None, None]),
+            (10, 60, 6.0, 2000, 400),
+        ),
     },
 )
 
@@ -377,6 +385,8 @@ def test_compiled_cost_matches_per_request_pricing(case, monkeypatch):
         assert sum(r.num_preemptions for r in fast_reqs.values()) > 0
     if case == "hexgen-gqa":
         assert all(shard.heads % unit.model.gqa_ratio for shards in unit.pipeline.shards for shard in shards)
+    if case == "three-device-last-stage":
+        assert unit.config.stages[-1].tp_degree == 3
     if case == "hetis-gqa-offload":
         shares = [share for shares in unit._head_shares_memo.values() for share in shares]
         assert any(slot >= len(unit.pipeline.fractions) for slot, _, _ in shares), "no request offloaded heads"
