@@ -18,7 +18,7 @@ import sys
 from repro.api import quick_serve
 
 SCENARIOS = [
-    # (system, model, dataset, rate, num_requests, prefill_chunk_tokens)
+    # (system, model, dataset, rate, num_requests, prefill_chunk_tokens[, cluster kind])
     ("hetis", "llama-13b", "sharegpt", 5.0, 48, None),
     ("hexgen", "llama-13b", "sharegpt", 5.0, 48, None),
     ("splitwise", "llama-13b", "sharegpt", 5.0, 48, None),
@@ -34,12 +34,15 @@ SCENARIOS = [
     ("hetis", "llama-13b", "longbench", 6.0, 32, 512),
     ("hexgen", "llama-13b", "longbench", 6.0, 32, 512),
     ("splitwise", "llama-13b", "longbench", 6.0, 32, 512),
+    # A cache that runs out while an iteration commits: the re-dispatch reads
+    # g_i after the commit has given some decoding requests their token.
+    ("hetis", "llama-13b", "longbench", 4.0, 32, None, "a100:1,p100:2"),
 ]
 
 
 def snapshot() -> dict:
     out = {}
-    for system, model, dataset, rate, n, chunk in SCENARIOS:
+    for system, model, dataset, rate, n, chunk, *cluster in SCENARIOS:
         result = quick_serve(
             model=model,
             system=system,
@@ -48,10 +51,12 @@ def snapshot() -> dict:
             num_requests=n,
             seed=0,
             prefill_chunk_tokens=chunk,
+            cluster_kind=cluster[0] if cluster else "paper",
         )
         s = result.summary
         records = sorted(result.metrics.records, key=lambda r: r.request_id)
         key = f"{system}/{model}/{dataset}/r{rate:g}/n{n}" + (f"/chunk{chunk}" if chunk else "")
+        key += f"/{cluster[0]}" if cluster else ""
         out[key] = {
             "mean_normalized_latency": s.mean_normalized_latency,
             "p95_normalized_latency": s.p95_normalized_latency,

@@ -24,7 +24,15 @@ closed-form bound (:func:`~repro.solvers.head_dispatch.objective_lower_bound`,
 and the greedy objective as an upper bound on f*) that proves which way the
 comparison goes.  The solver runs only when the bounds leave the outcome
 open, and then exactly as it would without them, so every decision is the
-one the solver path takes.
+one the solver path takes.  For the imbalance check of one request whose
+whole cache fits every target, greedy's objective *is* f*, so greedy alone
+settles it.
+
+The Dispatcher reads each target's resident load, h_i and g_i, through the
+one :data:`TargetLoads` callable its owner supplies.  A Hetis unit supplies
+its load ledger (:meth:`~repro.core.hetis_unit.HetisInstanceUnit.target_loads`):
+its managers see a decoding request's tokens only at block starts, so they
+cannot give g_i themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +66,10 @@ MAX_WAKE_CASES = 64
 """Wake-up patterns the locality certificate enumerates at most; beyond this
 it stays undecided and the solver runs."""
 
+TargetLoads = Callable[[], Tuple[Sequence[float], Sequence[float]]]
+"""Returns h_i (resident query heads) and g_i (resident token-heads) of every
+dispatch target, in the Dispatcher's target order."""
+
 
 @dataclass
 class DispatchTarget:
@@ -68,16 +80,6 @@ class DispatchTarget:
     device_model: DeviceAttentionModel
     manager: HeadwiseBlockManager
     is_primary: bool = False
-
-    @property
-    def resident_heads(self) -> float:
-        """Current h_i: query heads of all resident requests."""
-        return float(self.manager.total_query_heads())
-
-    @property
-    def resident_token_heads(self) -> float:
-        """Current g_i: token-heads of all resident requests."""
-        return self.manager.total_token_heads()
 
     @property
     def free_token_heads(self) -> float:
@@ -116,12 +118,16 @@ class IdealCheck(NamedTuple):
 
 
 class Dispatcher:
-    """Dispatches Attention heads of incoming requests across targets."""
+    """Dispatches Attention heads of incoming requests across targets.
+
+    ``loads`` supplies every target's h_i and g_i (:data:`TargetLoads`).
+    """
 
     def __init__(
         self,
         model: ModelSpec,
         targets: Sequence[DispatchTarget],
+        loads: TargetLoads,
         solver: str = "lp",
         local_preference: float = 0.15,
     ) -> None:
@@ -139,36 +145,46 @@ class Dispatcher:
         if len(primaries) != 1:
             raise ValueError("exactly one target must be marked is_primary")
         self.primary = primaries[0]
-        # The marginal head/cache coefficients are pure functions of the frozen
-        # device models, so hoist them out of the per-dispatch problem build.
+        self._primary_index = self.targets.index(self.primary)
+        self.loads = loads
+        # Everything below is a pure function of the frozen device models and
+        # the managers' fixed sizes, so it is built once, not per call.
         self._head_cost = np.array(
             [t.device_model.head_coefficient(self.model) for t in self.targets]
         )
         self._cache_cost = np.array([t.device_model.cache_coefficient() for t in self.targets])
         self._fixed_cost = np.array([t.device_model.fixed_cost() for t in self.targets])
+        # The ideal problem (f*) re-dispatches everything onto empty targets.
+        self._ideal_base = np.array([t.device_model.attention_time(self.model, 0.0, 0.0) for t in self.targets])
+        self._ideal_capacity = np.array([t.total_token_heads_capacity for t in self.targets])
+        # An idle target holds nothing, so its base is the ideal one: targets
+        # of one kind are interchangeable to the locality certificate.
+        kinds: Dict[Tuple[float, float, float, float], int] = {}
+        self._kind = [
+            kinds.setdefault(key, len(kinds))
+            for key in zip(self._head_cost, self._cache_cost, self._ideal_base, self._fixed_cost)
+        ]
+
+    def attention_times(self) -> List[float]:
+        """Each target's Attention time f_i under its current h_i and g_i."""
+        return self._attention_times(*self.loads())
+
+    def _attention_times(self, heads: Sequence[float], token_heads: Sequence[float]) -> List[float]:
+        return [
+            t.device_model.attention_time(self.model, float(h), float(g))
+            for t, h, g in zip(self.targets, heads, token_heads)
+        ]
 
     # -- problem construction ----------------------------------------------------------
 
     def _build_problem(
-        self,
-        contexts: Sequence[int],
-        capacities: Optional[np.ndarray] = None,
-        base_heads: Optional[np.ndarray] = None,
-        base_cache: Optional[np.ndarray] = None,
+        self, contexts: Sequence[int], base: np.ndarray, capacity: np.ndarray
     ) -> HeadDispatchProblem:
-        head_cost = self._head_cost
-        cache_cost = self._cache_cost
-        h = base_heads if base_heads is not None else np.array([t.resident_heads for t in self.targets])
-        g = base_cache if base_cache is not None else np.array([t.resident_token_heads for t in self.targets])
-        base = np.array(
-            [t.device_model.attention_time(self.model, h[i], g[i]) for i, t in enumerate(self.targets)]
-        )
-        cap = capacities if capacities is not None else np.array([t.free_token_heads for t in self.targets])
         return HeadDispatchProblem(
-            head_cost=head_cost,
-            cache_cost=cache_cost,
+            head_cost=self._head_cost,
+            cache_cost=self._cache_cost,
             base_cost=base,
-            capacity=cap,
+            capacity=capacity,
             contexts=np.asarray(contexts, dtype=float),
             total_heads=self.model.num_heads,
             group_size=self.model.gqa_ratio,
@@ -190,9 +206,11 @@ class Dispatcher:
         if not requests:
             return DispatchDecision()
         contexts = [ctx for _, ctx in requests]
-        heads = np.array([t.resident_heads for t in self.targets])
-        idle = heads == 0
-        problem = self._build_problem(contexts, base_heads=heads)
+        heads, token_heads = self.loads()
+        idle = np.array(heads) == 0
+        base = np.array(self._attention_times(heads, token_heads))
+        capacity = np.array([t.free_token_heads for t in self.targets])
+        problem = self._build_problem(contexts, base, capacity)
 
         # Light-load locality: the LP is linear and therefore blind to the fixed
         # activation cost (c_i + beta_i) of waking an idle Attention worker, so
@@ -271,15 +289,14 @@ class Dispatcher:
         and keep their base load.  :func:`objective_lower_bounds` over the
         busy targets plus W, with the fixed costs folded into W's bases, holds
         for every allocation that wakes exactly W, so the minimum over all W
-        holds for any allocation.  Idle targets with equal coefficients are
+        holds for any allocation.  Idle targets of one kind are
         interchangeable here, so only how many of each kind wake matters:
         four identical idle workers give 5 cases, not 16.
         """
         busy = ~idle
-        kinds: Dict[Tuple[float, float, float, float], List[int]] = {}
+        kinds: Dict[int, List[int]] = {}
         for i in np.flatnonzero(idle):
-            key = (problem.head_cost[i], problem.cache_cost[i], problem.base_cost[i], self._fixed_cost[i])
-            kinds.setdefault(key, []).append(int(i))
+            kinds.setdefault(self._kind[i], []).append(int(i))
         groups = list(kinds.values())
         if math.prod(len(g) + 1 for g in groups) > MAX_WAKE_CASES:
             return -math.inf
@@ -296,7 +313,7 @@ class Dispatcher:
 
     def _local_only_solution(self, problem: HeadDispatchProblem) -> Optional[HeadDispatchSolution]:
         """Allocation that keeps every new request entirely on the Primary."""
-        primary_idx = self.targets.index(self.primary)
+        primary_idx = self._primary_index
         demand = float(np.sum(problem.contexts) * problem.total_heads)
         if demand > problem.capacity[primary_idx] + 1e-9:
             return None
@@ -340,15 +357,7 @@ class Dispatcher:
         return IdealCheck(over=not (ideal <= 0 or current <= ideal * (1.0 + theta)), ideal=ideal)
 
     def _ideal_problem(self, all_requests: Sequence[Tuple[int, int]]) -> HeadDispatchProblem:
-        contexts = [ctx for _, ctx in all_requests]
-        n = len(self.targets)
-        capacities = np.array([t.total_token_heads_capacity for t in self.targets])
-        return self._build_problem(
-            contexts,
-            capacities=capacities,
-            base_heads=np.zeros(n),
-            base_cache=np.zeros(n),
-        )
+        return self._build_problem([ctx for _, ctx in all_requests], self._ideal_base, self._ideal_capacity)
 
     def _solve_ideal(self, problem: HeadDispatchProblem) -> float:
         solution = self._solve(problem)
@@ -365,23 +374,32 @@ class Dispatcher:
         greedy objective whenever greedy finds a placement: ``solve_lp`` keeps
         the better of its rounded LP and greedy, and falls back to greedy when
         the LP fails.
-        """
-        lower = objective_lower_bound(problem)
-        if current * (1.0 + CERTIFICATE_SLACK) <= lower * (1.0 + theta):
-            return IdealCheck(over=False, ideal=lower, exact=False)
-        if lower <= 0:
-            return None  # f* may be 0, which the trigger counts as balanced
-        greedy = solve_greedy(problem)
-        if greedy.feasible and current > greedy.objective * (1.0 + theta) * (1.0 + CERTIFICATE_SLACK):
-            return IdealCheck(over=True, ideal=greedy.objective, exact=False)
-        return None
 
-    def current_objective(self) -> float:
-        """Max per-target Attention time implied by the current placements."""
-        return max(
-            t.device_model.attention_time(self.model, t.resident_heads, t.resident_token_heads)
-            for t in self.targets
-        )
+        For one request whose whole cache (H x l token-heads) fits every
+        target, greedy's objective is f* itself, so greedy alone settles both
+        answers.  Greedy places the request's identical head groups one at a
+        time where each finishes earliest, which is optimal for identical jobs
+        on uniform machines (Dessouky et al., "Scheduling identical jobs on
+        uniform parallel machines", Statistica Neerlandica, 1990).  No
+        capacity binds, so neither greedy's 1e-9 capacity tolerance nor the
+        LP rounding's 1e-6 admits an allocation greedy rejected; the rounded
+        LP can undercut greedy only by rounding, which the slack dwarfs.
+        """
+        single = problem.n_requests == 1 and problem.total_heads * problem.contexts[0] <= problem.capacity.min()
+        if not single:
+            lower = objective_lower_bound(problem)
+            if current * (1.0 + CERTIFICATE_SLACK) <= lower * (1.0 + theta):
+                return IdealCheck(over=False, ideal=lower, exact=False)
+            if lower <= 0:
+                return None  # f* may be 0, which the trigger counts as balanced
+        greedy = solve_greedy(problem)
+        if not greedy.feasible or greedy.objective <= 0:
+            return None  # for one request greedy's objective is f*, and 0 counts as balanced
+        if current > greedy.objective * (1.0 + theta) * (1.0 + CERTIFICATE_SLACK):
+            return IdealCheck(over=True, ideal=greedy.objective, exact=False)
+        if single and current * (1.0 + CERTIFICATE_SLACK) <= greedy.objective * (1.0 + theta):
+            return IdealCheck(over=False, ideal=greedy.objective, exact=False)
+        return None
 
     def target_by_id(self, target_id: int) -> DispatchTarget:
         for t in self.targets:

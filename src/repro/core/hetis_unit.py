@@ -7,7 +7,9 @@ This execution unit glues together every Hetis mechanism:
 * decode Attention is dispatched head-wise across the aggregate Primary and
   the pooled Attention workers by the :class:`~repro.core.dispatcher.Dispatcher`;
 * KV caches are managed head-wise per dispatch target
-  (:class:`~repro.kvcache.head_block_manager.HeadwiseBlockManager`);
+  (:class:`~repro.kvcache.head_block_manager.HeadwiseBlockManager`), and a
+  load ledger keeps every target's h_i and g_i as running totals for the
+  dispatcher (:meth:`HetisInstanceUnit.target_loads`);
 * the :class:`~repro.core.redispatch.RedispatchPolicy` rebalances long
   requests and resolves per-device cache exhaustion, and the
   :class:`~repro.core.hauler.Hauler` prices the resulting partial migrations.
@@ -87,6 +89,15 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         for w in config.attention_workers:
             self._managers[w.device_id] = HeadwiseBlockManager(kv_capacity[w.device_id], model)
         super().__init__(name, model, limits, self._managers[PRIMARY_TARGET_ID].block_size)
+        # The load ledger (see _book and target_loads): per target, the booked
+        # Σ heads x tokens, a decoding request's tokens taken less the epoch,
+        # and the heads of decoding requests, whose tokens grow with the epoch.
+        self._booked: Dict[int, int] = dict.fromkeys(self._managers, 0)
+        self._decoding_heads: Dict[int, int] = dict.fromkeys(self._managers, 0)
+        self._target_index = {target_id: i for i, target_id in enumerate(self._managers)}
+        # Fig. 14 series keys, per target.
+        self._series = [(f"{name}/primary", self._managers[PRIMARY_TARGET_ID])]
+        self._series += [(w.name, self._managers[w.device_id]) for w in config.attention_workers]
         self.config = config
         self.cluster = cluster
         self.pipeline = PipelineCost(config, RooflineExecutor(model), CommModel(cluster, model))
@@ -130,7 +141,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
                 )
             )
         self.dispatcher = Dispatcher(
-            model, targets, solver=solver, local_preference=local_preference
+            model, targets, self.target_loads, solver=solver, local_preference=local_preference
         )
         self.redispatcher = RedispatchPolicy(model, self.dispatcher, theta=theta)
         self.hauler = Hauler(cluster, model, interference_factor=hauler_interference)
@@ -249,11 +260,64 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         for target_id, heads in split.allocation.items():
             if heads > 0:
                 self._managers[target_id].allocate(request.request_id, heads, request.context_length)
+                self._book(request, target_id, 1)
 
     def _free_request(self, request: Request) -> None:
-        for manager in self._managers.values():
+        for target_id, manager in self._managers.items():
             if manager.has_sequence(request.request_id):
+                self._book(request, target_id, -1)
                 manager.free(request.request_id)
+
+    # ---------------------------------------------------------------- load ledger --
+
+    def _book(self, request: Request, target_id: int, sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) ``request``'s placement on ``target_id`` in the load ledger.
+
+        A request that is not decoding never appends, so the tokens its
+        manager recorded are its cached count.  A decoding request's cached
+        count grows with the epoch: it is booked as its count less the epoch,
+        plus its heads in ``_decoding_heads``.
+        """
+        manager = self._managers[target_id]
+        heads = manager.heads_of(request.request_id)
+        if request.decode_clock is self.clock:
+            tokens = request.decode_base + self.running[request]
+            self._decoding_heads[target_id] += sign * heads
+        else:
+            tokens = manager.tokens_of(request.request_id)
+        self._booked[target_id] += sign * heads * tokens
+
+    def _join(self, request: Request, cached: int) -> None:
+        # Re-book the request's placements as decoding.
+        targets = list(self._splits[request.request_id].targets())
+        for target_id in targets:
+            self._book(request, target_id, -1)
+        super()._join(request, cached)
+        for target_id in targets:
+            self._book(request, target_id, 1)
+
+    def target_loads(self) -> Tuple[List[int], List[int]]:
+        """h_i and g_i of every dispatch target, in the dispatcher's order, in O(targets).
+
+        h_i is the managers' running head total.  g_i is Σ heads x cached
+        tokens over the requests holding cache on the target, exact at every
+        read: the ledger's booked sum, the epoch times the decoding heads, and
+        while a commit walks its due events, the heads of the decoding
+        requests it has passed, which already hold this iteration's token.
+        """
+        clock = self.clock
+        epoch = clock.epoch
+        heads = [manager.total_query_heads() for manager in self._managers.values()]
+        decoding = self._decoding_heads
+        token_heads = [booked + epoch * decoding[t] for t, booked in self._booked.items()]
+        cursor = clock.cursor
+        if cursor:
+            index = self._target_index
+            for req in self.running:
+                if req.decode_clock is clock and req.decode_position < cursor:
+                    for target_id, h in self._splits[req.request_id].allocation.items():
+                        token_heads[index[target_id]] += h
+        return heads, token_heads
 
     def _total_free_token_heads(self) -> float:
         return sum(m.free_blocks * m.block_size * self.model.gqa_ratio for m in self._managers.values())
@@ -273,21 +337,14 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         return None
 
     def _append(self, request: Request) -> None:
-        self._bring_current(request, self.cached_tokens(request) + 1)
-
-    def _bring_current(self, request: Request, cached: int) -> None:
-        """Give ``request``'s managers the tokens they have not seen, up to ``cached``."""
+        # Give the managers the tokens they have not seen, through the next one.
         rid = request.request_id
+        cached = self.cached_tokens(request) + 1
         for target_id in self._splits[rid].targets():
             manager = self._managers[target_id]
             missing = cached - manager.tokens_of(rid)
             if missing:
                 manager.append_token(rid, missing)
-
-    def _sync_managers(self) -> None:
-        """Bring every manager's token counts current: the dispatcher reads g_i from them."""
-        for request in self.running:
-            self._bring_current(request, self.cached_tokens(request))
 
     def _release(self, request: Request) -> None:
         self._free_request(request)
@@ -307,7 +364,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         new_chunks = [c for c in chunks if c.is_first]
         if not new_chunks:
             return chunks
-        self._sync_managers()
         decision = self.dispatcher.dispatch_new(
             [(c.request.request_id, c.request.context_length) for c in new_chunks]
         )
@@ -347,7 +403,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
                 return False
             self._preempt(self._requests[next(reversed(self._splits))])
             return True
-        self._sync_managers()
         contexts = {rid: self._requests[rid].context_length for rid in self._splits}
         decision = self.redispatcher.handle_cache_exhaustion(exhausted, self._splits, contexts, self._splits)
         if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
@@ -390,7 +445,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
 
     def _on_iteration_complete(self) -> None:
         if self.enable_redispatch and self.clock.epoch % self.redispatch_check_interval == 0:
-            self._sync_managers()
             contexts = {rid: self._requests[rid].context_length for rid in self._splits}
             decision = self.redispatcher.check_compute_balance(self._splits, contexts)
             if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
@@ -440,17 +494,11 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
     # ------------------------------------------------------------------ introspection --
 
     def kv_utilization(self) -> Dict[str, float]:
-        usage = {f"{self.name}/primary": self._managers[PRIMARY_TARGET_ID].utilization}
-        for worker in self.config.attention_workers:
-            usage[worker.name] = self._managers[worker.device_id].utilization
-        return usage
+        return {key: manager.utilization for key, manager in self._series}
 
     def head_counts(self) -> Dict[str, float]:
-        """Query heads currently resident per dispatch target (Fig. 14 series)."""
-        counts = {f"{self.name}/primary": float(self._managers[PRIMARY_TARGET_ID].total_query_heads())}
-        for worker in self.config.attention_workers:
-            counts[worker.name] = float(self._managers[worker.device_id].total_query_heads())
-        return counts
+        """Query heads currently resident per dispatch target (Fig. 14 series): the ledger's h_i."""
+        return {key: float(manager.total_query_heads()) for key, manager in self._series}
 
     def available_kv_bytes(self) -> float:
         return float(sum(m.total_blocks * m.bytes_per_block_group for m in self._managers.values()))

@@ -68,14 +68,16 @@ class RedispatchPolicy:
         """
         if not splits:
             return RedispatchDecision(RedispatchAction.NONE, reason="no active requests")
-        current = self.dispatcher.current_objective()
+        times = self.dispatcher.attention_times()
+        current = max(times)
         check = self.dispatcher.check_ideal(
             [(rid, contexts[rid]) for rid in splits], current, self.theta
         )
         if not check.over:
             return RedispatchDecision(RedispatchAction.NONE, reason="within threshold")
 
-        victim = self._pick_compute_victim(splits, contexts)
+        bottleneck = self.dispatcher.targets[times.index(current)]
+        victim = self._pick_compute_victim(bottleneck.target_id, splits, contexts)
         if victim is None:
             return RedispatchDecision(RedispatchAction.NONE, reason="no movable request")
         new_split = self._redispatch_request(victim, splits[victim], contexts[victim])
@@ -89,18 +91,12 @@ class RedispatchPolicy:
         )
 
     def _pick_compute_victim(
-        self, splits: Dict[int, HeadSplit], contexts: Dict[int, int]
+        self, bottleneck: int, splits: Dict[int, HeadSplit], contexts: Dict[int, int]
     ) -> Optional[int]:
-        """The request contributing the most load to the bottleneck device."""
-        bottleneck = max(
-            self.dispatcher.targets,
-            key=lambda t: t.device_model.attention_time(
-                self.model, t.resident_heads, t.resident_token_heads
-            ),
-        )
+        """The request contributing the most load to the ``bottleneck`` target."""
         best_req, best_load = None, 0.0
         for rid, split in splits.items():
-            heads_here = split.heads_on(bottleneck.target_id)
+            heads_here = split.heads_on(bottleneck)
             if heads_here <= 0:
                 continue
             load = heads_here * contexts.get(rid, 0)

@@ -97,11 +97,6 @@ class Cluster:
         """Ring all-reduce time across ``devices``."""
         return self.interconnect.allreduce_time(n_bytes, tuple(d.host_id for d in devices))
 
-    def clear_weight_assignments(self) -> None:
-        """Reset weight allocations on every device (used when re-planning)."""
-        for dev in self.devices:
-            dev.clear_weights()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counts = ", ".join(f"{v}x{k}" for k, v in self.counts_by_type().items())
         return f"Cluster({counts}, hosts={len(self.hosts)})"

@@ -60,9 +60,11 @@ class HeadwiseBlockManager:
 
     Block counts, and so every capacity answer, are always exact.  A caller
     may append a sequence's tokens in bulk, though: the Hetis unit appends
-    only at block starts, so between those points :meth:`tokens_of` and
-    :meth:`total_token_heads` (g_i) lag behind the sequence.  The unit brings
-    them current before the dispatcher or re-dispatcher reads g_i.
+    only at block starts, so between those points :meth:`tokens_of` lags
+    behind the sequence.  The manager therefore keeps no g_i: the unit's load
+    ledger (:meth:`~repro.core.hetis_unit.HetisInstanceUnit.target_loads`)
+    supplies the dispatcher's exact g_i, and :meth:`total_query_heads` (h_i)
+    is a running total.
     """
 
     def __init__(self, capacity_bytes: float, model: ModelSpec, block_size: int = 16) -> None:
@@ -82,6 +84,7 @@ class HeadwiseBlockManager:
         self._tokens: Dict[int, int] = {}
         self._blocks: Dict[int, int] = {}
         self._used_blocks = 0
+        self._total_heads = 0
 
     # -- derived quantities ---------------------------------------------------------
 
@@ -134,11 +137,7 @@ class HeadwiseBlockManager:
 
     def total_query_heads(self) -> int:
         """The h_i quantity: query heads resident on this device (all sequences)."""
-        return sum(self._heads.values())
-
-    def total_token_heads(self) -> float:
-        """The g_i quantity: sum over sequences of (query heads x context tokens)."""
-        return float(sum(self._heads[s] * self._tokens[s] for s in self._heads))
+        return self._total_heads
 
     def can_allocate(self, num_query_heads: int, num_tokens: int) -> bool:
         if num_query_heads == 0:
@@ -169,6 +168,7 @@ class HeadwiseBlockManager:
         self._tokens[seq_id] = int(num_tokens)
         self._blocks[seq_id] = blocks
         self._used_blocks += blocks
+        self._total_heads += int(num_query_heads)
 
     def append_token(self, seq_id: int, num_tokens: int = 1) -> None:
         """Record ``num_tokens`` newly generated tokens for a resident sequence."""
@@ -196,6 +196,7 @@ class HeadwiseBlockManager:
             context_tokens=self._tokens.pop(seq_id),
         )
         self._used_blocks -= self._blocks.pop(seq_id)
+        self._total_heads -= placement.num_query_heads
         return placement
 
     # -- overhead accounting (Fig. 15b) -------------------------------------------------

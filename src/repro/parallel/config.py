@@ -180,13 +180,6 @@ class InstanceParallelConfig:
             weights.get(dev.device_id, 0) <= dev.usable_bytes for dev in self.all_devices
         )
 
-    def apply_weight_assignment(self, model: ModelSpec) -> None:
-        """Commit weight shards onto the devices (mutates the GPUDevice objects)."""
-        for dev in self.all_devices:
-            dev.clear_weights()
-        for dev in self.all_devices:
-            dev.assign_weights(self.weight_bytes_per_device(model).get(dev.device_id, 0))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         aw = ",".join(d.name for d in self.attention_workers) or "-"
         return f"Instance(stages={self.stages!r}, attention_workers=[{aw}])"

@@ -13,7 +13,7 @@ modeling-accuracy numbers (Section 7.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.hardware.gpu import GPUDevice
 from repro.models.spec import ModelSpec
 from repro.perf.attention_model import (
     AttentionTimeModel,
-    DeviceAttentionModel,
     TransferTimeModel,
     fit_linear_attention_model,
     fit_linear_transfer_model,
@@ -53,7 +52,7 @@ class ProfileReport:
 
 
 class Profiler:
-    """Builds :class:`DeviceAttentionModel` objects for every device in a cluster.
+    """Fits the Attention-time model of a device and the transfer model of a device pair.
 
     Parameters
     ----------
@@ -146,41 +145,6 @@ class Profiler:
             np.array([fitted.predict(s) for s in sizes]), np.array(times)
         )
         return fitted
-
-    def build_device_models(
-        self,
-        primary: GPUDevice,
-        attention_workers: Sequence[GPUDevice],
-        include_primary: bool = True,
-        max_context: int = 4096,
-    ) -> List[DeviceAttentionModel]:
-        """Full dispatching view for one serving instance.
-
-        The Primary worker appears first with a zero-cost transfer model; each
-        Attention worker carries its fitted compute model plus the transfer
-        model of its link to the Primary.
-        """
-        models: List[DeviceAttentionModel] = []
-        if include_primary:
-            models.append(
-                DeviceAttentionModel(
-                    device_id=primary.device_id,
-                    device_name=primary.name,
-                    compute=self.profile_attention(primary, max_context),
-                    is_remote=False,
-                )
-            )
-        for worker in attention_workers:
-            models.append(
-                DeviceAttentionModel(
-                    device_id=worker.device_id,
-                    device_name=worker.name,
-                    compute=self.profile_attention(worker, max_context),
-                    transfer=self.profile_transfer(primary, worker),
-                    is_remote=True,
-                )
-            )
-        return models
 
     @property
     def report(self) -> ProfileReport:

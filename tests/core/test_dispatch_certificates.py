@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import quick_serve
 from repro.core.attention_parallel import HeadSplit
@@ -20,6 +22,9 @@ from repro.core.redispatch import RedispatchPolicy
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import get_model_spec
 from repro.perf.attention_model import AttentionTimeModel, DeviceAttentionModel, TransferTimeModel
+from repro.solvers.head_dispatch import HeadDispatchProblem, objective_lower_bound, solve_greedy, solve_lp
+
+from tests.core.test_dispatcher import make_dispatcher
 
 THETAS = (0.3, 0.4, 0.5, 0.6, 0.7)  # the Fig. 16a grid
 
@@ -29,8 +34,8 @@ def undecided(monkeypatch):
     monkeypatch.setattr(Dispatcher, "_certify_ideal", lambda *args: None)
 
 
-def random_state(model, rng, profiling_error):
-    """A primary plus 1-2 kinds of identical workers, some busy, some idle.
+def random_targets(model, rng, profiling_error):
+    """A primary plus 1-2 kinds of identical workers.
 
     Capacities are drawn small enough that some batches exceed the primary's
     or the whole cluster's free cache.
@@ -46,7 +51,7 @@ def random_state(model, rng, profiling_error):
             models.append(DeviceAttentionModel(device_id, f"w{device_id}", compute, transfer, is_remote=True))
     if profiling_error:
         models = [m.with_error(profiling_error, rng) for m in models]
-    targets = [
+    return [
         DispatchTarget(
             target_id=m.device_id,
             name=m.device_name,
@@ -57,6 +62,14 @@ def random_state(model, rng, profiling_error):
         for i, m in enumerate(models)
     ]
 
+
+def random_state(model, rng, profiling_error, min_requests=0):
+    """:func:`random_targets`, some busy, some idle.
+
+    At least ``min_requests`` resident requests are drawn (fewer may fit).
+    """
+    targets = random_targets(model, rng, profiling_error)
+
     # Resident requests on a random subset of targets (the rest stay idle),
     # spread in proportion to speed with a per-state skew: no skew lands near
     # the ideal balance, a large one far from it.
@@ -64,7 +77,7 @@ def random_state(model, rng, profiling_error):
     busy = [t for t in targets if rng.random() < 0.7]
     speed = np.array([1.0 / t.device_model.head_coefficient(model) for t in busy])
     skew = rng.choice([0.0, 0.5, 2.0])
-    for rid in range(int(rng.integers(0, 12))):
+    for rid in range(int(rng.integers(min_requests, 12))):
         if not busy:
             break
         ctx = int(rng.integers(100, 12_000))
@@ -84,6 +97,25 @@ def random_state(model, rng, profiling_error):
         splits[rid] = HeadSplit(rid, model.num_heads, model.gqa_ratio, dict(allocation))
         contexts[rid] = ctx
     return targets, splits, contexts
+
+
+def near_threshold_state(model, rng, profiling_error):
+    """A :func:`random_state` with two or more resident requests, imbalanced near the theta grid.
+
+    Its current objective is 1.3-1.85x the lower bound on f*.  Between that
+    bound and greedy's objective (a few percent apart for several requests)
+    only a solve settles the trigger, so some theta in ``THETAS`` is
+    undecided there.
+    """
+    for _ in range(200):
+        targets, splits, contexts = random_state(model, rng, profiling_error, min_requests=2)
+        if len(splits) < 2:
+            continue
+        dispatcher = make_dispatcher(model, targets)
+        lower = objective_lower_bound(dispatcher._ideal_problem(list(contexts.items())))
+        if 1.3 <= max(dispatcher.attention_times()) / lower <= 1.85:
+            return targets, splits, contexts
+    raise AssertionError("no near-threshold state in 200 draws")
 
 
 def dispatch_key(decision):
@@ -125,26 +157,32 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
     for seed in range(12):
         rng = np.random.default_rng(seed)
         targets, splits, contexts = random_state(model, rng, profiling_error)
-        dispatcher = Dispatcher(model, targets, solver=solver, local_preference=local_preference)
+        dispatcher = make_dispatcher(model, targets, solver=solver, local_preference=local_preference)
         batches = [
             [(100 + j, int(rng.integers(50, 4_000))) for j in range(int(rng.integers(1, 4)))],
             [(200 + j, int(rng.integers(2_000, 60_000))) for j in range(int(rng.integers(1, 7)))],
         ]
-        policies = [RedispatchPolicy(model, dispatcher, theta=theta) for theta in THETAS]
+        near_targets, near_splits, near_contexts = near_threshold_state(model, rng, profiling_error)
+        near = make_dispatcher(model, near_targets, solver=solver, local_preference=local_preference)
+        states = [(dispatcher, splits, contexts), (near, near_splits, near_contexts)]
+
+        def decide():
+            return (
+                [dispatch_key(dispatcher.dispatch_new(batch)) for batch in batches],
+                [
+                    balance_key(RedispatchPolicy(model, d, theta=theta).check_compute_balance(s, c))
+                    for d, s, c in states
+                    for theta in THETAS
+                ],
+            )
 
         with monkeypatch.context() as m:
             m.setattr(Dispatcher, "_local_certified", record_local)
             m.setattr(Dispatcher, "_certify_ideal", record_ideal)
-            certified = (
-                [dispatch_key(dispatcher.dispatch_new(batch)) for batch in batches],
-                [balance_key(p.check_compute_balance(splits, contexts)) for p in policies],
-            )
+            certified = decide()
         with monkeypatch.context() as m:
             undecided(m)
-            reference = (
-                [dispatch_key(dispatcher.dispatch_new(batch)) for batch in batches],
-                [balance_key(p.check_compute_balance(splits, contexts)) for p in policies],
-            )
+            reference = decide()
         assert certified == reference, f"seed {seed}"
         outcomes["infeasible"] += sum(not feasible for _method, feasible, *_ in certified[0])
 
@@ -156,15 +194,61 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
     assert outcomes["infeasible"] > 0
 
 
+# Checks near the trigger's threshold, as a multiplier of f* (1 + theta):
+# exactly on it, within a hair of it, and well clear of it.
+POSITIONS = st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6]) | st.floats(0.5, 2.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model_name=st.sampled_from(["llama-13b", "llama-70b"]),  # r = 1 and 8
+    solver=st.sampled_from(["lp", "greedy"]),
+    profiling_error=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.sampled_from(THETAS) | st.floats(0.05, 1.0),
+    position=POSITIONS,
+)
+def test_single_request_certificate_is_exact(model_name, solver, profiling_error, seed, theta, position):
+    """For one request whose cache fits every target, greedy's objective is f*.
+
+    So the certificate settles the trigger from greedy alone, and agrees
+    with the solver, everywhere but within its slack of the threshold.
+    """
+    model = get_model_spec(model_name)
+    rng = np.random.default_rng(seed)
+    dispatcher = make_dispatcher(model, random_targets(model, rng, profiling_error), solver=solver)
+    n = len(dispatcher.targets)
+    context = int(rng.integers(16, 16_000))
+    problem = HeadDispatchProblem(
+        head_cost=dispatcher._head_cost,
+        cache_cost=dispatcher._cache_cost,
+        base_cost=rng.uniform(0.0, 5e-3, n) if rng.random() < 0.7 else np.zeros(n),
+        capacity=model.num_heads * context * rng.uniform(1.0, 4.0, n),
+        contexts=[context],
+        total_heads=model.num_heads,
+        group_size=model.gqa_ratio,
+    )
+    assert solve_lp(problem).objective >= solve_greedy(problem).objective * (1 - 1e-12)
+
+    ideal = dispatcher._solve_ideal(problem)
+    current = ideal * (1 + theta) * position
+    check = dispatcher._certify_ideal(problem, current, theta)
+    assert check is not None or abs(position - 1) < 1e-8
+    assert check is None or check.over == (current > ideal * (1 + theta))
+
+
 @pytest.mark.parametrize(
-    "options",
+    "options, single_request",
     [
-        {"dataset": "longbench", "request_rate": 4.0, "theta": 0.3},
-        {"dataset": "sharegpt", "request_rate": 8.0, "profiling_error": 0.3, "theta": 0.7},
-        {"dataset": "longbench", "request_rate": 4.0, "solver": "greedy", "local_preference": 0.0},
+        ({"dataset": "longbench", "request_rate": 4.0, "theta": 0.3}, False),
+        ({"dataset": "sharegpt", "request_rate": 8.0, "profiling_error": 0.3, "theta": 0.7}, False),
+        ({"dataset": "longbench", "request_rate": 4.0, "solver": "greedy", "local_preference": 0.0}, False),
+        # Checks with one request holding cache, near balance: the lower
+        # bound leaves 11 of them open, greedy settles them.
+        ({"dataset": "sharegpt", "request_rate": 0.5}, True),
     ],
 )
-def test_replay_is_bit_identical_to_reference(monkeypatch, options):
+def test_replay_is_bit_identical_to_reference(monkeypatch, options, single_request):
     """A whole Hetis replay, re-dispatches included, matches the solver path."""
     applied = []
     real_apply = HetisInstanceUnit._apply_redispatch
@@ -174,6 +258,16 @@ def test_replay_is_bit_identical_to_reference(monkeypatch, options):
         return real_apply(self, request_id, new_split)
 
     monkeypatch.setattr(HetisInstanceUnit, "_apply_redispatch", count_apply)
+    single_within = []
+    real_ideal = Dispatcher._certify_ideal
+
+    def count_single(self, problem, current, theta):
+        check = real_ideal(self, problem, current, theta)
+        if problem.n_requests == 1 and check is not None and not check.over:
+            single_within.append(current)
+        return check
+
+    monkeypatch.setattr(Dispatcher, "_certify_ideal", count_single)
 
     def replay():
         applied.clear()
@@ -182,5 +276,6 @@ def test_replay_is_bit_identical_to_reference(monkeypatch, options):
         return [(r.request_id, r.finish_time, r.ttft, r.tpot) for r in records], list(applied)
 
     certified = replay()
+    assert single_within or not single_request
     undecided(monkeypatch)
     assert replay() == certified

@@ -45,6 +45,23 @@ def make_targets(model, primary_capacity=40e9, worker_capacity=10e9, n_workers=2
     return targets
 
 
+def make_dispatcher(model, targets, **kwargs):
+    """A Dispatcher over bare ``targets`` that reads h_i and g_i from their managers.
+
+    These tests record every token they place, so the managers' sequences
+    are the resident load.
+    """
+
+    def manager_loads():
+        managers = [t.manager for t in targets]
+        return (
+            [m.total_query_heads() for m in managers],
+            [sum(m.heads_of(s) * m.tokens_of(s) for s in m.sequences()) for m in managers],
+        )
+
+    return Dispatcher(model, targets, manager_loads, **kwargs)
+
+
 class TestConstruction:
     def test_requires_exactly_one_primary(self, llama70b):
         targets = make_targets(llama70b)
@@ -56,28 +73,28 @@ class TestConstruction:
             is_primary=False,
         )
         with pytest.raises(ValueError, match="is_primary"):
-            Dispatcher(llama70b, targets)
+            make_dispatcher(llama70b, targets)
 
     def test_invalid_solver(self, llama70b):
         with pytest.raises(ValueError):
-            Dispatcher(llama70b, make_targets(llama70b), solver="simplex")
+            make_dispatcher(llama70b, make_targets(llama70b), solver="simplex")
 
 
 class TestDispatchNew:
     def test_empty_batch(self, llama70b):
-        decision = Dispatcher(llama70b, make_targets(llama70b)).dispatch_new([])
+        decision = make_dispatcher(llama70b, make_targets(llama70b)).dispatch_new([])
         assert decision.num_requests == 0
 
     def test_light_load_stays_on_primary(self, llama70b):
         """The delayed-offload behaviour behind Fig. 14: one small request stays local."""
-        dispatcher = Dispatcher(llama70b, make_targets(llama70b))
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
         decision = dispatcher.dispatch_new([(1, 300)])
         assert decision.feasible
         split = decision.splits[1]
         assert split.heads_on(-1) == llama70b.num_heads
 
     def test_splits_respect_integrity_and_group_size(self, llama70b):
-        dispatcher = Dispatcher(llama70b, make_targets(llama70b))
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
         decision = dispatcher.dispatch_new([(j, 1500) for j in range(8)])
         assert decision.feasible
         for split in decision.splits.values():
@@ -87,7 +104,7 @@ class TestDispatchNew:
 
     def test_offloads_when_primary_capacity_exhausted(self, llama70b):
         targets = make_targets(llama70b, primary_capacity=2e8, worker_capacity=40e9)
-        dispatcher = Dispatcher(llama70b, targets)
+        dispatcher = make_dispatcher(llama70b, targets)
         decision = dispatcher.dispatch_new([(j, 4000) for j in range(6)])
         assert decision.feasible
         offloaded = sum(
@@ -97,12 +114,12 @@ class TestDispatchNew:
 
     def test_infeasible_when_cluster_full(self, llama70b):
         targets = make_targets(llama70b, primary_capacity=1e7, worker_capacity=1e7)
-        dispatcher = Dispatcher(llama70b, targets)
+        dispatcher = make_dispatcher(llama70b, targets)
         decision = dispatcher.dispatch_new([(1, 100_000)])
         assert not decision.feasible
 
     def test_greedy_solver_also_works(self, llama70b):
-        dispatcher = Dispatcher(llama70b, make_targets(llama70b), solver="greedy")
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b), solver="greedy")
         decision = dispatcher.dispatch_new([(j, 1000) for j in range(4)])
         assert decision.feasible
         assert decision.method in ("greedy", "local")
@@ -110,7 +127,7 @@ class TestDispatchNew:
     def test_heavy_load_uses_workers(self, llama70b):
         """Under heavy load the min-max objective pushes heads to the workers."""
         targets = make_targets(llama70b, transfer_beta=1e-5)
-        dispatcher = Dispatcher(llama70b, targets, local_preference=0.0)
+        dispatcher = make_dispatcher(llama70b, targets, local_preference=0.0)
         # Pre-load the primary with lots of resident work.
         targets[0].manager.allocate(999, llama70b.num_heads, 60_000)
         decision = dispatcher.dispatch_new([(j, 3000) for j in range(6)])
@@ -122,31 +139,34 @@ class TestDispatchNew:
 class TestStateAndObjectives:
     def test_current_objective_tracks_manager_state(self, llama70b):
         targets = make_targets(llama70b)
-        dispatcher = Dispatcher(llama70b, targets)
-        empty = dispatcher.current_objective()
+        dispatcher = make_dispatcher(llama70b, targets)
+        empty = max(dispatcher.attention_times())
         targets[0].manager.allocate(1, llama70b.num_heads, 5000)
-        assert dispatcher.current_objective() > empty
+        assert max(dispatcher.attention_times()) > empty
 
     def test_ideal_objective_no_requests_is_zero(self, llama70b):
-        assert Dispatcher(llama70b, make_targets(llama70b)).ideal_objective([]) == 0.0
+        assert make_dispatcher(llama70b, make_targets(llama70b)).ideal_objective([]) == 0.0
 
     def test_ideal_objective_positive(self, llama70b):
-        dispatcher = Dispatcher(llama70b, make_targets(llama70b))
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
         assert dispatcher.ideal_objective([(1, 2000), (2, 3000)]) > 0.0
 
     def test_target_lookup(self, llama70b):
-        dispatcher = Dispatcher(llama70b, make_targets(llama70b))
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
         assert dispatcher.target_by_id(-1).is_primary
         with pytest.raises(KeyError):
             dispatcher.target_by_id(42)
 
     def test_free_token_heads_accounting(self, llama70b):
-        target = make_targets(llama70b)[1]
+        targets = make_targets(llama70b)
+        dispatcher = make_dispatcher(llama70b, targets)
+        target = targets[1]
         before = target.free_token_heads
         target.manager.allocate(1, 16, 1000)
         assert target.free_token_heads < before
-        assert target.resident_heads == 16
-        assert target.resident_token_heads == pytest.approx(16 * 1000)
+        heads, token_heads = dispatcher.loads()
+        assert heads[1] == 16
+        assert token_heads[1] == pytest.approx(16 * 1000)
 
 
 class TestGreedyFallback:
@@ -161,8 +181,8 @@ class TestGreedyFallback:
             x = None
 
         monkeypatch.setattr(hd, "linprog", lambda *a, **k: _Failed())
-        dispatcher = Dispatcher(llama70b, make_targets(llama70b), solver="lp",
-                                local_preference=0.0)
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b), solver="lp",
+                                     local_preference=0.0)
         # Several large requests so the keep-local shortcut does not absorb them.
         decision = dispatcher.dispatch_new([(j, 8000) for j in range(4)])
         assert decision.feasible
@@ -176,7 +196,7 @@ class TestGreedyFallback:
         targets without overcommitting any single one."""
         targets = make_targets(llama70b, primary_capacity=4.0e9, worker_capacity=1.5e9)
         free_before = {t.target_id: t.free_token_heads for t in targets}
-        dispatcher = Dispatcher(llama70b, targets, solver="greedy", local_preference=0.0)
+        dispatcher = make_dispatcher(llama70b, targets, solver="greedy", local_preference=0.0)
         ctx = 9000
         decision = dispatcher.dispatch_new([(1, ctx), (2, ctx)])
         assert decision.feasible
@@ -193,7 +213,7 @@ class TestGreedyFallback:
 
     def test_greedy_reports_infeasible_when_cluster_full(self, llama70b):
         targets = make_targets(llama70b, primary_capacity=0.2e9, worker_capacity=0.1e9)
-        dispatcher = Dispatcher(llama70b, targets, solver="greedy")
+        dispatcher = make_dispatcher(llama70b, targets, solver="greedy")
         decision = dispatcher.dispatch_new([(1, 500_000)])
         assert not decision.feasible
         assert not decision.splits

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core.attention_parallel import HeadSplit
-from repro.core.dispatcher import Dispatcher
 from repro.core.redispatch import RedispatchAction, RedispatchPolicy
 from repro.models.spec import get_model_spec
 
-from tests.core.test_dispatcher import make_targets
+from tests.core.test_dispatcher import make_dispatcher, make_targets
 
 
 @pytest.fixture
@@ -17,7 +16,7 @@ def llama70b():
 
 def make_policy(model, theta=0.5, **target_kwargs):
     targets = make_targets(model, **target_kwargs)
-    dispatcher = Dispatcher(model, targets, local_preference=0.0)
+    dispatcher = make_dispatcher(model, targets, local_preference=0.0)
     return RedispatchPolicy(model, dispatcher, theta=theta), targets, dispatcher
 
 

@@ -65,12 +65,6 @@ class TestPaperCluster:
         inter = self.cluster.p2p_time(1e8, a100s[0], p100s[0])
         assert inter > intra
 
-    def test_clear_weight_assignments(self):
-        dev = self.cluster.devices[0]
-        dev.assign_weights(10**9)
-        self.cluster.clear_weight_assignments()
-        assert all(d.weight_bytes == 0 for d in self.cluster.devices)
-
 
 class TestClusterBuilder:
     def test_empty_cluster_rejected(self):

@@ -106,11 +106,6 @@ class TestInstanceParallelConfig:
         )
         assert not inst.fits_in_memory(llama70b)
 
-    def test_apply_weight_assignment_mutates_devices(self, cluster, llama13b):
-        inst = make_instance(cluster, llama13b)
-        inst.apply_weight_assignment(llama13b)
-        assert all(d.weight_bytes > 0 for d in inst.primary_devices)
-
 
 class TestClusterParallelConfig:
     def test_duplicate_device_across_instances_rejected(self, cluster, llama13b):

@@ -49,15 +49,6 @@ def test_accuracy_report_reasonable(profiler, cluster_and_devices):
     assert report.min_transfer_accuracy >= 0.90
 
 
-def test_build_device_models_marks_remote(profiler, cluster_and_devices):
-    _, a100, p100 = cluster_and_devices
-    models = profiler.build_device_models(a100, [p100])
-    assert len(models) == 2
-    assert models[0].is_remote is False
-    assert models[1].is_remote is True
-    assert models[1].device_id == p100.device_id
-
-
 def test_invalid_grid_rejected(cluster_and_devices):
     cluster, *_ = cluster_and_devices
     with pytest.raises(ValueError):

