@@ -31,8 +31,3 @@ def pytest_collection_modifyitems(items):
         if str(item.fspath).startswith(_BENCH_DIR):
             item.add_marker(pytest.mark.bench)
             item.add_marker(pytest.mark.slow)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, iterations=1, rounds=1)

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Configuration-driven runs: the multi-replica study, rebuilt on specs.
+"""Configuration-driven runs: data-parallel scale-out behind replica routers.
 
-This is ``multi_replica_serving.py`` migrated to the declarative API: instead
-of calling ``quick_serve`` with a pile of keyword arguments per point, one
-base :class:`~repro.config.DeploymentSpec` describes the deployment and every
+Simulates the same Hetis workload against 1, 2, and 4 replicas (each replica
+owns a full copy of the small evaluation cluster) and compares the replica
+routers -- round-robin, least-KV-load, and power-of-two-choices -- at a
+request rate high enough to saturate a single replica.  One base
+:class:`~repro.config.DeploymentSpec` describes the deployment and every
 study point is a dotted-path override of it -- the same mechanism the CLI
 sweep runner (``python -m repro sweep``) uses.  The spec round-trips through
 JSON/TOML, so the loop below is equivalent to:

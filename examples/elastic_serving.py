@@ -24,12 +24,14 @@ Run with:
     PYTHONPATH=src python examples/elastic_serving.py
 """
 
-from repro.api import build_replicated_system, quick_serve, run_system
-from repro.core.elasticity import QueueThresholdAdmission, TargetKVUtilizationAutoscaler
+from repro.api import build, run
+from repro.config import DeploymentSpec
 from repro.workloads.arrivals import spike_phases
-from repro.workloads.trace import generate_trace
 
-MODEL = "llama-13b"
+#: Static tensor-parallel Llama-13B replicas behind least-KV routing.
+BASE = DeploymentSpec().with_overrides(
+    {"model": "llama-13b", "system.name": "static-tp", "router.name": "least-kv"}
+)
 
 
 def autoscaling_demo() -> None:
@@ -38,22 +40,15 @@ def autoscaling_demo() -> None:
     phases = spike_phases(
         base_rate=0.5, spike_rate=8.0, base_duration=30.0, spike_duration=20.0, num_spikes=2
     )
-    autoscaler = TargetKVUtilizationAutoscaler(
-        target_utilization=0.3, interval=2.0, min_replicas=1
-    )
-    result = quick_serve(
-        model=MODEL,
-        system="static-tp",
-        dataset="sharegpt",
-        request_rate=0.0,  # the piecewise schedule drives arrivals
-        num_requests=400,
-        cluster_kind="small",
-        num_replicas=4,
-        router="least-kv",
-        autoscaler=autoscaler,
-        phases=phases,
-        seed=0,
-    )
+    result = run(BASE.with_overrides({
+        "cluster.kind": "small",
+        "cluster.replicas": 4,
+        "elasticity.autoscaler": "target-kv",
+        "elasticity.autoscaler_options": {"target_utilization": 0.3, "interval": 2.0, "min_replicas": 1},
+        "workload.request_rate": 0.0,  # the piecewise schedule drives arrivals
+        "workload.num_requests": 400,
+        "workload.phases": phases,
+    }))
     timeline = result.recorder.raw("active_replicas", "cluster")
     peak = int(max(v for _, v in timeline))
     print(f"finished {result.summary.num_finished} requests; "
@@ -68,20 +63,17 @@ def heterogeneous_demo() -> None:
     """Capacity-weighted routers vs. blind round-robin on an asymmetric mix."""
     print("\n== 2. heterogeneous replica mix (a100:1,rtx3090:2 + rtx3090:2) ==")
     print(f"{'router':>24} {'mean s/tok':>12} {'p95 TTFT':>10} {'split big/small':>16}")
-    trace = generate_trace("sharegpt", 10.0, 96, seed=0)
+    mix = BASE.with_overrides({
+        "cluster.replica_kinds": ["a100:1,rtx3090:2", "rtx3090:2"],
+        "workload.request_rate": 10.0,
+        "workload.num_requests": 96,
+    })
     for router in ("round-robin", "weighted-round-robin", "weighted-least-kv",
                    "weighted-power-of-two"):
-        system = build_replicated_system(
-            "static-tp",
-            MODEL,
-            2,
-            router=router,
-            cluster_kinds=["a100:1,rtx3090:2", "rtx3090:2"],
-            seed=0,
-        )
-        result = run_system(system, trace)
+        prepared = build(mix.with_overrides({"router.name": router}))
+        result = prepared.run()
         s = result.summary
-        big, small = system.requests_per_replica
+        big, small = prepared.system.requests_per_replica
         print(f"{router:>24} {s.mean_normalized_latency:>12.4f} {s.p95_ttft:>10.3f}"
               f" {f'{big}/{small}':>16}")
     print("weighted routers shift load toward the larger a100 replica;")
@@ -91,23 +83,22 @@ def heterogeneous_demo() -> None:
 def admission_demo() -> None:
     """Goodput with and without admission control on a saturated deployment."""
     print("\n== 3. router-aware admission control under overload ==")
-    common = dict(
-        model=MODEL,
-        system="static-tp",
-        dataset="longbench",
-        request_rate=20.0,
-        num_requests=64,
-        cluster_kinds=["rtx3090:2", "rtx3090:2"],
-        router="least-kv",
-        seed=0,
-    )
+    overload = BASE.with_overrides({
+        "cluster.replica_kinds": ["rtx3090:2", "rtx3090:2"],
+        "workload.dataset": "longbench",
+        "workload.request_rate": 20.0,
+        "workload.num_requests": 64,
+    })
     print(f"{'policy':>16} {'finished':>9} {'rejected':>9} {'SLO att.':>9} "
           f"{'goodput':>9} {'p95 TTFT':>9}")
     for label, admission in (
-        ("admit-all", None),
-        ("queue<=4", QueueThresholdAdmission(max_queue_depth=4, mode="reject")),
+        ("admit-all", {}),
+        ("queue<=4", {
+            "elasticity.admission": "queue-threshold",
+            "elasticity.admission_options": {"max_queue_depth": 4, "mode": "reject"},
+        }),
     ):
-        result = quick_serve(admission=admission, **common)
+        result = run(overload.with_overrides(admission))
         s = result.summary
         print(f"{label:>16} {s.num_finished:>9} {s.num_rejected:>9} "
               f"{s.slo_attainment:>9.1%} {s.goodput_rps:>9.3f} {s.p95_ttft:>9.2f}")

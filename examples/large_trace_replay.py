@@ -7,11 +7,12 @@ event heap and the collector kept a record per finished request, so peak
 memory grew linearly with trace length.  This script drives the streaming
 replay path end to end:
 
-* ``generate_trace_stream`` yields arrivals lazily from a piecewise diurnal
-  rate schedule (base load with recurring peaks) in O(chunk) memory,
+* ``workload.streaming`` makes the spec's trace a ``generate_trace_stream``
+  that yields arrivals lazily from a piecewise diurnal rate schedule (base
+  load with recurring peaks) in O(chunk) memory,
 * the engine pulls each arrival into its heap only when simulated time
   reaches it, and
-* ``MetricsSpec(mode="bounded")`` swaps the per-request record list for
+* ``metrics.mode = "bounded"`` swaps the per-request record list for
   streaming aggregates plus Greenwald-Khanna quantile sketches, with the
   time-series recorder capped by rollup downsampling.
 
@@ -20,16 +21,16 @@ Run:  python examples/large_trace_replay.py [--requests N]
 
 import argparse
 
-from repro.api import build_cluster, build_system, run_system
-from repro.config import MetricsSpec
-from repro.workloads import RatePhase, generate_trace_stream
+from repro.api import build
+from repro.config import DeploymentSpec
+from repro.workloads import RatePhase
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--requests", type=int, default=2_000,
-        help="trace length; the bench tier runs this scenario at 10^4-10^5",
+        help="trace length; the streaming path is built for 10^4-10^5 and beyond",
     )
     args = parser.parse_args()
 
@@ -42,16 +43,19 @@ def main() -> None:
     cycles_needed = max(1, args.requests // int(0.5 * (20 + 60) * 600) + 1)
     phases = cycle * cycles_needed
 
-    stream = generate_trace_stream(
-        "humaneval", request_rate=0.0, num_requests=args.requests,
-        seed=0, phases=phases,
-    )
-    print(f"Replaying {stream.describe()} ...")
-
-    cluster = build_cluster("small")
-    system = build_system("static-tp", cluster, "llama-13b", dataset="humaneval")
-    metrics = MetricsSpec(mode="bounded", max_recorder_samples_per_key=4096)
-    result = run_system(system, stream, metrics=metrics)
+    prepared = build(DeploymentSpec().with_overrides({
+        "system.name": "static-tp",
+        "cluster.kind": "small",
+        "workload.dataset": "humaneval",
+        "workload.request_rate": 0.0,
+        "workload.num_requests": args.requests,
+        "workload.phases": phases,
+        "workload.streaming": True,
+        "metrics.mode": "bounded",
+        "metrics.max_recorder_samples_per_key": 4096,
+    }))
+    print(f"Replaying {prepared.trace.describe()} ...")
+    result = prepared.run()
 
     s = result.summary
     print(f"\n{'finished requests':<24}{s.num_finished:>12}")

@@ -11,29 +11,22 @@ to running with plain LIFO eviction (the paper's Fig. 15a comparison).
 Run:  python examples/long_context_summarization.py
 """
 
-from repro.api import build_cluster, build_system, run_system
-from repro.core.system import HetisSystem
-from repro.workloads.trace import generate_trace
+from repro.api import build
+from repro.config import DeploymentSpec
 
-
-def serve(enable_redispatch: bool, num_requests: int = 48, rate: float = 2.0, seed: int = 0):
-    cluster = build_cluster("paper")
-    system = build_system(
-        "hetis", cluster, "llama-13b", dataset="longbench", enable_redispatch=enable_redispatch
-    )
-    trace = generate_trace("longbench", rate, num_requests, seed=seed)
-    result = run_system(system, trace)
-    return system, result
+SPEC = DeploymentSpec().with_overrides(
+    {"model": "llama-13b", "workload.dataset": "longbench", "workload.request_rate": 2.0, "workload.num_requests": 48}
+)
 
 
 def main() -> None:
     print("Serving LongBench-style summarization requests (long prompts, short outputs)...\n")
     rows = []
     for enable in (True, False):
-        system, result = serve(enable_redispatch=enable)
+        prepared = build(SPEC.with_overrides({"system.options.enable_redispatch": enable}))
+        result = prepared.run()
         label = "re-dispatching" if enable else "plain LIFO"
-        redispatches = system.total_redispatches if isinstance(system, HetisSystem) else 0
-        rows.append((label, result, redispatches))
+        rows.append((label, result, prepared.system.total_redispatches))
 
     print(
         f"{'policy':<18}{'mean s/token':>14}{'P95 s/token':>14}"

@@ -3,42 +3,40 @@
 
 This is the smallest end-to-end use of the public API:
 
-1. build the evaluation cluster (4x A100, 4x RTX 3090, 4x P100),
-2. let Hetis' Parallelizer assign Primary / Attention roles and plan DP/PP/TP,
+1. describe the deployment as a ``DeploymentSpec`` (model, system, cluster,
+   workload; the cluster defaults to the evaluation testbed of 4x A100,
+   4x RTX 3090 and 4x P100),
+2. build it, so Hetis' Parallelizer assigns Primary / Attention roles and
+   plans DP/PP/TP,
 3. replay a synthetic ShareGPT-style workload through the serving simulator,
 4. print the latency / throughput summary and compare against HexGen.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import quick_serve
-from repro.api import build_cluster, build_system
+from repro import DeploymentSpec, build, run
 
 
 def main() -> None:
-    model = "llama-13b"
-    dataset = "sharegpt"
-    request_rate = 8.0
-    num_requests = 60
+    spec = DeploymentSpec().with_overrides({
+        "model": "llama-13b",
+        "system.name": "hetis",
+        "workload.dataset": "sharegpt",
+        "workload.request_rate": 8.0,
+        "workload.num_requests": 60,
+    })
 
     # Show what the Parallelizer decided for this model on this cluster.
-    cluster = build_cluster("paper")
-    hetis = build_system("hetis", cluster, model, dataset=dataset)
+    hetis = build(spec).system
     print("Planned Hetis deployment:")
     print(" ", hetis.describe())
     print(f"  usable KV-cache capacity: {hetis.available_cache_bytes() / 1e9:.0f} GB\n")
 
-    print(f"Serving {num_requests} {dataset} requests at {request_rate} req/s ...")
+    workload = spec.workload
+    print(f"Serving {workload.num_requests} {workload.dataset} requests at {workload.request_rate} req/s ...")
     results = {}
     for system in ("hetis", "hexgen"):
-        results[system] = quick_serve(
-            model=model,
-            system=system,
-            dataset=dataset,
-            request_rate=request_rate,
-            num_requests=num_requests,
-            seed=0,
-        )
+        results[system] = run(spec.with_overrides({"system.name": system}))
 
     print(f"\n{'system':<10}{'norm. latency':>16}{'P95 TTFT':>12}{'P95 TPOT':>12}{'tokens/s':>12}")
     for system, result in results.items():

@@ -141,10 +141,4 @@ for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; d
     echo "  $workload traced OK"
 done
 
-# Perf trajectory: refresh BENCH_runner.json with CI-sized measurements.  The
-# timing numbers are recorded, not thresholded (CI boxes are noisy); the
-# script itself gates on parallel/cached rows being bit-identical to serial.
-echo "== perf trajectory: scripts/bench.py --quick =="
-python scripts/bench.py --quick
-
 echo "all tiers passed"

@@ -53,22 +53,17 @@ fi
 
 # Cluster-layer parity: with autoscaling/admission disabled (the defaults), a
 # replicated deployment must also be bit-identical.  The HEAD copy of
-# cluster_snapshot.py runs against both src trees (it restricts itself to
-# pre-elasticity API); skipped when the base predates multi-replica serving.
-if PYTHONPATH="$WORKDIR/base/src" python -c "from repro.api import build_replicated_system" 2>/dev/null; then
-    echo "== cluster snapshot @ $BASE_REF =="
-    PYTHONPATH="$WORKDIR/base/src" python scripts/cluster_snapshot.py "$WORKDIR/base-cluster.json"
-    echo "== cluster snapshot @ working tree =="
-    PYTHONPATH=src python scripts/cluster_snapshot.py "$WORKDIR/head-cluster.json"
-    if cmp -s "$WORKDIR/base-cluster.json" "$WORKDIR/head-cluster.json"; then
-        echo "cluster snapshot check: bit-identical to $BASE_REF (elasticity off)"
-    else
-        echo "cluster snapshot check FAILED: replicated metrics diverge from $BASE_REF" >&2
-        diff "$WORKDIR/base-cluster.json" "$WORKDIR/head-cluster.json" | head -40 >&2 || true
-        exit 1
-    fi
+# cluster_snapshot.py runs against both src trees.
+echo "== cluster snapshot @ $BASE_REF =="
+PYTHONPATH="$WORKDIR/base/src" python scripts/cluster_snapshot.py "$WORKDIR/base-cluster.json"
+echo "== cluster snapshot @ working tree =="
+PYTHONPATH=src python scripts/cluster_snapshot.py "$WORKDIR/head-cluster.json"
+if cmp -s "$WORKDIR/base-cluster.json" "$WORKDIR/head-cluster.json"; then
+    echo "cluster snapshot check: bit-identical to $BASE_REF (elasticity off)"
 else
-    echo "cluster snapshot check skipped: $BASE_REF predates multi-replica serving"
+    echo "cluster snapshot check FAILED: replicated metrics diverge from $BASE_REF" >&2
+    diff "$WORKDIR/base-cluster.json" "$WORKDIR/head-cluster.json" | head -40 >&2 || true
+    exit 1
 fi
 
 # CLI parity: the HEAD copy of cli_snapshot.py runs a fixed list of `serve` /

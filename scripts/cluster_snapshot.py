@@ -5,10 +5,9 @@ Companion to ``metrics_snapshot.py`` for the router/cluster layer: with
 autoscaling and admission control disabled (the defaults used here), a
 ``ClusterServingSystem`` run must be bit-identical across revisions.
 ``check_snapshot.sh`` runs this same file against the base revision's ``src``
-tree and the working tree's, then diffs the JSON byte-for-byte -- the script
-deliberately restricts itself to API that predates the elasticity subsystem
-(``quick_serve(num_replicas=..., router=...)``) so the base side can execute
-it unchanged.
+tree and the working tree's, then diffs the JSON byte-for-byte, so it builds
+each scenario as an ``api.run(DeploymentSpec(...))`` from spec fields both
+sides accept.
 
     PYTHONPATH=src python scripts/cluster_snapshot.py out.json
 """
@@ -18,7 +17,8 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.api import quick_serve
+from repro.api import run
+from repro.config import ClusterSpec, DeploymentSpec, RouterSpec, SystemSpec, WorkloadSpec
 
 SCENARIOS = [
     # (router, rate, num_requests)
@@ -31,16 +31,14 @@ SCENARIOS = [
 def snapshot() -> dict:
     out = {}
     for router, rate, n in SCENARIOS:
-        result = quick_serve(
-            model="llama-13b",
-            system="static-tp",
-            dataset="sharegpt",
-            request_rate=rate,
-            num_requests=n,
-            cluster_kind="small",
-            num_replicas=2,
-            router=router,
-            seed=0,
+        result = run(
+            DeploymentSpec(
+                model="llama-13b",
+                system=SystemSpec(name="static-tp"),
+                cluster=ClusterSpec(kind="small", replicas=2),
+                router=RouterSpec(name=router),
+                workload=WorkloadSpec(dataset="sharegpt", request_rate=rate, num_requests=n, seed=0),
+            )
         )
         s = result.summary
         records = sorted(result.metrics.records, key=lambda r: r.request_id)

@@ -4,8 +4,8 @@
 Used to verify that engine/performance refactors do not change simulation
 outputs: run once before the change, once after, and diff the JSON files.
 ``check_snapshot.sh`` runs this same file against the base revision's ``src``
-tree and the working tree's, so it sticks to ``quick_serve`` keywords both
-sides accept.
+tree and the working tree's, so it builds each scenario as an
+``api.run(DeploymentSpec(...))`` from spec fields both sides accept.
 
     PYTHONPATH=src python scripts/metrics_snapshot.py out.json
 """
@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.api import quick_serve
+from repro.api import run
+from repro.config import ClusterSpec, DeploymentSpec, SystemSpec, WorkloadSpec
 
 SCENARIOS = [
     # (system, model, dataset, rate, num_requests, prefill_chunk_tokens[, cluster kind])
@@ -43,15 +44,13 @@ SCENARIOS = [
 def snapshot() -> dict:
     out = {}
     for system, model, dataset, rate, n, chunk, *cluster in SCENARIOS:
-        result = quick_serve(
-            model=model,
-            system=system,
-            dataset=dataset,
-            request_rate=rate,
-            num_requests=n,
-            seed=0,
-            prefill_chunk_tokens=chunk,
-            cluster_kind=cluster[0] if cluster else "paper",
+        result = run(
+            DeploymentSpec(
+                model=model,
+                system=SystemSpec(name=system, prefill_chunk_tokens=chunk),
+                cluster=ClusterSpec(kind=cluster[0] if cluster else "paper"),
+                workload=WorkloadSpec(dataset=dataset, request_rate=rate, num_requests=n, seed=0),
+            )
         )
         s = result.summary
         records = sorted(result.metrics.records, key=lambda r: r.request_id)

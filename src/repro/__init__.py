@@ -17,11 +17,16 @@ library.  It provides:
 * experiment drivers that regenerate every table and figure of the paper's
   evaluation (:mod:`repro.experiments`).
 
+Every deployment is a :class:`DeploymentSpec`; :func:`build` turns one into a
+ready-to-run system and :func:`run` also simulates it.
+
 Quickstart
 ----------
->>> from repro import quick_serve
->>> result = quick_serve(model="llama-13b", system="hetis", dataset="sharegpt",
-...                      request_rate=6.0, num_requests=64, seed=0)
+>>> from repro import DeploymentSpec, run
+>>> spec = DeploymentSpec().with_overrides(
+...     {"system.name": "hetis", "workload.request_rate": 6.0, "workload.num_requests": 64}
+... )
+>>> result = run(spec)
 >>> result.normalized_latency > 0
 True
 """
@@ -29,12 +34,9 @@ True
 from repro.version import __version__
 from repro.api import (
     PreparedRun,
-    quick_serve,
     build,
     run,
     build_cluster,
-    build_system,
-    build_replicated_system,
     available_models,
     available_systems,
     available_datasets,
@@ -71,11 +73,7 @@ __all__ = [
     "build",
     "run",
     "PreparedRun",
-    # legacy keyword API
-    "quick_serve",
     "build_cluster",
-    "build_system",
-    "build_replicated_system",
     # listings
     "available_models",
     "available_systems",

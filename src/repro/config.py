@@ -388,11 +388,10 @@ class SystemSpec(Spec):
 
     ``limits`` overrides individual :class:`~repro.sim.scheduler.SchedulerLimits`
     fields; ``prefill_chunk_tokens`` opts into chunked prefill (``None`` keeps
-    the monolithic-prefill path bit-for-bit); ``options`` is forwarded to the
-    system builder as extra keyword arguments.  Options must be serializable;
-    live objects (a ``SchedulerLimits`` instance, a Parallelizer ``hint``)
-    go to :func:`repro.api.build` as its ``limits=`` / ``system_kwargs=``
-    keywords instead.
+    the monolithic-prefill path bit-for-bit) and may not disagree with
+    ``limits.prefill_chunk_tokens``; ``options`` is forwarded to the system
+    builder as extra keyword arguments (e.g. Hetis's ``theta``,
+    ``enable_redispatch`` or ``profiling_error``).
     """
 
     name: str = "hetis"
@@ -425,14 +424,24 @@ class SystemSpec(Spec):
                 SchedulerLimits(**limits)
             except ValueError as exc:
                 raise ConfigError(f"system.limits: {exc}") from None
+            if self.prefill_chunk_tokens is not None and "prefill_chunk_tokens" in limits:
+                _check(
+                    limits["prefill_chunk_tokens"] == self.prefill_chunk_tokens,
+                    f"system.prefill_chunk_tokens ({self.prefill_chunk_tokens!r}) and "
+                    f"system.limits.prefill_chunk_tokens ({limits['prefill_chunk_tokens']!r}) "
+                    "disagree; set the chunk size in one place",
+                )
             object.__setattr__(self, "limits", limits)
         object.__setattr__(self, "options", _check_mapping(self.options, "system.options"))
 
     def scheduler_limits(self) -> Optional[SchedulerLimits]:
-        """Materialise the limits override (``None`` when nothing is set)."""
-        if self.limits is None:
+        """Materialise the limits and chunk size (``None`` when neither is set)."""
+        if self.limits is None and self.prefill_chunk_tokens is None:
             return None
-        return SchedulerLimits(**self.limits)
+        limits = dict(self.limits or {})
+        if self.prefill_chunk_tokens is not None:
+            limits["prefill_chunk_tokens"] = self.prefill_chunk_tokens
+        return SchedulerLimits(**limits)
 
 
 @dataclass(frozen=True)

@@ -400,9 +400,3 @@ class Dispatcher:
         if single and current * (1.0 + CERTIFICATE_SLACK) <= greedy.objective * (1.0 + theta):
             return IdealCheck(over=False, ideal=greedy.objective, exact=False)
         return None
-
-    def target_by_id(self, target_id: int) -> DispatchTarget:
-        for t in self.targets:
-            if t.target_id == target_id:
-                return t
-        raise KeyError(f"no dispatch target with id {target_id}")

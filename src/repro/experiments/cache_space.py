@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.api import build_cluster, build_system
+from repro.api import build
+from repro.config import DeploymentSpec, SystemSpec, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,10 @@ def run_cache_space(
     for model in models:
         for dataset in datasets:
             for system in systems:
-                cluster = build_cluster("paper")
-                serving = build_system(system, cluster, model, dataset=dataset)
+                spec = DeploymentSpec(
+                    model=model, system=SystemSpec(name=system), workload=WorkloadSpec(dataset=dataset)
+                )
+                serving = build(spec).system
                 cells.append(
                     CacheSpaceCell(
                         system=system,

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api import build
+from repro.api import run
 from repro.config import ClusterSpec, DeploymentSpec, SystemSpec, WorkloadSpec
 from repro.experiments.runner import PointResult, SweepRunner, summary_row
-from repro.hardware.cluster import Cluster
 
 # Request-rate grids of Figs. 8-10 (req/s), per model and dataset.
 PAPER_RATE_GRID: Dict[str, Dict[str, Sequence[float]]] = {
@@ -133,19 +132,13 @@ def run_serving(
     request_rate: float,
     num_requests: int = 80,
     seed: int = 0,
-    cluster: Optional[Cluster] = None,
-    **system_kwargs,
 ) -> ServingPoint:
-    """Run one (system, model, dataset, rate) cell and summarise it.
+    """Run one (system, model, dataset, rate) cell in-process and summarise it.
 
-    ``cluster`` and ``system_kwargs`` are live-object escape hatches (a
-    prebuilt pool, a Parallelizer hint); they travel through
-    :func:`repro.api.build`'s override channel, which is why this single-point
-    helper always runs in-process.  Fan whole grids out with
-    :func:`run_rate_sweep` / :func:`run_tail_latency` instead.
+    Fan whole grids out with :func:`run_rate_sweep` / :func:`run_tail_latency`
+    instead.
     """
-    spec = serving_spec(system, model, dataset, request_rate, num_requests, seed)
-    result = build(spec, cluster=cluster, system_kwargs=system_kwargs or None).run()
+    result = run(serving_spec(system, model, dataset, request_rate, num_requests, seed))
     return _point_from_row(system, model, dataset, request_rate, summary_row(result))
 
 

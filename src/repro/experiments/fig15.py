@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.api import build_cluster, build_system, run_system
+from repro.api import run
+from repro.experiments.e2e import serving_spec
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import get_model_spec
-from repro.workloads.trace import generate_trace
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,10 @@ def run_redispatch_benefit(
     seed: int = 0,
 ) -> RedispatchBenefit:
     """Regenerate Fig. 15(a)."""
+    spec = serving_spec("hetis", model, dataset, request_rate, num_requests, seed)
     results: Dict[bool, object] = {}
     for enable in (True, False):
-        cluster = build_cluster("paper")
-        system = build_system(
-            "hetis", cluster, model, dataset=dataset, enable_redispatch=enable
-        )
-        trace = generate_trace(dataset, request_rate, num_requests, seed=seed)
-        results[enable] = run_system(system, trace).summary
+        results[enable] = run(spec.with_overrides({"system.options.enable_redispatch": enable})).summary
     return RedispatchBenefit(
         mean_latency_redispatch=results[True].mean_normalized_latency,
         p95_latency_redispatch=results[True].p95_normalized_latency,

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.api import build_cluster, build_system, run_system
-from repro.workloads.trace import generate_trace
+from repro.api import run
+from repro.experiments.e2e import serving_spec
 
 
 @dataclass
@@ -42,12 +42,11 @@ def run_theta_sensitivity(
     """Regenerate Fig. 16(a)."""
     result = ThetaSensitivity(thetas=list(thetas))
     for dataset in datasets:
+        spec = serving_spec("hetis", model, dataset, request_rate, num_requests, seed)
         latencies: List[float] = []
         for theta in thetas:
-            cluster = build_cluster("paper")
-            system = build_system("hetis", cluster, model, dataset=dataset, theta=theta)
-            trace = generate_trace(dataset, request_rate, num_requests, seed=seed)
-            latencies.append(run_system(system, trace).summary.mean_normalized_latency)
+            summary = run(spec.with_overrides({"system.options.theta": theta})).summary
+            latencies.append(summary.mean_normalized_latency)
         default_idx = list(thetas).index(0.5) if 0.5 in thetas else len(thetas) // 2
         baseline = latencies[default_idx] or 1.0
         result.latency_ratio[dataset] = [lat / baseline for lat in latencies]
@@ -76,11 +75,11 @@ def run_profiling_error_sensitivity(
 ) -> ProfilingErrorSensitivity:
     """Regenerate Fig. 16(b)."""
 
+    spec = serving_spec("hetis", model, dataset, request_rate, num_requests, seed)
+
     def latency(error: float) -> float:
-        cluster = build_cluster("paper")
-        system = build_system("hetis", cluster, model, dataset=dataset, profiling_error=error)
-        trace = generate_trace(dataset, request_rate, num_requests, seed=seed)
-        return run_system(system, trace).summary.mean_normalized_latency
+        summary = run(spec.with_overrides({"system.options.profiling_error": error})).summary
+        return summary.mean_normalized_latency
 
     baseline = latency(0.0) or 1.0
     result = ProfilingErrorSensitivity(error_levels=list(error_levels))

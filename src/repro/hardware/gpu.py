@@ -269,14 +269,6 @@ class GPUDevice:
             )
         self.weight_bytes = int(n_bytes)
 
-    def add_weights(self, n_bytes: int) -> None:
-        """Add ``n_bytes`` on top of the existing weight allocation."""
-        self.assign_weights(self.weight_bytes + int(n_bytes))
-
-    def clear_weights(self) -> None:
-        """Release all weight allocations (used when re-planning parallelism)."""
-        self.weight_bytes = 0
-
     # -- convenience ----------------------------------------------------------
 
     @property

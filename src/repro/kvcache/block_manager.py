@@ -178,9 +178,3 @@ class PagedBlockManager:
         tokens = self._seq_tokens.pop(seq_id)
         self._used_blocks -= self._seq_blocks.pop(seq_id)
         return tokens
-
-    def free_all(self) -> None:
-        """Release every allocation (instance teardown)."""
-        self._seq_tokens.clear()
-        self._seq_blocks.clear()
-        self._used_blocks = 0

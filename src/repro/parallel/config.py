@@ -86,10 +86,6 @@ class StageConfig:
             for dev, frac in zip(self.devices, self.fractions())
         }
 
-    @property
-    def device_ids(self) -> List[int]:
-        return [d.device_id for d in self.devices]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ",".join(d.name for d in self.devices)
         return f"Stage(layers={self.num_layers}, tp={self.tp_degree}, devices=[{names}])"
@@ -118,10 +114,6 @@ class InstanceParallelConfig:
                 )
 
     # -- structure --------------------------------------------------------------
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
 
     @property
     def primary_devices(self) -> List[GPUDevice]:

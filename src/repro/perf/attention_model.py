@@ -90,10 +90,6 @@ class TransferTimeModel:
             return 0.0
         return self.gamma * n_bytes + self.beta
 
-    def predict_heads(self, model: ModelSpec, num_heads: float, per_layer: bool = True) -> float:
-        """Transfer time when ``num_heads`` query heads are offloaded."""
-        return self.predict(attention_transfer_bytes(model, num_heads, per_layer))
-
     def with_error(self, rel_error: float, rng: np.random.Generator | None = None) -> "TransferTimeModel":
         """Coefficient perturbation analogous to :meth:`AttentionTimeModel.with_error`."""
         if rng is None:
@@ -145,7 +141,8 @@ class DeviceAttentionModel:
         value -- ``(device model, model spec)`` -- and sized for heterogeneous
         multi-replica fleets plus the perturbed copies the profiling-error
         study creates: 64 entries thrashed once a sweep mixed more than a few
-        fleet shapes (``scripts/bench.py`` records the hit rate).
+        fleet shapes (a traced perfbench run reports the hit rate as
+        ``cost.lru_head_coefficient_hit_rate``).
         """
         coeff = self.compute.a
         if self.is_remote:

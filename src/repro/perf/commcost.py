@@ -46,7 +46,8 @@ def attention_transfer_bytes(model: ModelSpec, num_query_heads: float, per_layer
     Memoized by ``(model, heads, per_layer)``.  Dispatch rounds produce many
     distinct fractional head counts per model, so the cache is sized for
     heterogeneous multi-replica sweeps (4096 thrashed there; each entry is a
-    single float, and ``scripts/bench.py`` records the observed hit rate).
+    single float; a traced perfbench run reports the observed hit rate as
+    ``cost.lru_attention_transfer_bytes_hit_rate``).
     """
     if num_query_heads < 0:
         raise ValueError("num_query_heads must be >= 0")

@@ -122,9 +122,6 @@ class HeadDispatchSolution:
     feasible: bool = True
     lp_objective: Optional[float] = None
 
-    def heads_for_request(self, j: int) -> np.ndarray:
-        return self.allocation[:, j]
-
 
 def objective_lower_bound(problem: HeadDispatchProblem) -> float:
     """A lower bound on the min--max objective of every allocation, without solving.

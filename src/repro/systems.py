@@ -1,15 +1,17 @@
 """Serving-system plugin registry.
 
 Every named serving system -- the paper's Hetis plus the baselines -- registers
-a builder here, replacing the if-elif chain that used to live in
-:func:`repro.api.build_system`.  A builder has the uniform signature::
+a builder here, and :func:`repro.api.build` calls the one a spec's
+``system.name`` names.  A builder has the uniform signature::
 
     builder(cluster, model, dataset="sharegpt", limits=None, **kwargs) -> ServingSystem
 
 where ``model`` is a resolved :class:`~repro.models.spec.ModelSpec` and
 ``dataset`` names the workload the deployment is being planned for (Hetis
 derives its Parallelizer hint from the dataset's length statistics; builders
-that do not plan against the workload simply ignore it).
+that do not plan against the workload simply ignore it).  A spec's
+``system.limits`` and ``system.prefill_chunk_tokens`` arrive as ``limits`` and
+its ``system.options`` as ``kwargs``.
 
 Third-party systems join the catalog with::
 
@@ -20,8 +22,8 @@ Third-party systems join the catalog with::
         ...
 
 after which ``"my-system"`` is valid everywhere a system name is accepted:
-``quick_serve(system=...)``, :class:`~repro.config.SystemSpec`, the CLI, and
-the sweep runner.
+:class:`~repro.config.SystemSpec` (and so config files and ``build``), the
+CLI, and the sweep runner.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import build_cluster, build_replicated_system, quick_serve, run_system
+from repro.api import build, run, run_system
+from repro.config import DeploymentSpec
 from repro.core.cluster_system import (
     ClusterServingSystem,
     LeastKVLoadRouter,
@@ -16,10 +17,10 @@ from repro.workloads.trace import generate_trace
 pytestmark = pytest.mark.slow
 
 
-def build_two_replicas(system="static-tp", router="round-robin", seed=0):
-    return build_replicated_system(
-        system, "llama-13b", 2, router=router, cluster_kind="small", seed=seed
-    )
+#: Two static-tp replicas, each on its own small cluster, round-robin routed.
+TWO_SMALL = DeploymentSpec().with_overrides(
+    {"system.name": "static-tp", "cluster.kind": "small", "cluster.replicas": 2}
+)
 
 
 class TestConstruction:
@@ -36,19 +37,19 @@ class TestConstruction:
         assert make_router(router) is router
 
     def test_units_are_union_of_replica_units(self):
-        system = build_two_replicas()
+        system = build(TWO_SMALL).system
         per_replica = [len(r.units) for r in system.replicas]
         assert len(system.units) == sum(per_replica)
         assert len({id(u) for u in system.units}) == len(system.units)
 
     def test_cache_bytes_sum_over_replicas(self):
-        system = build_two_replicas()
+        system = build(TWO_SMALL).system
         assert system.available_cache_bytes() == pytest.approx(
             sum(r.available_cache_bytes() for r in system.replicas)
         )
 
     def test_describe_mentions_router_and_replicas(self):
-        system = build_two_replicas(router="least-kv")
+        system = build(TWO_SMALL.with_overrides({"router.name": "least-kv"})).system
         text = system.describe()
         assert "least-kv" in text
         assert "2x" in system.name
@@ -58,22 +59,10 @@ class TestRouterDeterminism:
     @pytest.mark.parametrize("router", ["round-robin", "least-kv", "power-of-two"])
     def test_same_seed_same_results(self, router):
         """Two runs with identical seeds must produce identical metrics."""
-        results = []
-        for _ in range(2):
-            results.append(
-                quick_serve(
-                    model="llama-13b",
-                    system="static-tp",
-                    dataset="sharegpt",
-                    request_rate=10.0,
-                    num_requests=32,
-                    cluster_kind="small",
-                    num_replicas=2,
-                    router=router,
-                    seed=0,
-                )
-            )
-        a, b = results
+        spec = TWO_SMALL.with_overrides(
+            {"router.name": router, "workload.request_rate": 10.0, "workload.num_requests": 32}
+        )
+        a, b = run(spec), run(spec)
         assert a.summary.mean_normalized_latency == b.summary.mean_normalized_latency
         assert a.summary.p95_ttft == b.summary.p95_ttft
         assert [r.finish_time for r in a.metrics.records] == [
@@ -81,7 +70,7 @@ class TestRouterDeterminism:
         ]
 
     def test_round_robin_cycles(self):
-        system = build_two_replicas()
+        system = build(TWO_SMALL).system
         trace = generate_trace("sharegpt", 8.0, 16, seed=0)
         run_system(system, trace)
         # Round-robin alternates strictly, so a 16-request trace splits 8/8.
@@ -91,14 +80,14 @@ class TestRouterDeterminism:
         picks = {}
         for seed in (0, 1):
             router = PowerOfTwoChoicesRouter(seed=seed)
-            system = build_two_replicas()
+            system = build(TWO_SMALL).system
             picks[seed] = [router.select(None, system.replicas, 0.0) for _ in range(32)]
         assert picks[0] != picks[1]
 
 
 class TestRouterBalancing:
     def test_least_kv_prefers_emptier_replica(self):
-        system = build_two_replicas(router="least-kv")
+        system = build(TWO_SMALL.with_overrides({"router.name": "least-kv"})).system
         # Load replica 0 by running a burst through it directly.
         busy = system.replicas[0]
         trace = generate_trace("sharegpt", 50.0, 8, seed=1)
@@ -118,7 +107,7 @@ class TestRouterBalancing:
         """Property test: under power-of-two routing at a saturating rate, no
         device of any replica ever reports utilization above 1.0, and the
         block managers never overcommit."""
-        system = build_two_replicas(router="power-of-two", seed=3)
+        system = build(TWO_SMALL.with_overrides({"router.name": "power-of-two", "workload.seed": 3})).system
         trace = generate_trace("sharegpt", 40.0, 64, seed=3)
         result = run_system(system, trace)
         assert result.summary.num_finished > 0
@@ -132,7 +121,7 @@ class TestRouterBalancing:
 
     def test_recorder_keys_disambiguate_replicas(self):
         """Same-blueprint replicas must not merge their device time series."""
-        system = build_two_replicas(router="round-robin")
+        system = build(TWO_SMALL).system
         trace = generate_trace("sharegpt", 10.0, 16, seed=0)
         result = run_system(system, trace)
         keys = result.recorder.keys("cache_usage")
@@ -147,20 +136,19 @@ class TestClusterAccounting:
         for router in ("round-robin", "least-kv", "power-of-two",
                        "weighted-round-robin", "weighted-least-kv",
                        "weighted-power-of-two"):
-            system = build_two_replicas(router=router)
+            system = build(TWO_SMALL.with_overrides({"router.name": router})).system
             trace = generate_trace("sharegpt", 10.0, 24, seed=0)
             run_system(system, trace)
             assert sum(system.requests_per_replica) == len(trace), router
             assert all(c >= 0 for c in system.requests_per_replica)
 
     def test_requests_per_replica_counts_admitted_only(self):
-        from repro.core.elasticity import QueueThresholdAdmission
-
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kinds=["rtx3090:2", "rtx3090:2"],
-            router="least-kv", seed=0,
-            admission=QueueThresholdAdmission(max_queue_depth=1, mode="reject"),
-        )
+        system = build(TWO_SMALL.with_overrides({
+            "cluster.replica_kinds": ["rtx3090:2", "rtx3090:2"],
+            "router.name": "least-kv",
+            "elasticity.admission": "queue-threshold",
+            "elasticity.admission_options": {"max_queue_depth": 1, "mode": "reject"},
+        })).system
         trace = generate_trace("longbench", 20.0, 32, seed=0)
         result = run_system(system, trace)
         routed = sum(system.requests_per_replica)
@@ -168,10 +156,10 @@ class TestClusterAccounting:
         assert result.summary.num_rejected > 0
 
     def test_cache_bytes_sum_over_heterogeneous_replicas(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kinds=["a100:1,rtx3090:2", "rtx3090:2"],
-            router="weighted-least-kv", seed=0,
-        )
+        system = build(TWO_SMALL.with_overrides({
+            "cluster.replica_kinds": ["a100:1,rtx3090:2", "rtx3090:2"],
+            "router.name": "weighted-least-kv",
+        })).system
         assert system.available_cache_bytes() == pytest.approx(
             sum(r.available_cache_bytes() for r in system.replicas)
         )
@@ -181,7 +169,7 @@ class TestClusterAccounting:
     def test_recorder_prefixes_never_collide_after_stripping(self):
         """Prefixed keys map 1:1 onto (replica, device) pairs: stripping the
         r<N>/ prefix yields the same per-replica key set for every replica."""
-        system = build_two_replicas()
+        system = build(TWO_SMALL).system
         trace = generate_trace("sharegpt", 10.0, 16, seed=0)
         result = run_system(system, trace)
         keys = result.recorder.keys("cache_usage")
@@ -201,7 +189,7 @@ class TestClusterAccounting:
         instead of piling onto the pre-burst minimum."""
         from repro.workloads.trace import Trace, TraceEntry
 
-        system = build_two_replicas(router="least-kv")
+        system = build(TWO_SMALL.with_overrides({"router.name": "least-kv"})).system
         entries = [TraceEntry(1.0, 512, 8) for _ in range(4)]
         run_system(system, Trace(entries=entries, dataset="sharegpt"))
         # Stale caching would send all 4 to replica 0; invalidation makes the
@@ -215,7 +203,7 @@ class TestClusterAccounting:
         that same timestamp (queue/KV state is re-read after invalidation)."""
         from repro.sim.request import Request
 
-        system = build_two_replicas(router="round-robin")
+        system = build(TWO_SMALL).system
         before = system.replica_states(1.0)
         assert all(s.kv_utilization == 0.0 for s in before)
         unit = system.route(Request(0, 1.0, 512, 8), 1.0)
@@ -241,7 +229,7 @@ class TestClusterAccounting:
                     range(len(replicas)), key=lambda i: self.kv_load(replicas[i], now)
                 )
 
-        system = build_two_replicas()
+        system = build(TWO_SMALL).system
         system.router = LegacyRouter()
         trace = generate_trace("sharegpt", 10.0, 8, seed=0)
         result = run_system(system, trace)
@@ -249,10 +237,10 @@ class TestClusterAccounting:
         assert sum(system.requests_per_replica) == 8
 
     def test_weighted_routers_shift_load_toward_capacity(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kinds=["a100:1,rtx3090:2", "rtx3090:2"],
-            router="weighted-round-robin", seed=0,
-        )
+        system = build(TWO_SMALL.with_overrides({
+            "cluster.replica_kinds": ["a100:1,rtx3090:2", "rtx3090:2"],
+            "router.name": "weighted-round-robin",
+        })).system
         trace = generate_trace("sharegpt", 10.0, 60, seed=0)
         run_system(system, trace)
         big, small = system.requests_per_replica
@@ -263,35 +251,29 @@ class TestClusterAccounting:
 class TestEndToEnd:
     def test_two_replicas_beat_one_at_high_rate(self):
         """Data parallelism must relieve a saturated deployment."""
-        common = dict(
-            model="llama-13b",
-            system="static-tp",
-            dataset="sharegpt",
-            request_rate=16.0,
-            num_requests=48,
-            cluster_kind="small",
-            seed=0,
-        )
-        single = quick_serve(num_replicas=1, **common)
-        double = quick_serve(num_replicas=2, router="round-robin", **common)
-        assert double.summary.mean_normalized_latency < single.summary.mean_normalized_latency
-        assert double.summary.num_finished >= single.summary.num_finished
+        spec = TWO_SMALL.with_overrides({"workload.request_rate": 16.0, "workload.num_requests": 48})
+        single = run(spec.with_overrides({"cluster.replicas": 1})).summary
+        double = run(spec).summary
+        assert double.mean_normalized_latency < single.mean_normalized_latency
+        assert double.num_finished >= single.num_finished
+
+    def test_replicas_never_share_a_cluster(self):
+        """Device objects are mutable, so each replica gets its own cluster,
+        also when two replicas name the same blueprint."""
+        for spec in (TWO_SMALL, TWO_SMALL.with_overrides({"cluster.replica_kinds": ["small", "small"]})):
+            per_replica = [
+                {id(d) for unit in replica.units for d in unit.config.all_devices}
+                for replica in build(spec).system.replicas
+            ]
+            assert all(per_replica)
+            assert per_replica[0].isdisjoint(per_replica[1])
 
     @pytest.mark.parametrize("system_name", ["hetis", "splitwise", "hexgen"])
     def test_every_system_runs_replicated(self, system_name):
-        result = quick_serve(
-            model="llama-13b",
-            system=system_name,
-            dataset="sharegpt",
-            request_rate=8.0,
-            num_requests=16,
-            cluster_kind="small",
-            num_replicas=2,
-            router="least-kv",
-            seed=0,
-        )
+        result = run(TWO_SMALL.with_overrides({
+            "system.name": system_name,
+            "router.name": "least-kv",
+            "workload.request_rate": 8.0,
+            "workload.num_requests": 16,
+        }))
         assert result.summary.num_finished == 16
-
-    def test_shared_cluster_rejected(self):
-        with pytest.raises(ValueError, match="cluster_kind"):
-            quick_serve(cluster=build_cluster("small"), num_replicas=2)

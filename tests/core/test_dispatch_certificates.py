@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import quick_serve
+from repro.api import run
+from repro.config import DeploymentSpec
 from repro.core.attention_parallel import HeadSplit
 from repro.core.dispatcher import Dispatcher, DispatchTarget
 from repro.core.hetis_unit import HetisInstanceUnit
@@ -240,12 +241,28 @@ def test_single_request_certificate_is_exact(model_name, solver, profiling_error
 @pytest.mark.parametrize(
     "options, single_request",
     [
-        ({"dataset": "longbench", "request_rate": 4.0, "theta": 0.3}, False),
-        ({"dataset": "sharegpt", "request_rate": 8.0, "profiling_error": 0.3, "theta": 0.7}, False),
-        ({"dataset": "longbench", "request_rate": 4.0, "solver": "greedy", "local_preference": 0.0}, False),
+        ({"workload.dataset": "longbench", "workload.request_rate": 4.0, "system.options.theta": 0.3}, False),
+        (
+            {
+                "workload.dataset": "sharegpt",
+                "workload.request_rate": 8.0,
+                "system.options.profiling_error": 0.3,
+                "system.options.theta": 0.7,
+            },
+            False,
+        ),
+        (
+            {
+                "workload.dataset": "longbench",
+                "workload.request_rate": 4.0,
+                "system.options.solver": "greedy",
+                "system.options.local_preference": 0.0,
+            },
+            False,
+        ),
         # Checks with one request holding cache, near balance: the lower
         # bound leaves 11 of them open, greedy settles them.
-        ({"dataset": "sharegpt", "request_rate": 0.5}, True),
+        ({"workload.dataset": "sharegpt", "workload.request_rate": 0.5}, True),
     ],
 )
 def test_replay_is_bit_identical_to_reference(monkeypatch, options, single_request):
@@ -271,7 +288,8 @@ def test_replay_is_bit_identical_to_reference(monkeypatch, options, single_reque
 
     def replay():
         applied.clear()
-        result = quick_serve(system="hetis", num_requests=24, seed=3, **options)
+        spec = DeploymentSpec().with_overrides({"workload.num_requests": 24, "workload.seed": 3, **options})
+        result = run(spec)
         records = sorted(result.metrics.records, key=lambda r: r.request_id)
         return [(r.request_id, r.finish_time, r.ttft, r.tpot) for r in records], list(applied)
 

@@ -151,12 +151,6 @@ class TestStateAndObjectives:
         dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
         assert dispatcher.ideal_objective([(1, 2000), (2, 3000)]) > 0.0
 
-    def test_target_lookup(self, llama70b):
-        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
-        assert dispatcher.target_by_id(-1).is_primary
-        with pytest.raises(KeyError):
-            dispatcher.target_by_id(42)
-
     def test_free_token_heads_accounting(self, llama70b):
         targets = make_targets(llama70b)
         dispatcher = make_dispatcher(llama70b, targets)

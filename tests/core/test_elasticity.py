@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.api import build_replicated_system, quick_serve, run_system
+from repro.api import build, run, run_system
+from repro.config import DeploymentSpec
+from repro.core.cluster_system import ClusterServingSystem
 from repro.core.elasticity import (
     KVThresholdAdmission,
     QueueDepthAutoscaler,
@@ -147,14 +149,18 @@ class TestAdmissionControllers:
             KVThresholdAdmission(mode="drop")
 
 
+#: Four static-tp replicas on small clusters behind least-kv routing.
+FLEET = DeploymentSpec().with_overrides(
+    {"system.name": "static-tp", "cluster.kind": "small", "cluster.replicas": 4, "router.name": "least-kv"}
+)
+#: Two small RTX-3090 replicas behind least-kv routing, serving LongBench.
+TWO_3090 = FLEET.with_overrides(
+    {"cluster.replica_kinds": ["rtx3090:2", "rtx3090:2"], "cluster.replicas": 2, "workload.dataset": "longbench"}
+)
+
+
 @pytest.mark.slow
 class TestElasticIntegration:
-    def build(self, n=4, **kwargs):
-        return build_replicated_system(
-            "static-tp", "llama-13b", n, cluster_kind="small", router="least-kv",
-            seed=0, **kwargs,
-        )
-
     def test_autoscaler_rises_in_bursts_and_drains_idle(self):
         """Acceptance: on the Fig.-14 piecewise workload the active-replica
         count rises during the burst phases and drains back in the idle
@@ -165,10 +171,10 @@ class TestElasticIntegration:
             RatePhase(rate=4.0, duration=25.0),
             RatePhase(rate=1e-6, duration=25.0),
         ]
-        autoscaler = TargetKVUtilizationAutoscaler(
-            target_utilization=0.25, interval=2.0, min_replicas=1
-        )
-        system = self.build(autoscaler=autoscaler)
+        system = build(FLEET.with_overrides({
+            "elasticity.autoscaler": "target-kv",
+            "elasticity.autoscaler_options": {"target_utilization": 0.25, "interval": 2.0, "min_replicas": 1},
+        })).system
         assert system.num_active == 1  # starts at the minimum
         trace = generate_trace("sharegpt", 0.0, 300, seed=0, phases=phases)
         result = run_system(system, trace)
@@ -187,10 +193,11 @@ class TestElasticIntegration:
     def test_drained_replicas_finish_in_flight_work(self):
         """Draining must never strand requests: everything routed to a replica
         that later drains still completes."""
-        autoscaler = QueueDepthAutoscaler(
-            target_queue_per_replica=2.0, interval=1.0, min_replicas=1
-        )
-        system = self.build(n=3, autoscaler=autoscaler)
+        system = build(FLEET.with_overrides({
+            "cluster.replicas": 3,
+            "elasticity.autoscaler": "queue-depth",
+            "elasticity.autoscaler_options": {"target_queue_per_replica": 2.0, "interval": 1.0, "min_replicas": 1},
+        })).system
         trace = generate_trace("sharegpt", 10.0, 60, seed=1)
         result = run_system(system, trace)
         assert result.summary.num_finished == 60
@@ -198,7 +205,7 @@ class TestElasticIntegration:
         assert sum(system.requests_per_replica) == 60
 
     def test_disabled_autoscaler_schedules_no_control_ticks(self):
-        system = self.build()
+        system = build(FLEET).system
         assert system.control_interval() is None
         trace = generate_trace("sharegpt", 10.0, 16, seed=0)
         result = run_system(system, trace)
@@ -206,11 +213,10 @@ class TestElasticIntegration:
         assert system.num_active == len(system.replicas)
 
     def test_admission_rejections_feed_goodput_block(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kinds=["rtx3090:2", "rtx3090:2"],
-            router="least-kv", seed=0,
-            admission=QueueThresholdAdmission(max_queue_depth=1, mode="reject"),
-        )
+        system = build(TWO_3090.with_overrides({
+            "elasticity.admission": "queue-threshold",
+            "elasticity.admission_options": {"max_queue_depth": 1, "mode": "reject"},
+        })).system
         trace = generate_trace("longbench", 20.0, 48, seed=0)
         result = run_system(system, trace)
         s = result.summary
@@ -226,14 +232,17 @@ class TestElasticIntegration:
         adm = QueueThresholdAdmission(max_queue_depth=1, mode="defer",
                                       retry_delay=0.5, max_defers=5)
         auto = TargetKVUtilizationAutoscaler(target_utilization=0.3, interval=2.0)
+        replica = DeploymentSpec().with_overrides(
+            {"system.name": "static-tp", "cluster.kind": "rtx3090:2", "workload.dataset": "longbench"}
+        )
+        trace = generate_trace("longbench", 20.0, 24, seed=0)
         results = []
         for _ in range(2):
-            results.append(quick_serve(
-                model="llama-13b", system="static-tp", dataset="longbench",
-                request_rate=20.0, num_requests=24, seed=0,
-                cluster_kinds=["rtx3090:2", "rtx3090:2"], router="least-kv",
-                admission=adm, autoscaler=auto,
-            ))
+            system = ClusterServingSystem(
+                [build(replica).system, build(replica).system],
+                router="least-kv", admission=adm, autoscaler=auto,
+            )
+            results.append(run_system(system, trace))
         a, b = results
         assert a.summary.num_rejected == b.summary.num_rejected
         assert a.summary.num_deferrals == b.summary.num_deferrals
@@ -266,31 +275,35 @@ class TestElasticIntegration:
         assert collector._start_time == 0.0
 
     def test_single_replica_admission_accepts_explicit_cluster(self):
-        from repro.api import build_cluster
-
-        result = quick_serve(
-            model="llama-13b", system="static-tp", dataset="sharegpt",
-            request_rate=8.0, num_requests=6, seed=0,
-            cluster=build_cluster("small"),
-            admission=QueueThresholdAdmission(max_queue_depth=8),
-        )
-        assert result.summary.num_finished == 6
+        small = DeploymentSpec().with_overrides({
+            "system.name": "static-tp",
+            "cluster.kind": "small",
+            "workload.request_rate": 8.0,
+            "workload.num_requests": 6,
+        })
+        prepared = build(small.with_overrides({
+            "elasticity.admission": "queue-threshold",
+            "elasticity.admission_options": {"max_queue_depth": 8},
+        }))
+        # The one admitted replica runs on the chosen cluster, not the paper one.
+        assert isinstance(prepared.system, ClusterServingSystem)
+        assert prepared.system.available_cache_bytes() == build(small).system.available_cache_bytes()
+        assert prepared.run().summary.num_finished == 6
 
     def test_defer_mode_serves_more_than_reject_mode(self):
-        common = dict(
-            model="llama-13b", system="static-tp", dataset="longbench",
-            request_rate=20.0, num_requests=32, seed=0,
-            cluster_kinds=["rtx3090:2", "rtx3090:2"], router="least-kv",
-        )
-        rejecting = quick_serve(
-            admission=QueueThresholdAdmission(max_queue_depth=1, mode="reject"), **common
-        )
-        deferring = quick_serve(
-            admission=QueueThresholdAdmission(
-                max_queue_depth=1, mode="defer", retry_delay=1.0, max_defers=200
-            ),
-            **common,
-        )
+        spec = TWO_3090.with_overrides({
+            "workload.request_rate": 20.0,
+            "workload.num_requests": 32,
+            "elasticity.admission": "queue-threshold",
+        })
+        rejecting = run(spec.with_overrides(
+            {"elasticity.admission_options": {"max_queue_depth": 1, "mode": "reject"}}
+        ))
+        deferring = run(spec.with_overrides({
+            "elasticity.admission_options": {
+                "max_queue_depth": 1, "mode": "defer", "retry_delay": 1.0, "max_defers": 200,
+            },
+        }))
         assert deferring.summary.num_deferrals > 0
         assert deferring.summary.num_finished >= rejecting.summary.num_finished
         assert deferring.summary.num_rejected <= rejecting.summary.num_rejected
@@ -300,13 +313,13 @@ class TestElasticIntegration:
                               spike_duration=10.0, num_spikes=1)
         results = []
         for _ in range(2):
-            system = self.build(
-                n=3,
-                autoscaler=TargetKVUtilizationAutoscaler(
-                    target_utilization=0.3, interval=2.0
-                ),
-                admission=KVThresholdAdmission(max_utilization=0.95),
-            )
+            system = build(FLEET.with_overrides({
+                "cluster.replicas": 3,
+                "elasticity.autoscaler": "target-kv",
+                "elasticity.autoscaler_options": {"target_utilization": 0.3, "interval": 2.0},
+                "elasticity.admission": "kv-threshold",
+                "elasticity.admission_options": {"max_utilization": 0.95},
+            })).system
             trace = generate_trace("sharegpt", 0.0, 120, seed=3, phases=phases)
             results.append(run_system(system, trace))
         a, b = results
@@ -320,10 +333,11 @@ class TestElasticIntegration:
     def test_diurnal_schedule_drives_multiple_scale_cycles(self):
         phases = diurnal_phases(base_rate=0.5, peak_rate=8.0, period=120.0,
                                 num_segments=8, cycles=1)
-        system = self.build(
-            n=3,
-            autoscaler=TargetKVUtilizationAutoscaler(target_utilization=0.3, interval=3.0),
-        )
+        system = build(FLEET.with_overrides({
+            "cluster.replicas": 3,
+            "elasticity.autoscaler": "target-kv",
+            "elasticity.autoscaler_options": {"target_utilization": 0.3, "interval": 3.0},
+        })).system
         trace = generate_trace("sharegpt", 0.0, 400, seed=0, phases=phases)
         result = run_system(system, trace)
         assert result.summary.num_finished == len(trace)
@@ -384,19 +398,19 @@ class TestCostAwareScaleUp:
     def test_cost_aware_integration_activates_cheapest_first(self):
         """End to end: a heterogeneous fleet under load brings up the
         cheapest inactive blueprint, not the lowest-index one."""
-        autoscaler = TargetKVUtilizationAutoscaler(
-            target_utilization=0.2, interval=1.0, min_replicas=1, cost_aware=True
-        )
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 3,
-            cluster_kinds=["rtx3090:2", "a100:2", "t4:4"],
-            router="least-kv", seed=0, autoscaler=autoscaler,
-        )
+        system = build(FLEET.with_overrides({
+            "cluster.replica_kinds": ["rtx3090:2", "a100:2", "t4:4"],
+            "cluster.replicas": 3,
+            "elasticity.autoscaler": "target-kv",
+            "elasticity.autoscaler_options": {
+                "target_utilization": 0.2, "interval": 1.0, "min_replicas": 1, "cost_aware": True,
+            },
+        })).system
         states = system.replica_states(0.0)
         assert [s.cost_per_hour for s in states] == pytest.approx([1.7, 6.0, 1.4])
         # The policy's blueprint choice on the live fleet: the cheap T4
         # replica (index 2) before the expensive A100 one (index 1).
-        assert autoscaler.choose_scale_up(states, 2, 0.0) == [2, 1]
+        assert system.autoscaler.choose_scale_up(states, 2, 0.0) == [2, 1]
         trace = generate_trace("sharegpt", 14.0, 80, seed=0)
         result = run_system(system, trace)
         assert result.summary.num_finished == 80

@@ -3,43 +3,43 @@
 import pytest
 
 from repro import api
-from repro.api import build_replicated_system, quick_serve, run_system
-from repro.config import DeploymentSpec, FailureSpec
+from repro.api import run_system
+from repro.config import DeploymentSpec
 from repro.core.cluster_system import ClusterServingSystem, replica_cost_per_hour
-from repro.sim.metrics import SLOSpec
 from repro.workloads.trace import generate_trace
 
 pytestmark = pytest.mark.slow
 
+#: Two static-tp replicas, each on its own small cluster.
+TWO_SMALL = DeploymentSpec().with_overrides(
+    {"system.name": "static-tp", "cluster.kind": "small", "cluster.replicas": 2}
+)
+#: Replica 0 of TWO_SMALL fails at t=1 s and never recovers.
+ONE_FAILS = TWO_SMALL.with_overrides({"failures.events": [[1.0, 0]], "failures.recovery_time": 1e9})
 
-def churn_run(migration, recovery_time=120.0, rate=14.0, n=200, replicas=4, seed=3):
-    return quick_serve(
-        model="llama-13b",
-        system="static-tp",
-        cluster_kind="rtx3090:2",
-        num_replicas=replicas,
-        request_rate=rate,
-        num_requests=n,
-        seed=seed,
-        slo=SLOSpec(ttft_s=2.0, tpot_s=0.2),
-        failures=FailureSpec(events=[[5.0, 0]], recovery_time=recovery_time),
-        migration=migration,
-    )
+CHURN = DeploymentSpec.from_dict({
+    "system": {"name": "static-tp"},
+    "cluster": {"kind": "rtx3090:2", "replicas": 4},
+    "slo": {"ttft_s": 2.0, "tpot_s": 0.2},
+    "failures": {"events": [[5.0, 0]], "recovery_time": 120.0},
+    "workload": {"request_rate": 14.0, "num_requests": 200, "seed": 3},
+})
+
+
+def churn_run(migration, n=200):
+    return api.run(CHURN.with_overrides({"elasticity.migration": migration, "workload.num_requests": n}))
 
 
 class TestFailureInjection:
     def test_schedule_validates_replica_bounds(self):
-        system = build_replicated_system("static-tp", "llama-13b", 2, cluster_kind="small")
+        system = api.build(TWO_SMALL).system
         with pytest.raises(ValueError, match="replica"):
             ClusterServingSystem(
                 system.replicas, router="round-robin", failure_schedule=[(1.0, 5)]
             )
 
     def test_failure_fires_and_is_recorded(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kind="small",
-            failures=FailureSpec(events=[[1.0, 0]], recovery_time=1e9),
-        )
+        system = api.build(ONE_FAILS).system
         trace = generate_trace("sharegpt", 8.0, 32, seed=0)
         result = run_system(system, trace, max_simulated_time=60.0)
         assert system.failure_events == [(1.0, 0)]
@@ -49,10 +49,7 @@ class TestFailureInjection:
 
     def test_failed_replica_is_a_real_outage(self):
         """While down, a failed replica makes no progress on its queue."""
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kind="small",
-            failures=FailureSpec(events=[[1.0, 0]], recovery_time=1e9),
-        )
+        system = api.build(ONE_FAILS).system
         for unit in system.replicas[0].units:
             assert unit.paused_until == 0.0
         trace = generate_trace("sharegpt", 10.0, 24, seed=0)
@@ -61,10 +58,7 @@ class TestFailureInjection:
             assert unit.paused_until > 1e8
 
     def test_recovered_replica_rejoins_without_autoscaler(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kind="small",
-            failures=FailureSpec(events=[[1.0, 0]], recovery_time=3.0),
-        )
+        system = api.build(ONE_FAILS.with_overrides({"failures.recovery_time": 3.0})).system
         trace = generate_trace("sharegpt", 8.0, 48, seed=0)
         result = run_system(system, trace, max_simulated_time=600.0)
         assert system.active == [True, True]
@@ -72,10 +66,7 @@ class TestFailureInjection:
 
     def test_initial_activation_recorded_at_t0(self):
         """The activation series starts at t=0, not at the first control tick."""
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kind="small",
-            failures=FailureSpec(events=[[2.0, 0]], recovery_time=1e9),
-        )
+        system = api.build(ONE_FAILS.with_overrides({"failures.events": [[2.0, 0]]})).system
         trace = generate_trace("sharegpt", 8.0, 16, seed=0)
         result = run_system(system, trace, max_simulated_time=30.0)
         series = result.recorder.raw("active_replicas", "cluster")
@@ -84,12 +75,11 @@ class TestFailureInjection:
 
     def test_route_falls_back_to_least_loaded_drained_replica(self):
         """With every replica down, arrivals route to the least-loaded one."""
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kind="small", router="least-kv",
-            failures=FailureSpec(
-                events=[[0.5, 0], [0.5, 1]], recovery_time=1e9, check_interval=0.25
-            ),
-        )
+        system = api.build(ONE_FAILS.with_overrides({
+            "router.name": "least-kv",
+            "failures.events": [[0.5, 0], [0.5, 1]],
+            "failures.check_interval": 0.25,
+        })).system
         trace = generate_trace("sharegpt", 10.0, 32, seed=0)
         result = run_system(system, trace, max_simulated_time=10.0)
         assert system.num_drained_routes > 0
@@ -106,11 +96,7 @@ class TestLiveMigration:
         assert result.summary.num_finished == 120
 
     def test_migration_counters_and_series(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2, cluster_kind="small",
-            failures=FailureSpec(events=[[1.0, 0]], recovery_time=1e9),
-            migration=True,
-        )
+        system = api.build(ONE_FAILS.with_overrides({"elasticity.migration": True})).system
         trace = generate_trace("sharegpt", 12.0, 48, seed=0)
         result = run_system(system, trace, max_simulated_time=120.0)
         assert system.migration_enabled
@@ -137,7 +123,7 @@ class TestLiveMigration:
         ]
 
     def test_migration_off_by_default_is_inert(self):
-        system = build_replicated_system("static-tp", "llama-13b", 2, cluster_kind="small")
+        system = api.build(TWO_SMALL).system
         assert not system.migration_enabled
         assert system.num_migrated_requests == 0
 
@@ -171,10 +157,8 @@ class TestLiveMigration:
 
 class TestReplicaCosts:
     def test_replica_cost_sums_catalog_prices(self):
-        system = build_replicated_system(
-            "static-tp", "llama-13b", 2,
-            cluster_kinds=["rtx3090:2", "a100:2"],
-        )
+        spec = TWO_SMALL.with_overrides({"cluster.replica_kinds": ["rtx3090:2", "a100:2"]})
+        system = api.build(spec).system
         states = system.replica_states(0.0)
         assert states[0].cost_per_hour == pytest.approx(2 * 0.85)
         assert states[1].cost_per_hour == pytest.approx(2 * 3.00)

@@ -53,10 +53,23 @@ def rows_of(results):
 
 
 class TestDeterminism:
-    def test_parallel_rows_bit_identical_to_serial(self):
+    @pytest.mark.parametrize("fault_tolerant", [False, True], ids=["pool", "fault-tolerant"])
+    def test_parallel_rows_bit_identical_to_serial(self, fault_tolerant, tmp_path):
+        options = {"jobs": 4}
+        if fault_tolerant:
+            # The fault-tolerance layer armed on a clean run: the timeout
+            # routes the serial run through the pool, and retries, backoff
+            # and the journal stay idle because nothing fails.
+            options = {
+                "jobs": 1,
+                "task_timeout": 60.0,
+                "max_retries": 2,
+                "backoff_base": 0.5,
+                "journal": tmp_path / "run.journal",
+            }
         combos = expand_grid(BASE, GRID)
         serial = SweepRunner(jobs=1).run(combos)
-        parallel = SweepRunner(jobs=4).run(combos)
+        parallel = SweepRunner(**options).run(combos)
         assert rows_of(parallel) == rows_of(serial)
         assert [r.label for r in parallel] == [r.label for r in serial]
         assert [r.index for r in parallel] == list(range(len(combos)))

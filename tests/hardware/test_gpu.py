@@ -74,18 +74,6 @@ class TestGPUDevice:
         with pytest.raises(MemoryError):
             dev.assign_weights(gb_to_bytes(20))
 
-    def test_add_weights_accumulates(self):
-        dev = self.make()
-        dev.assign_weights(gb_to_bytes(10))
-        dev.add_weights(gb_to_bytes(5))
-        assert dev.weight_bytes == gb_to_bytes(15)
-
-    def test_clear_weights_restores_capacity(self):
-        dev = self.make()
-        dev.assign_weights(gb_to_bytes(30))
-        dev.clear_weights()
-        assert dev.kv_capacity_bytes == dev.usable_bytes
-
     def test_negative_weights_rejected(self):
         dev = self.make()
         with pytest.raises(ValueError):

@@ -6,14 +6,16 @@ decode request for the whole prefill.  With chunking on, no iteration carries
 more prefill tokens than the budget, so decode waits at most one chunk.
 """
 
-from repro.api import build_cluster, build_system, quick_serve, run_system
-from repro.sim.scheduler import SchedulerLimits
+from repro.api import build, run, run_system
+from repro.config import DeploymentSpec
 from repro.workloads.trace import generate_trace
 
 CHUNK = 512
-LIMITS = SchedulerLimits(
-    max_prefill_tokens_per_iteration=2048, prefill_chunk_tokens=CHUNK
-)
+BUDGET = 2048
+LIMITS = {"max_prefill_tokens_per_iteration": BUDGET, "prefill_chunk_tokens": CHUNK}
+MONOLITHIC = {"max_prefill_tokens_per_iteration": BUDGET}
+#: A static-tp deployment on the small cluster.
+SMALL = DeploymentSpec().with_overrides({"system.name": "static-tp", "cluster.kind": "small"})
 
 
 def record_prefill_loads(system):
@@ -39,8 +41,7 @@ def record_prefill_loads(system):
 
 class TestLongBenchChunking:
     def run_longbench(self, limits, system_name="static-tp", n=12, rate=4.0):
-        cluster = build_cluster("small")
-        system = build_system(system_name, cluster, "llama-13b", limits=limits)
+        system = build(SMALL.with_overrides({"system.name": system_name, "system.limits": limits})).system
         loads = record_prefill_loads(system)
         trace = generate_trace("longbench", rate, n, seed=0)
         result = run_system(system, trace)
@@ -51,15 +52,14 @@ class TestLongBenchChunking:
         assert result.summary.num_finished == 12
         prefill_loads = [load for _, load in loads if load]
         assert prefill_loads, "no prefill iterations observed"
-        assert max(prefill_loads) <= LIMITS.max_prefill_tokens_per_iteration
+        assert max(prefill_loads) <= BUDGET
 
     def test_monolithic_prefill_violates_budget(self):
         # The divergence being fixed: without chunking, LongBench prompts blow
         # straight through the per-iteration token budget.
-        monolithic = SchedulerLimits(max_prefill_tokens_per_iteration=2048)
-        result, loads = self.run_longbench(monolithic)
+        result, loads = self.run_longbench(MONOLITHIC)
         assert result.summary.num_finished == 12
-        assert max(load for _, load in loads) > monolithic.max_prefill_tokens_per_iteration
+        assert max(load for _, load in loads) > BUDGET
 
     def test_decode_not_starved_behind_long_prefill(self):
         # With chunking on, decode requests ride along with prefill chunks
@@ -74,15 +74,14 @@ class TestLongBenchChunking:
         # iteration budget allows.
         for it, load in loads:
             if it.decode_requests:
-                assert load <= LIMITS.max_prefill_tokens_per_iteration
+                assert load <= BUDGET
 
     def test_chunking_shrinks_worst_decode_stall(self):
         # One long prompt lands while short requests are decoding: the longest
         # inter-token gap of the short requests must shrink under chunking,
         # because decode never waits out a monolithic 12k-token prefill.
         def worst_gap(limits):
-            cluster = build_cluster("small")
-            system = build_system("static-tp", cluster, "llama-13b", limits=limits)
+            system = build(SMALL.with_overrides({"system.limits": limits})).system
             finished = {}
             decoded_at = {}  # request id -> completion times of the iterations that decoded it
             original = system.on_iteration
@@ -118,31 +117,31 @@ class TestLongBenchChunking:
             return max(gaps)
 
         chunked = worst_gap(LIMITS)
-        monolithic = worst_gap(SchedulerLimits(max_prefill_tokens_per_iteration=2048))
+        monolithic = worst_gap(MONOLITHIC)
         assert chunked < monolithic
 
     def test_all_systems_complete_longbench_with_chunking(self):
         for name in ("hetis", "hexgen", "splitwise", "static-tp"):
-            result = quick_serve(
-                model="llama-13b",
-                system=name,
-                dataset="longbench",
-                request_rate=5.0,
-                num_requests=8,
-                seed=0,
-                cluster_kind="small" if name != "splitwise" else "paper",
-                prefill_chunk_tokens=CHUNK,
-            )
+            result = run(SMALL.with_overrides({
+                "system.name": name,
+                "system.prefill_chunk_tokens": CHUNK,
+                "cluster.kind": "small" if name != "splitwise" else "paper",
+                "workload.dataset": "longbench",
+                "workload.num_requests": 8,
+            }))
             assert result.summary.num_finished == 8, name
             assert result.summary.p95_ttft > 0
 
     def test_splitwise_hands_off_once_after_full_prefill(self):
-        cluster = build_cluster("paper")
-        system = build_system(
-            "splitwise", cluster, "llama-13b", prefill_chunk_tokens=CHUNK
-        )
-        trace = generate_trace("longbench", 4.0, 6, seed=0)
-        result = run_system(system, trace)
+        prepared = build(DeploymentSpec().with_overrides({
+            "system.name": "splitwise",
+            "system.prefill_chunk_tokens": CHUNK,
+            "workload.dataset": "longbench",
+            "workload.request_rate": 4.0,
+            "workload.num_requests": 6,
+        }))
+        result = prepared.run()
+        system = prepared.system
         assert result.summary.num_finished == 6
         # One migration per request, fired only when its prefill completed.
         assert system.num_migrations == 6

@@ -7,32 +7,35 @@ and verify global invariants that individual unit tests cannot see.
 
 import pytest
 
-from repro.api import build_cluster, build_system, run_system
+from repro.api import build, run
+from repro.config import DeploymentSpec
 from repro.core.system import HetisSystem
 from repro.sim.engine import Engine
+from repro.workloads.trace import generate_trace
 
 pytestmark = pytest.mark.slow
-from repro.workloads.trace import generate_trace
 
 
 @pytest.mark.parametrize("dataset", ["sharegpt", "humaneval", "longbench"])
 def test_hetis_serves_every_dataset(dataset):
-    cluster = build_cluster("paper")
-    system = build_system("hetis", cluster, "llama-13b", dataset=dataset)
     rate = {"sharegpt": 6.0, "humaneval": 20.0, "longbench": 2.0}[dataset]
-    trace = generate_trace(dataset, rate, 20, seed=0)
-    result = run_system(system, trace)
+    result = run(DeploymentSpec().with_overrides(
+        {"workload.dataset": dataset, "workload.request_rate": rate, "workload.num_requests": 20}
+    ))
     assert result.summary.num_finished == 20
     assert result.num_dropped == 0
 
 
 @pytest.mark.parametrize("system_name", ["hetis", "hexgen", "splitwise"])
 def test_every_request_gets_exactly_its_output_tokens(system_name):
-    cluster = build_cluster("paper")
-    system = build_system(system_name, cluster, "llama-13b", dataset="sharegpt")
-    trace = generate_trace("sharegpt", 6.0, 25, seed=4)
-    result = run_system(system, trace)
-    expected = {i: e.output_tokens for i, e in enumerate(trace)}
+    prepared = build(DeploymentSpec().with_overrides({
+        "system.name": system_name,
+        "workload.request_rate": 6.0,
+        "workload.num_requests": 25,
+        "workload.seed": 4,
+    }))
+    result = prepared.run()
+    expected = {i: e.output_tokens for i, e in enumerate(prepared.trace)}
     assert result.summary.num_finished == 25
     for record in result.metrics.records:
         assert record.output_tokens == expected[record.request_id]
@@ -41,10 +44,11 @@ def test_every_request_gets_exactly_its_output_tokens(system_name):
 
 
 def test_hetis_cache_state_empty_after_drain():
-    cluster = build_cluster("paper")
-    system = build_system("hetis", cluster, "llama-13b", dataset="sharegpt")
-    trace = generate_trace("sharegpt", 6.0, 20, seed=1)
-    run_system(system, trace)
+    prepared = build(DeploymentSpec().with_overrides(
+        {"workload.request_rate": 6.0, "workload.num_requests": 20, "workload.seed": 1}
+    ))
+    prepared.run()
+    system = prepared.system
     assert isinstance(system, HetisSystem)
     for unit in system.units:
         assert unit.num_running == 0
@@ -55,30 +59,33 @@ def test_hetis_cache_state_empty_after_drain():
 
 def test_gqa_model_end_to_end_on_hetis():
     """Llama-70B exercises the GQA head-group constraint (r=8) end to end."""
-    cluster = build_cluster("paper")
-    system = build_system("hetis", cluster, "llama-70b", dataset="humaneval")
-    trace = generate_trace("humaneval", 4.0, 12, seed=2)
-    result = run_system(system, trace)
+    result = run(DeploymentSpec().with_overrides({
+        "model": "llama-70b",
+        "workload.dataset": "humaneval",
+        "workload.request_rate": 4.0,
+        "workload.num_requests": 12,
+        "workload.seed": 2,
+    }))
     assert result.summary.num_finished == 12
 
 
 def test_throughput_ordering_at_high_load():
     """At a rate past the baselines' knee Hetis sustains the lowest latency,
     which is the mechanism behind the paper's 2.25x / 1.33x throughput claims."""
+    spec = DeploymentSpec().with_overrides(
+        {"model": "opt-30b", "workload.request_rate": 8.0, "workload.num_requests": 40, "workload.seed": 3}
+    )
     latencies = {}
     for system_name in ("hetis", "hexgen", "splitwise"):
-        cluster = build_cluster("paper")
-        system = build_system(system_name, cluster, "opt-30b", dataset="sharegpt")
-        trace = generate_trace("sharegpt", 8.0, 40, seed=3)
-        latencies[system_name] = run_system(system, trace).summary.mean_normalized_latency
+        result = run(spec.with_overrides({"system.name": system_name}))
+        latencies[system_name] = result.summary.mean_normalized_latency
     assert latencies["hetis"] < latencies["hexgen"]
     assert latencies["hetis"] < latencies["splitwise"]
 
 
 def test_long_context_workload_triggers_memory_management_without_loss():
     """LongBench prompts on a memory-tight model exercise preemption/re-dispatch."""
-    cluster = build_cluster("small")
-    system = build_system("static-tp", cluster, "llama-13b")
+    system = build(DeploymentSpec().with_overrides({"system.name": "static-tp", "cluster.kind": "small"})).system
     trace = generate_trace("longbench", 1.5, 15, seed=5)
     result = Engine(system).run(trace)
     finished_plus_dropped = result.summary.num_finished + result.num_dropped

@@ -87,14 +87,6 @@ def test_free_unknown_sequence(manager):
         manager.free(5)
 
 
-def test_free_all(manager):
-    manager.allocate(1, 50)
-    manager.allocate(2, 70)
-    manager.free_all()
-    assert manager.used_blocks == 0
-    assert manager.num_sequences == 0
-
-
 def test_stats_snapshot(manager):
     manager.allocate(1, 160)
     stats = manager.stats()

@@ -90,13 +90,17 @@ def test_truncated_defer_retries_counted_as_rejections():
     """Regression: a deferred arrival whose retry lands past the horizon
     must still be counted (as a rejection) instead of vanishing from the
     rejection-rate denominator."""
-    from repro.api import build_replicated_system, run_system
-    from repro.core.elasticity import QueueThresholdAdmission
+    from repro.api import build, run_system
+    from repro.config import DeploymentSpec
 
-    system = build_replicated_system(
-        "static-tp", "llama-13b", 1, cluster_kind="small",
-        admission=QueueThresholdAdmission(max_queue_depth=1, mode="defer", retry_delay=5.0),
-    )
+    system = build(DeploymentSpec.from_dict({
+        "system": {"name": "static-tp"},
+        "cluster": {"kind": "small"},
+        "elasticity": {
+            "admission": "queue-threshold",
+            "admission_options": {"max_queue_depth": 1, "mode": "defer", "retry_delay": 5.0},
+        },
+    })).system
     # Saturate instantly: everything past the first few arrivals defers, and
     # the tight horizon strands the retries.
     trace = generate_trace("sharegpt", 50.0, 40, seed=0)
@@ -112,13 +116,17 @@ def test_truncated_defer_retries_counted_as_rejections():
 
 
 def test_defer_retry_served_within_horizon_not_counted_dropped():
-    from repro.api import build_replicated_system, run_system
-    from repro.core.elasticity import QueueThresholdAdmission
+    from repro.api import build, run_system
+    from repro.config import DeploymentSpec
 
-    system = build_replicated_system(
-        "static-tp", "llama-13b", 1, cluster_kind="small",
-        admission=QueueThresholdAdmission(max_queue_depth=2, mode="defer", retry_delay=0.25),
-    )
+    system = build(DeploymentSpec.from_dict({
+        "system": {"name": "static-tp"},
+        "cluster": {"kind": "small"},
+        "elasticity": {
+            "admission": "queue-threshold",
+            "admission_options": {"max_queue_depth": 2, "mode": "defer", "retry_delay": 0.25},
+        },
+    })).system
     trace = generate_trace("sharegpt", 20.0, 24, seed=0)
     result = run_system(system, trace, max_simulated_time=600.0)
     s = result.summary

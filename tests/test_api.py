@@ -1,9 +1,11 @@
-"""Tests for the top-level convenience API."""
+"""Tests for the top-level API."""
 
 import pytest
 
 import repro
-from repro.api import build_cluster, build_system, default_hint, quick_serve, run_system
+from repro.api import build, build_cluster, default_hint, run, run_system
+from repro.config import DeploymentSpec
+from repro.core.cluster_system import ClusterServingSystem
 from repro.workloads.trace import generate_trace
 
 
@@ -59,30 +61,28 @@ def test_elasticity_listings():
     )
 
 
-def test_quick_serve_single_entry_cluster_kinds_is_honoured():
-    """A one-element cluster_kinds list must build that blueprint, not the
-    default paper cluster."""
-    result = quick_serve(
-        model="llama-13b", system="static-tp", dataset="sharegpt",
-        request_rate=8.0, num_requests=4, cluster_kinds=["rtx3090:2"], seed=0,
+def test_single_entry_replica_kinds_is_honoured():
+    """A one-entry replica_kinds must build that blueprint, not the default
+    paper cluster."""
+    paper = DeploymentSpec().with_overrides(
+        {"system.name": "static-tp", "workload.request_rate": 8.0, "workload.num_requests": 4}
     )
-    paper = quick_serve(
-        model="llama-13b", system="static-tp", dataset="sharegpt",
-        request_rate=8.0, num_requests=4, seed=0,
-    )
-    assert result.available_cache_bytes < paper.available_cache_bytes
+    one = paper.with_overrides({"cluster.replica_kinds": ["rtx3090:2"]})
+    system = build(one).system
+    assert len(system.replicas) == 1
+    assert system.available_cache_bytes() == system.replicas[0].available_cache_bytes()
+    result = run(one)
+    assert result.available_cache_bytes < run(paper).available_cache_bytes
 
 
-def test_quick_serve_rejects_cluster_kinds_mismatch():
-    from repro.api import build_replicated_system
-
-    with pytest.raises(ValueError, match="cluster kinds"):
-        build_replicated_system("static-tp", "llama-13b", 3, cluster_kinds=["small"])
-    with pytest.raises(ValueError, match="not both"):
-        build_replicated_system(
-            "static-tp", "llama-13b", 1,
-            clusters=[build_cluster("small")], cluster_kinds=["small"],
-        )
+def test_single_replica_is_wrapped_only_when_replicated():
+    """One fixed replica builds the bare system; one with an elasticity
+    policy still gets the ClusterServingSystem wrapper."""
+    small = DeploymentSpec().with_overrides({"system.name": "static-tp", "cluster.kind": "small"})
+    assert not isinstance(build(small).system, ClusterServingSystem)
+    wrapped = build(small.with_overrides({"elasticity.admission": "queue-threshold"})).system
+    assert isinstance(wrapped, ClusterServingSystem)
+    assert len(wrapped.replicas) == 1
 
 
 def test_default_hint_reflects_dataset():
@@ -93,65 +93,37 @@ def test_default_hint_reflects_dataset():
 
 def test_build_system_unknown_name():
     with pytest.raises(ValueError):
-        build_system("orca", build_cluster("paper"), "llama-13b")
+        build(DeploymentSpec().with_overrides({"system.name": "orca"}))
 
 
 @pytest.mark.parametrize("system", ["hetis", "hexgen", "splitwise", "static-tp"])
 def test_build_system_all_kinds(system):
-    serving = build_system(system, build_cluster("paper"), "llama-13b")
+    serving = build(DeploymentSpec().with_overrides({"system.name": system})).system
     assert serving.available_cache_bytes() > 0
     assert serving.units
 
 
-def test_quick_serve_end_to_end():
-    result = quick_serve(
-        model="llama-13b",
-        system="hetis",
-        dataset="sharegpt",
-        request_rate=5.0,
-        num_requests=10,
-        cluster_kind="paper",
-        seed=0,
-    )
+def test_run_end_to_end():
+    result = run(DeploymentSpec().with_overrides({"workload.num_requests": 10}))
     assert result.summary.num_finished == 10
     assert result.normalized_latency > 0
     assert result.p95_ttft > 0
     assert result.p95_tpot >= 0
 
 
-def test_quick_serve_deterministic():
-    kwargs = dict(model="llama-13b", system="hexgen", dataset="humaneval",
-                  request_rate=10.0, num_requests=8, seed=3)
-    a = quick_serve(**kwargs)
-    b = quick_serve(**kwargs)
+def test_run_deterministic():
+    spec = DeploymentSpec().with_overrides({
+        "system.name": "hexgen", "workload.dataset": "humaneval",
+        "workload.request_rate": 10.0, "workload.num_requests": 8, "workload.seed": 3,
+    })
+    a = run(spec)
+    b = run(spec)
     assert a.normalized_latency == pytest.approx(b.normalized_latency)
 
 
 def test_run_system_with_custom_trace():
-    cluster = build_cluster("small")
-    system = build_system("static-tp", cluster, "llama-13b")
+    spec = DeploymentSpec().with_overrides({"system.name": "static-tp", "cluster.kind": "small"})
+    system = build(spec).system
     trace = generate_trace("humaneval", 8.0, 6, seed=0)
     result = run_system(system, trace)
     assert result.summary.num_finished == 6
-
-
-def test_build_replicated_system_single_replica():
-    """One fixed replica still gets the ClusterServingSystem wrapper."""
-    from repro.api import build_replicated_system
-    from repro.core.cluster_system import ClusterServingSystem
-
-    system = build_replicated_system("static-tp", "llama-13b", 1, cluster_kind="small")
-    assert isinstance(system, ClusterServingSystem)
-    assert len(system.replicas) == 1
-
-
-def test_build_replicated_system_single_replica_with_cluster():
-    """A prebuilt one-entry clusters list is used, not silently replaced."""
-    from repro.api import build_replicated_system
-
-    mine = build_cluster("rtx3090:2")
-    system = build_replicated_system("static-tp", "llama-13b", 1, clusters=[mine])
-    assert len(system.replicas) == 1
-    assert system.available_cache_bytes() == system.replicas[0].available_cache_bytes()
-    paper_sized = build_replicated_system("static-tp", "llama-13b", 1).available_cache_bytes()
-    assert system.available_cache_bytes() < paper_sized

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import build, quick_serve, run
+from repro.api import build, run, run_system
 from repro.config import (
     ClusterSpec,
     ConfigError,
@@ -23,6 +23,7 @@ from repro.core.elasticity import ADMISSIONS, AUTOSCALERS
 from repro.sim.metrics import SLOSpec
 from repro.systems import SYSTEMS
 from repro.workloads.arrivals import RatePhase
+from repro.workloads.trace import generate_trace
 
 
 class TestRoundTrip:
@@ -152,6 +153,25 @@ class TestValidation:
         limits = SystemSpec(limits={"max_running_requests": 8}).scheduler_limits()
         assert limits.max_running_requests == 8
 
+    def test_prefill_chunk_size_set_twice_must_agree(self):
+        data = {
+            "system": {
+                "name": "static-tp",
+                "prefill_chunk_tokens": 512,
+                "limits": {"prefill_chunk_tokens": 2048},
+            },
+            "cluster": {"kind": "small"},
+        }
+        with pytest.raises(
+            ConfigError,
+            match=r"system\.prefill_chunk_tokens \(512\) and system\.limits\.prefill_chunk_tokens \(2048\)",
+        ):
+            DeploymentSpec.from_dict(data)
+        data["system"]["limits"]["prefill_chunk_tokens"] = 512
+        assert DeploymentSpec.from_dict(data).system.scheduler_limits().prefill_chunk_tokens == 512
+        assert SystemSpec(prefill_chunk_tokens=256).scheduler_limits().prefill_chunk_tokens == 256
+        assert SystemSpec().scheduler_limits() is None
+
     def test_elasticity_options_validated_eagerly(self):
         with pytest.raises(ConfigError, match="elasticity.autoscaler_options"):
             ElasticitySpec(autoscaler="target-kv", autoscaler_options={"target_utilization": 7})
@@ -265,10 +285,15 @@ class TestGrid:
             expand_grid(DeploymentSpec(), {"router.name": ["round-robin", "teleport"]})
 
 
-class TestShimEquivalence:
-    """quick_serve(**kwargs) and run(DeploymentSpec(...)) are the same run."""
+class TestOwnTraceEquivalence:
+    """run(spec) and run_system(build(spec).system, <the spec's trace>) are the
+    same run, so a second build of a spec starts from nothing the first left."""
 
-    def _summaries_equal(self, a, b):
+    def _check(self, spec):
+        wl = spec.workload
+        trace = generate_trace(wl.dataset, wl.request_rate, wl.num_requests, seed=wl.seed)
+        a = run(spec)
+        b = run_system(build(spec).system, trace)
         assert a.summary.mean_normalized_latency == b.summary.mean_normalized_latency
         assert a.summary.p95_ttft == b.summary.p95_ttft
         assert a.summary.p95_tpot == b.summary.p95_tpot
@@ -279,59 +304,42 @@ class TestShimEquivalence:
         assert [r.finish_time for r in ra] == [r.finish_time for r in rb]
 
     def test_single_replica(self):
-        kwargs = dict(
-            model="llama-13b", system="static-tp", dataset="sharegpt",
-            request_rate=8.0, num_requests=10, cluster_kind="small", seed=0,
-        )
-        legacy = quick_serve(**kwargs)
-        spec = DeploymentSpec(
+        self._check(DeploymentSpec(
             model="llama-13b",
             system=SystemSpec(name="static-tp"),
             cluster=ClusterSpec(kind="small"),
             workload=WorkloadSpec(dataset="sharegpt", request_rate=8.0, num_requests=10, seed=0),
-        )
-        self._summaries_equal(legacy, run(spec))
+        ))
 
     def test_replicated_elastic(self):
-        legacy = quick_serve(
-            model="llama-13b", system="static-tp", dataset="sharegpt",
-            request_rate=16.0, num_requests=12, cluster_kind="small", seed=1,
-            num_replicas=2, router="least-kv", admission="queue-threshold",
-        )
-        spec = DeploymentSpec(
+        self._check(DeploymentSpec(
             model="llama-13b",
             system=SystemSpec(name="static-tp"),
             cluster=ClusterSpec(kind="small", replicas=2),
             router=RouterSpec(name="least-kv"),
             elasticity=ElasticitySpec(admission="queue-threshold"),
             workload=WorkloadSpec(dataset="sharegpt", request_rate=16.0, num_requests=12, seed=1),
-        )
-        self._summaries_equal(legacy, run(spec))
+        ))
 
     def test_heterogeneous_router(self):
-        legacy = quick_serve(
-            model="llama-13b", system="static-tp", dataset="humaneval",
-            request_rate=20.0, num_requests=12, seed=0,
-            cluster_kinds=["a100:1", "rtx3090:2"], router="weighted-least-kv",
-        )
-        spec = DeploymentSpec(
+        self._check(DeploymentSpec(
             model="llama-13b",
             system=SystemSpec(name="static-tp"),
             cluster=ClusterSpec(replica_kinds=("a100:1", "rtx3090:2")),
             router=RouterSpec(name="weighted-least-kv"),
             workload=WorkloadSpec(dataset="humaneval", request_rate=20.0, num_requests=12, seed=0),
-        )
-        self._summaries_equal(legacy, run(spec))
+        ))
 
 
 class TestSLOPlumbing:
-    def test_quick_serve_slo_changes_attainment(self):
-        kwargs = dict(
-            model="llama-13b", system="static-tp", dataset="sharegpt",
-            request_rate=8.0, num_requests=8, cluster_kind="small", seed=0,
+    def test_slo_changes_attainment(self):
+        spec = DeploymentSpec(
+            system=SystemSpec(name="static-tp"),
+            cluster=ClusterSpec(kind="small"),
+            workload=WorkloadSpec(request_rate=8.0, num_requests=8),
         )
-        loose = quick_serve(**kwargs)
-        tight = quick_serve(slo=SLOSpec(ttft_s=1e-9, tpot_s=1e-9), **kwargs)
+        loose = run(spec)
+        tight = run(spec.with_overrides({"slo.ttft_s": 1e-9, "slo.tpot_s": 1e-9}))
         assert loose.summary.slo_attainment == 1.0
         assert tight.summary.slo_attainment == 0.0
         assert tight.summary.goodput_rps == 0.0
@@ -383,15 +391,17 @@ class TestReviewHardening:
         assert key == "cluster.kind"
         assert values == ["a100:2,t4:4", "small"]
 
-    def test_build_shims_do_not_generate_traces(self, monkeypatch):
+    def test_build_does_not_generate_traces(self, monkeypatch):
         import repro.api as api
 
         def boom(*args, **kwargs):
             raise AssertionError("trace generated during system construction")
 
         monkeypatch.setattr(api, "generate_trace", boom)
-        system = api.build_replicated_system("static-tp", "llama-13b", 2, cluster_kind="small")
-        assert len(system.replicas) == 2
+        spec = DeploymentSpec().with_overrides(
+            {"system.name": "static-tp", "cluster.kind": "small", "cluster.replicas": 2}
+        )
+        assert len(api.build(spec).system.replicas) == 2
 
 
 class TestMetricsSpec:
