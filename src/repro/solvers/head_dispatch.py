@@ -202,10 +202,10 @@ def solve_lp(problem: HeadDispatchProblem) -> HeadDispatchSolution:
         a_ub[n_dev + i, cols] = problem.contexts
         b_ub[n_dev + i] = problem.capacity[i]
 
-    # integrity: sum_i x_ij = H
+    # integrity: sum_i x_ij = H, over the x columns only (not t)
     a_eq = np.zeros((n_req, n_x + 1))
     for j in range(n_req):
-        a_eq[j, j::n_req] = 1.0
+        a_eq[j, j:n_x:n_req] = 1.0
     b_eq = np.full(n_req, float(problem.total_heads))
 
     bounds = [(0.0, float(problem.total_heads))] * n_x + [(None, None)]

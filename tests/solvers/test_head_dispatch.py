@@ -127,6 +127,19 @@ class TestLPSolver:
         assert sol.lp_objective is not None
         assert sol.objective >= sol.lp_objective - 1e-9
 
+    def test_integrity_row_excludes_objective_variable(self):
+        """Request 0's integrity row is sum_i x_i0 = H, with no t term: two
+        equal targets at base 1.0 split 8 heads at 0.1 each, so t* = 1.4."""
+        p = HeadDispatchProblem(
+            head_cost=np.array([0.1, 0.1]),
+            cache_cost=np.zeros(2),
+            base_cost=np.ones(2),
+            capacity=np.full(2, 1e9),
+            contexts=np.array([100.0]),
+            total_heads=8,
+        )
+        assert solve_lp(p).lp_objective == pytest.approx(1.4, rel=1e-12)
+
 
 class TestGreedySolver:
     def test_feasible_and_integral(self):
@@ -206,10 +219,11 @@ def water_level(problem):
     return hi
 
 
-# HiGHS meets its constraint rows to an absolute tolerance (~1e-7), which at
-# objective values of 1e-5..1e-2 s leaves its reported optimum up to ~4e-5
-# below the exact one; integral objectives are evaluated exactly.
-HIGHS_RTOL = 1e-4
+# HiGHS's reported LP optimum matches the exact water level of the one-request
+# problems to ~2e-16, and no bound of the random problems exceeds it; 1e-9
+# leaves room for simplex round-off only.  Integral objectives are evaluated
+# exactly.
+HIGHS_RTOL = 1e-9
 EXACT_RTOL = 1e-12
 
 
