@@ -20,11 +20,14 @@ the marginal per-token-head cost.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from repro.utils.validation import check_positive
 
@@ -173,48 +176,182 @@ def objective_lower_bounds(
     return np.maximum(bound, value.max(axis=1))
 
 
+class EpigraphLP(NamedTuple):
+    """The LP relaxation of Eq. (7) in epigraph form.
+
+    Over the columns ``[x_11..x_1J, x_21.., ..., x_NJ, t]``: minimize ``t``
+    subject to ``row_lower <= A @ [x, t] <= row_upper`` and ``col_lower <=
+    [x, t] <= col_upper``.  The first ``n_ub`` rows are the inequalities,
+    ``f_i(x) - t <= -base_i`` for every device and then the capacity rows
+    ``sum_j l_j x_ij <= capacity_i``; the last ``n_requests`` rows are the
+    integrity rows ``sum_i x_ij = H``.  ``A`` is stored column-wise
+    (``start``, ``index``, ``value``) as ``scipy.sparse.csc_array`` stores
+    the dense matrix: rows ascending within each column, no zero entries.
+    """
+
+    cost: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    n_ub: int
+
+
+def epigraph_lp(problem: HeadDispatchProblem) -> EpigraphLP:
+    """Build the LP relaxation of ``problem``, the one both solve paths take.
+
+    Raises ``ValueError`` when a coefficient or bound is not finite, as
+    ``linprog`` does.
+    """
+    n_dev, n_req = problem.n_devices, problem.n_requests
+    n_x = n_dev * n_req
+    heads = float(problem.total_heads)
+    # Column (i, j) holds f_i's per-head cost in row i, l_j in capacity row
+    # n_dev + i and 1 in integrity row 2 n_dev + j; column t holds -1 in each
+    # device's row.
+    device = np.arange(n_dev, dtype=np.int32)[:, None]
+    value = np.empty((n_dev, n_req, 3))
+    value[..., 0] = problem.head_cost[:, None] + problem.cache_cost[:, None] * problem.contexts
+    value[..., 1] = problem.contexts
+    value[..., 2] = 1.0
+    index = np.empty((n_dev, n_req, 3), dtype=np.int32)
+    index[..., 0] = device
+    index[..., 1] = device + n_dev
+    index[..., 2] = np.arange(2 * n_dev, 2 * n_dev + n_req)
+    value = np.append(value, np.full(n_dev, -1.0))
+    index = np.append(index, device)
+    start = np.arange(0, 3 * n_x + 4, 3, dtype=np.int32)
+    start[-1] = 3 * n_x + n_dev
+    row_upper = np.concatenate((-problem.base_cost, problem.capacity, np.full(n_req, heads)))
+    if not (np.isfinite(value).all() and np.isfinite(row_upper).all()):
+        raise ValueError("head-dispatch costs, contexts, bases and capacities must be finite")
+    nonzero = value != 0.0
+    if not nonzero.all():  # csc_array keeps no zero entries
+        start = np.append(0, nonzero.cumsum())[start].astype(np.int32)
+        value, index = value[nonzero], index[nonzero]
+    cost = np.zeros(n_x + 1)
+    cost[-1] = 1.0
+    col_lower = np.zeros(n_x + 1)
+    col_lower[-1] = -np.inf
+    col_upper = np.full(n_x + 1, heads)
+    col_upper[-1] = np.inf
+    row_lower = np.full(2 * n_dev + n_req, -np.inf)
+    row_lower[2 * n_dev :] = heads
+    return EpigraphLP(cost, start, index, value, row_lower, row_upper, col_lower, col_upper, 2 * n_dev)
+
+
+# linprog's post-solve tolerance (scipy.optimize._linprog_util._check_result).
+_RESULT_TOL = np.sqrt(1e-9) * 10
+
+
+@functools.lru_cache(maxsize=None)
+def _highs():
+    """The process's one HiGHS instance with its bindings, or None without them.
+
+    scipy's HiGHS core bindings are private and missing from older releases.
+    The instance gets the options ``linprog(method="highs")`` passes; every
+    other option keeps its default.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    highs = _core._Highs()
+    options = (
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("presolve", "on"),
+        ("simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+        ("highs_debug_level", int(_core.HighsDebugLevel.kHighsDebugLevelNone)),
+    )
+    for name, value in options:
+        if highs.setOptionValue(name, value) == _core.HighsStatus.kError:
+            return None
+    return _core, highs
+
+
+def _solve_epigraph(lp: EpigraphLP) -> Optional[np.ndarray]:
+    """The optimal ``[x, t]`` of ``lp``, or None when the solve fails.
+
+    The solve runs on the process's one HiGHS instance and keeps what
+    ``linprog(method="highs")`` would: only an optimal model status that
+    passes linprog's post-solve check counts.  Without scipy's HiGHS core
+    bindings it calls ``linprog`` on the same matrix.
+    """
+    solver = _highs()
+    if solver is None:
+        return _solve_epigraph_linprog(lp)
+    core, highs = solver
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.cost.shape[0]
+    model.num_row_ = model.a_matrix_.num_row_ = lp.row_upper.shape[0]
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = lp.start
+    model.a_matrix_.index_ = lp.index
+    model.a_matrix_.value_ = lp.value
+    model.col_cost_ = lp.cost
+    model.col_lower_ = lp.col_lower
+    model.col_upper_ = lp.col_upper
+    model.row_lower_ = lp.row_lower
+    model.row_upper_ = lp.row_upper
+    highs.clearModel()
+    if highs.passModel(model) == core.HighsStatus.kError or highs.run() == core.HighsStatus.kError:
+        return None
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        return None
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    residual = lp.row_upper - np.array(solution.row_value)
+    # linprog's check; every comparison is False on NaN, so NaN fails it too.
+    valid = (
+        (x >= lp.col_lower - _RESULT_TOL).all()
+        and (x <= lp.col_upper + _RESULT_TOL).all()
+        and (residual[: lp.n_ub] >= -_RESULT_TOL).all()
+        and (abs(residual[lp.n_ub :]) <= _RESULT_TOL).all()
+        and not math.isnan(highs.getObjectiveValue())
+    )
+    return x if valid else None
+
+
+def _solve_epigraph_linprog(lp: EpigraphLP) -> Optional[np.ndarray]:
+    """:func:`_solve_epigraph` through ``scipy.optimize.linprog``."""
+    matrix = csc_array((lp.value, lp.index, lp.start), shape=(lp.row_upper.shape[0], lp.cost.shape[0]))
+    result = linprog(
+        lp.cost,
+        A_ub=matrix[: lp.n_ub],
+        b_ub=lp.row_upper[: lp.n_ub],
+        A_eq=matrix[lp.n_ub :],
+        b_eq=lp.row_upper[lp.n_ub :],
+        bounds=np.column_stack((lp.col_lower, lp.col_upper)),
+        method="highs",
+    )
+    return result.x if result.success else None
+
+
 def solve_lp(problem: HeadDispatchProblem) -> HeadDispatchSolution:
     """Solve the LP relaxation with HiGHS and round to integral head groups.
 
-    Falls back to the greedy solver when the LP is infeasible or the solver
-    fails (which can legitimately happen when per-device capacity cannot hold
-    any complete split, e.g. one huge request and tiny devices).
+    The LP (:func:`epigraph_lp`) goes to one HiGHS instance per process,
+    which returns what ``linprog(method="highs")`` returns on it without
+    linprog's per-call option checks and wrappers.  Falls back to the greedy
+    solver when the LP is infeasible or the solver fails (which can
+    legitimately happen when per-device capacity cannot hold any complete
+    split, e.g. one huge request and tiny devices).
     """
     if not problem.total_capacity_sufficient():
         empty = np.zeros((problem.n_devices, problem.n_requests))
         return HeadDispatchSolution(empty, float("inf"), method="lp", feasible=False)
 
     n_dev, n_req = problem.n_devices, problem.n_requests
-    n_x = n_dev * n_req
-    # Variable vector: [x_11..x_1J, x_21.., ..., x_NJ, t]
-    c = np.zeros(n_x + 1)
-    c[-1] = 1.0
-
-    # f_i(x) <= t   ->   head/cache terms - t <= -base_i
-    a_ub = np.zeros((n_dev * 2, n_x + 1))
-    b_ub = np.zeros(n_dev * 2)
-    for i in range(n_dev):
-        cols = slice(i * n_req, (i + 1) * n_req)
-        a_ub[i, cols] = problem.head_cost[i] + problem.cache_cost[i] * problem.contexts
-        a_ub[i, -1] = -1.0
-        b_ub[i] = -problem.base_cost[i]
-        # capacity: sum_j l_j x_ij <= capacity_i
-        a_ub[n_dev + i, cols] = problem.contexts
-        b_ub[n_dev + i] = problem.capacity[i]
-
-    # integrity: sum_i x_ij = H, over the x columns only (not t)
-    a_eq = np.zeros((n_req, n_x + 1))
-    for j in range(n_req):
-        a_eq[j, j:n_x:n_req] = 1.0
-    b_eq = np.full(n_req, float(problem.total_heads))
-
-    bounds = [(0.0, float(problem.total_heads))] * n_x + [(None, None)]
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not result.success:
+    x = _solve_epigraph(epigraph_lp(problem))
+    if x is None:
         return solve_greedy(problem)
 
-    frac = result.x[:n_x].reshape(n_dev, n_req)
-    lp_obj = float(result.x[-1])
+    frac = x[:-1].reshape(n_dev, n_req)
+    lp_obj = float(x[-1])
     rounded = round_to_groups(problem, frac)
     if rounded is None:
         return solve_greedy(problem)

@@ -167,14 +167,10 @@ class TestGreedyFallback:
     """The water-filling fallback must keep serving when the LP cannot."""
 
     def test_lp_solver_failure_falls_back_to_greedy(self, llama70b, monkeypatch):
-        """Force linprog failure: dispatch_new must still produce valid splits."""
+        """Force the LP solve to fail: dispatch_new must still produce valid splits."""
         import repro.solvers.head_dispatch as hd
 
-        class _Failed:
-            success = False
-            x = None
-
-        monkeypatch.setattr(hd, "linprog", lambda *a, **k: _Failed())
+        monkeypatch.setattr(hd, "_solve_epigraph", lambda lp: None)
         dispatcher = make_dispatcher(llama70b, make_targets(llama70b), solver="lp",
                                      local_preference=0.0)
         # Several large requests so the keep-local shortcut does not absorb them.
