@@ -36,51 +36,45 @@ fi
 WORKDIR="$(mktemp -d)"
 trap 'git worktree remove --force "$WORKDIR/base" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
 
-echo "== snapshot @ $BASE_REF =="
+# Every step runs and prints its result, so an intended change in one step
+# does not hide the others; the exit status is non-zero if any step differed.
+FAILED=()
+
+# snapshot_step NAME SCRIPT WHAT: run scripts/SCRIPT against both src trees
+# and compare the JSON it writes byte for byte.
+snapshot_step() {
+    local name="$1" script="$2" what="$3" tree
+    for tree in base head; do
+        local src=src label="working tree"
+        if [[ "$tree" == base ]]; then src="$WORKDIR/base/src"; label="$BASE_REF"; fi
+        echo "== $name @ $label =="
+        if ! PYTHONPATH="$src" python "scripts/$script" "$WORKDIR/$tree-$name.json"; then
+            echo "$name check FAILED: scripts/$script exited non-zero @ $label" >&2
+            FAILED+=("$name")
+            return
+        fi
+    done
+    if cmp -s "$WORKDIR/base-$name.json" "$WORKDIR/head-$name.json"; then
+        echo "$name check: bit-identical to $BASE_REF"
+    else
+        echo "$name check FAILED: $what diverge from $BASE_REF" >&2
+        diff "$WORKDIR/base-$name.json" "$WORKDIR/head-$name.json" | head -40 >&2 || true
+        FAILED+=("$name")
+    fi
+}
+
 git worktree add --detach "$WORKDIR/base" "$BASE_REF" >/dev/null
-PYTHONPATH="$WORKDIR/base/src" python scripts/metrics_snapshot.py "$WORKDIR/base.json"
-
-echo "== snapshot @ working tree =="
-PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/head.json"
-
-if cmp -s "$WORKDIR/base.json" "$WORKDIR/head.json"; then
-    echo "snapshot check: bit-identical to $BASE_REF"
-else
-    echo "snapshot check FAILED: metrics diverge from $BASE_REF" >&2
-    diff "$WORKDIR/base.json" "$WORKDIR/head.json" | head -40 >&2 || true
-    exit 1
-fi
+snapshot_step metrics metrics_snapshot.py "per-request metrics"
 
 # Cluster-layer parity: with autoscaling/admission disabled (the defaults), a
-# replicated deployment must also be bit-identical.  The HEAD copy of
-# cluster_snapshot.py runs against both src trees.
-echo "== cluster snapshot @ $BASE_REF =="
-PYTHONPATH="$WORKDIR/base/src" python scripts/cluster_snapshot.py "$WORKDIR/base-cluster.json"
-echo "== cluster snapshot @ working tree =="
-PYTHONPATH=src python scripts/cluster_snapshot.py "$WORKDIR/head-cluster.json"
-if cmp -s "$WORKDIR/base-cluster.json" "$WORKDIR/head-cluster.json"; then
-    echo "cluster snapshot check: bit-identical to $BASE_REF (elasticity off)"
-else
-    echo "cluster snapshot check FAILED: replicated metrics diverge from $BASE_REF" >&2
-    diff "$WORKDIR/base-cluster.json" "$WORKDIR/head-cluster.json" | head -40 >&2 || true
-    exit 1
-fi
+# replicated deployment must also be bit-identical.
+snapshot_step cluster cluster_snapshot.py "replicated metrics (elasticity off)"
 
-# CLI parity: the HEAD copy of cli_snapshot.py runs a fixed list of `serve` /
-# `compare` command lines through repro.cli.main against both src trees, so
-# any change to how the CLI builds or reports a deployment shows up as a diff
-# of the printed text.
-echo "== cli snapshot @ $BASE_REF =="
-PYTHONPATH="$WORKDIR/base/src" python scripts/cli_snapshot.py "$WORKDIR/base-cli.json"
-echo "== cli snapshot @ working tree =="
-PYTHONPATH=src python scripts/cli_snapshot.py "$WORKDIR/head-cli.json"
-if cmp -s "$WORKDIR/base-cli.json" "$WORKDIR/head-cli.json"; then
-    echo "cli snapshot check: byte-identical to $BASE_REF"
-else
-    echo "cli snapshot check FAILED: serve/compare output diverges from $BASE_REF" >&2
-    diff "$WORKDIR/base-cli.json" "$WORKDIR/head-cli.json" | head -40 >&2 || true
-    exit 1
-fi
+# CLI parity: cli_snapshot.py runs a fixed list of `serve` / `compare`
+# command lines through repro.cli.main against both src trees, so any change
+# to how the CLI builds or reports a deployment shows up as a diff of the
+# printed text.
+snapshot_step cli cli_snapshot.py "serve/compare output"
 
 # Benchmark parity: every perfbench workload replays each of its inputs for
 # seeds 1, 2 and 3 once (--seconds 0) and prints a sim_digest of the summary
@@ -90,16 +84,23 @@ if [[ -f "$WORKDIR/base/perfbench/run.py" ]]; then
     for workload in static-humaneval-diurnal hetis-chat-longdoc fleet-churn-sweep; do
         for seed in 1 2 3; do
             echo "== perfbench $workload seed $seed sim_digest @ $BASE_REF and working tree =="
-            base_digest="$(cd "$WORKDIR/base" && python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | grep '^sim_digest')"
-            head_digest="$(python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | grep '^sim_digest')"
+            base_digest="$(cd "$WORKDIR/base" && python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | grep '^sim_digest' || true)"
+            head_digest="$(python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 | grep '^sim_digest' || true)"
             if [[ -n "$base_digest" && "$base_digest" == "$head_digest" ]]; then
                 echo "perfbench $workload seed $seed: $head_digest, identical to $BASE_REF"
             else
                 echo "perfbench $workload seed $seed FAILED: '$head_digest' vs '$base_digest' at $BASE_REF" >&2
-                exit 1
+                FAILED+=("perfbench $workload seed $seed")
             fi
         done
     done
 else
     echo "perfbench digest check skipped: $BASE_REF predates perfbench"
 fi
+
+if (( ${#FAILED[@]} )); then
+    echo "snapshot check FAILED: ${#FAILED[@]} step(s) differ from $BASE_REF:" >&2
+    printf '  %s\n' "${FAILED[@]}" >&2
+    exit 1
+fi
+echo "snapshot check: every step identical to $BASE_REF"

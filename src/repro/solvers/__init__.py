@@ -6,9 +6,9 @@ provides:
 
 * an exact LP relaxation in epigraph form, built as sparse columns and solved
   on one reused HiGHS instance per process with the options
-  ``scipy.optimize.linprog(method="highs")`` uses (``linprog`` itself where
-  scipy lacks the HiGHS core bindings) -- the counterpart of the paper's
-  cvxpy/MOSEK formulation,
+  ``scipy.optimize.linprog`` uses for ``method="highs"`` (``linprog`` itself
+  where scipy lacks the HiGHS core bindings) -- the counterpart of the
+  paper's cvxpy/MOSEK formulation,
 * integral rounding to whole KV-head groups that preserves head-level
   integrity (Eq. 5) and the per-device memory budget (Eq. 7b),
 * a greedy water-filling solver used as a fast fallback and as an ablation

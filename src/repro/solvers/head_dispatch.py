@@ -252,8 +252,8 @@ def _highs():
     """The process's one HiGHS instance with its bindings, or None without them.
 
     scipy's HiGHS core bindings are private and missing from older releases.
-    The instance gets the options ``linprog(method="highs")`` passes; every
-    other option keeps its default.
+    The instance gets the options ``linprog`` passes for ``method="highs"``;
+    every other option keeps its default.
     """
     try:
         from scipy.optimize._highspy import _core
@@ -276,10 +276,10 @@ def _highs():
 def _solve_epigraph(lp: EpigraphLP) -> Optional[np.ndarray]:
     """The optimal ``[x, t]`` of ``lp``, or None when the solve fails.
 
-    The solve runs on the process's one HiGHS instance and keeps what
-    ``linprog(method="highs")`` would: only an optimal model status that
-    passes linprog's post-solve check counts.  Without scipy's HiGHS core
-    bindings it calls ``linprog`` on the same matrix.
+    The solve runs on the process's one HiGHS instance and accepts what
+    ``linprog`` accepts with ``method="highs"``: only an optimal model status
+    whose solution passes linprog's post-solve check counts.  Without scipy's
+    HiGHS core bindings it calls ``linprog`` on the same matrix.
     """
     solver = _highs()
     if solver is None:
@@ -335,9 +335,9 @@ def solve_lp(problem: HeadDispatchProblem) -> HeadDispatchSolution:
     """Solve the LP relaxation with HiGHS and round to integral head groups.
 
     The LP (:func:`epigraph_lp`) goes to one HiGHS instance per process,
-    which returns what ``linprog(method="highs")`` returns on it without
-    linprog's per-call option checks and wrappers.  Falls back to the greedy
-    solver when the LP is infeasible or the solver fails (which can
+    which returns what ``linprog`` returns on it with ``method="highs"``
+    without linprog's per-call option checks and wrappers.  Falls back to the
+    greedy solver when the LP is infeasible or the solver fails (which can
     legitimately happen when per-device capacity cannot hold any complete
     split, e.g. one huge request and tiny devices).
     """
