@@ -128,6 +128,13 @@ class SplitwiseSystem(ServingSystem):
             self.total_migrated_bytes += handoff.kv_bytes
             self.num_migrations += 1
             deferred.append((self.decode_unit, handoff.request, now + delay))
+        if unit is self.decode_unit:
+            # A LIFO victim dropped its cache and waits for a fresh prefill,
+            # which only the prefill unit runs: hand it back there.  It
+            # re-prefills and migrates again like its first hand-off.
+            waiting = self.decode_unit.waiting
+            deferred.extend((self.prefill_unit, request, now) for request in waiting)
+            waiting.clear()
         return deferred
 
     def available_cache_bytes(self) -> float:

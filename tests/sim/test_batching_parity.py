@@ -225,6 +225,7 @@ def test_fast_path_matches_per_token_per_device_checks(case, monkeypatch):
     assert fast_its == ref_its
     assert outcomes(fast_reqs) == outcomes(ref_reqs)
     assert fast.num_dropped == ref.num_dropped
+    assert fast.stranded == 0
     # Every run reaches the slow path: room had to be made on an exhausted cache,
     # by re-dispatching heads (Hetis with re-dispatch) or else by preempting.
     if case == "hetis-redispatch":

@@ -91,13 +91,9 @@ def test_blocks_return_to_zero_after_a_drained_run(name):
             assert manager.sequences() == [], unit.name
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP: Splitwise decode units strand preempted requests, and a paper figure reports only the survivors",
-)
 def test_splitwise_longbench_strands_no_request():
-    # A Fig. 8 LongBench point: the decode unit preempts one request, queues it
-    # for a prefill it never runs, and the run still drains.
+    # A Fig. 8 LongBench point: the decode unit preempts one request, which
+    # must go back to the prefill unit for its fresh prefill and finish.
     spec = DeploymentSpec.from_dict({
         "model": "llama-13b",
         "system": {"name": "splitwise"},
