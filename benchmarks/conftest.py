@@ -1,12 +1,8 @@
 """Benchmark-suite configuration.
 
-Every file in this directory regenerates one table or figure of the paper's
-evaluation (the ``repro.experiments`` docstring maps each to the function that
-runs it).  The simulation-backed benchmarks run each experiment exactly once
-per benchmark round (``rounds=1``) -- the interesting output is the
-reproduced numbers, which are attached to ``benchmark.extra_info`` (and
-therefore land in the pytest-benchmark JSON) and printed when running with
-``-s``.
+``test_claims.py`` checks every row of the paper's claims table
+(:mod:`repro.experiments.claims`) and records the reproduced numbers in
+``benchmark.extra_info``, so they land in the pytest-benchmark JSON.
 """
 
 import os
@@ -22,12 +18,7 @@ _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def pytest_collection_modifyitems(items):
-    """Every test in this directory is a benchmark: tag it ``bench`` + ``slow``.
-
-    This keeps the fast tier (``pytest -m "not slow"``) free of the
-    multi-second figure regenerations without annotating every file.
-    """
+    """Tag every test in this directory ``bench``; the test module marks its serving rows ``slow``."""
     for item in items:
         if str(item.fspath).startswith(_BENCH_DIR):
             item.add_marker(pytest.mark.bench)
-            item.add_marker(pytest.mark.slow)

@@ -12,7 +12,7 @@ Run:  python examples/chatbot_serving.py [--rates 3 6 9 12] [--requests 48]
 
 import argparse
 
-from repro.experiments.e2e import run_rate_sweep
+from repro.experiments.claims import serving_spec, sweep
 
 
 def main() -> None:
@@ -23,28 +23,27 @@ def main() -> None:
     parser.add_argument("--slo", type=float, default=0.05, help="normalized-latency SLO (s/token)")
     args = parser.parse_args()
 
+    systems = ("splitwise", "hexgen", "hetis")
     print(f"Sweeping {args.model} on ShareGPT at rates {args.rates} ({args.requests} requests each)...")
-    sweeps = run_rate_sweep(
-        args.model,
-        "sharegpt",
-        systems=("splitwise", "hexgen", "hetis"),
-        rates=args.rates,
-        num_requests=args.requests,
-    )
+    base = serving_spec("hetis", args.model, "sharegpt", args.rates[0], num_requests=args.requests)
+    latency = {
+        (overrides["system.name"], overrides["workload.request_rate"]): row["mean_normalized_latency"]
+        for overrides, row in sweep(base, {"system.name": systems, "workload.request_rate": args.rates})
+    }
 
-    print(f"\n{'rate (req/s)':<14}" + "".join(f"{s:>12}" for s in sweeps))
-    for i, rate in enumerate(args.rates):
-        row = f"{rate:<14.1f}"
-        for system in sweeps:
-            row += f"{sweeps[system].latencies[i]:>12.4f}"
-        print(row)
+    print(f"\n{'rate (req/s)':<14}" + "".join(f"{s:>12}" for s in systems))
+    for rate in args.rates:
+        print(f"{rate:<14.1f}" + "".join(f"{latency[system, rate]:>12.4f}" for system in systems))
 
+    # The sustained rate: the highest swept rate whose mean latency meets the SLO.
+    sustained = {
+        system: max((rate for rate in args.rates if latency[system, rate] <= args.slo), default=0.0)
+        for system in systems
+    }
     print(f"\nSustained rate under a {args.slo} s/token SLO:")
-    hetis_rate = sweeps["hetis"].max_rate_under(args.slo)
-    for system, sweep in sweeps.items():
-        sustained = sweep.max_rate_under(args.slo)
-        gain = f"  ({hetis_rate / sustained:.2f}x lower than Hetis)" if sustained and system != "hetis" else ""
-        print(f"  {system:<10} {sustained:>6.1f} req/s{gain}")
+    for system in systems:
+        gain = f"  ({sustained['hetis'] / sustained[system]:.2f}x lower than Hetis)" if sustained[system] and system != "hetis" else ""
+        print(f"  {system:<10} {sustained[system]:>6.1f} req/s{gain}")
 
 
 if __name__ == "__main__":

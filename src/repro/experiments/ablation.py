@@ -6,8 +6,9 @@
    proportional split.
 3. The primary-worker pruning threshold Delta: 0 (never prune) to large
    (prune aggressively), and its effect on who becomes an Attention worker.
-4. End-to-end effect of dynamic Attention parallelism: Hetis vs. the uniform
-   static pipeline reference.
+
+The end-to-end ablation, Hetis against the uniform static pipeline, is a spec
+grid in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -137,52 +138,3 @@ def run_delta_ablation(
         result.num_attention_workers.append(len(plan.attention_workers))
         result.dense_cost.append(plan.cost)
     return result
-
-
-@dataclass(frozen=True)
-class DynamicParallelismBenefit:
-    """Hetis vs. the uniform static pipeline on the same cluster and workload."""
-
-    hetis_latency: float
-    static_latency: float
-
-    @property
-    def speedup(self) -> float:
-        return self.static_latency / self.hetis_latency if self.hetis_latency > 0 else 1.0
-
-
-def run_dynamic_parallelism_ablation(
-    model: str = "llama-13b",
-    dataset: str = "sharegpt",
-    request_rate: float = 8.0,
-    num_requests: int = 60,
-    seed: int = 0,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-) -> DynamicParallelismBenefit:
-    """End-to-end benefit of Hetis over the heterogeneity-oblivious reference.
-
-    The two end-to-end runs are independent simulations, so they go through
-    the parallel experiment runner (``jobs=1`` is the bit-identical serial
-    path; ``jobs=2`` runs both systems concurrently).
-    """
-    from repro.experiments.e2e import serving_spec
-    from repro.experiments.runner import SweepRunner
-
-    systems = ("hetis", "static-tp")
-    points = [
-        (
-            {"system.name": system},
-            serving_spec(system, model, dataset, request_rate, num_requests, seed),
-        )
-        for system in systems
-    ]
-    results = SweepRunner(jobs=jobs, cache_dir=cache_dir).run(points)
-    latencies = {}
-    for system, res in zip(systems, results):
-        if res.error is not None:
-            raise RuntimeError(f"ablation point {res.label} failed: {res.error}")
-        latencies[system] = res.row["mean_normalized_latency"]
-    return DynamicParallelismBenefit(
-        hetis_latency=latencies["hetis"], static_latency=latencies["static-tp"]
-    )

@@ -15,7 +15,7 @@ space that can actually be used to host decoding requests:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.api import build
 from repro.config import DeploymentSpec, SystemSpec, WorkloadSpec
@@ -54,13 +54,3 @@ def run_cache_space(
                     )
                 )
     return cells
-
-
-def advantage_over(cells: List[CacheSpaceCell], model: str, dataset: str, baseline: str) -> float:
-    """Hetis cache space divided by a baseline's, for one (model, dataset) cell."""
-    by_system: Dict[str, float] = {
-        c.system: c.cache_gb for c in cells if c.model == model and c.dataset == dataset
-    }
-    if baseline not in by_system or by_system[baseline] == 0:
-        return float("inf")
-    return by_system["hetis"] / by_system[baseline]

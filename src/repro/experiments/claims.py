@@ -1,0 +1,482 @@
+"""The paper's evaluation as one table of claims.
+
+Every checked statement of the evaluation -- Table 1, Figs. 2-16, Sec. 7.4 and
+the ablations -- is one :class:`Claim` row of :data:`CLAIMS`.  A row names the
+study that measures it, the value it reads from that study's data, an operator
+and a bound, the paper's value where the paper reports one, and its
+provenance:
+
+* ``simulated`` -- the value comes out of the simulator or the analytic cost
+  models it runs on;
+* ``calibrated`` -- the value is a target the model was tuned to, so the row
+  checks the calibration rather than the system.  Table 1 and Fig. 2 are the
+  GPU catalog's tuning targets (:mod:`repro.hardware.gpu`), and Fig. 15(b) is
+  modelled: its storage ratio is the paper's measurement and its fetch ratio
+  is :meth:`~repro.kvcache.head_block_manager.HeadwiseBlockManager.fetch_time_factor`.
+
+:data:`STUDIES` maps each study name to a zero-argument function that returns
+its figure's data as a flat ``{name: number}`` mapping.  The serving studies
+are spec grids: :func:`sweep` runs ``expand_grid(base, axes)`` over
+:func:`serving_spec` through the serial
+:class:`~repro.experiments.runner.SweepRunner`.  ``benchmarks/test_claims.py``
+runs each study once and checks every row as its own test.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.config import ClusterSpec, DeploymentSpec, SystemSpec, WorkloadSpec, expand_grid
+from repro.experiments.ablation import run_delta_ablation, run_solver_ablation, run_split_dimension_ablation
+from repro.experiments.accuracy import run_modeling_accuracy
+from repro.experiments.cache_space import run_cache_space
+from repro.experiments.fig02 import mean_gap, run_fig2
+from repro.experiments.fig05 import run_fig5
+from repro.experiments.fig07 import run_fig7
+from repro.experiments.fig14 import run_dynamic_usage
+from repro.experiments.runner import SweepRunner
+from repro.experiments.search_overhead import run_search_overhead
+from repro.experiments.table1 import run_table1
+from repro.kvcache.head_block_manager import HeadwiseBlockManager
+
+Data = Dict[str, float]
+
+MODELS = ("llama-13b", "opt-30b", "llama-70b")
+DATASETS = ("sharegpt", "humaneval", "longbench")
+BASELINES = ("hexgen", "splitwise")
+
+# Request-rate grids of Figs. 8-10 (req/s), per model and dataset.
+PAPER_RATE_GRID: Dict[str, Dict[str, Sequence[float]]] = {
+    "llama-13b": {"sharegpt": (3, 6, 9, 12, 15), "humaneval": (15, 30, 45, 60, 75), "longbench": (3, 6, 9)},
+    "opt-30b": {"sharegpt": (3, 6, 9, 12), "humaneval": (15, 30, 45), "longbench": (2, 4, 6)},
+    "llama-70b": {"sharegpt": (1, 2, 3), "humaneval": (3, 6, 9, 12), "longbench": (0.4, 0.8, 1.2, 1.6)},
+}
+
+# Unsaturated rates used for the Fig. 12 / Fig. 13 tail-latency study (Llama-70B).
+PAPER_TAIL_RATES: Dict[str, float] = {"sharegpt": 1.5, "humaneval": 6.0, "longbench": 0.8}
+
+
+def serving_spec(
+    system: str,
+    model: str,
+    dataset: str,
+    request_rate: float,
+    num_requests: int = 80,
+    seed: int = 0,
+    cluster_kind: str = "paper",
+) -> DeploymentSpec:
+    """The :class:`DeploymentSpec` of one (system, model, dataset, rate) cell."""
+    return DeploymentSpec(
+        model=model,
+        system=SystemSpec(name=system),
+        cluster=ClusterSpec(kind=cluster_kind),
+        workload=WorkloadSpec(
+            dataset=dataset,
+            request_rate=request_rate,
+            num_requests=num_requests,
+            seed=seed,
+        ),
+    )
+
+
+def sweep(base: DeploymentSpec, axes: Mapping[str, Sequence[Any]]) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
+    """``(overrides, summary row)`` of every point of ``expand_grid(base, axes)``, in grid order.
+
+    The points run serially in-process; a failed point raises, naming its
+    override combination.
+    """
+    out: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+    for res in SweepRunner().run(expand_grid(base, axes)):
+        if res.row is None:
+            raise RuntimeError(f"sweep point {res.label} failed: {res.error}")
+        out.append((res.overrides, res.row))
+    return out
+
+
+# ------------------------------------------------------------------ studies
+
+
+def _table1() -> Data:
+    """Table 1: memory and OPT-2.7B prefill/decode iteration time per GPU type."""
+    data: Data = {}
+    for row in run_table1():
+        data[f"{row.device}_memory_gb"] = row.memory_gb
+        data[f"{row.device}_prefill_s"] = row.prefill_time_s
+        data[f"{row.device}_decode_s"] = row.decode_time_s
+        data[f"{row.device}_prefill_ratio"] = row.prefill_ratio_vs_a100
+        data[f"{row.device}_decode_ratio"] = row.decode_ratio_vs_a100
+    return data
+
+
+def _module_gaps(num_requests: Sequence[int]) -> Data:
+    """Fig. 2: decode MLP and Attention time of one Llama-70B layer, normalized to the A100."""
+    series = run_fig2(num_requests=num_requests)
+    data: Data = {}
+    for device, s in series.items():
+        data[f"{device}_mean_mlp_gap"] = mean_gap(series, device, "mlp")
+        data[f"{device}_mean_attention_gap"] = mean_gap(series, device, "attention")
+        for n, mlp in zip(s.num_requests, s.norm_mlp_time):
+            data[f"{device}_mlp_at_{n}"] = mlp
+    return data
+
+
+def _split_overhead() -> Data:
+    """Fig. 5: sequence-wise over head-wise communication overhead."""
+    result = run_fig5()
+    return {
+        "advantage_at_20pct_offload": result.headwise_advantage_at(0.2),
+        "advantage_at_1_worker": result.headwise_advantage_at_workers(1),
+        "advantage_at_4_workers": result.headwise_advantage_at_workers(4),
+    }
+
+
+def _attention_linearity() -> Data:
+    """Fig. 7: decode Attention time is flat in request count, linear in cache and heads."""
+    result = run_fig7()
+    return {
+        "request_count_variation": result.requests_variation(),
+        "context_linearity_r2": result.context_linearity(),
+        "heads_linearity_r2": result.heads_linearity(),
+    }
+
+
+def panel_rates(model: str, dataset: str) -> Sequence[float]:
+    """A low / middle / high subset of the paper's rate grid for one panel of Figs. 8-10."""
+    grid = PAPER_RATE_GRID[model][dataset]
+    return grid if len(grid) <= 3 else (grid[0], grid[len(grid) // 2], grid[-1])
+
+
+def _latency_vs_rate(model: str) -> Data:
+    """Figs. 8-10: mean normalized latency (s/token) per dataset, system and rate; 48 requests, seed 0."""
+    data: Data = {}
+    for dataset in DATASETS:
+        rates = panel_rates(model, dataset)
+        axes = {"system.name": ("splitwise", "hexgen", "hetis"), "workload.request_rate": rates}
+        for overrides, row in sweep(serving_spec("hetis", model, dataset, rates[0], num_requests=48), axes):
+            key = f"{dataset}_{overrides['system.name']}_rate{overrides['workload.request_rate']:g}"
+            data[key] = row["mean_normalized_latency"]
+    return data
+
+
+def _cache_space() -> Data:
+    """Fig. 11: usable KV-cache space (GB), and Hetis's over each baseline's on ShareGPT."""
+    data: Data = {f"{c.model}_{c.dataset}_{c.system}_gb": c.cache_gb for c in run_cache_space()}
+    for model in MODELS:
+        for baseline in BASELINES:
+            data[f"{model}_sharegpt_hetis_over_{baseline}"] = (
+                data[f"{model}_sharegpt_hetis_gb"] / data[f"{model}_sharegpt_{baseline}_gb"]
+            )
+    return data
+
+
+def _tail_latency() -> Data:
+    """Figs. 12 and 13: P95 TTFT, TPOT and decode module latency of Llama-70B at the paper's
+    unsaturated rates; 48 requests, seed 0.
+
+    ``<metric>_wins`` counts the datasets on which Hetis's P95 is within 5% of
+    the better baseline's.
+    """
+    data: Data = {}
+    for dataset, rate in PAPER_TAIL_RATES.items():
+        base = serving_spec("hetis", "llama-70b", dataset, rate, num_requests=48)
+        for overrides, row in sweep(base, {"system.name": ("hetis",) + BASELINES}):
+            prefix = f"{dataset}_{overrides['system.name']}_p95"
+            data[f"{prefix}_ttft"] = row["p95_ttft"]
+            data[f"{prefix}_tpot"] = row["p95_tpot"]
+            data[f"{prefix}_mlp"] = row["p95_module_latency"].get("mlp", 0.0)
+            data[f"{prefix}_attention"] = row["p95_module_latency"].get("attention", 0.0)
+    for metric in ("tpot", "mlp", "attention"):
+        data[f"{metric}_wins"] = sum(
+            data[f"{d}_hetis_p95_{metric}"] <= min(data[f"{d}_{b}_p95_{metric}"] for b in BASELINES) * 1.05
+            for d in PAPER_TAIL_RATES
+        )
+    return data
+
+
+def _dynamic_usage() -> Data:
+    """Fig. 14: peak heads, peak cache utilization and first load time per device."""
+    result = run_dynamic_usage()
+    data: Data = {}
+    for key in [result.primary_key] + result.worker_keys:
+        data[f"{key}_peak_heads"] = result.peak_heads(key)
+        data[f"{key}_peak_cache_util"] = max(result.cache_usage[key])
+        data[f"{key}_first_load_at"] = result.first_nonzero_time(result.head_counts, key)
+    return data
+
+
+def _redispatch_benefit() -> Data:
+    """Fig. 15(a): plain LIFO over re-dispatching latency; llama-13b, ShareGPT, 5 req/s, 120 requests."""
+    base = serving_spec("hetis", "llama-13b", "sharegpt", 5.0, num_requests=120)
+    (_, redispatch), (_, lifo) = sweep(base, {"system.options.enable_redispatch": (True, False)})
+    return {
+        "mean_improvement": lifo["mean_normalized_latency"] / redispatch["mean_normalized_latency"],
+        "p95_improvement": lifo["p95_normalized_latency"] / redispatch["p95_normalized_latency"],
+    }
+
+
+def _head_management_overhead() -> Data:
+    """Fig. 15(b), modelled: the paper's +13% storage operations, and the
+    multi-core block-index fetch time on 8 CPU cores."""
+    return {"storage_op_ratio": 1.13, "fetch_time_ratio": HeadwiseBlockManager.fetch_time_factor(8)}
+
+
+def _theta_sensitivity() -> Data:
+    """Fig. 16(a): latency relative to the default theta = 0.5; llama-13b, 6 req/s, 40 requests."""
+    data: Data = {}
+    for dataset in ("sharegpt", "humaneval"):
+        base = serving_spec("hetis", "llama-13b", dataset, 6.0, num_requests=40)
+        latency = {
+            overrides["system.options.theta"]: row["mean_normalized_latency"]
+            for overrides, row in sweep(base, {"system.options.theta": (0.3, 0.5, 0.7)})
+        }
+        ratios = [lat / latency[0.5] for lat in latency.values()]
+        data.update({f"{dataset}_theta_{theta}_ratio": r for theta, r in zip(latency, ratios)})
+        data[f"{dataset}_worst_ratio"] = max(ratios)
+    return data
+
+
+def _profiling_error_sensitivity() -> Data:
+    """Fig. 16(b): latency inflation against the error-free run; llama-13b, ShareGPT, 6 req/s, 40 requests."""
+    base = serving_spec("hetis", "llama-13b", "sharegpt", 6.0, num_requests=40)
+    latency = {
+        overrides["system.options.profiling_error"]: row["mean_normalized_latency"]
+        for overrides, row in sweep(base, {"system.options.profiling_error": (0.0, 0.05, 0.10, 0.20)})
+    }
+    data: Data = {f"error_{int(err * 100)}pct": latency[err] / latency[0.0] for err in (0.05, 0.10, 0.20)}
+    data["max_inflation"] = max(data.values())
+    return data
+
+
+def _modeling_accuracy() -> Data:
+    """Sec. 7.4: held-out accuracy of the profiled compute and transfer models (24 points each)."""
+    result = run_modeling_accuracy()
+    data: Data = {f"compute_{device}": acc for device, acc in result.compute_accuracy.items()}
+    data.update({f"transfer_{link}": acc for link, acc in result.transfer_accuracy.items()})
+    data["min_compute"] = result.min_compute
+    data["min_transfer"] = result.min_transfer
+    return data
+
+
+def _search_overhead() -> Data:
+    """Sec. 7.4: Parallelizer search wall clock on the paper cluster and on 5 types x 32 GPUs."""
+    data: Data = {}
+    for result in run_search_overhead():
+        data[f"{result.cluster_name}_seconds"] = result.search_seconds
+        data[f"{result.cluster_name}_configs"] = result.configs_evaluated
+    return data
+
+
+def _solver_gaps() -> Data:
+    """Ablation: greedy and static proportional dispatch objectives over the LP's."""
+    result = run_solver_ablation()
+    return {"greedy_gap": result.greedy_gap, "proportional_gap": result.proportional_gap}
+
+
+DELTAS = (0.0, 0.02, 0.05, 0.1, 0.3)
+
+
+def _pruning_delta() -> Data:
+    """Ablation: Attention-worker count per pruning threshold Delta."""
+    result = run_delta_ablation(deltas=DELTAS)
+    return {f"delta_{d}_workers": n for d, n in zip(result.deltas, result.num_attention_workers)}
+
+
+def _dynamic_parallelism() -> Data:
+    """Ablation: the uniform static pipeline's latency over Hetis's; llama-13b, ShareGPT, 8 req/s, 60 requests."""
+    base = serving_spec("hetis", "llama-13b", "sharegpt", 8.0, num_requests=60)
+    (_, hetis), (_, static) = sweep(base, {"system.name": ("hetis", "static-tp")})
+    return {"speedup_vs_static": static["mean_normalized_latency"] / hetis["mean_normalized_latency"]}
+
+
+STUDIES: Dict[str, Callable[[], Data]] = {
+    "table1": _table1,
+    "fig2": partial(_module_gaps, (20, 100, 200, 300, 400)),
+    "fig2-calibration": partial(_module_gaps, (20, 100, 200, 400)),
+    "fig5": _split_overhead,
+    "fig7": _attention_linearity,
+    "fig8": partial(_latency_vs_rate, "llama-13b"),
+    "fig9": partial(_latency_vs_rate, "opt-30b"),
+    "fig10": partial(_latency_vs_rate, "llama-70b"),
+    "fig11": _cache_space,
+    "fig12-13": _tail_latency,
+    "fig14": _dynamic_usage,
+    "fig15a": _redispatch_benefit,
+    "fig15b": _head_management_overhead,
+    "fig16a": _theta_sensitivity,
+    "fig16b": _profiling_error_sensitivity,
+    "accuracy": _modeling_accuracy,
+    "search": _search_overhead,
+    "ablation-split": lambda: asdict(run_split_dimension_ablation()),
+    "ablation-solver": _solver_gaps,
+    "ablation-delta": _pruning_delta,
+    "ablation-dynamic": _dynamic_parallelism,
+}
+
+
+# ------------------------------------------------------------------ the table
+
+#: Studies whose values are the model's tuning targets rather than its outputs.
+CALIBRATED = frozenset({"table1", "fig2", "fig2-calibration", "fig15b"})
+
+#: A bound is a number, the name of another value of the study's data, or
+#: ``(factor, name)`` for ``factor`` times that value.
+Bound = Union[float, str, Tuple[float, str]]
+
+OPS: Dict[str, Callable[[float, float], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One checked statement: ``data[value] <op> bound`` on its study's data."""
+
+    figure: str
+    text: str
+    study: str
+    value: str
+    op: str
+    bound: Bound
+    #: The paper's number for ``value`` (a ``(low, high)`` pair for a range), if it reports one.
+    paper: Optional[Union[float, Tuple[float, float]]] = None
+
+    @property
+    def provenance(self) -> str:
+        """``calibrated`` for a row of a :data:`CALIBRATED` study, else ``simulated``."""
+        return "calibrated" if self.study in CALIBRATED else "simulated"
+
+    @property
+    def id(self) -> str:
+        bound = self.bound if not isinstance(self.bound, tuple) else f"{self.bound[0]:g}*{self.bound[1]}"
+        return f"{self.study}:{self.value}{self.op}{bound}"
+
+    def check(self, data: Mapping[str, float]) -> Tuple[float, float, bool]:
+        """``(measured value, bound, whether the claim holds)`` on ``data``."""
+        if isinstance(self.bound, str):
+            bound = data[self.bound]
+        elif isinstance(self.bound, tuple):
+            factor, name = self.bound
+            bound = data[name] * factor
+        else:
+            bound = self.bound
+        value = data[self.value]
+        return value, bound, OPS[self.op](value, bound)
+
+
+def _table1_claims() -> Iterator[Claim]:
+    paper = {
+        "prefill": {"a100": 1.0, "rtx3090": 2.45, "p100": 24.5},
+        "decode": {"a100": 1.0, "rtx3090": 1.47, "p100": 7.93},
+    }
+    bands = {
+        "prefill": {"rtx3090": (1.8, 3.2), "p100": (15.0, 35.0)},
+        "decode": {"rtx3090": (1.2, 2.3), "p100": (5.0, 12.0)},
+    }
+    for phase in ("prefill", "decode"):
+        ratio, ref = f"{phase}_ratio", paper[phase]
+        yield Claim("Table 1", f"the A100 is the {phase} reference", "table1", f"a100_{ratio}", "==", 1.0, ref["a100"])
+        for device, (low, high) in bands[phase].items():
+            text = f"{device} {phase} time over the A100's is in its band"
+            yield Claim("Table 1", text, "table1", f"{device}_{ratio}", ">=", low, ref[device])
+            yield Claim("Table 1", text, "table1", f"{device}_{ratio}", "<=", high, ref[device])
+        text = f"the P100 is slower than the 3090 in {phase}"
+        yield Claim("Table 1", text, "table1", f"p100_{ratio}", ">", f"rtx3090_{ratio}", ref["p100"])
+    for device, memory_gb in (("a100", 80), ("rtx3090", 24), ("p100", 12)):
+        yield Claim("Table 1", "memory column", "table1", f"{device}_memory_gb", "==", memory_gb, memory_gb)
+        yield Claim("Table 1", "prefill outlasts decode", "table1", f"{device}_prefill_s", ">", f"{device}_decode_s")
+
+
+def _fig2_calibration_claims() -> Iterator[Claim]:
+    study = "fig2-calibration"
+    yield Claim("Fig. 2", "the P100's MLP gap is over 3x its Attention gap", study,
+                "p100_mean_mlp_gap", ">", (3, "p100_mean_attention_gap"))
+    yield Claim("Fig. 2", "the P100's MLP gap is over 10x", study, "p100_mean_mlp_gap", ">", 10.0)
+    yield Claim("Fig. 2", "the P100's Attention gap is under 8x", study, "p100_mean_attention_gap", "<", 8.0)
+    for module in ("mlp", "attention"):
+        yield Claim("Fig. 2", f"the 3090's {module} gap is moderate", study, f"rtx3090_mean_{module}_gap", "<", 4.0)
+        yield Claim("Fig. 2", "the A100 is the reference", study, f"a100_mean_{module}_gap", "==", 1.0)
+    for n in (20, 100, 200, 400):
+        text = f"MLP time orders P100 > 3090 > A100 at {n} requests"
+        yield Claim("Fig. 2", text, study, f"p100_mlp_at_{n}", ">", f"rtx3090_mlp_at_{n}")
+        yield Claim("Fig. 2", text, study, f"rtx3090_mlp_at_{n}", ">", 0.99)
+
+
+def _peak_rate_claims(figure: str, study: str, model: str) -> Iterator[Claim]:
+    # On LongBench the disaggregated Splitwise beats Hetis (ROADMAP.md, item 2),
+    # so there Hetis only has to match HexGen, the architecturally comparable
+    # baseline.
+    for dataset in DATASETS:
+        peak = f"rate{panel_rates(model, dataset)[-1]:g}"
+        for baseline in BASELINES if dataset != "longbench" else ("hexgen",):
+            text = f"{dataset}: Hetis's latency at the peak rate is within 5% of {baseline}'s"
+            yield Claim(figure, text, study, f"{dataset}_hetis_{peak}", "<=", (1.05, f"{dataset}_{baseline}_{peak}"))
+
+
+FIG14_WORKERS = ("rtx3090:1", "rtx3090:2")
+
+CLAIMS: List[Claim] = [
+    *_table1_claims(),
+    Claim("Fig. 2", "the P100's MLP gap is over 3x its Attention gap", "fig2",
+          "p100_mean_mlp_gap", ">", (3, "p100_mean_attention_gap")),
+    *_fig2_calibration_claims(),
+    Claim("Fig. 5", "head-wise splitting moves over 1.5x less at 20% offload", "fig5", "advantage_at_20pct_offload", ">", 1.5, 2.68),
+    Claim("Fig. 5", "head-wise splitting gains from 1 to 4 workers", "fig5",
+          "advantage_at_4_workers", ">", "advantage_at_1_worker", 3.55),
+    Claim("Fig. 7", "Attention time is flat in the request count", "fig7", "request_count_variation", "<", 0.1),
+    Claim("Fig. 7", "Attention time is linear in the cache size", "fig7", "context_linearity_r2", ">", 0.98),
+    Claim("Fig. 7", "Attention time is linear in the head count", "fig7", "heads_linearity_r2", ">", 0.95),
+    *_peak_rate_claims("Fig. 8", "fig8", "llama-13b"),
+    *_peak_rate_claims("Fig. 9", "fig9", "opt-30b"),
+    *_peak_rate_claims("Fig. 10", "fig10", "llama-70b"),
+    *(
+        Claim("Fig. 11", f"{model}: Hetis has more usable cache than {baseline}", "fig11",
+              f"{model}_sharegpt_hetis_over_{baseline}", ">", 1.0)
+        for model in MODELS
+        for baseline in BASELINES
+    ),
+    Claim("Fig. 12", "Hetis's P95 TPOT leads on at least 2 of 3 datasets", "fig12-13", "tpot_wins", ">=", 2),
+    Claim("Fig. 13", "Hetis's P95 Attention latency leads on at least 2 of 3 datasets", "fig12-13", "attention_wins", ">=", 2),
+    Claim("Fig. 13", "Hetis's P95 MLP latency leads on at least 2 of 3 datasets", "fig12-13", "mlp_wins", ">=", 2),
+    *(
+        Claim("Fig. 14", f"the A100 Primary carries more heads than {worker}", "fig14",
+              "fig14/primary_peak_heads", ">", f"{worker}_peak_heads")
+        for worker in FIG14_WORKERS
+    ),
+    *(
+        Claim("Fig. 14", f"{worker} takes load no earlier than the Primary", "fig14",
+              f"{worker}_first_load_at", ">=", "fig14/primary_first_load_at")
+        for worker in FIG14_WORKERS
+    ),
+    Claim("Fig. 15(a)", "re-dispatching is no worse than LIFO in mean latency", "fig15a", "mean_improvement", ">=", 0.95, 1.06),
+    Claim("Fig. 15(a)", "re-dispatching is no worse than LIFO in P95 latency", "fig15a", "p95_improvement", ">=", 0.9, 1.14),
+    Claim("Fig. 15(b)", "head-wise management stores more", "fig15b", "storage_op_ratio", ">=", 1.05, 1.13),
+    Claim("Fig. 15(b)", "head-wise management stores more", "fig15b", "storage_op_ratio", "<=", 1.25, 1.13),
+    Claim("Fig. 15(b)", "multi-core indexing fetches faster", "fig15b", "fetch_time_ratio", ">=", 0.6, 0.74),
+    Claim("Fig. 15(b)", "multi-core indexing fetches faster", "fig15b", "fetch_time_ratio", "<=", 0.9, 0.74),
+    Claim("Fig. 16(a)", "sharegpt: latency is flat around the default theta", "fig16a", "sharegpt_worst_ratio", "<", 1.3),
+    Claim("Fig. 16(a)", "humaneval: latency is flat around the default theta", "fig16a", "humaneval_worst_ratio", "<", 1.3),
+    Claim("Fig. 16(b)", "profiling error up to 20% inflates latency little", "fig16b", "max_inflation", "<", 1.25, 1.069),
+    Claim("Sec. 7.4", "the compute models predict held-out points", "accuracy", "min_compute", ">=", 0.90, 0.938),
+    Claim("Sec. 7.4", "the transfer models predict held-out points", "accuracy", "min_transfer", ">=", 0.90, (0.924, 0.961)),
+    Claim("Sec. 7.4", "the paper cluster's search takes seconds", "search", "paper-cluster_seconds", "<", 10.0, 4.0),
+    Claim("Sec. 7.4", "the 160-GPU search takes under a minute", "search", "5-types-x-32_seconds", "<", 60.0, 15.0),
+    Claim("Ablation", "head-wise splitting moves less than sequence-wise", "ablation-split",
+          "headwise_seconds", "<", "seqwise_seconds"),
+    Claim("Ablation", "sequence-wise splitting moves less than batch-wise", "ablation-split",
+          "seqwise_seconds", "<", "batchwise_seconds"),
+    Claim("Ablation", "the LP is no worse than greedy", "ablation-solver", "greedy_gap", ">=", 0.99),
+    Claim("Ablation", "the LP is no worse than a static proportional split", "ablation-solver", "proportional_gap", ">=", 0.99),
+    *(
+        Claim("Ablation", "a larger Delta prunes no fewer devices", "ablation-delta",
+              f"delta_{high}_workers", ">=", f"delta_{low}_workers")
+        for low, high in zip(DELTAS, DELTAS[1:])
+    ),
+    Claim("Ablation", "Hetis beats the uniform static pipeline", "ablation-dynamic", "speedup_vs_static", ">", 1.0),
+]

@@ -73,7 +73,7 @@ def run_dynamic_usage(
         name="fig14", config=config, model=model, cluster=cluster, seed=seed
     )
     system = HetisSystem([unit])
-    trace = generate_trace(model_name and "sharegpt", 0.0, max_requests, seed=seed, phases=phases)
+    trace = generate_trace("sharegpt", 0.0, max_requests, seed=seed, phases=phases)
     engine = Engine(system)
     run = engine.run(trace)
 

@@ -2,8 +2,8 @@
 
 The paper's evaluation is dozens of independent ``(system, model, dataset,
 rate)`` simulation points -- the Figs. 8-10 rate sweeps, the Fig. 14
-elasticity grids, Table 1 -- and every point is a pure function of its
-serializable description.  :class:`SweepRunner` exploits exactly that:
+elasticity grids -- and every point is a pure function of its serializable
+description.  :class:`SweepRunner` exploits exactly that:
 
 * **Process-pool fan-out.**  Points travel to workers as plain-dict payloads
   (a :meth:`DeploymentSpec.to_dict` tree -- never live systems, clusters, or
@@ -38,8 +38,7 @@ serializable description.  :class:`SweepRunner` exploits exactly that:
 
 Task kinds are a plugin registry (:data:`TASK_KINDS`), so any experiment
 whose unit of work is (picklable payload in, JSON-able row out) can fan out
-through the same runner -- ``"deployment"`` covers the serving simulations,
-``"table1-device"`` the roofline profiling rows.
+through the same runner -- ``"deployment"`` covers the serving simulations.
 """
 
 from __future__ import annotations
@@ -253,18 +252,6 @@ def _run_deployment(payload: Mapping[str, Any]) -> Dict[str, Any]:
     # -- the same $/hr objective the fleet planner minimises.
     row["cost_per_hour"] = system_cost_per_hour(prepared.system)
     return row
-
-
-@TASK_KINDS.register("table1-device", help="roofline-profile one GPU type for Table 1")
-def _run_table1_device(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    # Lazy import: table1 imports this module for SweepRunner, so importing it
-    # here at module scope would be a cycle.  Registering the kind *here*
-    # (rather than in table1.py) guarantees every worker that can unpickle
-    # ``_pool_worker`` can also resolve the kind, even under a spawn start
-    # method where workers import only this module.
-    from repro.experiments.table1 import device_row
-
-    return device_row(**payload)
 
 
 def _execute_task(kind: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -649,25 +636,6 @@ class SweepRunner:
                     overrides=dict(overrides),
                 )
             )
-        return self.run_tasks(tasks)
-
-    def map(
-        self,
-        kind: str,
-        payloads: Sequence[Mapping[str, Any]],
-        labels: Optional[Sequence[str]] = None,
-    ) -> List[PointResult]:
-        """Fan one registered task kind over many payloads (generic form)."""
-        if labels is not None and len(labels) != len(payloads):
-            raise ValueError(f"expected {len(payloads)} labels, got {len(labels)}")
-        tasks = [
-            Task(
-                kind=kind,
-                payload=payload,
-                label=labels[i] if labels is not None else f"{kind}[{i}]",
-            )
-            for i, payload in enumerate(payloads)
-        ]
         return self.run_tasks(tasks)
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[PointResult]:

@@ -5,22 +5,19 @@ all layers of OPT-2.7B on an A100, a 3090, and a P100, and reports the memory
 capacity alongside the prefill- and decode-phase iteration times.  The
 interesting quantities are the *ratios* (A100 is ~2.45x / 24.5x faster than
 3090 / P100 in prefill and ~1.47x / 7.93x in decode), which the calibrated
-roofline model reproduces.
+roofline model reproduces (the paper's values sit in the Table 1 rows of
+:data:`repro.experiments.claims.CLAIMS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List, Sequence
 
-from repro.experiments.runner import SweepRunner
 from repro.hardware.gpu import get_gpu_spec
 from repro.models.flops import BatchProfile
 from repro.models.spec import get_model_spec
 from repro.perf.roofline import RooflineExecutor
-
-PAPER_PREFILL_RATIOS = {"a100": 1.0, "rtx3090": 2.45, "p100": 24.5}
-PAPER_DECODE_RATIOS = {"a100": 1.0, "rtx3090": 1.47, "p100": 7.93}
 
 
 @dataclass(frozen=True)
@@ -35,82 +32,32 @@ class Table1Row:
     decode_ratio_vs_a100: float
 
 
-def device_row(
-    device: str,
-    model: str = "opt-2.7b",
-    prompt_tokens: int = 512,
-    decode_context_tokens: int = 512,
-    num_prefill: int = 3,
-    num_decode: int = 25,
-) -> Dict[str, Any]:
-    """Profile one GPU type through the calibrated roofline model.
-
-    This is the ``"table1-device"`` task-kind function the parallel runner
-    fans out: picklable scalars in, a JSON-able row out.
-    """
-    spec = get_gpu_spec(device)
-    executor = RooflineExecutor(get_model_spec(model))
-    prefill_batch = BatchProfile.prefill_only([prompt_tokens] * num_prefill)
-    decode_batch = BatchProfile.decode_only([decode_context_tokens] * num_decode)
-    return {
-        "device": device,
-        "memory_gb": spec.memory_gb,
-        "prefill_time_s": executor.full_model_time(spec, prefill_batch),
-        "decode_time_s": executor.full_model_time(spec, decode_batch),
-    }
-
-
 def run_table1(
     prompt_tokens: int = 512,
     decode_context_tokens: int = 512,
     num_prefill: int = 3,
     num_decode: int = 25,
-    devices: List[str] = ("a100", "rtx3090", "p100"),
-    jobs: int = 1,
+    devices: Sequence[str] = ("a100", "rtx3090", "p100"),
 ) -> List[Table1Row]:
     """Regenerate Table 1 with the calibrated device model.
 
-    The per-device profiles are independent, so they fan out over the
-    experiment runner's generic task interface (``jobs=1`` keeps the serial
-    in-process path); the vs-A100 ratios are computed from the returned rows.
+    Every device runs one OPT-2.7B prefill batch and one decode batch through
+    the roofline model; the ratios are relative to the first device.
     """
-    payloads = [
-        {
-            "device": name,
-            "prompt_tokens": prompt_tokens,
-            "decode_context_tokens": decode_context_tokens,
-            "num_prefill": num_prefill,
-            "num_decode": num_decode,
-        }
-        for name in devices
+    executor = RooflineExecutor(get_model_spec("opt-2.7b"))
+    prefill_batch = BatchProfile.prefill_only([prompt_tokens] * num_prefill)
+    decode_batch = BatchProfile.decode_only([decode_context_tokens] * num_decode)
+    specs = [get_gpu_spec(name) for name in devices]
+    prefill = [executor.full_model_time(spec, prefill_batch) for spec in specs]
+    decode = [executor.full_model_time(spec, decode_batch) for spec in specs]
+    return [
+        Table1Row(
+            device=name,
+            memory_gb=spec.memory_gb,
+            prefill_time_s=p,
+            decode_time_s=d,
+            prefill_ratio_vs_a100=p / prefill[0],
+            decode_ratio_vs_a100=d / decode[0],
+        )
+        for name, spec, p, d in zip(devices, specs, prefill, decode)
     ]
-    results = SweepRunner(jobs=jobs).map("table1-device", payloads, labels=list(devices))
-    times: Dict[str, Dict[str, Any]] = {}
-    for res in results:
-        if res.error is not None:
-            raise RuntimeError(f"table1 device {res.label} failed: {res.error}")
-        times[res.row["device"]] = res.row
-    ref = times[devices[0]]
-    rows = []
-    for name in devices:
-        rows.append(
-            Table1Row(
-                device=name,
-                memory_gb=times[name]["memory_gb"],
-                prefill_time_s=times[name]["prefill_time_s"],
-                decode_time_s=times[name]["decode_time_s"],
-                prefill_ratio_vs_a100=times[name]["prefill_time_s"] / ref["prefill_time_s"],
-                decode_ratio_vs_a100=times[name]["decode_time_s"] / ref["decode_time_s"],
-            )
-        )
-    return rows
-
-
-def format_table(rows: List[Table1Row]) -> str:
-    """Render the rows the way the paper's Table 1 is laid out."""
-    lines = [f"{'Device':<10}{'Memory':>10}{'Prefill (s)':>14}{'Decode (s)':>14}"]
-    for row in rows:
-        lines.append(
-            f"{row.device:<10}{row.memory_gb:>8.0f}GB{row.prefill_time_s:>14.4f}{row.decode_time_s:>14.4f}"
-        )
-    return "\n".join(lines)

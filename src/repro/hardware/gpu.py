@@ -12,7 +12,8 @@ paper:
   far larger than the Attention gap, which is what makes offloading decode
   Attention (but *not* dense modules) to low-end GPUs attractive.
 
-The calibration is validated by ``tests/perf/test_calibration.py``.
+The calibration is checked by the ``calibrated`` rows of the claims table
+(:data:`repro.experiments.claims.CLAIMS`).
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ This manager does that bookkeeping for one device:
 * capacity is enforced in paged blocks whose byte size scales with the number
   of resident head groups, matching constraint (6)/(7b) of the paper
   (``sum_j x_i^j * l_j <= r * M_i / 2``);
-* the storage/fetch overhead accounting used by the Fig.-15(b) microbenchmark
-  (more store operations, multi-core accelerated block indexing) is exposed
-  via :meth:`store_ops_per_token` and :meth:`fetch_time_factor`.
+* the block-index fetch model behind Fig. 15(b) (multi-core accelerated
+  indexing) is :meth:`fetch_time_factor`.
 """
 
 from __future__ import annotations
@@ -200,15 +199,6 @@ class HeadwiseBlockManager:
         return placement
 
     # -- overhead accounting (Fig. 15b) -------------------------------------------------
-
-    def store_ops_per_token(self) -> int:
-        """Cache-store operations per generated token under head-wise management.
-
-        Token-granular vLLM performs one store per (K, V) pair; head-wise
-        management performs one per resident KV-head group, which is where the
-        paper's ~13% storage-overhead increase comes from.
-        """
-        return max(1, self.model.num_kv_heads)
 
     @staticmethod
     def fetch_time_factor(cpu_cores: int, baseline_cores: int = 1) -> float:

@@ -1,32 +1,19 @@
 """Tests for the fast (analytic) experiment drivers: Table 1, Figs. 2, 5, 7,
-Fig. 15(b), modeling accuracy, and search overhead."""
+modeling accuracy, and search overhead.
+
+The paper's claims on these drivers' default inputs are rows of the claims
+table (``repro.experiments.claims``, checked by ``benchmarks/test_claims.py``);
+the tests here cover the drivers' output shape and the claims checked on
+other inputs."""
 
 import pytest
 
-from repro.experiments import accuracy, fig02, fig05, fig07, fig15, search_overhead, table1
+from repro.experiments import accuracy, fig02, fig05, fig07, search_overhead, table1
 
 
 class TestTable1:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return table1.run_table1()
-
-    def test_three_rows_in_device_order(self, rows):
-        assert [r.device for r in rows] == ["a100", "rtx3090", "p100"]
-
-    def test_formatting_contains_all_devices(self, rows):
-        text = table1.format_table(rows)
-        for device in ("a100", "rtx3090", "p100"):
-            assert device in text
-
-    def test_reference_row_is_unity(self, rows):
-        assert rows[0].prefill_ratio_vs_a100 == pytest.approx(1.0)
-        assert rows[0].decode_ratio_vs_a100 == pytest.approx(1.0)
-
-    def test_ordering_matches_paper(self, rows):
-        by_dev = {r.device: r for r in rows}
-        assert by_dev["p100"].prefill_ratio_vs_a100 > by_dev["rtx3090"].prefill_ratio_vs_a100 > 1.0
-        assert by_dev["p100"].decode_ratio_vs_a100 > by_dev["rtx3090"].decode_ratio_vs_a100 > 1.0
+    def test_three_rows_in_device_order(self):
+        assert [r.device for r in table1.run_table1()] == ["a100", "rtx3090", "p100"]
 
 
 class TestFig2:
@@ -52,35 +39,16 @@ class TestFig5:
 
     def test_advantage_largest_at_low_offload(self, result):
         assert result.headwise_advantage_at(0.2) > result.headwise_advantage_at(0.8)
-        assert result.headwise_advantage_at(0.2) > 1.5
 
     def test_headwise_improves_with_more_workers(self, result):
         assert result.headwise_by_workers[-1] < result.headwise_by_workers[0]
-        assert result.headwise_advantage_at_workers(4) > result.headwise_advantage_at_workers(1)
 
 
 class TestFig7:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return fig07.run_fig7()
-
-    def test_flat_in_request_count(self, result):
-        assert result.requests_variation() < 0.10
-
-    def test_linear_in_cache_and_heads(self, result):
-        assert result.context_linearity() > 0.98
-        assert result.heads_linearity() > 0.95
-
-    def test_monotone_growth(self, result):
+    def test_monotone_growth(self):
+        result = fig07.run_fig7()
         assert result.time_by_context == sorted(result.time_by_context)
         assert result.time_by_heads == sorted(result.time_by_heads)
-
-
-class TestFig15b:
-    def test_overhead_numbers_match_paper_shape(self):
-        overhead = fig15.run_head_management_overhead()
-        assert 1.05 <= overhead.storage_op_ratio <= 1.25   # paper: +13%
-        assert 0.6 <= overhead.fetch_time_ratio <= 0.9     # paper: -26%
 
 
 class TestModelingAccuracy:

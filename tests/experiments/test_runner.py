@@ -207,37 +207,6 @@ class TestValidation:
         with pytest.raises(TypeError, match="DeploymentSpec"):
             SweepRunner().run([({}, {"model": "llama-13b"})])
 
-    def test_map_label_count_checked(self):
-        with pytest.raises(ValueError, match="labels"):
-            SweepRunner().map("deployment", [BASE.to_dict()], labels=["a", "b"])
-
-
-class TestGenericTasks:
-    def test_table1_parallel_matches_serial(self):
-        from repro.experiments.table1 import run_table1
-
-        serial = run_table1(jobs=1)
-        parallel = run_table1(jobs=2)
-        assert parallel == serial
-        assert serial[0].device == "a100"
-        assert serial[2].prefill_ratio_vs_a100 > serial[1].prefill_ratio_vs_a100 > 1.0
-
-    def test_dynamic_parallelism_ablation_parallel_matches_serial(self):
-        from repro.experiments.ablation import run_dynamic_parallelism_ablation
-
-        kwargs = dict(num_requests=8, request_rate=6.0)
-        assert run_dynamic_parallelism_ablation(jobs=2, **kwargs) == run_dynamic_parallelism_ablation(**kwargs)
-
-    @pytest.mark.slow
-    def test_rate_sweep_parallel_matches_serial(self):
-        from repro.experiments.e2e import run_rate_sweep
-
-        kwargs = dict(systems=("static-tp",), rates=(4.0, 10.0), num_requests=10)
-        serial = run_rate_sweep("llama-13b", "sharegpt", **kwargs)
-        parallel = run_rate_sweep("llama-13b", "sharegpt", jobs=2, **kwargs)
-        assert parallel == serial
-        assert [p.request_rate for p in serial["static-tp"].points] == [4.0, 10.0]
-
 
 EXPERIMENT_TOML = """
 [experiment]

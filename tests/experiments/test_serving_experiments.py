@@ -1,71 +1,68 @@
 """Tests for the simulation-backed experiment drivers (Figs. 8-16).
 
 These use deliberately small request counts so the suite stays fast; the
-benchmarks in ``benchmarks/`` run the full-size versions.
+claims table (``repro.experiments.claims``, checked by
+``benchmarks/test_claims.py``) runs the full-size studies.
 """
 
 import pytest
 
-from repro.experiments import ablation, cache_space, e2e, fig14, fig15, fig16
+from repro.experiments import ablation, cache_space, fig14
+from repro.experiments.claims import PAPER_RATE_GRID, PAPER_TAIL_RATES, serving_spec, sweep
 
 pytestmark = pytest.mark.slow
 
 
-class TestE2E:
-    def test_run_serving_point_fields(self):
-        point = e2e.run_serving("hexgen", "llama-13b", "sharegpt", 6.0, num_requests=16, seed=0)
-        assert point.num_finished == 16
-        assert point.normalized_latency > 0
-        assert point.p95_ttft > 0
-        assert point.available_cache_gb > 0
+def by(axis, points, metric="mean_normalized_latency"):
+    """``metric`` of each ``sweep`` point, keyed by its value on ``axis``."""
+    return {overrides[axis]: row[metric] for overrides, row in points}
 
-    def test_rate_sweep_latency_increases_with_rate(self):
-        sweeps = e2e.run_rate_sweep(
-            "llama-13b", "sharegpt", systems=("hexgen",), rates=(2.0, 30.0), num_requests=24
-        )
-        sweep = sweeps["hexgen"]
-        assert sweep.latencies[1] > sweep.latencies[0]
-        assert sweep.max_rate_under(latency_slo=sweep.latencies[0] * 1.01) >= 2.0
+
+class TestServing:
+    def test_point_fields(self):
+        [(overrides, row)] = sweep(serving_spec("hexgen", "llama-13b", "sharegpt", 6.0, num_requests=16), {})
+        assert overrides == {}
+        assert row["num_finished"] == 16
+        assert row["mean_normalized_latency"] > 0
+        assert row["p95_ttft"] > 0
+        assert row["available_cache_bytes"] > 0
+
+    def test_latency_increases_with_rate(self):
+        base = serving_spec("hexgen", "llama-13b", "sharegpt", 2.0, num_requests=24)
+        latency = by("workload.request_rate", sweep(base, {"workload.request_rate": (2.0, 30.0)}))
+        assert latency[30.0] > latency[2.0]
 
     def test_hetis_beats_baselines_at_moderate_load(self):
         """The headline Fig. 8 ordering on one representative point."""
-        points = {
-            system: e2e.run_serving(system, "llama-13b", "sharegpt", 9.0, num_requests=40, seed=1)
-            for system in ("hetis", "hexgen", "splitwise")
-        }
-        assert points["hetis"].normalized_latency < points["hexgen"].normalized_latency
-        assert points["hetis"].normalized_latency < points["splitwise"].normalized_latency
+        base = serving_spec("hetis", "llama-13b", "sharegpt", 9.0, num_requests=40, seed=1)
+        latency = by("system.name", sweep(base, {"system.name": ("hetis", "hexgen", "splitwise")}))
+        assert latency["hetis"] < latency["hexgen"]
+        assert latency["hetis"] < latency["splitwise"]
 
     def test_paper_rate_grid_defined_for_all_panels(self):
         for model in ("llama-13b", "opt-30b", "llama-70b"):
             for dataset in ("sharegpt", "humaneval", "longbench"):
-                assert len(e2e.PAPER_RATE_GRID[model][dataset]) >= 3
+                assert len(PAPER_RATE_GRID[model][dataset]) >= 3
 
-    def test_tail_latency_structure(self):
-        out = e2e.run_tail_latency(
-            model="llama-13b", datasets=("sharegpt",), systems=("hetis", "hexgen"), num_requests=20
-        )
-        assert set(out) == {"sharegpt"}
-        assert set(out["sharegpt"]) == {"hetis", "hexgen"}
-        assert out["sharegpt"]["hetis"].p95_tpot > 0
+    def test_sweep_raises_naming_the_failed_point(self):
+        base = serving_spec("hexgen", "llama-13b", "sharegpt", 6.0, num_requests=8)
+        with pytest.raises(RuntimeError, match="system.options.bogus=1"):
+            sweep(base, {"system.options.bogus": [1]})
+
+    def test_sweep_keeps_grid_order(self):
+        base = serving_spec("hetis", "llama-13b", "sharegpt", PAPER_TAIL_RATES["sharegpt"], num_requests=20)
+        points = sweep(base, {"system.name": ("hetis", "hexgen")})
+        assert [overrides["system.name"] for overrides, _ in points] == ["hetis", "hexgen"]
+        assert points[0][1]["p95_tpot"] > 0
 
 
 class TestCacheSpace:
-    @pytest.fixture(scope="class")
-    def cells(self):
-        return cache_space.run_cache_space(
+    def test_all_cells_present(self):
+        cells = cache_space.run_cache_space(
             models=("llama-13b", "llama-70b"), datasets=("sharegpt",), systems=("hetis", "hexgen", "splitwise")
         )
-
-    def test_all_cells_present(self, cells):
         assert len(cells) == 2 * 1 * 3
         assert all(c.cache_gb > 0 for c in cells)
-
-    def test_hetis_has_most_cache_space(self, cells):
-        """Fig. 11: Hetis consistently provides the largest usable cache."""
-        for model in ("llama-13b", "llama-70b"):
-            assert cache_space.advantage_over(cells, model, "sharegpt", "hexgen") > 1.0
-            assert cache_space.advantage_over(cells, model, "sharegpt", "splitwise") > 1.0
 
 
 class TestFig14:
@@ -83,44 +80,36 @@ class TestFig14:
 
 class TestFig15a:
     def test_redispatch_no_worse_than_lifo(self):
-        benefit = fig15.run_redispatch_benefit(num_requests=40, request_rate=6.0)
-        assert benefit.mean_improvement >= 0.95
-        assert benefit.p95_improvement >= 0.9
-        assert benefit.mean_latency_redispatch > 0
+        base = serving_spec("hetis", "llama-13b", "sharegpt", 6.0, num_requests=40)
+        points = sweep(base, {"system.options.enable_redispatch": (True, False)})
+        mean = by("system.options.enable_redispatch", points)
+        p95 = by("system.options.enable_redispatch", points, "p95_normalized_latency")
+        assert mean[False] / mean[True] >= 0.95
+        assert p95[False] / p95[True] >= 0.9
+        assert mean[True] > 0
 
 
 class TestFig16:
     def test_theta_sensitivity_flat_region(self):
-        result = fig16.run_theta_sensitivity(
-            datasets=("sharegpt",), thetas=(0.3, 0.5, 0.7), request_rate=6.0, num_requests=24
-        )
-        assert result.thetas == [0.3, 0.5, 0.7]
+        base = serving_spec("hetis", "llama-13b", "sharegpt", 6.0, num_requests=24)
+        latency = by("system.options.theta", sweep(base, {"system.options.theta": (0.3, 0.5, 0.7)}))
         # The paper finds the default within a ~10% band of the best setting.
-        assert result.worst_ratio("sharegpt") < 1.3
+        assert max(lat / latency[0.5] for lat in latency.values()) < 1.3
 
     def test_profiling_error_resilience(self):
-        result = fig16.run_profiling_error_sensitivity(
-            error_levels=(0.2,), request_rate=6.0, num_requests=24
-        )
+        base = serving_spec("hetis", "llama-13b", "sharegpt", 6.0, num_requests=24)
+        latency = by("system.options.profiling_error", sweep(base, {"system.options.profiling_error": (0.0, 0.2)}))
         # Paper: at most ~6.9% inflation at +/-20% error; allow a wider band.
-        assert result.max_inflation < 1.25
+        assert latency[0.2] / latency[0.0] < 1.25
 
 
 class TestAblations:
-    def test_split_dimension_ordering(self):
-        result = ablation.run_split_dimension_ablation()
-        assert result.headwise_seconds < result.seqwise_seconds < result.batchwise_seconds
-
-    def test_solver_ablation_lp_best(self):
-        result = ablation.run_solver_ablation()
-        assert result.greedy_gap >= 0.99
-        assert result.proportional_gap >= 0.99
-
     def test_delta_ablation_monotone_pruning(self):
         result = ablation.run_delta_ablation(deltas=(0.0, 0.05, 0.3))
         assert result.num_attention_workers[0] == 0
         assert result.num_attention_workers == sorted(result.num_attention_workers)
 
     def test_dynamic_parallelism_beats_static(self):
-        result = ablation.run_dynamic_parallelism_ablation(num_requests=30, request_rate=8.0)
-        assert result.speedup > 1.0
+        base = serving_spec("hetis", "llama-13b", "sharegpt", 8.0, num_requests=30)
+        latency = by("system.name", sweep(base, {"system.name": ("hetis", "static-tp")}))
+        assert latency["static-tp"] / latency["hetis"] > 1.0

@@ -99,11 +99,6 @@ def test_utilization_and_capacity_token_groups(mha_manager):
     assert mha_manager.capacity_token_groups == mha_manager.total_blocks * mha_manager.block_size
 
 
-def test_store_ops_per_token(mha_manager, gqa_manager):
-    assert mha_manager.store_ops_per_token() == 40   # llama-13b KV heads
-    assert gqa_manager.store_ops_per_token() == 8    # llama-70b KV head groups
-
-
 def test_fetch_time_factor_improves_with_cores():
     single = HeadwiseBlockManager.fetch_time_factor(1)
     many = HeadwiseBlockManager.fetch_time_factor(8)
