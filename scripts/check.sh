@@ -20,14 +20,13 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Every checked-in sample config must still parse and build (no simulation):
 # a config that drifts from the spec schema fails fast, here and in CI.
 # Experiment configs (an [experiment] section bundling a deployment with grid
-# axes) validate through the experiment driver, planner studies (a [planner]
-# section) through `repro plan`, and plain deployment specs through
-# `repro run`.
+# axes) validate through `repro sweep`, planner studies (a [planner] section)
+# through `repro plan`, and plain deployment specs through `repro run`.
 echo "== validating checked-in deployment configs (--dry-run) =="
 shopt -s nullglob
 for cfg in examples/configs/*.json examples/configs/*.toml; do
     if grep -Eq '^\[experiment\]|"experiment"[[:space:]]*:' "$cfg" 2>/dev/null; then
-        python -m repro experiment "$cfg" --dry-run >/dev/null
+        python -m repro sweep "$cfg" --dry-run >/dev/null
     elif grep -Eq '^\[planner\]|"planner"[[:space:]]*:' "$cfg" 2>/dev/null; then
         python -m repro plan "$cfg" --dry-run >/dev/null
     else
@@ -106,6 +105,15 @@ echo "  2-job pool sweep OK"
 echo "== fault-injection smoke test (crash + timeout under keep-going) =="
 python scripts/fault_smoke.py
 echo "  degraded sweep smoke OK"
+
+# Paper-regeneration smoke test: `repro figures` over every checked-in study
+# config (sweeps and the planner search), scaled down, through a 2-job pool.
+# It exits 1 if any point fails to regenerate.
+echo "== figures smoke test (repro figures --jobs 2) =="
+figures_out="$(mktemp -d)"
+python -m repro figures --set workload.num_requests=8 --jobs 2 --out-dir "$figures_out" >/dev/null
+rm -rf "$figures_out"
+echo "  figures regeneration OK"
 
 # Fleet-planner smoke test: a tiny end-to-end `repro plan` search through the
 # CLI (shrunk workload so it stays CI-sized).  Exercises the greedy prune +

@@ -11,34 +11,18 @@ dense throughput, then repairs the assignment for per-device memory limits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUDevice
 from repro.models.spec import ModelSpec
 from repro.parallel.config import ClusterParallelConfig, InstanceParallelConfig, StageConfig
 from repro.parallel.partitioner import partition_layers_balanced
-from repro.parallel.placement import group_devices_evenly
+from repro.parallel.placement import group_devices_evenly, stage_groups
 from repro.sim.engine import ServingSystem
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
 from repro.sim.units import ExecutionUnit, StaticPipelineUnit
-
-
-def _stage_groups(devices: List[GPUDevice]) -> List[List[GPUDevice]]:
-    """Group an instance's devices into homogeneous per-host stages.
-
-    Devices sharing a host and a GPU type form one tensor-parallel stage;
-    stages are ordered fastest type first so prefill activations flow from
-    high-end to low-end hardware, matching the paper's HexGen deployment.
-    """
-    groups: Dict[Tuple[int, str], List[GPUDevice]] = {}
-    for dev in devices:
-        groups.setdefault((dev.host_id, dev.spec.name), []).append(dev)
-    ordered = sorted(
-        groups.values(), key=lambda ds: (-ds[0].spec.matmul_flops, ds[0].host_id)
-    )
-    return ordered
 
 
 def _repair_for_memory(
@@ -81,7 +65,7 @@ def plan_hexgen_config(
     groups = group_devices_evenly(cluster, num_instances)
     instances: List[InstanceParallelConfig] = []
     for devices in groups:
-        stage_devices = _stage_groups(devices)
+        stage_devices = stage_groups(devices)
         speeds = [sum(d.spec.matmul_flops for d in devs) for devs in stage_devices]
         layers = partition_layers_balanced(model.num_layers, speeds)
         repaired = _repair_for_memory(model, stage_devices, layers)

@@ -9,13 +9,13 @@ layer skew (HexGen) and module-level offload (Hetis) each contribute.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.hardware.cluster import Cluster
-from repro.hardware.gpu import GPUDevice
 from repro.models.spec import ModelSpec
 from repro.parallel.config import ClusterParallelConfig, InstanceParallelConfig, StageConfig
 from repro.parallel.partitioner import partition_layers_balanced
+from repro.parallel.placement import stage_groups
 from repro.sim.engine import ServingSystem
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
@@ -24,12 +24,7 @@ from repro.sim.units import ExecutionUnit, StaticPipelineUnit
 
 def plan_static_tp_config(cluster: Cluster, model: ModelSpec) -> ClusterParallelConfig:
     """One stage per (host, GPU type) with an even layer split."""
-    groups: Dict[Tuple[int, str], List[GPUDevice]] = {}
-    for dev in cluster.devices:
-        groups.setdefault((dev.host_id, dev.spec.name), []).append(dev)
-    stage_devices = sorted(
-        groups.values(), key=lambda ds: (-ds[0].spec.matmul_flops, ds[0].host_id)
-    )
+    stage_devices = stage_groups(cluster.devices)
     layers = partition_layers_balanced(model.num_layers, [1.0] * len(stage_devices))
     stages = [
         StageConfig(devices=devs, num_layers=n)

@@ -29,32 +29,31 @@ flag sets the dotted path ``run --set`` takes (``_FLAG_PATHS`` and
     validates without simulating, ``--set key=value`` overrides spec fields.
 
 ``sweep``
-    Expand a config over ``--grid key=v1,v2,...`` axes (Cartesian product),
-    run every deployment, and print/write a CSV or JSON results table -- the
-    substrate for parameter studies like the Fig.-14 elasticity experiment.
-    ``--jobs N`` fans the points out over N worker processes (results stay
-    bit-identical to the serial run); ``--cache DIR`` re-uses previously
-    computed rows keyed by a content hash of each deployment spec.
-
-``experiment``
-    Run a spec-driven experiment config: one TOML/JSON file bundling a base
-    deployment with its grid axes (see ``examples/configs/fig14_grid.toml``),
-    executed through the same parallel, cached runner as ``sweep``.
+    Run every point of a study config and print/write a CSV or JSON results
+    table -- the substrate for parameter studies like the Fig.-14 elasticity
+    experiment.  The config is a plain deployment or an ``[experiment]``
+    config bundling a base deployment with its grid axes (see
+    ``examples/configs/fig14_grid.toml``); ``--grid key=v1,v2,...`` adds axes
+    after the config's own (Cartesian product) and replaces the values of an
+    axis the config already sweeps.  ``--jobs N`` fans the points out over N
+    worker processes (results stay bit-identical to the serial run);
+    ``--cache DIR`` re-uses previously computed rows keyed by a content hash
+    of each deployment spec; ``--dry-run`` lists the points without running.
 
 ``figures``
-    Regenerate every checked-in study config -- experiment grids, planner
-    searches, plain deployments -- through the journaled, fault-tolerant
-    runner in one command.  With ``--resume JOURNAL`` a killed run picks up
-    where it left off; a crashing or hanging point degrades to a labelled
-    error row, and the command ends with an honest degradation report
-    (n ok / n errored / n timed-out / n retried), exiting 1 only when the
-    success fraction falls below ``--min-success``.
+    Regenerate every checked-in study config in one command: each sweep-shaped
+    config runs as ``sweep --keep-going`` would, sharing one journal, and each
+    planner config as one search.  With ``--resume JOURNAL`` a killed run
+    picks up where it left off; a crashing or hanging point degrades to a
+    labelled error row, and the command ends with an honest degradation
+    report (n ok / n errored / n timed-out / n retried), exiting 1 only when
+    the success fraction falls below ``--min-success``.
 
-The grid-running subcommands (``sweep``, ``experiment``, ``plan``,
-``figures``) share the fault-tolerance flags ``--timeout`` (wall-clock bound
-per point), ``--retries``/``--backoff`` (deterministic retry with exponential
-backoff), and ``--resume`` (append-only run journal); the same knobs are
-accepted as a top-level ``[execution]`` table in the config files.
+The grid-running subcommands (``sweep``, ``plan``, ``figures``) share the
+fault-tolerance flags ``--timeout`` (wall-clock bound per point),
+``--retries``/``--backoff`` (deterministic retry with exponential backoff),
+and ``--resume`` (append-only run journal); the same knobs are accepted as a
+top-level ``[execution]`` table in the config files.
 
 ``lint``
     Run the determinism / spec-invariant static-analysis rules
@@ -75,7 +74,7 @@ Examples
     python -m repro run deployment.json --dry-run
     python -m repro sweep deployment.json --grid workload.request_rate=2,4,8 \
         --grid router.name=round-robin,least-kv --out sweep.csv --jobs 4 --cache .sweep-cache
-    python -m repro experiment examples/configs/fig14_grid.toml --jobs 4
+    python -m repro sweep examples/configs/fig14_grid.toml --jobs 4 --out fig14.csv
     python -m repro sweep deployment.json --grid workload.seed=0,1 --jobs 2 \
         --keep-going --timeout 120 --retries 2 --resume sweep.journal
     python -m repro figures --jobs 4 --cache .fig-cache --resume figures.journal \
@@ -90,7 +89,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.api import (
     PreparedRun,
@@ -111,13 +110,15 @@ from repro.config import (
     parse_grid_value,
 )
 from repro.core.parallelizer import Parallelizer, WorkloadHint
-
-# The experiment runner/driver are imported lazily inside the sweep and
-# experiment commands: importing repro.experiments eagerly pulls in every
-# figure module, which `repro serve`/`run`/`plan` (and --help) never need.
 from repro.models.spec import get_model_spec
 from repro.sim.engine import SimulationResult
 from repro.workloads.trace import StreamingTrace
+
+# The experiment runner, driver and planner are imported lazily inside the
+# commands that use them: importing repro.experiments eagerly pulls in every
+# figure module, which `repro serve`/`run` (and --help) never need.
+if TYPE_CHECKING:
+    from repro.experiments.runner import PointResult, RunJournal
 
 
 def _gpus_kind(gpus: Optional[Sequence[str]]) -> str:
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--cache", default=None, metavar="DIR",
         help="cache candidate rows in DIR keyed by a content hash of each "
-             "deployment spec (shared with sweep/experiment caches)",
+             "deployment spec (shared with sweep and figures caches)",
     )
     plan.add_argument(
         "--budget", type=_positive_int, default=None, metavar="N",
@@ -332,40 +333,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser(
-        "sweep", help="expand a config over --grid axes and tabulate the results"
+        "sweep", help="run every point of a study config and tabulate the results"
     )
-    sweep.add_argument("config", help="path to the base DeploymentSpec config")
+    sweep.add_argument(
+        "config",
+        help="path to a DeploymentSpec config or an [experiment] config "
+             "(.json or .toml)",
+    )
     sweep.add_argument(
         "--grid", action="append", default=None, metavar="KEY=V1,V2,...",
         help="one sweep axis as dotted-path=comma-separated values "
-             "(e.g. --grid workload.request_rate=2,4,8); repeatable, axes combine "
-             "as a Cartesian product",
+             "(e.g. --grid workload.request_rate=2,4,8); repeatable, axes follow "
+             "the config's own and combine as a Cartesian product",
     )
     sweep.add_argument(
         "--set", action="append", default=None, metavar="KEY=VALUE", dest="overrides",
         help="fixed override applied to every point before the grid expands",
     )
-    _add_runner_args(sweep)
-
-    exp_p = sub.add_parser(
-        "experiment",
-        help="run a spec-driven experiment config (base deployment + grid axes)",
-    )
-    exp_p.add_argument(
-        "config",
-        help="path to an experiment config (.json or .toml) with [experiment] "
-             "and [deployment] sections",
-    )
-    exp_p.add_argument(
+    sweep.add_argument(
         "--dry-run", action="store_true",
         help="validate the config and list the grid points without running",
     )
-    _add_runner_args(exp_p)
+    sweep.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="run grid points over N worker processes (default 1 = serial; "
+             "results are bit-identical either way)",
+    )
+    sweep.add_argument(
+        "--cache", default=None, metavar="DIR",
+        help="cache result rows in DIR keyed by a content hash of each "
+             "deployment spec; repeat runs and resumed sweeps load cached "
+             "rows instead of re-simulating (default: no cache)",
+    )
+    sweep.add_argument(
+        "--keep-going", action="store_true",
+        help="run every point even if some fail, report failures at the end "
+             "(default: stop at the first failing point)",
+    )
+    sweep.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="also write the results table to PATH (.csv or .json)",
+    )
+    sweep.add_argument(
+        "--format", default=None, choices=["csv", "json"],
+        help="format for --out (default: inferred from the extension)",
+    )
+    _add_execution_args(sweep)
 
     figures = sub.add_parser(
         "figures",
-        help="regenerate every checked-in study config through the journaled, "
-             "fault-tolerant runner (one resumable command)",
+        help="regenerate every checked-in study config: each runs as "
+             "`sweep --keep-going` (or one planner search), sharing one journal",
     )
     figures.add_argument(
         "configs", nargs="*", default=None, metavar="CONFIG",
@@ -393,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "--out-dir", default=None, metavar="DIR",
-        help="write one artifact per config there (<name>.csv tables, "
-             "<name>.plan.json plans)",
+        help="write one artifact per config there (<stem>.csv tables, "
+             "<stem>.plan.json plans)",
     )
     figures.add_argument(
         "--min-success", type=float, default=1.0, metavar="FRACTION",
@@ -434,35 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered rule codes and exit",
     )
     return parser
-
-
-def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the grid-running subcommands (``sweep``, ``experiment``)."""
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="run grid points over N worker processes (default 1 = serial; "
-             "results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="cache result rows in DIR keyed by a content hash of each "
-             "deployment spec; repeat runs and resumed sweeps load cached "
-             "rows instead of re-simulating (default: no cache)",
-    )
-    parser.add_argument(
-        "--keep-going", action="store_true",
-        help="run every point even if some fail, report failures at the end "
-             "(default: stop at the first failing point)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the results table to PATH (.csv or .json)",
-    )
-    parser.add_argument(
-        "--format", default=None, choices=["csv", "json"],
-        help="format for --out (default: inferred from the extension)",
-    )
-    _add_execution_args(parser)
 
 
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
@@ -534,6 +523,12 @@ def _parse_set_overrides(items: Optional[Sequence[str]]) -> Dict[str, Any]:
     return parsed
 
 
+def _with_set(spec: DeploymentSpec, args: argparse.Namespace) -> DeploymentSpec:
+    """``spec`` with the command's ``--set`` overrides applied."""
+    parsed = _parse_set_overrides(args.overrides)
+    return spec.with_overrides(parsed) if parsed else spec
+
+
 def _format_summary(name: str, result: SimulationResult) -> str:
     s = result.summary
     return (
@@ -588,9 +583,7 @@ def cmd_fleet_plan(args: argparse.Namespace, out=sys.stdout) -> int:
 
     try:
         planner = load_planner(args.config)
-        parsed = _parse_set_overrides(args.overrides)
-        if parsed:
-            planner = replace(planner, deployment=planner.deployment.with_overrides(parsed))
+        planner = replace(planner, deployment=_with_set(planner.deployment, args))
         if args.budget is not None:
             planner = replace(planner, budget=args.budget)
     except ConfigError as exc:
@@ -774,26 +767,22 @@ def cmd_compare(args: argparse.Namespace, out=sys.stdout) -> int:
     return 0
 
 
-def _load_spec(args: argparse.Namespace):
+def _load_spec(args: argparse.Namespace) -> DeploymentSpec:
     """Load the config file and apply any ``--set`` overrides; clean exits.
 
-    Returns ``(spec, execution)``: the deployment plus the config's optional
-    top-level ``[execution]`` table (``None`` when absent).  ``run`` ignores
-    the execution block -- a single in-process simulation has nothing to
-    retry -- but tolerates it so one config works for every subcommand.
+    An optional top-level ``[execution]`` table is tolerated and ignored -- a
+    single in-process simulation has nothing to retry -- so one config works
+    for every subcommand.
     """
     try:
         data = load_config_mapping(args.config)
-        execution = extract_execution(data, where=str(args.config))
+        extract_execution(data, where=str(args.config))
         try:
             spec = DeploymentSpec.from_dict(data)
         except ConfigError as exc:
             # Same path-prefixed message DeploymentSpec.load would produce.
             raise ConfigError(f"{args.config}: {exc}") from None
-        parsed = _parse_set_overrides(getattr(args, "overrides", None))
-        if parsed:
-            spec = spec.with_overrides(parsed)
-        return spec, execution
+        return _with_set(spec, args)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
 
@@ -853,7 +842,7 @@ def _print_result(prepared: PreparedRun, result: SimulationResult, out) -> None:
 
 
 def cmd_run(args: argparse.Namespace, out=sys.stdout) -> int:
-    spec, _ = _load_spec(args)
+    spec = _load_spec(args)
     prepared = _build(spec, where=f"building {args.config}: ")
     if args.dry_run:
         print(f"config OK: {spec.describe()}", file=out)
@@ -894,54 +883,70 @@ def _write_sweep_output(
             writer.writerows(rows)
 
 
-def _run_grid_points(
-    combos,
-    axis_names: List[str],
+def _sweep(
+    path: str,
     args: argparse.Namespace,
     out,
-    execution: Optional[ExecutionSpec] = None,
-) -> int:
-    """Execute expanded ``(overrides, spec)`` points and print/write the table.
+    keep_going: bool,
+    table: Optional[str],
+    journal: Optional[RunJournal] = None,
+) -> List[PointResult]:
+    """Load a sweep-shaped config, run its points, print one line each, write the table.
 
-    Shared back-end of ``sweep`` and ``experiment``: points run through the
+    The body of ``sweep``, and of ``figures`` for every config that is not a
+    planner search.  ``--set`` overrides apply to the config's base; ``--grid``
+    axes follow its ``[experiment.grid]`` axes, and one the config already
+    sweeps keeps its place with the new values.  Points run through the
     parallel, cached, fault-tolerant
-    :class:`~repro.experiments.runner.SweepRunner` (``--jobs`` / ``--cache``
-    plus the ``execution`` knobs: timeout, retries, journal), results print in
-    deterministic grid order, and a failing point aborts with its override
-    label -- or, under ``--keep-going``, becomes a labelled error row (with
-    ``error_kind``/``attempts`` columns) in the output table.
+    :class:`~repro.experiments.runner.SweepRunner` (``--jobs``/``--cache``
+    plus the execution knobs, flags over the config's ``[execution]``) and
+    print in grid order.  A failing point aborts with its override label --
+    or, with ``keep_going``, becomes a labelled error row whose
+    ``error_kind``/``attempts`` columns say what killed it.  ``table`` is the
+    results file (axis columns, then metric columns); a bad config raises
+    :class:`ConfigError`.
     """
+    from repro.experiments.driver import load_study
     from repro.experiments.runner import (
         TABLE_METRICS,
         SweepRunner,
-        degradation_report,
-        format_degradation,
+        overrides_label,
         result_table_row,
     )
 
-    keep_going = args.keep_going
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        stop_on_error=not keep_going,
-        **(execution.to_dict() if execution is not None else {}),
+    study = load_study(path)
+    axes = {**study.axes, **dict(parse_grid_axis(axis) for axis in getattr(args, "grid", None) or [])}
+    points = expand_grid(_with_set(study.base, args), axes)
+    print(
+        f"sweep {study.name} over {len(points)} deployment(s) "
+        f"({', '.join(axes) if axes else 'no grid axes'})",
+        file=out,
     )
-    results = runner.run(combos)
+    if getattr(args, "dry_run", False):
+        for overrides, _ in points:
+            print(f"  {overrides_label(overrides)}", file=out)
+        print("config OK (dry run, nothing simulated)", file=out)
+        return []
+    execution = _resolve_execution(args, study.execution)
+    options: Dict[str, Any] = execution.to_dict() if execution is not None else {}
+    if journal is not None:
+        options["journal"] = journal
+    runner = SweepRunner(
+        jobs=args.jobs, cache_dir=args.cache, stop_on_error=not keep_going, **options
+    )
+    results = runner.run(points)
     rows: List[Dict[str, Any]] = []
-    num_failed = 0
     for res in results:
         if res.skipped and res.error_kind != "cancelled":
             continue
+        rows.append(result_table_row(res))
         retried = f"  [retried x{res.attempts - 1}]" if res.attempts > 1 else ""
         if res.error is not None:
             if not keep_going:
                 raise SystemExit(f"error: sweep point {res.label}: {res.error}")
-            num_failed += 1
             kind = f" [{res.error_kind}]" if res.error_kind else ""
             print(f"  {res.label}: FAILED{kind} ({res.error}){retried}", file=out)
-            rows.append(result_table_row(res))
             continue
-        rows.append(result_table_row(res))
         row = res.row
         cached = "  [cached]" if res.cached else ""
         resumed = "  [resumed]" if res.resumed else ""
@@ -956,16 +961,29 @@ def _run_grid_points(
             f"goodput {row['goodput_rps']:.2f} req/s{cached}{resumed}{retried}{truncated}",
             file=out,
         )
-    if args.out:
+    if table:
         fieldnames = (
-            axis_names
+            list(axes)
             + list(TABLE_METRICS)
             + ["num_dropped", "truncated", "error_kind", "attempts"]
         )
-        _write_sweep_output(rows, args.out, args.format, fieldnames=fieldnames)
-        print(f"wrote {len(rows)} row(s) to {args.out}", file=out)
-    if keep_going:
+        _write_sweep_output(rows, table, getattr(args, "format", None), fieldnames=fieldnames)
+        print(f"wrote {len(rows)} row(s) to {table}", file=out)
+    return results
+
+
+def cmd_sweep(args: argparse.Namespace, out=sys.stdout) -> int:
+    from repro.experiments.runner import degradation_report, format_degradation
+
+    try:
+        results = _sweep(args.config, args, out, keep_going=args.keep_going, table=args.out)
+    except ConfigError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    if args.dry_run:
+        return 0
+    if args.keep_going:
         print(f"degradation: {format_degradation(degradation_report(results))}", file=out)
+    num_failed = sum(1 for res in results if res.error is not None)
     if num_failed:
         print(
             f"{num_failed} of {len(results)} point(s) failed (see FAILED lines above)",
@@ -975,97 +993,84 @@ def _run_grid_points(
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace, out=sys.stdout) -> int:
-    spec, execution = _load_spec(args)
-    try:
-        axes = dict(parse_grid_axis(axis) for axis in (args.grid or []))
-        combos = expand_grid(spec, axes)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    axis_names = list(axes)
-    print(
-        f"sweep over {len(combos)} deployment(s) "
-        f"({', '.join(axis_names) if axis_names else 'no grid axes'})",
-        file=out,
-    )
-    return _run_grid_points(
-        combos, axis_names, args, out, execution=_resolve_execution(args, execution)
-    )
-
-
-def cmd_experiment(args: argparse.Namespace, out=sys.stdout) -> int:
-    from repro.experiments.driver import load_experiment
-    from repro.experiments.runner import overrides_label
-
-    try:
-        experiment = load_experiment(args.config)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    combos = experiment.expand()
-    axis_names = [key for key, _ in experiment.grid]
-    suffix = f" -- {experiment.description}" if experiment.description else ""
-    print(f"experiment {experiment.name}{suffix}", file=out)
-    print(f"base: {experiment.base.describe()}", file=out)
-    print(
-        f"{len(combos)} point(s) over "
-        f"{', '.join(axis_names) if axis_names else 'no grid axes'}",
-        file=out,
-    )
-    if args.dry_run:
-        for overrides, _ in combos:
-            print(f"  {overrides_label(overrides)}", file=out)
-        print("config OK (dry run, nothing simulated)", file=out)
-        return 0
-    return _run_grid_points(
-        combos,
-        axis_names,
-        args,
-        out,
-        execution=_resolve_execution(args, experiment.execution),
-    )
-
-
 def cmd_figures(args: argparse.Namespace, out=sys.stdout) -> int:
-    """``repro figures``: resumable one-command regeneration of every study."""
-    from repro.experiments.figures import discover_configs, run_figures, summarize_point
+    """``repro figures``: every study config through one resumable, keep-going loop."""
+    from dataclasses import replace
 
-    try:
-        if args.configs:
-            configs = [Path(c) for c in args.configs]
-        else:
-            configs = discover_configs(args.configs_dir)
-        if not configs:
-            raise ConfigError(
-                f"no .toml/.json study configs found under {args.configs_dir!r}"
-            )
-        overrides = _parse_set_overrides(args.overrides)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    from repro.experiments.planner import load_planner, run_plan
+    from repro.experiments.runner import (
+        PointResult,
+        RunJournal,
+        degradation_report,
+        format_degradation,
+    )
+
     if not 0.0 <= args.min_success <= 1.0:
         raise SystemExit(
             f"error: --min-success must be within [0, 1], got {args.min_success!r}"
         )
-    execution = _resolve_execution(args, None)
-    print(f"regenerating {len(configs)} config(s)", file=out)
+    configs = [Path(c) for c in args.configs or []]
+    if not configs:
+        root = Path(args.configs_dir)
+        if not root.is_dir():
+            raise SystemExit(f"error: configs directory {str(root)!r} does not exist")
+        configs = sorted(p for p in root.iterdir() if p.suffix.lower() in (".json", ".toml"))
+        if not configs:
+            raise SystemExit(
+                f"error: no .toml/.json study configs found under {args.configs_dir!r}"
+            )
     try:
-        report = run_figures(
-            configs,
-            jobs=args.jobs,
-            cache_dir=args.cache,
-            execution=execution,
-            overrides=overrides,
-            out_dir=args.out_dir,
-        )
+        _parse_set_overrides(args.overrides)  # malformed --set fails the command
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
-    for run in report.runs:
-        print(f"== {run.config} [{run.kind}] {run.name}", file=out)
-        for res in run.results:
-            print(f"  {summarize_point(res)}", file=out)
-    if args.out_dir:
-        print(f"wrote {len(report.runs)} artifact(s) under {args.out_dir}", file=out)
-    print(f"degradation: {report.format()}", file=out)
-    fraction = report.success_fraction
+    # One open journal for every sweep-shaped config: appends hit disk at
+    # once, so later configs (and resumed runs) see every line.
+    journal = RunJournal(args.resume) if args.resume else None
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    print(f"regenerating {len(configs)} config(s)", file=out)
+    results: List[PointResult] = []
+    for path in configs:
+        print(f"== {path}", file=out)
+        try:
+            if "planner" not in load_config_mapping(path):
+                table = str(out_dir / f"{path.stem}.csv") if out_dir is not None else None
+                results += _sweep(str(path), args, out, keep_going=True, table=table, journal=journal)
+                continue
+            planner = load_planner(path)
+            planner = replace(planner, deployment=_with_set(planner.deployment, args))
+            plan = run_plan(
+                planner, jobs=args.jobs, cache_dir=args.cache,
+                execution=_resolve_execution(args, planner.execution),
+            )
+        except ConfigError as exc:
+            # An invalid config is one error point, not the end of the run.
+            print(f"  {path.stem}: FAILED [exception] (ConfigError: {exc})", file=out)
+            results.append(PointResult(
+                index=0, label=path.stem, overrides={},
+                error=f"ConfigError: {exc}", error_kind="exception",
+            ))
+            continue
+        # A planner search is one pseudo-point: it either produced its ranked
+        # table or it did not (an honest "no plan meets the SLO" is a finding).
+        print(
+            f"  planner {planner.name}: {'feasible' if plan.feasible else 'no feasible'} "
+            f"plan, evaluated {plan.num_evaluated} of {plan.total_points} candidate(s)",
+            file=out,
+        )
+        results.append(PointResult(index=0, label=planner.name, overrides={}, row={
+            "feasible": plan.feasible,
+            "num_evaluated": plan.num_evaluated,
+            "total_points": plan.total_points,
+        }))
+        if out_dir is not None:
+            target = out_dir / f"{path.stem}.plan.json"
+            target.write_text(json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
+            print(f"wrote {target}", file=out)
+    counts = degradation_report(results)
+    print(f"degradation: {format_degradation(counts)}", file=out)
+    fraction = counts["ok"] / counts["points"] if counts["points"] else 1.0
     if fraction < args.min_success:
         print(
             f"error: success fraction {fraction:.1%} below "
@@ -1158,8 +1163,6 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
         return cmd_run(args, out)
     if args.command == "sweep":
         return cmd_sweep(args, out)
-    if args.command == "experiment":
-        return cmd_experiment(args, out)
     if args.command == "figures":
         return cmd_figures(args, out)
     if args.command == "lint":

@@ -69,9 +69,11 @@ NAMED_CLUSTERS = ("paper", "small")
 def load_config_mapping(path: "str | Path") -> Dict[str, Any]:
     """Read a ``.json`` or ``.toml`` file into a plain mapping.
 
-    Shared by :meth:`DeploymentSpec.load` and the experiment driver
-    (:mod:`repro.experiments.driver`), so both config flavours parse files --
-    and report malformed ones -- identically.
+    Shared by :meth:`DeploymentSpec.load` and the study loaders
+    (:func:`repro.experiments.driver.load_study` for deployment and
+    ``[experiment]`` configs, :func:`repro.experiments.planner.load_planner`),
+    so every config flavour parses files -- and reports malformed ones --
+    identically.
     """
     path = Path(path)
     if not path.exists():

@@ -56,6 +56,12 @@ from repro.utils.rng import make_rng
 PRIMARY_TARGET_ID = -1
 """Pseudo device id of the aggregate Primary dispatch target."""
 
+REDISPATCH_CHECK_INTERVAL = 10
+"""Decode epochs between two compute-balance (θ trigger) checks."""
+
+HAULER_INTERFERENCE = 0.05
+"""Share of a head migration's transfer time that blocks the instance."""
+
 HeadShares = Tuple[Tuple[int, int, int], ...]
 """``(slot, query heads, KV groups)`` of one request, for each decode-Attention slot it has heads on."""
 
@@ -74,9 +80,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         solver: str = "lp",
         local_preference: float = 0.15,
         enable_redispatch: bool = True,
-        redispatch_check_interval: int = 10,
         profiling_error: float = 0.0,
-        hauler_interference: float = 0.05,
         seed: int = 0,
     ) -> None:
         config.validate_layer_count(model)
@@ -102,7 +106,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self.cluster = cluster
         self.pipeline = PipelineCost(config, RooflineExecutor(model), CommModel(cluster, model))
         self.enable_redispatch = enable_redispatch
-        self.redispatch_check_interval = max(1, redispatch_check_interval)
         self._rng = make_rng(seed)
         self._primary_front = config.stages[0].devices[0]
         self._device_host: Dict[int, int] = {PRIMARY_TARGET_ID: self._primary_front.host_id}
@@ -144,7 +147,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             model, targets, self.target_loads, solver=solver, local_preference=local_preference
         )
         self.redispatcher = RedispatchPolicy(model, self.dispatcher, theta=theta)
-        self.hauler = Hauler(cluster, model, interference_factor=hauler_interference)
+        self.hauler = Hauler(cluster, model, interference_factor=HAULER_INTERFERENCE)
 
         # -- request state ------------------------------------------------------------
         # Head splits of every request holding cache, in admission order (the
@@ -444,7 +447,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self._pending_penalty += report.blocking_seconds
 
     def _on_iteration_complete(self) -> None:
-        if self.enable_redispatch and self.clock.epoch % self.redispatch_check_interval == 0:
+        if self.enable_redispatch and self.clock.epoch % REDISPATCH_CHECK_INTERVAL == 0:
             contexts = {rid: self._requests[rid].context_length for rid in self._splits}
             decision = self.redispatcher.check_compute_balance(self._splits, contexts)
             if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:

@@ -9,11 +9,11 @@ the paper's number.  The per-figure modules (``table1``, ``fig02``, ``fig05``,
 are spec grids run through :func:`repro.experiments.claims.sweep`.
 
 Grids of independent points execute through the parallel, cached,
-fault-tolerant :class:`repro.experiments.runner.SweepRunner`; whole
-spec-driven studies (base deployment + grid axes in one TOML/JSON file) run
-through :mod:`repro.experiments.driver`; ``repro figures``
-(:mod:`repro.experiments.figures`) regenerates every checked-in study config
-in one resumable command.
+fault-tolerant :class:`repro.experiments.runner.SweepRunner`.  A checked-in
+study config (a plain deployment, or an ``[experiment]`` base deployment plus
+grid axes) loads through :func:`repro.experiments.driver.load_study` and runs
+with ``repro sweep``; ``repro figures`` runs every checked-in study config,
+planner searches included, in one resumable command.
 """
 
 from repro.experiments import (  # noqa: F401
@@ -28,7 +28,6 @@ from repro.experiments import (  # noqa: F401
     ablation,
     runner,
     driver,
-    figures,
     claims,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "ablation",
     "runner",
     "driver",
-    "figures",
     "claims",
 ]

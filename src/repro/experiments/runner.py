@@ -25,10 +25,12 @@ description.  :class:`SweepRunner` exploits exactly that:
 * **Fault tolerance.**  ``task_timeout`` bounds each point's wall clock (a
   hung point becomes an ``error_kind="timeout"`` result, never a stalled
   sweep); crashed workers (``BrokenProcessPool``, ``os._exit``, OOM kills)
-  take down only their own point -- the pool is rebuilt (bounded restarts)
-  and the remaining queue continues; crashed/timed-out points are retried up
-  to ``max_retries`` times with deterministic exponential backoff, re-sending
-  the identical payload so a retried run stays bit-identical to a clean one.
+  take down only their own point -- the pool is rebuilt (at most
+  :data:`MAX_POOL_RESTARTS` times) and the remaining queue continues;
+  crashed/timed-out points are retried up to ``max_retries`` times with
+  deterministic exponential backoff, re-sending the identical payload so a
+  retried run stays bit-identical to a clean one.  An exception the task
+  raises is deterministic and never retried.
 * **Checkpoint / resume.**  With ``journal`` set, every completed or errored
   point is appended (fsync'd, one atomic line each) to a JSONL
   :class:`RunJournal` keyed by the same spec hash as the cache; re-running
@@ -83,6 +85,12 @@ from repro.sim.engine import SimulationResult
 #: v5: results gained error_kind/attempts; run journals share the version.
 CACHE_VERSION = 5
 
+#: How many times crashed pools are rebuilt in one run before the remaining
+#: queue is abandoned with ``error_kind="crash"`` results -- a backstop against
+#: a systematically crashing environment.  Timeout-forced rebuilds are bounded
+#: by ``max_retries`` instead and do not count.
+MAX_POOL_RESTARTS = 5
+
 #: Scalar SummaryStats fields copied into every deployment summary row.
 SUMMARY_FIELDS: Tuple[str, ...] = (
     "num_finished",
@@ -124,9 +132,9 @@ def summary_row(result: SimulationResult) -> Dict[str, Any]:
     return row
 
 
-#: Metric columns of sweep/experiment results tables, in print order.  The CLI
-#: ``sweep`` command and the experiment driver share this schema, so the CSV a
-#: parallel run writes is byte-identical to the serial one.
+#: Metric columns of results tables, in print order.  ``repro sweep`` and
+#: ``repro figures`` write them through one writer, and rows come back in grid
+#: order, so the CSV a parallel run writes is byte-identical to the serial one.
 TABLE_METRICS: Tuple[str, ...] = (
     "mean_normalized_latency",
     "p95_normalized_latency",
@@ -543,27 +551,18 @@ class SweepRunner:
         (the default ``task_timeout=None`` serial path is untouched and
         stays bit-identical to the historical loops).
     max_retries:
-        How many times a crashed / timed-out point (or a raised exception
-        whose type is listed in ``retry_errors``) is re-submitted before its
-        failure is booked.  Retries re-send the identical payload, so a
-        retry that succeeds yields the same row a clean run would.
+        How many times a crashed / timed-out point is re-submitted before its
+        failure is booked; an exception the task raises is deterministic and
+        final.  Retries re-send the identical payload, so a retry that
+        succeeds yields the same row a clean run would.
     backoff_base:
         Deterministic exponential backoff between retries of the same point:
         ``backoff_base * 2**(failures-1)`` seconds, no jitter.
-    retry_errors:
-        Exception *type names* (e.g. ``("TimeoutError",)``) whose in-task
-        raises are treated as transient and retried.  Default: none --
-        ordinary task exceptions are deterministic and final.
     journal:
         Path of (or an already-open) :class:`RunJournal`.  Every completed or
         errored point is appended (fsync'd); points already recorded as
         ``ok`` are replayed instead of recomputed, which is what
         ``--resume`` rides on.
-    max_pool_restarts:
-        How many times crashed pools are rebuilt before the remaining queue
-        is abandoned with ``error_kind="crash"`` results (a backstop against
-        a systematically crashing environment; timeout-forced rebuilds are
-        bounded by ``max_retries`` instead and do not count).
     """
 
     def __init__(
@@ -574,9 +573,7 @@ class SweepRunner:
         task_timeout: Optional[float] = None,
         max_retries: int = 0,
         backoff_base: float = 0.5,
-        retry_errors: Sequence[str] = (),
         journal: "str | Path | RunJournal | None" = None,
-        max_pool_restarts: int = 5,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -594,22 +591,12 @@ class SweepRunner:
             or backoff_base < 0
         ):
             raise ValueError(f"backoff_base must be a number >= 0, got {backoff_base!r}")
-        if (
-            not isinstance(max_pool_restarts, int)
-            or isinstance(max_pool_restarts, bool)
-            or max_pool_restarts < 0
-        ):
-            raise ValueError(
-                f"max_pool_restarts must be an integer >= 0, got {max_pool_restarts!r}"
-            )
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stop_on_error = stop_on_error
         self.task_timeout = None if task_timeout is None else float(task_timeout)
         self.max_retries = max_retries
         self.backoff_base = float(backoff_base)
-        self.retry_errors = tuple(str(name) for name in retry_errors)
-        self.max_pool_restarts = max_pool_restarts
         if journal is None or isinstance(journal, RunJournal):
             self.journal = journal
         else:
@@ -728,10 +715,6 @@ class SweepRunner:
                 attempts=attempts,
             )
 
-    def _retryable_error(self, error: str) -> bool:
-        """Whether a flattened ``"Type: message"`` error is opt-in transient."""
-        return any(error.startswith(f"{name}:") for name in self.retry_errors)
-
     def _backoff_delay(self, failure_count: int) -> float:
         return self.backoff_base * (2 ** (failure_count - 1))
 
@@ -747,33 +730,19 @@ class SweepRunner:
                     index=idx, label=task.label, overrides=dict(task.overrides), skipped=True
                 )
                 continue
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    row: Optional[Dict[str, Any]] = _execute_task(task.kind, task.payload)
-                    error: Optional[str] = None
-                    error_kind: Optional[str] = None
-                    break
-                # Exception, not BaseException: in-process, a KeyboardInterrupt
-                # or SystemExit must abort the whole sweep, not become a point
-                # error (the pool worker catches BaseException because it runs
-                # in a child process where propagation cannot unwind the
-                # parent).
-                except Exception as exc:
-                    row, error = None, f"{type(exc).__name__}: {exc}"
-                    error_kind = "exception"
-                    if self._retryable_error(error) and attempts <= self.max_retries:
-                        delay = self._backoff_delay(attempts)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    break
-            if error is not None:
+            try:
+                row: Optional[Dict[str, Any]] = _execute_task(task.kind, task.payload)
+                error: Optional[str] = None
+                error_kind: Optional[str] = None
+            # Exception, not BaseException: in-process, a KeyboardInterrupt or
+            # SystemExit must abort the whole sweep, not become a point error
+            # (the pool worker catches BaseException because it runs in a
+            # child process where propagation cannot unwind the parent).
+            except Exception as exc:
+                row, error = None, f"{type(exc).__name__}: {exc}"
+                error_kind = "exception"
                 failed = self.stop_on_error
-            self._finish(
-                results, idx, task, key, row, error, error_kind=error_kind, attempts=attempts
-            )
+            self._finish(results, idx, task, key, row, error, error_kind=error_kind)
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -804,14 +773,13 @@ class SweepRunner:
         in their submission-order slots regardless of completion order):
 
         * a worker *crash* breaks the executor -- the pool is rebuilt
-          (bounded by ``max_pool_restarts``) and the in-flight suspects are
+          (bounded by :data:`MAX_POOL_RESTARTS`) and the in-flight suspects are
           re-run one at a time, so an innocent bystander completes while the
           actual crasher crashes alone and is identified;
         * a *timeout* SIGKILLs the pool (the only way to stop a hung task),
           books the expired point, and re-queues the bystanders;
-        * crashed / timed-out / opt-in transient-exception points are
-          re-queued up to ``max_retries`` times with deterministic
-          exponential backoff.
+        * crashed / timed-out points are re-queued up to ``max_retries``
+          times with deterministic exponential backoff.
         """
         tasks: Dict[int, Task] = {}
         keys: Dict[int, Optional[str]] = {}
@@ -862,9 +830,9 @@ class SweepRunner:
                 attempts=attempts[idx],
             )
 
-        def fail(idx: int, error: str, error_kind: str, retryable: bool) -> None:
+        def fail(idx: int, error: str, error_kind: str) -> None:
             failures[idx] += 1
-            if not stop and retryable and failures[idx] <= self.max_retries:
+            if not stop and failures[idx] <= self.max_retries:
                 ready[idx] = time.monotonic() + self._backoff_delay(failures[idx])
                 # Confirmed crashers go back through the solo probe lane so a
                 # re-crash cannot take innocents down with it.
@@ -885,10 +853,7 @@ class SweepRunner:
                     "before returning a result)"
                 )
                 return
-            if error is None:
-                book(idx, row, None, None)
-            else:
-                fail(idx, error, "exception", self._retryable_error(error))
+            book(idx, row, error, None if error is None else "exception")
 
         try:
             while queue or probe or inflight:
@@ -943,12 +908,12 @@ class SweepRunner:
                         idx, _ = inflight.pop(future)
                         settle(future, idx, crashed, timeout=30.0)
                     restarts += 1
-                    if restarts > self.max_pool_restarts:
+                    if restarts > MAX_POOL_RESTARTS:
                         for idx in sorted(crashed):
                             book(
                                 idx, None,
                                 crashed[idx]
-                                + f" [pool restart budget of {self.max_pool_restarts} exhausted]",
+                                + f" [pool restart budget of {MAX_POOL_RESTARTS} exhausted]",
                                 "crash",
                             )
                         for idx in sorted(set(probe) | set(queue)):
@@ -965,7 +930,7 @@ class SweepRunner:
                     pool = ProcessPoolExecutor(max_workers=max_workers)
                     if len(crashed) == 1:
                         ((idx, message),) = crashed.items()
-                        fail(idx, message, "crash", retryable=True)
+                        fail(idx, message, "crash")
                     else:
                         # Several points were in flight when the worker died;
                         # the culprit is ambiguous, so re-run each alone: the
@@ -1009,7 +974,7 @@ class SweepRunner:
                         for future, idx in leftovers:
                             settle(future, idx, late_crashes)
                         for idx in sorted(late_crashes):
-                            fail(idx, late_crashes[idx], "crash", retryable=True)
+                            fail(idx, late_crashes[idx], "crash")
                         # Innocent bystanders rejoin at the front: their
                         # wasted attempt is recorded, but it does not count
                         # against their retry budget.
@@ -1020,7 +985,6 @@ class SweepRunner:
                                 idx,
                                 f"timed out after {self.task_timeout:g}s (wall clock)",
                                 "timeout",
-                                retryable=True,
                             )
         except BaseException:
             # Teardown (Ctrl-C / fatal error): every pending point becomes a

@@ -4,12 +4,13 @@ Step 1 of the Parallelizer's hierarchical search (paper Fig. 4) splits the
 cluster into serving instances such that "GPUs of different types are evenly
 divided across all instances".  These helpers enumerate the feasible instance
 counts and produce the per-instance device groups, keeping devices of a host
-together when possible (to favour PCIe over LAN traffic).
+together when possible (to favour PCIe over LAN traffic); the static
+baselines then cut an instance into one pipeline stage per host and GPU type.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUDevice
@@ -54,3 +55,16 @@ def group_devices_evenly(cluster: Cluster, num_instances: int) -> List[List[GPUD
         for i in range(num_instances):
             groups[i].extend(devs[i * per_instance : (i + 1) * per_instance])
     return groups
+
+
+def stage_groups(devices: List[GPUDevice]) -> List[List[GPUDevice]]:
+    """Group devices into homogeneous per-host pipeline stages.
+
+    Devices sharing a host and a GPU type form one tensor-parallel stage;
+    stages are ordered fastest type first so prefill activations flow from
+    high-end to low-end hardware, matching the paper's HexGen deployment.
+    """
+    groups: Dict[Tuple[int, str], List[GPUDevice]] = {}
+    for dev in devices:
+        groups.setdefault((dev.host_id, dev.spec.name), []).append(dev)
+    return sorted(groups.values(), key=lambda ds: (-ds[0].spec.matmul_flops, ds[0].host_id))

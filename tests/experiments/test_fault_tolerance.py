@@ -1,17 +1,18 @@
 """Chaos suite for the fault-tolerance layer of the experiment runner.
 
-Injects the three real-world failure modes -- a worker that dies mid-task
-(``os._exit``), a task that hangs past its deadline, a flaky task that fails
-N times before succeeding -- and asserts the contracts ISSUE 10 promises:
-crashes are isolated to their point, timeouts are enforced on the wall
-clock, retries converge with counted attempts, and a journaled run killed
-mid-flight resumes to a bit-identical final table.
+Injects the real-world failure modes -- a worker that dies mid-task
+(``os._exit``), a task that hangs past its deadline, a flaky task that
+raises before it succeeds -- and asserts the runner's contracts: crashes are
+isolated to their point, timeouts are enforced on the wall clock, crash and
+timeout retries are counted while raised exceptions are final, and a
+journaled run killed mid-flight resumes to a bit-identical final table.
 
 The chaos task kinds are registered at import time of this module; the pool
 uses the ``fork`` start method on Linux, so worker processes inherit them.
 """
 
 import contextlib
+import io
 import json
 import os
 import signal
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import DeploymentSpec, ExecutionSpec
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import (
     PointResult,
@@ -158,16 +158,16 @@ class TestCrashIsolation:
         assert crashed.attempts == 3
         assert slept.row == {"value": "slept"}
 
-    def test_many_crashes_exhaust_pool_restart_budget_honestly(self):
-        runner = SweepRunner(
-            jobs=2, stop_on_error=False, max_pool_restarts=1, backoff_base=0.0
-        )
+    def test_many_crashes_exhaust_pool_restart_budget_honestly(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "MAX_POOL_RESTARTS", 1)
+        runner = SweepRunner(jobs=2, stop_on_error=False, backoff_base=0.0)
         tasks = [crash_task(label=f"crash-{i}", salt=i) for i in range(4)] + [ok_task(9)]
         results = runner.run_tasks(tasks)
         crashed = [r for r in results if r.error_kind == "crash"]
         exhausted = [r for r in results if r.error and "restart budget" in r.error]
         assert crashed, "at least the first crash must be attributed"
         assert exhausted, "points beyond the restart budget must say why they stopped"
+        assert any("budget of 1 exhausted" in r.error for r in exhausted)
         assert all(r.error is not None or r.row is not None for r in results)
 
 
@@ -175,41 +175,16 @@ class TestCrashIsolation:
 
 
 class TestRetries:
-    def test_flaky_point_recovers_with_counted_attempts(self, tmp_path):
-        runner = SweepRunner(
-            jobs=2, max_retries=3, backoff_base=0.0, retry_errors=("RuntimeError",)
-        )
-        results = runner.run_tasks([flaky_task(tmp_path, fail_times=2), ok_task(1)])
-        assert results[0].row == {"value": "recovered"}
-        assert results[0].attempts == 3
-        assert results[1].attempts == 1
-
-    def test_flaky_point_recovers_on_serial_path(self, tmp_path):
-        runner = SweepRunner(
-            jobs=1, max_retries=2, backoff_base=0.0, retry_errors=("RuntimeError",)
-        )
-        results = runner.run_tasks([flaky_task(tmp_path, fail_times=1)])
-        assert results[0].row == {"value": "recovered"}
-        assert results[0].attempts == 2
-
-    def test_retries_exhausted_books_the_final_error(self, tmp_path):
-        runner = SweepRunner(
-            jobs=2,
-            stop_on_error=False,
-            max_retries=1,
-            backoff_base=0.0,
-            retry_errors=("RuntimeError",),
-        )
-        results = runner.run_tasks([flaky_task(tmp_path, fail_times=10), ok_task(2)])
-        assert results[0].error_kind == "exception"
-        assert results[0].error.startswith("RuntimeError:")
-        assert results[0].attempts == 2
-
-    def test_exceptions_not_opted_in_are_never_retried(self, tmp_path):
-        runner = SweepRunner(jobs=2, stop_on_error=False, max_retries=3, backoff_base=0.0)
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_exceptions_are_never_retried(self, jobs, tmp_path):
+        # A raised exception is deterministic: only crashes and timeouts
+        # spend the retry budget.
+        runner = SweepRunner(jobs=jobs, stop_on_error=False, max_retries=3, backoff_base=0.0)
         results = runner.run_tasks([flaky_task(tmp_path, fail_times=1), ok_task(3)])
         assert results[0].error_kind == "exception"
+        assert results[0].error.startswith("RuntimeError:")
         assert results[0].attempts == 1
+        assert results[1].row == {"value": 3}
 
     def test_backoff_schedule_is_deterministic(self):
         runner = SweepRunner(jobs=2, max_retries=3, backoff_base=0.5)
@@ -363,10 +338,16 @@ class TestCancellation:
 
 
 class TestFiguresFaultTolerance:
+    @staticmethod
+    def figures(*args):
+        from repro.cli import main
+
+        out = io.StringIO()
+        code = main(["figures", *map(str, args)], out=out)
+        return code, out.getvalue()
+
     def test_figures_survives_injected_worker_crash(self, tmp_path):
         """A worker crash inside `repro figures` loses one point, not the run."""
-        from repro.experiments.figures import run_figures
-
         study = tmp_path / "study.toml"
         study.write_text("\n".join([
             "[experiment]",
@@ -395,27 +376,21 @@ class TestFiguresFaultTolerance:
         TASK_KINDS.register("deployment", crashing_deployment, overwrite=True)
         try:
             journal = tmp_path / "figures.journal"
-            report = run_figures(
-                [study], jobs=2, execution=ExecutionSpec(journal=str(journal))
-            )
+            code, text = self.figures(study, "--jobs", 2, "--resume", journal)
         finally:
             TASK_KINDS.register("deployment", real_deployment, overwrite=True)
 
-        counts = report.counts
-        assert counts["points"] == 3
-        assert counts["ok"] == 2, "completed points must survive the crash"
-        assert counts["errored"] == 1
-        assert 0.6 < report.success_fraction < 0.7
-        crashed = [r for r in report.results if r.error_kind == "crash"]
-        assert len(crashed) == 1 and "workload.seed=1" in crashed[0].label
+        assert code == 1, text
+        assert "degradation: 2 ok / 1 errored / 0 timed out" in text
+        assert "success fraction 66.7% below --min-success 100.0%" in text
+        crashed = [line for line in text.splitlines() if "FAILED [crash]" in line]
+        assert len(crashed) == 1 and "workload.seed=1" in crashed[0]
         # every point is journaled: the two finished rows replay on resume,
         # the crash is recorded as an error record that gets re-attempted
         records = [json.loads(line) for line in journal.read_text().splitlines()]
         assert sorted(rec["status"] for rec in records) == ["error", "ok", "ok"]
 
-    def test_figures_resume_completes_after_crash(self, tmp_path):
-        from repro.experiments.figures import run_figures
-
+    def test_figures_resume_replays_every_point(self, tmp_path):
         spec = {
             "model": "llama-13b",
             "system": {"name": "static-tp"},
@@ -425,13 +400,14 @@ class TestFiguresFaultTolerance:
         config = tmp_path / "deploy.json"
         config.write_text(json.dumps(spec))
         journal = tmp_path / "figures.journal"
-        execution = ExecutionSpec(journal=str(journal))
-        first = run_figures([config], jobs=1, execution=execution)
-        assert first.success_fraction == 1.0
-        second = run_figures([config], jobs=1, execution=execution)
-        assert second.success_fraction == 1.0
-        assert all(r.resumed for r in second.results)
-        assert [r.row for r in second.results] == [r.row for r in first.results]
+        code, first = self.figures(config, "--resume", journal)
+        assert code == 0 and "[resumed]" not in first
+        code, second = self.figures(config, "--resume", journal)
+        assert code == 0
+        assert second.count("[resumed]") == 1
+        assert "0 retried / 1 resumed" in second
+        # the replayed row prints exactly as the computed one did
+        assert second.replace("  [resumed]", "").replace(" / 1 resumed", "") == first
 
 
 # ------------------------------------------------------------------- hygiene
@@ -444,7 +420,7 @@ class TestLintClean:
         report = lint_paths(
             [
                 str(REPO_ROOT / "src" / "repro" / "experiments" / "runner.py"),
-                str(REPO_ROOT / "src" / "repro" / "experiments" / "figures.py"),
+                str(REPO_ROOT / "src" / "repro" / "experiments" / "driver.py"),
                 str(REPO_ROOT / "src" / "repro" / "cli.py"),
             ],
             baseline=None,

@@ -13,8 +13,8 @@ import pytest
 
 from repro.config import ConfigError, DeploymentSpec, expand_grid
 from repro.experiments import runner as runner_mod
-from repro.experiments.driver import ExperimentSpec, load_experiment, run_experiment
-from repro.experiments.runner import ResultCache, SweepRunner, Task
+from repro.experiments.driver import load_study
+from repro.experiments.runner import ResultCache, SweepRunner, Task, table_row
 
 
 BASE = DeploymentSpec.from_dict(
@@ -233,59 +233,71 @@ seed = 0
 """
 
 
+FIG14_GRID = Path(__file__).resolve().parents[2] / "examples" / "configs" / "fig14_grid.toml"
+
+
+def write_study(tmp_path, text=EXPERIMENT_TOML, name="exp.toml"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
 class TestDriver:
     def test_load_and_run_experiment(self, tmp_path):
-        path = tmp_path / "exp.toml"
-        path.write_text(EXPERIMENT_TOML)
-        experiment = load_experiment(path)
-        assert experiment.name == "tiny-grid"
-        assert experiment.num_points == 2
-        assert experiment.axes == {"workload.request_rate": [6.0, 12.0]}
-        run = run_experiment(experiment, jobs=1)
-        rows = run.rows()
-        assert len(rows) == 2
+        study = load_study(write_study(tmp_path))
+        assert study.name == "tiny-grid"
+        assert study.axes == {"workload.request_rate": (6.0, 12.0)}
+        assert study.execution is None
+        results = SweepRunner(jobs=1).run(expand_grid(study.base, study.axes))
+        rows = [table_row(res.overrides, res.row) for res in results]
         assert [row["workload.request_rate"] for row in rows] == [6.0, 12.0]
         assert all(row["num_finished"] == 4 for row in rows)
-        assert run.errors() == [] and run.num_cached == 0
+        assert not any(res.error or res.cached for res in results)
+
+    def test_plain_deployment_is_a_one_point_study_named_after_its_file(self, tmp_path):
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps({**BASE.to_dict(), "execution": {"max_retries": 2}}))
+        study = load_study(path)
+        assert study.name == "deploy"
+        assert study.base == BASE and study.axes == {}
+        assert study.execution.max_retries == 2
 
     def test_checked_in_fig14_grid_config_loads(self):
-        config = Path(__file__).resolve().parents[2] / "examples" / "configs" / "fig14_grid.toml"
-        experiment = load_experiment(config)
-        assert experiment.name == "fig14-elasticity-grid"
-        assert experiment.num_points == 6
-        assert experiment.base.elasticity is not None
-        # every expanded point re-validates at load time
-        assert len(experiment.expand()) == 6
+        study = load_study(FIG14_GRID)
+        assert study.name == "fig14-elasticity-grid"
+        assert study.base.elasticity is not None
+        # every expanded point re-validates
+        assert len(expand_grid(study.base, study.axes)) == 6
 
-    def test_rejects_missing_sections(self, tmp_path):
-        path = tmp_path / "bad.toml"
-        path.write_text("[experiment]\nname = 'x'\n")
+    def test_checked_in_fig14_grid_rows_move_with_each_axis(self):
+        # The fleet must scale for the study to say anything: on a cluster
+        # where one replica absorbs every burst, all six rows are equal.
+        study = load_study(FIG14_GRID)
+        results = SweepRunner().run(expand_grid(study.base, study.axes))
+        for axis in study.axes:
+            rows_by_rest = {}
+            for res in results:
+                rest = tuple((k, v) for k, v in res.overrides.items() if k != axis)
+                metrics = tuple(table_row({}, res.row).items())
+                rows_by_rest.setdefault(rest, set()).add(metrics)
+            assert any(len(rows) > 1 for rows in rows_by_rest.values()), axis
+
+    def test_rejects_missing_deployment_and_unknown_keys(self, tmp_path):
         with pytest.raises(ConfigError, match="deployment"):
-            load_experiment(path)
-        path.write_text("[deployment]\nmodel = 'llama-13b'\n")
-        with pytest.raises(ConfigError, match="experiment"):
-            load_experiment(path)
-
-    def test_rejects_unknown_experiment_keys_and_empty_axes(self, tmp_path):
-        path = tmp_path / "bad.toml"
-        path.write_text(
-            "[experiment]\nname = 'x'\nbudget = 3\n[deployment]\nmodel = 'llama-13b'\n"
-        )
+            load_study(write_study(tmp_path, "[experiment]\nname = 'x'\n"))
         with pytest.raises(ConfigError, match="budget"):
-            load_experiment(path)
+            load_study(write_study(
+                tmp_path, "[experiment]\nname = 'x'\nbudget = 3\n[deployment]\nmodel = 'llama-13b'\n"
+            ))
         with pytest.raises(ConfigError, match="no values"):
-            ExperimentSpec.from_dict(
-                {
-                    "experiment": {"name": "x", "grid": {"workload.seed": []}},
-                    "deployment": {"model": "llama-13b"},
-                }
-            )
+            load_study(write_study(
+                tmp_path,
+                "[experiment.grid]\n'workload.seed' = []\n[deployment]\nmodel = 'llama-13b'\n",
+            ))
 
-    def test_grid_scalar_axis_becomes_single_point(self):
-        experiment = ExperimentSpec.from_dict(
-            {
-                "experiment": {"name": "x", "grid": {"workload.seed": 3}},
-                "deployment": {"model": "llama-13b"},
-            }
-        )
-        assert experiment.axes == {"workload.seed": [3]}
+    def test_grid_scalar_axis_becomes_single_point(self, tmp_path):
+        study = load_study(write_study(
+            tmp_path, "[experiment.grid]\n'workload.seed' = 3\n[deployment]\nmodel = 'llama-13b'\n"
+        ))
+        assert study.name == "exp"
+        assert study.axes == {"workload.seed": (3,)}

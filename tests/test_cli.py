@@ -222,7 +222,7 @@ def test_sweep_grid_table_and_csv(tmp_path):
          "--out", str(out_csv)]
     )
     assert code == 0
-    assert "sweep over 4 deployment(s)" in text
+    assert "sweep deploy over 4 deployment(s)" in text
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 rows
     assert lines[0].startswith("workload.request_rate,router.name,mean_normalized_latency")
@@ -310,7 +310,7 @@ def test_write_sweep_output_zero_rows_emits_header(tmp_path):
     assert path.read_text().strip() == ""
 
 
-# ---------------------------------------------------------------- experiment driver
+# ---------------------------------------------------------------- experiment configs
 
 
 EXPERIMENT_TOML = """
@@ -341,33 +341,44 @@ def write_experiment(tmp_path, text=EXPERIMENT_TOML, name="exp.toml"):
     return str(path)
 
 
-def test_experiment_dry_run_lists_points(tmp_path):
-    code, text = run_cli(["experiment", write_experiment(tmp_path), "--dry-run"])
+def test_sweep_experiment_config_dry_run_lists_points(tmp_path):
+    code, text = run_cli(["sweep", write_experiment(tmp_path), "--dry-run"])
     assert code == 0
-    assert "experiment cli-smoke" in text
-    assert "2 point(s) over workload.request_rate" in text
+    assert "sweep cli-smoke over 2 deployment(s) (workload.request_rate)" in text
     assert "workload.request_rate=4.0" in text
     assert "config OK" in text
 
 
-def test_experiment_end_to_end_with_output(tmp_path):
+def test_sweep_grid_follows_and_replaces_experiment_axes(tmp_path):
+    code, text = run_cli(
+        ["sweep", write_experiment(tmp_path), "--dry-run",
+         "--grid", "workload.seed=0,1", "--grid", "workload.request_rate=2"]
+    )
+    assert code == 0
+    # the config's axis keeps its place with the --grid values; new axes follow
+    assert "over 2 deployment(s) (workload.request_rate, workload.seed)" in text
+    assert "workload.request_rate=2, workload.seed=1" in text
+
+
+def test_sweep_experiment_end_to_end_with_output(tmp_path):
     out_json = tmp_path / "rows.json"
     code, text = run_cli(
-        ["experiment", write_experiment(tmp_path), "--jobs", "2", "--out", str(out_json)]
+        ["sweep", write_experiment(tmp_path), "--jobs", "2", "--out", str(out_json),
+         "--set", "workload.num_requests=3"]
     )
     assert code == 0
     import json
 
     rows = json.loads(out_json.read_text())
     assert [row["workload.request_rate"] for row in rows] == [4.0, 8.0]
-    assert all("mean_normalized_latency" in row for row in rows)
+    assert all(row["num_finished"] == 3 for row in rows)
     assert "wrote 2 row(s)" in text
 
 
-def test_experiment_rejects_bad_config_cleanly(tmp_path):
+def test_sweep_rejects_bad_experiment_config_cleanly(tmp_path):
     bad = "[experiment]\nname = 'x'\n[deployment]\nmodel = 'not-a-model'\n"
     with pytest.raises(SystemExit, match="unknown model"):
-        main(["experiment", write_experiment(tmp_path, bad)], out=io.StringIO())
+        main(["sweep", write_experiment(tmp_path, bad)], out=io.StringIO())
 
 
 def test_serve_slo_flags_print_block():

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import DeploymentSpec, ExecutionSpec, extract_execution, load_config_mapping
-from repro.experiments.driver import load_experiment
-from repro.experiments.figures import classify_config
+from repro.config import DeploymentSpec, ExecutionSpec, expand_grid, load_config_mapping
+from repro.experiments.driver import load_study
 from repro.experiments.planner import load_planner
 from repro.experiments.runner import CACHE_VERSION, ResultCache
 
@@ -115,12 +114,12 @@ CONFIG_KEYS = {
         "9d78dbe037f1b01b9af66705f682e43e5fea502cff4b9ed5c3b76c6151905034",
     ],
     "fig14_grid.toml": [
-        "a7ac05e2f0b4bc4faca7fe013d0a16e0d221446523b8354ba6fe03340e09dc51",
-        "7f8f58238de793c7c1a6a4b24c455818703e67b3fe93b5951d4dd6ff91fd70e4",
-        "f9a8365d68f7d8d1a9100bec31c13c27acd741ca84d851ab3c2aae8d8f99b040",
-        "8901af8a3e363db2dd8ee2d0df2c4ce57661b4a6c2788b0c899b49aeb6b44187",
-        "54faa57f4af58afd7490541d3101f241c4b827774234617df9720c3388aa99e5",
-        "767b4214e5cbba41ef6e1a3a38a66bb51ba736c4b0be1fb3570ca183119808b3",
+        "36c9bae370cbcd32a036a3d1da71e1f989286342d2981cba1ff8c6ac0422fc50",
+        "88522810de08376196bbc5b12e4737981530cf3d326fd4a62c03211689606260",
+        "6f7a268211b79548bd86e134795ca42a2c6a7c4875fefc35ccbf151ff9962cca",
+        "896d26ed0b666b66e2da5be46b6a790c8bf0651460727535161a91b0c34103da",
+        "0c5a0d203e5714cfc79248697b3b7d79977f27a84c24e8e243955640f6169e58",
+        "757b0758c298fb619fdc69b0cd139c4dfc21bf4a3b31248adf707d900f5266e1",
     ],
     "multi_replica.json": [
         "9577d329c722975ce2d9125194c68268a93d313525f905b67fc547cc1230d0bc",
@@ -137,14 +136,10 @@ CONFIG_KEYS = {
 
 
 def config_deployments(path):
-    data = load_config_mapping(path)
-    kind = classify_config(data)
-    if kind == "experiment":
-        return [spec for _, spec in load_experiment(path).expand()]
-    if kind == "planner":
+    if "planner" in load_config_mapping(path):
         return [spec for _, spec in load_planner(path).expand()]
-    extract_execution(data)
-    return [DeploymentSpec.from_dict(data)]
+    study = load_study(path)
+    return [spec for _, spec in expand_grid(study.base, study.axes)]
 
 
 def test_cache_version_is_the_one_these_keys_were_taken_at():
