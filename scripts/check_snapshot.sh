@@ -12,7 +12,8 @@
 # the rest run with chunking off, guarding the "existing metric snapshots stay
 # bit-identical unless opted in" contract.  The same comparison then runs for
 # replicated deployments (scripts/cluster_snapshot.py), for the text `repro
-# serve` / `repro compare` print (scripts/cli_snapshot.py), and for the
+# serve` / `repro compare` print (scripts/cli_snapshot.py), for the time
+# series the recorder holds (scripts/recorder_snapshot.py), and for the
 # sim_digest of every perfbench workload at seeds 1, 2 and 3.
 
 set -euo pipefail
@@ -75,6 +76,11 @@ snapshot_step cluster cluster_snapshot.py "replicated metrics (elasticity off)"
 # to how the CLI builds or reports a deployment shows up as a diff of the
 # printed text.
 snapshot_step cli cli_snapshot.py "serve/compare output"
+
+# Recorder parity: recorder_snapshot.py dumps every time series of Fig. 14, a
+# Hetis run that offloads and re-dispatches, the three baselines and two
+# failing fleets (per-device series with equal consecutive samples collapsed).
+snapshot_step recorder recorder_snapshot.py "recorder series"
 
 # Benchmark parity: every perfbench workload replays each of its inputs for
 # seeds 1, 2 and 3 once (--seconds 0) and prints a sim_digest of the summary

@@ -117,7 +117,7 @@ class SplitwiseSystem(ServingSystem):
         now: float,
         recorder: TimeSeriesRecorder,
     ) -> List[Tuple[ExecutionUnit, Request, float]]:
-        recorder.record_many("cache_usage", now, unit.kv_utilization())
+        unit.observe(now, recorder)
         deferred: List[Tuple[ExecutionUnit, Request, float]] = []
         for handoff in outcome.handoffs:
             # The whole KV cache crosses the network from the prefill workers to

@@ -940,7 +940,7 @@ def _sweep(
         if res.skipped and res.error_kind != "cancelled":
             continue
         rows.append(result_table_row(res))
-        retried = f"  [retried x{res.attempts - 1}]" if res.attempts > 1 else ""
+        retried = f"  [retried x{res.retries}]" if res.retries else ""
         if res.error is not None:
             if not keep_going:
                 raise SystemExit(f"error: sweep point {res.label}: {res.error}")

@@ -8,22 +8,20 @@ discrete-event engine can drive.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.hetis_unit import HetisInstanceUnit
 from repro.core.parallelizer import Parallelizer, ParallelizerResult, WorkloadHint
 from repro.hardware.cluster import Cluster
 from repro.models.spec import ModelSpec
 from repro.sim.engine import ServingSystem
-from repro.sim.iteration import Iteration, IterationOutcome
-from repro.sim.recorder import TimeSeriesRecorder
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
 from repro.sim.units import ExecutionUnit
 
 
 class HetisSystem(ServingSystem):
-    """Routes arrivals across Hetis instances and records dynamic behaviour."""
+    """Routes arrivals across Hetis instances; each instance writes its own Fig. 14 series."""
 
     def __init__(self, instances: List[HetisInstanceUnit], plan: Optional[ParallelizerResult] = None) -> None:
         if not instances:
@@ -39,19 +37,6 @@ class HetisSystem(ServingSystem):
     def route(self, request: Request, now: float) -> ExecutionUnit:
         """Join-the-least-loaded-instance routing across data-parallel replicas."""
         return min(self._instances, key=lambda u: u.load)
-
-    def on_iteration(
-        self,
-        unit: ExecutionUnit,
-        iteration: Iteration,
-        outcome: IterationOutcome,
-        now: float,
-        recorder: TimeSeriesRecorder,
-    ) -> List[Tuple[ExecutionUnit, Request, float]]:
-        recorder.record_many("cache_usage", now, unit.kv_utilization())
-        if isinstance(unit, HetisInstanceUnit):
-            recorder.record_many("heads", now, unit.head_counts())
-        return []
 
     # -- reporting ---------------------------------------------------------------------
 

@@ -213,7 +213,7 @@ def degradation_report(results: Sequence["PointResult"]) -> Dict[str, int]:
             counts["errored"] += 1
         else:
             counts["skipped"] += 1
-        if res.attempts > 1:
+        if res.retries:
             counts["retried"] += 1
         if res.resumed:
             counts["resumed"] += 1
@@ -452,6 +452,7 @@ class RunJournal:
         error: Optional[str] = None,
         error_kind: Optional[str] = None,
         attempts: int = 1,
+        retries: int = 0,
     ) -> None:
         record: Dict[str, Any] = {
             "version": CACHE_VERSION,
@@ -463,6 +464,7 @@ class RunJournal:
             "error": error,
             "error_kind": error_kind,
             "attempts": attempts,
+            "retries": retries,
         }
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -503,8 +505,11 @@ class PointResult:
     skipped because an earlier serial point failed (``stop_on_error``) has
     both ``None`` and ``skipped=True``.  ``error_kind`` classifies failures
     (one of :data:`ERROR_KINDS`), ``attempts`` counts how many times the point
-    was handed to a worker, and ``resumed`` marks rows replayed from a
-    :class:`RunJournal` instead of recomputed.
+    was handed to a worker, ``retries`` how many of those re-ran it after its
+    own crash or timeout (a solo re-run that finds an ambiguous crash's
+    culprit, or a bystander's re-run, is an attempt but not a retry), and
+    ``resumed`` marks rows replayed from a :class:`RunJournal` instead of
+    recomputed.
     """
 
     index: int
@@ -516,6 +521,7 @@ class PointResult:
     skipped: bool = False
     error_kind: Optional[str] = None
     attempts: int = 1
+    retries: int = 0
     resumed: bool = False
 
     @property
@@ -645,6 +651,8 @@ class SweepRunner:
                         row=dict(record["row"]),
                         resumed=True,
                         attempts=int(record.get("attempts") or 1),
+                        # Journals written before retries were recorded lack them.
+                        retries=int(record.get("retries") or 0),
                     )
                     continue
             if self.cache is not None and key is not None:
@@ -691,6 +699,7 @@ class SweepRunner:
         error: Optional[str],
         error_kind: Optional[str] = None,
         attempts: int = 1,
+        retries: int = 0,
     ) -> None:
         if row is not None and self.cache is not None and key is not None:
             self.cache.store(key, task.kind, task.payload, task.label, row)
@@ -702,6 +711,7 @@ class SweepRunner:
             error=error,
             error_kind=error_kind,
             attempts=attempts,
+            retries=retries,
         )
         if self.journal is not None and key is not None:
             self.journal.append(
@@ -713,6 +723,7 @@ class SweepRunner:
                 error=error,
                 error_kind=error_kind,
                 attempts=attempts,
+                retries=retries,
             )
 
     def _backoff_delay(self, failure_count: int) -> float:
@@ -792,6 +803,9 @@ class SweepRunner:
         ready: Dict[int, float] = {}  # idx -> earliest resubmission time (backoff)
         attempts: Dict[int, int] = {idx: 0 for idx in tasks}
         failures: Dict[int, int] = {idx: 0 for idx in tasks}
+        # Submissions that followed the point's own crash or timeout: each
+        # booked failure within budget re-queues the point exactly once.
+        retries: Dict[int, int] = {idx: 0 for idx in tasks}
         inflight: Dict[Future, Tuple[int, Optional[float]]] = {}
         max_workers = min(self.jobs, len(pending))
         restarts = 0
@@ -800,6 +814,7 @@ class SweepRunner:
 
         def submit(idx: int) -> None:
             attempts[idx] += 1
+            retries[idx] = failures[idx]
             future = pool.submit(_pool_worker, idx, tasks[idx].kind, dict(tasks[idx].payload))
             deadline = (
                 None if self.task_timeout is None else time.monotonic() + self.task_timeout
@@ -811,7 +826,7 @@ class SweepRunner:
             nonlocal stop
             self._finish(
                 results, idx, tasks[idx], keys[idx], row, error,
-                error_kind=error_kind, attempts=attempts[idx],
+                error_kind=error_kind, attempts=attempts[idx], retries=retries[idx],
             )
             if error is not None and self.stop_on_error:
                 stop = True
@@ -828,6 +843,7 @@ class SweepRunner:
                 error_kind="cancelled",
                 skipped=True,
                 attempts=attempts[idx],
+                retries=retries[idx],
             )
 
         def fail(idx: int, error: str, error_kind: str) -> None:

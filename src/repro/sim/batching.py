@@ -16,10 +16,11 @@ import abc
 import math
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.models.spec import ModelSpec
 from repro.sim.iteration import Handoff, Iteration, IterationOutcome
+from repro.sim.recorder import TimeSeriesRecorder
 from repro.sim.request import DecodeClock, Request, RequestStatus
 from repro.sim.scheduler import ContinuousBatchingPolicy, PrefillChunk, SchedulerLimits
 
@@ -47,6 +48,9 @@ class ExecutionUnit(abc.ABC):
         # start iterations on this unit (the replica is down); queued work
         # stays put and resumes after recovery.  0.0 = never paused.
         self.paused_until: float = 0.0
+        # Preemptions this unit has made, of requests finished or not; the
+        # engine books each run's share in its metrics.
+        self.num_preemptions = 0
 
     # -- request ingress ---------------------------------------------------------
 
@@ -97,6 +101,10 @@ class ExecutionUnit(abc.ABC):
     @abc.abstractmethod
     def kv_utilization(self) -> Dict[str, float]:
         """Per-device KV-cache utilization in [0, 1]."""
+
+    @abc.abstractmethod
+    def observe(self, now: float, recorder: TimeSeriesRecorder) -> None:
+        """Write this unit's per-device series (Fig. 14) to ``recorder`` after an iteration."""
 
     @abc.abstractmethod
     def available_kv_bytes(self) -> float:
@@ -168,6 +176,12 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self._current: Optional[Request] = None
         self._admissions = 0
         self._groups: Dict[Hashable, List[int]] = {}
+        # Observation (see observe): the recorder last written to, the value
+        # written there per (series, key), and the series slots whose KV state
+        # a hook moved since.
+        self._observed: Optional[TimeSeriesRecorder] = None
+        self._written: Dict[Tuple[str, str], float] = {}
+        self._dirty: Set[Hashable] = set()
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -215,6 +229,38 @@ class ContinuousBatchingUnit(ExecutionUnit):
 
     def _on_iteration_complete(self) -> None:
         """Runs after every completed iteration's effects are applied."""
+
+    @abc.abstractmethod
+    def _samples(self, slots: Optional[Iterable[Hashable]]) -> Iterator[Tuple[str, str, float]]:
+        """``(series, key, value)`` now, of the series in ``slots`` (``None``: every series).
+
+        A slot is what a KV hook adds to ``_dirty`` when it moves the KV state
+        behind some of the unit's series.
+        """
+
+    # -- observation ------------------------------------------------------------------------
+
+    def observe(self, now: float, recorder: TimeSeriesRecorder) -> None:
+        """Write the samples whose value moved since the last one written to ``recorder``.
+
+        Only the slots a KV hook marked since the last call are read.  The
+        first call against a recorder writes every key.  Dropping a sample
+        equal to its key's previous one leaves the recorder's last and max
+        values and its resampled series unchanged.
+        """
+        if recorder is not self._observed:
+            self._observed, self._written = recorder, {}
+            slots = None
+        elif self._dirty:
+            slots = self._dirty
+        else:
+            return
+        written = self._written
+        for series, key, value in self._samples(slots):
+            if written.get((series, key)) != value:
+                written[series, key] = value
+                recorder.record(series, key, now, value)
+        self._dirty.clear()
 
     # -- ingress and state ------------------------------------------------------------------
 
@@ -336,6 +382,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self._regroup(victim, -1)
         self._release(victim)
         victim.preempt()
+        self.num_preemptions += 1
         if self.running.pop(victim, None) is None and victim in self.waiting:
             return  # a partially-prefilled victim keeps its place at the queue head
         # Ahead of fresh work, but behind an in-flight partial prefill: that

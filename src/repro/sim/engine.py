@@ -112,11 +112,13 @@ class ServingSystem(abc.ABC):
 
         Returns deferred enqueues as ``(target_unit, request, ready_time)``
         triples -- this is how Splitwise expresses its KV-cache migration
-        latency and how Hetis schedules hauled requests.  The default keeps
-        everything local and records per-device cache utilization.
+        latency.  The default keeps everything local and lets the unit write
+        its per-device series (:meth:`ExecutionUnit.observe`), which is the
+        one per-iteration observation path: a unit writes a sample only when
+        its value moved, so an iteration that changed no KV state costs one
+        call and a compare.
         """
-        for dev_name, util in unit.kv_utilization().items():
-            recorder.record("cache_usage", dev_name, now, util)
+        unit.observe(now, recorder)
         return []
 
     def available_cache_bytes(self) -> float:
@@ -279,6 +281,8 @@ class Engine:
             heappush(events, (control_interval, _KIND_CONTROL, seq, None))
 
         self.system.on_run_start(self.recorder)
+        # Units count preemptions as they make them; the run books its share.
+        preempted_before = sum(u.num_preemptions for u in units)
 
         # Requests with a defer-retry arrival event currently in the heap,
         # keyed by request id.  If the run is truncated while a retry is still
@@ -436,6 +440,7 @@ class Engine:
         # here would rebuild the per-access lists one more time for nothing.
         num_dropped = sum(len(getattr(u, "dropped", [])) for u in units)
         stranded = 0 if truncated else sum(u.load for u in units)
+        self.metrics.observe_preemptions(sum(u.num_preemptions for u in units) - preempted_before)
         return SimulationResult(
             system_name=self.system.name,
             summary=self.metrics.summary(),

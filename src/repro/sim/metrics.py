@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +101,33 @@ class GKQuantileSketch:
             self._compress()
             self._since_compress = 0
 
+    def add_many(self, values: Iterable[float]) -> None:
+        """:meth:`add` each of ``values`` (floats) in order, compressing at the same points.
+
+        The tuples come out identical to one :meth:`add` per value; the loop
+        only keeps the sketch's state in locals between compressions.
+        """
+        tuples, keys = self._tuples, self._values
+        two_eps = 2.0 * self.epsilon
+        every = self._compress_every
+        n, since = self._n, self._since_compress
+        bisect_left = bisect.bisect_left
+        for value in values:
+            idx = bisect_left(keys, value)
+            if idx == 0 or idx == len(tuples):
+                delta = 0.0
+            else:
+                delta = float(int(two_eps * n))
+            tuples.insert(idx, [value, 1.0, delta])
+            keys.insert(idx, value)
+            n += 1
+            since += 1
+            if since >= every:
+                self._n = n
+                self._compress()
+                since = 0
+        self._n, self._since_compress = n, since
+
     def _compress(self) -> None:
         """Merge adjacent tuples whose combined uncertainty stays in bound."""
         if len(self._tuples) < 3:
@@ -150,6 +177,15 @@ class StreamingStats:
         self.count += 1
         self.total += value
         self.sketch.add(value)
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """:meth:`add` each of ``values`` (floats) in order: the same sum, the same sketch."""
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        self.count += len(values)
+        self.sketch.add_many(values)
 
     @property
     def mean(self) -> float:
@@ -258,6 +294,10 @@ class SummaryStats:
         return self.mean_normalized_latency
 
 
+MODULE_BATCH = 256
+"""Decode iterations whose module times a bounded collector buffers before feeding its sketches."""
+
+
 class MetricsCollector:
     """Accumulates request records and module-time samples during a run.
 
@@ -266,6 +306,18 @@ class MetricsCollector:
     ``quantile_epsilon`` rank error) so memory stays flat over million-request
     replays.  The default exact mode is bit-identical to the historical
     collector -- the snapshot gates depend on that.
+
+    Module times arrive once per decode-only iteration, so their path is
+    kept short: each module's store is bound once, by name, to an append.
+    Exact mode appends to the module's sample list.  Bounded mode appends to
+    a buffer of at most :data:`MODULE_BATCH` samples, which feeds the
+    module's sketch in one call when full and before any summary: in arrival
+    order, compressing at the same points and summing in the same order as
+    one insert per sample, so every mean and quantile is bit-identical.
+
+    Preemptions are counted where they happen, by the units, and booked by
+    the engine at run end (:meth:`observe_preemptions`), so a request
+    preempted and never finished counts too.
     """
 
     def __init__(
@@ -285,15 +337,19 @@ class MetricsCollector:
         self.num_arrivals = 0
         self._start_time: Optional[float] = None
         self._end_time: float = 0.0
+        self._preemptions = 0
         # Bounded-mode aggregates (unused -- and empty -- in exact mode).
         self._num_finished = 0
         self._tokens = 0
-        self._preemptions = 0
         self._attained = 0
         self._lat = StreamingStats(quantile_epsilon)
         self._ttft = StreamingStats(quantile_epsilon)
         self._tpot = StreamingStats(quantile_epsilon)
         self._module_stats: Dict[str, StreamingStats] = {}
+        self._module_buffers: Dict[str, List[float]] = {}
+        self._buffered = 0  # decode iterations in the bounded-mode buffers
+        # Per module name, the append its samples go to (see the class doc).
+        self._module_appends: Dict[str, Callable[[float], None]] = {}
         # Memoized summary: every observe_* invalidates, so repeated summary()
         # calls (CLI + figures + tests on one result) pay O(N) exactly once.
         self._cached_summary: Optional[SummaryStats] = None
@@ -348,7 +404,6 @@ class MetricsCollector:
         if self.bounded_memory:
             self._num_finished += 1
             self._tokens += record.output_tokens
-            self._preemptions += record.num_preemptions
             if self.slo.attained(record.ttft, record.tpot):
                 self._attained += 1
             self._lat.add(record.normalized_latency)
@@ -361,15 +416,37 @@ class MetricsCollector:
     def observe_module_times(self, module_times: Dict[str, float]) -> None:
         """Record one decode iteration's per-module latencies."""
         self._cached_summary = None
+        appends = self._module_appends
+        for name, value in module_times.items():
+            append = appends.get(name)
+            if append is None:
+                append = self._bind_module(name)
+            append(float(value))
         if self.bounded_memory:
-            for name, value in module_times.items():
-                stats = self._module_stats.get(name)
-                if stats is None:
-                    stats = self._module_stats[name] = StreamingStats(self.quantile_epsilon)
-                stats.add(value)
+            self._buffered += 1
+            if self._buffered >= MODULE_BATCH:
+                self._flush_modules()
+
+    def observe_preemptions(self, count: int) -> None:
+        """Book ``count`` preemptions, of requests finished or not."""
+        self._cached_summary = None
+        self._preemptions += count
+
+    def _bind_module(self, name: str) -> Callable[[float], None]:
+        if self.bounded_memory:
+            self._module_stats[name] = StreamingStats(self.quantile_epsilon)
+            samples = self._module_buffers[name] = []
         else:
-            for name, value in module_times.items():
-                self.module_samples.setdefault(name, []).append(float(value))
+            samples = self.module_samples.setdefault(name, [])
+        append = self._module_appends[name] = samples.append
+        return append
+
+    def _flush_modules(self) -> None:
+        """Feed every buffered module time to its module's sketch."""
+        self._buffered = 0
+        for name, buffer in self._module_buffers.items():
+            self._module_stats[name].add_many(buffer)
+            buffer.clear()
 
     # -- aggregation -----------------------------------------------------------------
 
@@ -398,7 +475,6 @@ class MetricsCollector:
         ttft = np.empty(n)
         tpot = np.empty(n)
         tokens = 0
-        preemptions = 0
         num_attained = 0
         slo = self.slo
         for i, r in enumerate(self.records):
@@ -406,7 +482,6 @@ class MetricsCollector:
             ttft[i] = r.ttft
             tpot[i] = r.tpot
             tokens += r.output_tokens
-            preemptions += r.num_preemptions
             if slo.attained(r.ttft, r.tpot):
                 num_attained += 1
         # Offered load = every admitted arrival (finished or not) plus every
@@ -424,7 +499,7 @@ class MetricsCollector:
             p95_tpot=percentile(tpot, 95),
             throughput_rps=n / duration,
             throughput_tokens_per_s=tokens / duration,
-            total_preemptions=preemptions,
+            total_preemptions=self._preemptions,
             p95_module_latency={k: percentile(v, 95) for k, v in self.module_samples.items()},
             mean_module_latency={
                 k: float(np.mean(v)) if v else 0.0 for k, v in self.module_samples.items()
@@ -438,6 +513,7 @@ class MetricsCollector:
         )
 
     def _bounded_summary(self) -> SummaryStats:
+        self._flush_modules()
         duration = self._duration()
         n = self._num_finished
         num_offered = self.num_arrivals + self.num_rejected

@@ -4,7 +4,9 @@ The dynamic-behaviour figure of the paper (Fig. 14) plots, over wall-clock
 time, each device's KV-cache utilization and the number of Attention heads it
 is serving.  :class:`TimeSeriesRecorder` collects arbitrary named per-device
 series at irregular timestamps and can resample them to a regular grid for
-plotting or for assertions in tests.
+plotting or for assertions in tests.  Execution units write those two series
+themselves, and only when a value moves
+(:meth:`~repro.sim.batching.ContinuousBatchingUnit.observe`).
 """
 
 from __future__ import annotations
@@ -19,12 +21,18 @@ import numpy as np
 class TimeSeriesRecorder:
     """Append-only store of (time, value) samples per (series, key).
 
+    A series is piecewise constant between samples (``resample`` carries the
+    last observation forward), so a writer may skip a sample equal to its
+    key's previous one without changing any query but ``raw``: the units
+    write their per-device series that way, one sample per change.
+
     ``max_samples_per_key`` caps memory for long runs: when a key's sample
     list exceeds the cap it is thinned to every other point (the newest sample
     is always kept, so ``last_value`` stays exact), giving an effective rollup
     that coarsens as the run grows.  ``max_value`` stays exact under thinning
     -- a running maximum is tracked per key at record time -- while
-    ``resample`` becomes an approximation at the thinned resolution.
+    ``resample`` becomes an approximation at the thinned resolution.  Since
+    units write only changed samples, thinning sees only those.
     ``samples_dropped`` counts the points discarded by thinning.
 
     Query-path arrays for :meth:`resample` are cached per (series, key) and

@@ -31,6 +31,7 @@ from repro.experiments.runner import (
     TASK_KINDS,
     Task,
     degradation_report,
+    format_degradation,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -157,6 +158,19 @@ class TestCrashIsolation:
         assert crashed.error_kind == "crash"
         assert crashed.attempts == 3
         assert slept.row == {"value": "slept"}
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_degradation_report_counts_only_retries_after_a_points_own_failure(self, max_retries):
+        # The setup above: both points re-run alone after the ambiguous crash.
+        # Those re-runs are attempts, not retries; only the crasher's re-run
+        # after its own solo crash is, and only within the budget.
+        runner = SweepRunner(jobs=2, stop_on_error=False, max_retries=max_retries, backoff_base=0.0)
+        crashed, slept = runner.run_tasks([crash_task(), sleep_task(1.0)])
+        assert (crashed.attempts, slept.attempts) == (2 + max_retries, 2)
+        assert (crashed.retries, slept.retries) == (max_retries, 0)
+        counts = degradation_report([crashed, slept])
+        assert counts["retried"] == max_retries
+        assert f"/ {max_retries} retried" in format_degradation(counts)
 
     def test_many_crashes_exhaust_pool_restart_budget_honestly(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "MAX_POOL_RESTARTS", 1)
@@ -381,7 +395,7 @@ class TestFiguresFaultTolerance:
             TASK_KINDS.register("deployment", real_deployment, overwrite=True)
 
         assert code == 1, text
-        assert "degradation: 2 ok / 1 errored / 0 timed out" in text
+        assert "degradation: 2 ok / 1 errored / 0 timed out / 0 retried" in text
         assert "success fraction 66.7% below --min-success 100.0%" in text
         crashed = [line for line in text.splitlines() if "FAILED [crash]" in line]
         assert len(crashed) == 1 and "workload.seed=1" in crashed[0]

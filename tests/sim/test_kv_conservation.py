@@ -3,7 +3,10 @@
 After a drained run every block manager of every unit must report no used
 blocks and no resident sequence, and no unit may still hold a request,
 whatever the system, prefill mode or fleet churn (failures preempt running
-work and migrate queued work away, on static and Hetis fleets alike).
+work and migrate queued work away, on static and Hetis fleets alike).  The
+recorder must show the same: every per-device series (``cache_usage``, and
+Hetis's ``heads``) ends at 0.0, so a KV hook that frees blocks without
+marking its series for observation leaves a stale sample and fails here.
 """
 
 import pytest
@@ -65,6 +68,13 @@ def hetis_fleet_spec():
     })
 
 
+def assert_series_end_at_zero(recorder):
+    assert recorder.keys("cache_usage")
+    for series in ("cache_usage", "heads"):
+        for key in recorder.keys(series):
+            assert recorder.last_value(series, key) == 0.0, (series, key)
+
+
 SPECS = {f"{system}-{'chunked' if chunk else 'whole'}": paper_spec(system, chunk)
          for system in ("static-tp", "splitwise", "hexgen", "hetis") for chunk in (None, 512)}
 SPECS.update({f"fleet-seed{seed}": fleet_spec(seed) for seed in (1, 2, 3)})
@@ -89,6 +99,7 @@ def test_blocks_return_to_zero_after_a_drained_run(name):
         for manager in managers:
             assert manager.used_blocks == 0, unit.name
             assert manager.sequences() == [], unit.name
+    assert_series_end_at_zero(result.recorder)
 
 
 def test_splitwise_longbench_strands_no_request():
@@ -104,3 +115,4 @@ def test_splitwise_longbench_strands_no_request():
     assert not result.truncated
     assert result.stranded == 0
     assert result.summary.num_finished == 48
+    assert_series_end_at_zero(result.recorder)

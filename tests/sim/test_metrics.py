@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsCollector, RequestRecord, percentile
 from repro.sim.request import DecodeClock, Request, RequestStatus
+
+from tests.sim.test_batching_parity import WHOLE, seeded_trace, static_system
 
 
 def finished_request(req_id=0, arrival=0.0, prompt=100, output=4, iteration=0.5):
@@ -88,3 +91,23 @@ def test_zero_output_request_record_is_safe():
     assert record.ttft == 0.0
     assert record.tpot == 0.0
     assert record.normalized_latency == 0.0
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["exact", "bounded"])
+def test_preemptions_of_unfinished_requests_count(bounded, monkeypatch):
+    # Cut off while preempted requests still wait for their fresh prefill:
+    # every preemption counts, not only those of requests that finished.
+    preempted = []
+    preempt = Request.preempt
+
+    def counted(request):
+        preempted.append(request)
+        preempt(request)
+
+    monkeypatch.setattr(Request, "preempt", counted)
+    collector = MetricsCollector(bounded_memory=bounded)
+    engine = Engine(static_system(WHOLE), max_simulated_time=30.0, collector=collector)
+    result = engine.run(seeded_trace(1, 60, 4.0, 1500, 400))
+    assert result.truncated
+    assert any(not r.is_finished for r in preempted)
+    assert result.summary.total_preemptions == len(preempted) > 0

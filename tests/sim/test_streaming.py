@@ -8,7 +8,9 @@ The load-bearing guarantees of the large-trace replay path:
 * runs cut short by an engine safety limit say so (``truncated`` +
   ``truncation_reason``), for both causes,
 * the bounded-memory collector's GK sketch tracks ``np.percentile`` within
-  its documented rank-error bound across seeds.
+  its documented rank-error bound across seeds,
+* batched sketch inserts (the collector's module-time buffer) give the same
+  tuples, means and quantiles as one insert per sample.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from repro.experiments.runner import summary_row
 from repro.hardware.cluster import simple_cluster
 from repro.models.spec import get_model_spec
 from repro.sim.engine import Engine
-from repro.sim.metrics import GKQuantileSketch, MetricsCollector
+from repro.sim.metrics import MODULE_BATCH, GKQuantileSketch, MetricsCollector, StreamingStats
 from repro.workloads.trace import StreamingTrace, Trace, TraceEntry, generate_trace
 
 
@@ -147,6 +149,63 @@ def test_gk_sketch_tracks_numpy_percentile_across_seeds():
             rank = np.searchsorted(ordered, got, side="left")
             assert abs(rank - q * n) <= eps * n + 1, (seed, q)
         assert sketch.num_tuples < n / 4  # actually compressing
+
+
+QUANTILES = (0.0, 0.05, 0.5, 0.9, 0.95, 0.99, 1.0)
+
+
+# Lengths on both sides of the sketch's compress interval (100 inserts at the
+# default epsilon) and of the collector's module-time buffer (MODULE_BATCH).
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 199, 200, 255, 256, 257, 1031])
+def test_gk_batched_inserts_match_per_sample_inserts(n):
+    rng = np.random.default_rng(n)
+    values = [float(v) for v in np.round(rng.lognormal(size=n), 2)]  # with ties
+    one, batched = GKQuantileSketch(), GKQuantileSketch()
+    for v in values:
+        one.add(v)
+    start = 0
+    while start < n:
+        stop = start + int(rng.integers(1, 300))
+        batched.add_many(values[start:stop])
+        start = stop
+    assert batched._tuples == one._tuples
+    assert batched._values == one._values
+    assert (len(batched), batched._since_compress) == (len(one), one._since_compress)
+    assert [batched.query(q) for q in QUANTILES] == [one.query(q) for q in QUANTILES]
+
+
+@pytest.mark.parametrize("n", [MODULE_BATCH - 1, MODULE_BATCH, MODULE_BATCH + 1, 3 * MODULE_BATCH + 41])
+@pytest.mark.parametrize("bounded", [False, True], ids=["exact", "bounded"])
+def test_module_times_match_one_insert_per_sample(n, bounded):
+    """Bound appends and buffered sketch inserts give every mean and quantile bit for bit."""
+    rng = np.random.default_rng(n)
+    times = [{"mlp": float(a), "attention": float(b), "iteration": float(a + b)} for a, b in rng.lognormal(size=(n, 2))]
+    collector = MetricsCollector(bounded_memory=bounded)
+    samples = {name: [] for name in times[0]}
+
+    def check():
+        summary = collector.summary()
+        if bounded:
+            reference = {name: StreamingStats() for name in samples}
+            for name, values in samples.items():
+                for v in values:
+                    reference[name].add(v)
+            assert summary.mean_module_latency == {k: s.mean for k, s in reference.items()}
+            assert summary.p95_module_latency == {k: s.quantile(0.95) for k, s in reference.items()}
+            for name, stats in reference.items():
+                assert collector._module_stats[name].sketch._tuples == stats.sketch._tuples
+        else:
+            assert collector.module_samples == samples
+            assert summary.mean_module_latency == {k: float(np.mean(v)) for k, v in samples.items()}
+            assert summary.p95_module_latency == {k: float(np.percentile(v, 95)) for k, v in samples.items()}
+
+    for i, module_times in enumerate(times):
+        if i == n // 2:
+            check()  # a summary mid-stream, then more inserts
+        collector.observe_module_times(module_times)
+        for name, value in module_times.items():
+            samples[name].append(value)
+    check()
 
 
 def test_gk_sketch_edge_cases():
