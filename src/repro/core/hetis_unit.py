@@ -24,7 +24,7 @@ capacity-aware re-dispatch) while keeping per-stage bookkeeping tractable.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,9 +99,9 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self._booked: Dict[int, int] = dict.fromkeys(self._managers, 0)
         self._decoding_heads: Dict[int, int] = dict.fromkeys(self._managers, 0)
         self._target_index = {target_id: i for i, target_id in enumerate(self._managers)}
-        # Fig. 14 series key and manager, per target (the unit's series slots).
-        self._series = {PRIMARY_TARGET_ID: (f"{name}/primary", self._managers[PRIMARY_TARGET_ID])}
-        self._series.update((w.device_id, (w.name, self._managers[w.device_id])) for w in config.attention_workers)
+        # Fig. 14 series keys, per target.
+        self._series = [(f"{name}/primary", self._managers[PRIMARY_TARGET_ID])]
+        self._series += [(w.name, self._managers[w.device_id]) for w in config.attention_workers]
         self.config = config
         self.cluster = cluster
         self.pipeline = PipelineCost(config, RooflineExecutor(model), CommModel(cluster, model))
@@ -264,14 +264,14 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             if heads > 0:
                 self._managers[target_id].allocate(request.request_id, heads, request.context_length)
                 self._book(request, target_id, 1)
-                self._dirty.add(target_id)
+                self._dirty = True
 
     def _free_request(self, request: Request) -> None:
         for target_id, manager in self._managers.items():
             if manager.has_sequence(request.request_id):
                 self._book(request, target_id, -1)
                 manager.free(request.request_id)
-                self._dirty.add(target_id)
+                self._dirty = True
 
     # ---------------------------------------------------------------- load ledger --
 
@@ -350,7 +350,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             missing = cached - manager.tokens_of(rid)
             if missing:
                 manager.append_token(rid, missing)
-                self._dirty.add(target_id)
+                self._dirty = True
 
     def _release(self, request: Request) -> None:
         self._free_request(request)
@@ -500,19 +500,14 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
     # ------------------------------------------------------------------ introspection --
 
     def kv_utilization(self) -> Dict[str, float]:
-        return {key: manager.utilization for key, manager in self._series.values()}
+        return {key: manager.utilization for key, manager in self._series}
 
     def head_counts(self) -> Dict[str, float]:
         """Query heads currently resident per dispatch target (Fig. 14 series): the ledger's h_i."""
-        return {key: float(manager.total_query_heads()) for key, manager in self._series.values()}
+        return {key: float(manager.total_query_heads()) for key, manager in self._series}
 
-    def _samples(self, slots: Optional[Iterable[int]]) -> Iterator[Tuple[str, str, float]]:
-        # A slot is a dispatch target: its cache usage and resident heads.
-        series = self._series
-        for target_id in series if slots is None else slots:
-            key, manager = series[target_id]
-            yield "cache_usage", key, manager.utilization
-            yield "heads", key, float(manager.total_query_heads())
+    def observed_series(self) -> Dict[str, Dict[str, float]]:
+        return {"cache_usage": self.kv_utilization(), "heads": self.head_counts()}
 
     def available_kv_bytes(self) -> float:
         return float(sum(m.total_blocks * m.bytes_per_block_group for m in self._managers.values()))

@@ -16,7 +16,7 @@ import abc
 import math
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.models.spec import ModelSpec
 from repro.sim.iteration import Handoff, Iteration, IterationOutcome
@@ -177,11 +177,11 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self._admissions = 0
         self._groups: Dict[Hashable, List[int]] = {}
         # Observation (see observe): the recorder last written to, the value
-        # written there per (series, key), and the series slots whose KV state
-        # a hook moved since.
+        # written there per (series, key), and whether a KV hook moved the
+        # KV state since.
         self._observed: Optional[TimeSeriesRecorder] = None
         self._written: Dict[Tuple[str, str], float] = {}
-        self._dirty: Set[Hashable] = set()
+        self._dirty = False
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -230,37 +230,31 @@ class ContinuousBatchingUnit(ExecutionUnit):
     def _on_iteration_complete(self) -> None:
         """Runs after every completed iteration's effects are applied."""
 
-    @abc.abstractmethod
-    def _samples(self, slots: Optional[Iterable[Hashable]]) -> Iterator[Tuple[str, str, float]]:
-        """``(series, key, value)`` now, of the series in ``slots`` (``None``: every series).
-
-        A slot is what a KV hook adds to ``_dirty`` when it moves the KV state
-        behind some of the unit's series.
-        """
-
     # -- observation ------------------------------------------------------------------------
+
+    def observed_series(self) -> Dict[str, Dict[str, float]]:
+        """This unit's per-device series (Fig. 14) now: series name -> key -> value."""
+        return {"cache_usage": self.kv_utilization()}
 
     def observe(self, now: float, recorder: TimeSeriesRecorder) -> None:
         """Write the samples whose value moved since the last one written to ``recorder``.
 
-        Only the slots a KV hook marked since the last call are read.  The
-        first call against a recorder writes every key.  Dropping a sample
-        equal to its key's previous one leaves the recorder's last and max
-        values and its resampled series unchanged.
+        The series are read only after a KV hook set ``_dirty``.  The first
+        call against a recorder writes every key.  Dropping a sample equal to
+        its key's previous one leaves the recorder's last and max values and
+        its resampled series unchanged.
         """
         if recorder is not self._observed:
             self._observed, self._written = recorder, {}
-            slots = None
-        elif self._dirty:
-            slots = self._dirty
-        else:
+        elif not self._dirty:
             return
+        self._dirty = False
         written = self._written
-        for series, key, value in self._samples(slots):
-            if written.get((series, key)) != value:
-                written[series, key] = value
-                recorder.record(series, key, now, value)
-        self._dirty.clear()
+        for series, values in self.observed_series().items():
+            for key, value in values.items():
+                if written.get((series, key)) != value:
+                    written[series, key] = value
+                    recorder.record(series, key, now, value)
 
     # -- ingress and state ------------------------------------------------------------------
 

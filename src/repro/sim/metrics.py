@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,25 +87,13 @@ class GKQuantileSketch:
         return len(self._tuples)
 
     def add(self, value: float) -> None:
-        value = float(value)
-        idx = bisect.bisect_left(self._values, value)
-        if idx == 0 or idx == len(self._tuples):
-            delta = 0.0  # new minimum or maximum: rank is known exactly
-        else:
-            delta = float(int(2.0 * self.epsilon * self._n))
-        self._tuples.insert(idx, [value, 1.0, delta])
-        self._values.insert(idx, value)
-        self._n += 1
-        self._since_compress += 1
-        if self._since_compress >= self._compress_every:
-            self._compress()
-            self._since_compress = 0
+        self.add_many((float(value),))
 
     def add_many(self, values: Iterable[float]) -> None:
-        """:meth:`add` each of ``values`` (floats) in order, compressing at the same points.
+        """Insert each of ``values`` (floats) in order, compressing every ``1/(2 epsilon)`` inserts.
 
-        The tuples come out identical to one :meth:`add` per value; the loop
-        only keeps the sketch's state in locals between compressions.
+        Splitting a stream across calls changes nothing: the tuples depend
+        only on the values and their order.
         """
         tuples, keys = self._tuples, self._values
         two_eps = 2.0 * self.epsilon
@@ -115,7 +103,7 @@ class GKQuantileSketch:
         for value in values:
             idx = bisect_left(keys, value)
             if idx == 0 or idx == len(tuples):
-                delta = 0.0
+                delta = 0.0  # new minimum or maximum: rank is known exactly
             else:
                 delta = float(int(two_eps * n))
             tuples.insert(idx, [value, 1.0, delta])
@@ -173,13 +161,10 @@ class StreamingStats:
         self.sketch = GKQuantileSketch(epsilon)
 
     def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.sketch.add(value)
+        self.add_many((float(value),))
 
     def add_many(self, values: Sequence[float]) -> None:
-        """:meth:`add` each of ``values`` (floats) in order: the same sum, the same sketch."""
+        """Add each of ``values`` (floats) in order; the sum runs in that order too."""
         total = self.total
         for value in values:
             total += value
@@ -307,13 +292,11 @@ class MetricsCollector:
     replays.  The default exact mode is bit-identical to the historical
     collector -- the snapshot gates depend on that.
 
-    Module times arrive once per decode-only iteration, so their path is
-    kept short: each module's store is bound once, by name, to an append.
-    Exact mode appends to the module's sample list.  Bounded mode appends to
-    a buffer of at most :data:`MODULE_BATCH` samples, which feeds the
-    module's sketch in one call when full and before any summary: in arrival
-    order, compressing at the same points and summing in the same order as
-    one insert per sample, so every mean and quantile is bit-identical.
+    Module times arrive once per decode-only iteration.  Bounded mode keeps
+    them in a buffer of at most :data:`MODULE_BATCH` samples per module,
+    which feeds the module's sketch in one call when full and before any
+    summary: in arrival order, so every mean and quantile is bit-identical
+    to one insert per sample.
 
     Preemptions are counted where they happen, by the units, and booked by
     the engine at run end (:meth:`observe_preemptions`), so a request
@@ -348,8 +331,6 @@ class MetricsCollector:
         self._module_stats: Dict[str, StreamingStats] = {}
         self._module_buffers: Dict[str, List[float]] = {}
         self._buffered = 0  # decode iterations in the bounded-mode buffers
-        # Per module name, the append its samples go to (see the class doc).
-        self._module_appends: Dict[str, Callable[[float], None]] = {}
         # Memoized summary: every observe_* invalidates, so repeated summary()
         # calls (CLI + figures + tests on one result) pay O(N) exactly once.
         self._cached_summary: Optional[SummaryStats] = None
@@ -416,30 +397,25 @@ class MetricsCollector:
     def observe_module_times(self, module_times: Dict[str, float]) -> None:
         """Record one decode iteration's per-module latencies."""
         self._cached_summary = None
-        appends = self._module_appends
-        for name, value in module_times.items():
-            append = appends.get(name)
-            if append is None:
-                append = self._bind_module(name)
-            append(float(value))
         if self.bounded_memory:
+            buffers = self._module_buffers
+            for name, value in module_times.items():
+                buffer = buffers.get(name)
+                if buffer is None:
+                    self._module_stats[name] = StreamingStats(self.quantile_epsilon)
+                    buffer = buffers[name] = []
+                buffer.append(float(value))
             self._buffered += 1
             if self._buffered >= MODULE_BATCH:
                 self._flush_modules()
+        else:
+            for name, value in module_times.items():
+                self.module_samples.setdefault(name, []).append(float(value))
 
     def observe_preemptions(self, count: int) -> None:
         """Book ``count`` preemptions, of requests finished or not."""
         self._cached_summary = None
         self._preemptions += count
-
-    def _bind_module(self, name: str) -> Callable[[float], None]:
-        if self.bounded_memory:
-            self._module_stats[name] = StreamingStats(self.quantile_epsilon)
-            samples = self._module_buffers[name] = []
-        else:
-            samples = self.module_samples.setdefault(name, [])
-        append = self._module_appends[name] = samples.append
-        return append
 
     def _flush_modules(self) -> None:
         """Feed every buffered module time to its module's sketch."""

@@ -10,7 +10,7 @@ continuous-batching core (:mod:`repro.sim.batching`), priced by a
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.kvcache.block_manager import PagedBlockManager
@@ -105,7 +105,7 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
         # The table reserves whole blocks, so it is only touched again when
         # the cached count reaches the end of the last one (see _append).
         self._table.allocate(request.request_id, -(-tokens // self.block_size) * self.block_size)
-        self._dirty.add(self._table)
+        self._dirty = True
 
     def _fits(self, request: Request) -> bool:
         return self._table.can_allocate(request.context_length)
@@ -124,12 +124,12 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
     def _append(self, request: Request) -> None:
         # A token that starts a block reserves all of it; the rest land in it.
         self._table.append(request.request_id, self.block_size)
-        self._dirty.add(self._table)
+        self._dirty = True
 
     def _release(self, request: Request) -> None:
         if self._table.has_sequence(request.request_id):
             self._table.free(request.request_id)
-            self._dirty.add(self._table)
+            self._dirty = True
 
     # -- admission ---------------------------------------------------------------------
 
@@ -201,11 +201,6 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
     def kv_utilization(self) -> Dict[str, float]:
         used = self._table.used_blocks
         return {dev: used / blocks if blocks else 0.0 for dev, blocks in self._device_blocks.items()}
-
-    def _samples(self, slots: Optional[Iterable[Hashable]]) -> Iterator[Tuple[str, str, float]]:
-        # One slot, the block table: every device's usage follows it.
-        for dev, util in self.kv_utilization().items():
-            yield "cache_usage", dev, util
 
     def available_kv_bytes(self) -> float:
         """Effective KV capacity: what the bottleneck device lets the unit host.

@@ -2,8 +2,8 @@
 
 After each iteration a unit writes its per-device series (``cache_usage``,
 and for Hetis ``heads``) through :meth:`ContinuousBatchingUnit.observe`, which
-reads only the series its KV hooks marked and writes a sample only when its
-value moved.  The oracle kept here is the observer it replaced: every key of
+reads the series only after a KV hook set the unit's ``_dirty`` flag and
+writes a sample only when its value moved.  The oracle kept here is the observer it replaced: every key of
 ``kv_utilization()`` (and ``head_counts()``) after every iteration.  Dropping a
 sample equal to its key's previous one must leave the series names, keys, last
 and max values and the de-duplicated samples exactly as the oracle wrote them;

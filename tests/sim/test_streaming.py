@@ -9,8 +9,8 @@ The load-bearing guarantees of the large-trace replay path:
   ``truncation_reason``), for both causes,
 * the bounded-memory collector's GK sketch tracks ``np.percentile`` within
   its documented rank-error bound across seeds,
-* batched sketch inserts (the collector's module-time buffer) give the same
-  tuples, means and quantiles as one insert per sample.
+* a stream split across sketch inserts (the collector's module-time buffer)
+  gives the same tuples, means and quantiles as one insert per sample.
 """
 
 import numpy as np
@@ -154,8 +154,9 @@ def test_gk_sketch_tracks_numpy_percentile_across_seeds():
 QUANTILES = (0.0, 0.05, 0.5, 0.9, 0.95, 0.99, 1.0)
 
 
-# Lengths on both sides of the sketch's compress interval (100 inserts at the
-# default epsilon) and of the collector's module-time buffer (MODULE_BATCH).
+# ``add`` inserts a stream one value per call; the collector's buffer splits it
+# wherever a flush falls.  Lengths on both sides of the sketch's compress
+# interval (100 inserts at the default epsilon) and of that buffer (MODULE_BATCH).
 @pytest.mark.parametrize("n", [1, 99, 100, 101, 199, 200, 255, 256, 257, 1031])
 def test_gk_batched_inserts_match_per_sample_inserts(n):
     rng = np.random.default_rng(n)
@@ -177,7 +178,7 @@ def test_gk_batched_inserts_match_per_sample_inserts(n):
 @pytest.mark.parametrize("n", [MODULE_BATCH - 1, MODULE_BATCH, MODULE_BATCH + 1, 3 * MODULE_BATCH + 41])
 @pytest.mark.parametrize("bounded", [False, True], ids=["exact", "bounded"])
 def test_module_times_match_one_insert_per_sample(n, bounded):
-    """Bound appends and buffered sketch inserts give every mean and quantile bit for bit."""
+    """Buffered sketch inserts give every mean and quantile bit for bit."""
     rng = np.random.default_rng(n)
     times = [{"mlp": float(a), "attention": float(b), "iteration": float(a + b)} for a, b in rng.lognormal(size=(n, 2))]
     collector = MetricsCollector(bounded_memory=bounded)
