@@ -26,7 +26,16 @@ comparison goes.  The solver runs only when the bounds leave the outcome
 open, and then exactly as it would without them, so every decision is the
 one the solver path takes.  For the imbalance check of one request whose
 whole cache fits every target, greedy's objective *is* f*, so greedy alone
-settles it.
+settles it.  The certificates live only behind :meth:`Dispatcher._local_certified`
+and :meth:`Dispatcher._certify_ideal`, so replacing those two with
+"undecided" gives the always-solve path.
+
+The certificates work in plain floats on the per-target lists the
+Dispatcher holds (bases, free capacities, idle flags, the batch's
+contexts): at a few targets and a few dozen requests, numpy's per-call
+overhead would cost more than the arithmetic.  A
+:class:`~repro.solvers.head_dispatch.HeadDispatchProblem` is built only
+when greedy or the LP runs.
 
 The Dispatcher reads each target's resident load, h_i and g_i, through the
 one :data:`TargetLoads` callable its owner supplies.  A Hetis unit supplies
@@ -42,8 +51,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.attention_parallel import HeadSplit
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import ModelSpec
@@ -52,7 +59,6 @@ from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     HeadDispatchSolution,
     objective_lower_bound,
-    objective_lower_bounds,
     solve_greedy,
     solve_lp,
 )
@@ -149,14 +155,13 @@ class Dispatcher:
         self.loads = loads
         # Everything below is a pure function of the frozen device models and
         # the managers' fixed sizes, so it is built once, not per call.
-        self._head_cost = np.array(
-            [t.device_model.head_coefficient(self.model) for t in self.targets]
-        )
-        self._cache_cost = np.array([t.device_model.cache_coefficient() for t in self.targets])
-        self._fixed_cost = np.array([t.device_model.fixed_cost() for t in self.targets])
+        self._head_cost = [t.device_model.head_coefficient(self.model) for t in self.targets]
+        self._cache_cost = [t.device_model.cache_coefficient() for t in self.targets]
+        self._fixed_cost = [t.device_model.fixed_cost() for t in self.targets]
         # The ideal problem (f*) re-dispatches everything onto empty targets.
-        self._ideal_base = np.array([t.device_model.attention_time(self.model, 0.0, 0.0) for t in self.targets])
-        self._ideal_capacity = np.array([t.total_token_heads_capacity for t in self.targets])
+        self._ideal_base = [t.device_model.attention_time(self.model, 0.0, 0.0) for t in self.targets]
+        self._ideal_capacity = [t.total_token_heads_capacity for t in self.targets]
+        self._all_usable = [True] * len(self.targets)
         # An idle target holds nothing, so its base is the ideal one: targets
         # of one kind are interchangeable to the locality certificate.
         kinds: Dict[Tuple[float, float, float, float], int] = {}
@@ -178,14 +183,14 @@ class Dispatcher:
     # -- problem construction ----------------------------------------------------------
 
     def _build_problem(
-        self, contexts: Sequence[int], base: np.ndarray, capacity: np.ndarray
+        self, contexts: Sequence[int], base: Sequence[float], capacity: Sequence[float]
     ) -> HeadDispatchProblem:
         return HeadDispatchProblem(
             head_cost=self._head_cost,
             cache_cost=self._cache_cost,
             base_cost=base,
             capacity=capacity,
-            contexts=np.asarray(contexts, dtype=float),
+            contexts=contexts,
             total_heads=self.model.num_heads,
             group_size=self.model.gqa_ratio,
         )
@@ -207,10 +212,12 @@ class Dispatcher:
             return DispatchDecision()
         contexts = [ctx for _, ctx in requests]
         heads, token_heads = self.loads()
-        idle = np.array(heads) == 0
-        base = np.array(self._attention_times(heads, token_heads))
-        capacity = np.array([t.free_token_heads for t in self.targets])
-        problem = self._build_problem(contexts, base, capacity)
+        idle = [h == 0 for h in heads]
+        base = self._attention_times(heads, token_heads)
+        capacity = [t.free_token_heads for t in self.targets]
+        demand = float(sum(contexts) * self.model.num_heads)
+        if demand > capacity[self._primary_index] + 1e-9:
+            return self._decision(requests, self._solve(self._build_problem(contexts, base, capacity)))
 
         # Light-load locality: the LP is linear and therefore blind to the fixed
         # activation cost (c_i + beta_i) of waking an idle Attention worker, so
@@ -218,28 +225,39 @@ class Dispatcher:
         # against the keep-everything-local allocation using an objective that
         # charges that activation cost, and prefer local when it is within
         # ``local_preference`` of the distributed optimum.
-        local = self._local_only_solution(problem)
-        if local is not None and self._local_certified(problem, idle, local):
-            solution = local
-        else:
-            solution = self._solve(problem)
-            if local is not None and (
-                not solution.feasible
-                or self._activation_corrected_objective(problem, local.allocation, idle)
-                <= self._activation_corrected_objective(problem, solution.allocation, idle)
-                * (1.0 + self.local_preference)
-            ):
-                solution = local
+        local_heads = [0.0] * len(self.targets)
+        local_token_heads = [0.0] * len(self.targets)
+        local_heads[self._primary_index] = float(len(contexts) * self.model.num_heads)
+        local_token_heads[self._primary_index] = demand
+        local, local_corrected = self._scored(base, idle, local_heads, local_token_heads)
+        if not self._local_certified(contexts, base, idle, local_corrected):
+            solution = self._solve(self._build_problem(contexts, base, capacity))
+            if solution.feasible:
+                rows = solution.allocation.tolist()
+                _, corrected = self._scored(
+                    base,
+                    idle,
+                    [sum(row) for row in rows],
+                    [sum(x * ctx for x, ctx in zip(row, contexts)) for row in rows],
+                )
+                if not local_corrected <= corrected * (1.0 + self.local_preference):
+                    return self._decision(requests, solution)
+        primary = self.primary.target_id
+        splits = {
+            req_id: HeadSplit(req_id, self.model.num_heads, self.model.gqa_ratio, {primary: self.model.num_heads})
+            for req_id, _ctx in requests
+        }
+        return DispatchDecision(splits=splits, objective=local, method="local", feasible=True)
 
+    def _decision(self, requests: Sequence[Tuple[int, int]], solution: HeadDispatchSolution) -> DispatchDecision:
+        """The decision placing ``requests`` as the solver's ``solution`` does."""
         if not solution.feasible:
             return DispatchDecision(method=solution.method, feasible=False, objective=float("inf"))
-
+        rows = solution.allocation.tolist()
         splits: Dict[int, HeadSplit] = {}
         for j, (req_id, _ctx) in enumerate(requests):
             allocation = {
-                self.targets[i].target_id: int(solution.allocation[i, j])
-                for i in range(len(self.targets))
-                if solution.allocation[i, j] > 0
+                target.target_id: int(row[j]) for target, row in zip(self.targets, rows) if row[j] > 0
             }
             splits[req_id] = HeadSplit(
                 request_id=req_id,
@@ -254,77 +272,81 @@ class Dispatcher:
             feasible=True,
         )
 
-    def _activation_corrected_objective(
-        self, problem: HeadDispatchProblem, allocation: np.ndarray, idle: np.ndarray
-    ) -> float:
-        """The min--max objective plus fixed activation costs for newly woken targets."""
-        loads = (
-            problem.base_cost
-            + problem.head_cost * allocation.sum(axis=1)
-            + problem.cache_cost * (allocation * problem.contexts[None, :]).sum(axis=1)
-        )
-        for i in np.flatnonzero(idle & (allocation.sum(axis=1) > 0)):
-            loads[i] += self._fixed_cost[i]
-        return float(loads.max())
+    def _scored(
+        self,
+        base: Sequence[float],
+        idle: Sequence[bool],
+        heads: Sequence[float],
+        token_heads: Sequence[float],
+    ) -> Tuple[float, float]:
+        """The min--max objective of an allocation, without and with activation cost.
+
+        The allocation places ``heads[i]`` query heads and ``token_heads[i]``
+        token-heads on target i; an idle target that gets heads also pays its
+        fixed cost.  Those two are sums of whole head and token counts, hence
+        exact, so each load is the one numpy's evaluation gives, bit for bit.
+        """
+        objective = corrected = -math.inf
+        for b, a, c, fixed, off, h, g in zip(
+            base, self._head_cost, self._cache_cost, self._fixed_cost, idle, heads, token_heads
+        ):
+            load = b + a * h + c * g
+            objective = max(objective, load)
+            corrected = max(corrected, load + fixed if off and h > 0 else load)
+        return objective, corrected
 
     def _local_certified(
-        self, problem: HeadDispatchProblem, idle: np.ndarray, local: HeadDispatchSolution
+        self, contexts: Sequence[int], base: Sequence[float], idle: Sequence[bool], local: float
     ) -> bool:
         """Whether a bound proves the local allocation wins without solving.
 
         Local wins when the solver finds nothing, or when its activation-
         corrected objective is within ``local_preference`` of the solver's.
-        :meth:`_corrected_lower_bound` bounds the corrected objective of every
-        allocation, the solver's included, from below.
+        ``local`` is the local allocation's corrected objective, and
+        :meth:`_corrected_lower_bound` bounds the corrected objective of
+        every allocation, the solver's included, from below.
         """
-        bound = self._corrected_lower_bound(problem, idle)
-        corrected_local = self._activation_corrected_objective(problem, local.allocation, idle)
-        return corrected_local * (1.0 + CERTIFICATE_SLACK) <= bound * (1.0 + self.local_preference)
+        bound = self._corrected_lower_bound(contexts, base, idle)
+        return local * (1.0 + CERTIFICATE_SLACK) <= bound * (1.0 + self.local_preference)
 
-    def _corrected_lower_bound(self, problem: HeadDispatchProblem, idle: np.ndarray) -> float:
+    def _corrected_lower_bound(
+        self, contexts: Sequence[int], base: Sequence[float], idle: Sequence[bool]
+    ) -> float:
         """A lower bound on the activation-corrected objective of any allocation.
 
         An allocation wakes some set W of the idle targets.  Those pay their
         fixed cost on top of their load; the other idle targets get no heads
-        and keep their base load.  :func:`objective_lower_bounds` over the
+        and keep their base load.  :func:`objective_lower_bound` over the
         busy targets plus W, with the fixed costs folded into W's bases, holds
         for every allocation that wakes exactly W, so the minimum over all W
         holds for any allocation.  Idle targets of one kind are
         interchangeable here, so only how many of each kind wake matters:
         four identical idle workers give 5 cases, not 16.
         """
-        busy = ~idle
         kinds: Dict[int, List[int]] = {}
-        for i in np.flatnonzero(idle):
-            kinds.setdefault(self._kind[i], []).append(int(i))
+        for i, off in enumerate(idle):
+            if off:
+                kinds.setdefault(self._kind[i], []).append(i)
         groups = list(kinds.values())
         if math.prod(len(g) + 1 for g in groups) > MAX_WAKE_CASES:
             return -math.inf
-        cases = []
+        busy = [not off for off in idle]
+        lowest = math.inf
         for counts in product(*(range(len(g) + 1) for g in groups)):
-            woken = np.zeros(len(idle), dtype=bool)
+            usable = list(busy)
+            case_base = list(base)
             for group, count in zip(groups, counts):
-                woken[group[:count]] = True
-            if woken.any() or busy.any():
-                cases.append(woken)
-        woken_by_case = np.array(cases)
-        base = problem.base_cost + woken_by_case * self._fixed_cost
-        return float(objective_lower_bounds(problem, base, woken_by_case | busy).min())
-
-    def _local_only_solution(self, problem: HeadDispatchProblem) -> Optional[HeadDispatchSolution]:
-        """Allocation that keeps every new request entirely on the Primary."""
-        primary_idx = self._primary_index
-        demand = float(np.sum(problem.contexts) * problem.total_heads)
-        if demand > problem.capacity[primary_idx] + 1e-9:
-            return None
-        allocation = np.zeros((problem.n_devices, problem.n_requests))
-        allocation[primary_idx, :] = problem.total_heads
-        return HeadDispatchSolution(
-            allocation=allocation,
-            objective=problem.objective(allocation),
-            method="local",
-            feasible=True,
-        )
+                for i in group[:count]:
+                    usable[i] = True
+                    case_base[i] = base[i] + self._fixed_cost[i]
+            if any(usable):
+                lowest = min(
+                    lowest,
+                    objective_lower_bound(
+                        self._head_cost, self._cache_cost, case_base, usable, contexts, self.model.num_heads
+                    ),
+                )
+        return lowest
 
     # -- re-dispatching support -----------------------------------------------------------------
 
@@ -337,7 +359,7 @@ class Dispatcher:
         re-dispatched from scratch, subject only to total cluster capacity."""
         if not all_requests:
             return 0.0
-        return self._solve_ideal(self._ideal_problem(all_requests))
+        return self._solve_ideal(self._ideal_problem([ctx for _, ctx in all_requests]))
 
     def check_ideal(
         self, all_requests: Sequence[Tuple[int, int]], current: float, theta: float
@@ -349,15 +371,15 @@ class Dispatcher:
         """
         if not all_requests:
             return IdealCheck(over=False, ideal=0.0)
-        problem = self._ideal_problem(all_requests)
-        certified = self._certify_ideal(problem, current, theta)
+        contexts = [ctx for _, ctx in all_requests]
+        certified = self._certify_ideal(contexts, self._ideal_base, self._ideal_capacity, current, theta)
         if certified is not None:
             return certified
-        ideal = self._solve_ideal(problem)
+        ideal = self._solve_ideal(self._ideal_problem(contexts))
         return IdealCheck(over=not (ideal <= 0 or current <= ideal * (1.0 + theta)), ideal=ideal)
 
-    def _ideal_problem(self, all_requests: Sequence[Tuple[int, int]]) -> HeadDispatchProblem:
-        return self._build_problem([ctx for _, ctx in all_requests], self._ideal_base, self._ideal_capacity)
+    def _ideal_problem(self, contexts: Sequence[int]) -> HeadDispatchProblem:
+        return self._build_problem(contexts, self._ideal_base, self._ideal_capacity)
 
     def _solve_ideal(self, problem: HeadDispatchProblem) -> float:
         solution = self._solve(problem)
@@ -366,14 +388,21 @@ class Dispatcher:
         return solution.objective
 
     def _certify_ideal(
-        self, problem: HeadDispatchProblem, current: float, theta: float
+        self,
+        contexts: Sequence[int],
+        base: Sequence[float],
+        capacity: Sequence[float],
+        current: float,
+        theta: float,
     ) -> Optional[IdealCheck]:
         """Settle ``current > f* * (1 + theta)`` from bounds on f*, or None.
 
-        f* is at least :func:`objective_lower_bound`.  It is at most the
-        greedy objective whenever greedy finds a placement: ``solve_lp`` keeps
-        the better of its rounded LP and greedy, and falls back to greedy when
-        the LP fails.
+        f* is the optimum over ``contexts`` on targets with loads ``base``
+        and free token-heads ``capacity``.  It is at least
+        :func:`objective_lower_bound`.  It is at most the greedy objective
+        whenever greedy finds a placement: ``solve_lp`` keeps the better of
+        its rounded LP and greedy, and falls back to greedy when the LP fails.
+        The bound is plain arithmetic; a problem is built only for greedy.
 
         For one request whose whole cache (H x l token-heads) fits every
         target, greedy's objective is f* itself, so greedy alone settles both
@@ -385,14 +414,16 @@ class Dispatcher:
         LP rounding's 1e-6 admits an allocation greedy rejected; the rounded
         LP can undercut greedy only by rounding, which the slack dwarfs.
         """
-        single = problem.n_requests == 1 and problem.total_heads * problem.contexts[0] <= problem.capacity.min()
+        single = len(contexts) == 1 and self.model.num_heads * contexts[0] <= min(capacity)
         if not single:
-            lower = objective_lower_bound(problem)
+            lower = objective_lower_bound(
+                self._head_cost, self._cache_cost, base, self._all_usable, contexts, self.model.num_heads
+            )
             if current * (1.0 + CERTIFICATE_SLACK) <= lower * (1.0 + theta):
                 return IdealCheck(over=False, ideal=lower, exact=False)
             if lower <= 0:
                 return None  # f* may be 0, which the trigger counts as balanced
-        greedy = solve_greedy(problem)
+        greedy = solve_greedy(self._build_problem(contexts, base, capacity))
         if not greedy.feasible or greedy.objective <= 0:
             return None  # for one request greedy's objective is f*, and 0 counts as balanced
         if current > greedy.objective * (1.0 + theta) * (1.0 + CERTIFICATE_SLACK):

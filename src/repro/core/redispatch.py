@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.attention_parallel import HeadSplit
 from repro.core.dispatcher import Dispatcher
@@ -80,9 +80,9 @@ class RedispatchPolicy:
         victim = self._pick_compute_victim(bottleneck.target_id, splits, contexts)
         if victim is None:
             return RedispatchDecision(RedispatchAction.NONE, reason="no movable request")
-        new_split = self._redispatch_request(victim, splits[victim], contexts[victim])
+        new_split, reason = self._redispatch_request(victim, splits[victim], contexts[victim])
         if new_split is None:
-            return RedispatchDecision(RedispatchAction.NONE, reason="re-dispatch infeasible")
+            return RedispatchDecision(RedispatchAction.NONE, reason=reason)
         return RedispatchDecision(
             RedispatchAction.REDISPATCH,
             request_id=victim,
@@ -106,20 +106,22 @@ class RedispatchPolicy:
 
     def _redispatch_request(
         self, request_id: int, old_split: HeadSplit, context: int
-    ) -> Optional[HeadSplit]:
+    ) -> Tuple[Optional[HeadSplit], str]:
         """Compute a fresh allocation for one request against current state.
 
         The dispatcher state still contains the request's existing placement,
         so we conservatively dispatch against free capacity only; the Hauler
         later reconciles old vs. new placement and frees the difference.
+        Returns the new split, or None with why there is nothing to move:
+        the dispatcher found no placement, or it chose the current one.
         """
         decision = self.dispatcher.dispatch_single(request_id, context)
         if not decision.feasible or request_id not in decision.splits:
-            return None
+            return None, "re-dispatch infeasible"
         new_split = decision.splits[request_id]
         if new_split.allocation == old_split.allocation:
-            return None
-        return new_split
+            return None, "placement unchanged"
+        return new_split, ""
 
     # -- cache balance (Sec. 5.3.2) ----------------------------------------------------------
 
@@ -158,12 +160,12 @@ class RedispatchPolicy:
                 request_id=victim,
                 reason="no cluster-wide cache capacity remaining",
             )
-        new_split = self._redispatch_request(victim, splits[victim], contexts[victim])
+        new_split, reason = self._redispatch_request(victim, splits[victim], contexts[victim])
         if new_split is None:
             return RedispatchDecision(
                 RedispatchAction.PREEMPT,
                 request_id=victim,
-                reason="re-dispatch infeasible despite free capacity",
+                reason=f"{reason} despite free capacity",
             )
         return RedispatchDecision(
             RedispatchAction.REDISPATCH,

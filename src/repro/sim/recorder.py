@@ -66,13 +66,19 @@ class TimeSeriesRecorder:
             raise ValueError("time must be >= 0")
         time = float(time)
         value = float(value)
-        data = self.samples.setdefault(series, {}).setdefault(key, [])
+        by_key = self.samples.get(series)
+        if by_key is None:
+            by_key = self.samples[series] = {}
+        data = by_key.get(key)
+        if data is None:
+            data = by_key[key] = []
         data.append((time, value))
         cache_key = (series, key)
         prev = self._max.get(cache_key)
         if prev is None or value > prev:
             self._max[cache_key] = value
-        self._arrays.pop(cache_key, None)
+        if self._arrays:
+            self._arrays.pop(cache_key, None)
         cap = self.max_samples_per_key
         if cap is not None and len(data) > cap:
             # Thin to every other point, always keeping the newest sample.

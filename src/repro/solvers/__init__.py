@@ -21,7 +21,6 @@ from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     HeadDispatchSolution,
     objective_lower_bound,
-    objective_lower_bounds,
     solve_lp,
     solve_greedy,
     round_to_groups,
@@ -31,7 +30,6 @@ __all__ = [
     "HeadDispatchProblem",
     "HeadDispatchSolution",
     "objective_lower_bound",
-    "objective_lower_bounds",
     "solve_lp",
     "solve_greedy",
     "round_to_groups",

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -126,54 +128,92 @@ class HeadDispatchSolution:
     lp_objective: Optional[float] = None
 
 
-def objective_lower_bound(problem: HeadDispatchProblem) -> float:
+def objective_lower_bound(
+    head_cost: Sequence[float],
+    cache_cost: Sequence[float],
+    base_cost: Sequence[float],
+    usable: Sequence[bool],
+    contexts: Sequence[float],
+    total_heads: int,
+) -> float:
     """A lower bound on the min--max objective of every allocation, without solving.
 
-    For weights ``mu_i >= 0`` summing to one, any ``x >= 0`` with
-    ``sum_i x_ij = H`` satisfies
+    The per-target sequences hold each target's ``head_i``, ``cache_i`` and
+    ``base_i`` and whether it may take heads (at least one may);
+    ``contexts`` holds ``l_j``.
+    For weights ``mu_i >= 0`` summing to one over the usable targets, any
+    ``x >= 0`` with ``sum_i x_ij = H`` that places heads only on usable
+    targets satisfies
 
         max_i f_i(x) >= sum_i mu_i f_i(x)
                      >= sum_i mu_i base_i + H * sum_j min_i mu_i (head_i + cache_i l_j)
 
-    and ``max_i base_i`` bounds it too.  Capacity and group integrality only
+    and ``max_i base_i`` over all targets bounds it too, since a target
+    given no heads keeps its base load.  Capacity and group integrality only
     shrink the feasible set, so the result bounds the LP optimum, the rounded
     LP objective and the greedy objective alike.  The weights tried are
     ``mu_i ~ 1 / (head_i + cache_i l)`` for a few representative contexts
     ``l`` (every context when there are at most four, else the mean, min and
     max); for one request under slack capacity the bound equals the LP
     optimum.
+
+    Plain-float arithmetic, which at dispatch sizes (a few targets, a few
+    dozen requests) beats numpy's per-call overhead several times over.
+    Usable targets with equal head and cache costs get equal weights, so
+    the inner min is over one line ``mu_k (head_k + cache_k l)`` per kind
+    of target, and its sum over the sorted contexts is taken segment by
+    segment of the lines' lower envelope.  The result agrees with a
+    per-context evaluation of the formula to within a few ulps.
     """
-    usable = np.ones((1, problem.n_devices), dtype=bool)
-    return float(objective_lower_bounds(problem, problem.base_cost[None, :], usable)[0])
+    bound = max(base_cost)
+    n = len(contexts)
+    reps = contexts if n <= 4 else (sum(contexts) / n, min(contexts), max(contexts))
+    kinds: Dict[Tuple[float, float], List[float]] = {}
+    for a, c, b, u in zip(head_cost, cache_cost, base_cost, usable):
+        if u:
+            kinds.setdefault((a, c), []).append(b)
+    counts = [len(bases) for bases in kinds.values()]
+    base_sums = [sum(bases) for bases in kinds.values()]
+    ordered = sorted(contexts)
+    prefix = list(accumulate(ordered, initial=0))
+    value = -math.inf
+    for l in reps:
+        per_head = [a + c * l for a, c in kinds]
+        if not all(p > 0 for p in per_head):
+            return bound  # no such weights
+        inverse = [1.0 / p for p in per_head]
+        total = sum(v * k for v, k in zip(inverse, counts))
+        weighted_base = sum(v * b for v, b in zip(inverse, base_sums)) / total
+        lines = [(v / total * a, v / total * c) for v, (a, c) in zip(inverse, kinds)]
+        value = max(value, weighted_base + total_heads * _envelope_sum(lines, ordered, prefix))
+    return max(bound, value)
 
 
-def objective_lower_bounds(
-    problem: HeadDispatchProblem, base_cost: np.ndarray, usable: np.ndarray
-) -> np.ndarray:
-    """:func:`objective_lower_bound` for several variants of ``problem`` at once.
-
-    Row ``k`` of the (variants x devices) arrays replaces the bases with
-    ``base_cost[k]`` and bounds only the allocations that place heads on
-    ``usable[k]`` devices; the other devices keep their base load.  Every row
-    needs at least one usable device.
-    """
-    contexts = problem.contexts
-    if contexts.shape[0] <= 4:
-        reps = contexts
-    else:
-        reps = np.array([contexts.mean(), contexts.min(), contexts.max()])
-    bound = base_cost.max(axis=1)
-    per_head = problem.head_cost[None, :] + problem.cache_cost[None, :] * reps[:, None]
-    if not np.all(per_head > 0):
-        return bound
-    # weights: (variants, reps, devices), zero on unusable devices.
-    weights = usable[:, None, :] / per_head[None, :, :]
-    weights /= weights.sum(axis=2, keepdims=True)
-    unit = problem.head_cost[:, None] + problem.cache_cost[:, None] * contexts[None, :]
-    weighted = np.where(usable[:, None, :, None], weights[..., None] * unit, np.inf)
-    spread = weighted.min(axis=2).sum(axis=2)
-    value = (weights * base_cost[:, None, :]).sum(axis=2) + problem.total_heads * spread
-    return np.maximum(bound, value.max(axis=1))
+def _envelope_sum(lines: List[Tuple[float, float]], ordered: List[float], prefix: List[float]) -> float:
+    """``sum_l min_k (A_k + C_k l)`` over the ascending ``ordered``, where
+    ``prefix[m]`` is the sum of its first ``m`` entries."""
+    hull: List[Tuple[float, float]] = []
+    starts: List[float] = []  # where each hull line but the first becomes the lowest
+    for A, C in sorted(lines, key=lambda line: (-line[1], line[0])):
+        if hull and hull[-1][1] == C:
+            continue  # parallel to a lower line
+        while hull:
+            A0, C0 = hull[-1]
+            x = (A - A0) / (C0 - C)
+            if len(hull) > 1 and x <= starts[-1]:
+                hull.pop()  # undercut before it ever was the lowest
+                starts.pop()
+                continue
+            starts.append(x)
+            break
+        hull.append((A, C))
+    total, lo = 0.0, 0
+    for (A, C), x in zip(hull, starts + [math.inf]):
+        hi = bisect_left(ordered, x)
+        if hi > lo:
+            total += (hi - lo) * A + C * (prefix[hi] - prefix[lo])
+            lo = hi
+    return total
 
 
 class EpigraphLP(NamedTuple):

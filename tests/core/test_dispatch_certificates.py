@@ -23,7 +23,7 @@ from repro.core.redispatch import RedispatchPolicy
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import get_model_spec
 from repro.perf.attention_model import AttentionTimeModel, DeviceAttentionModel, TransferTimeModel
-from repro.solvers.head_dispatch import HeadDispatchProblem, objective_lower_bound, solve_greedy, solve_lp
+from repro.solvers.head_dispatch import objective_lower_bound, solve_greedy, solve_lp
 
 from tests.core.test_dispatcher import make_dispatcher
 
@@ -113,7 +113,14 @@ def near_threshold_state(model, rng, profiling_error):
         if len(splits) < 2:
             continue
         dispatcher = make_dispatcher(model, targets)
-        lower = objective_lower_bound(dispatcher._ideal_problem(list(contexts.items())))
+        lower = objective_lower_bound(
+            dispatcher._head_cost,
+            dispatcher._cache_cost,
+            dispatcher._ideal_base,
+            dispatcher._all_usable,
+            list(contexts.values()),
+            model.num_heads,
+        )
         if 1.3 <= max(dispatcher.attention_times()) / lower <= 1.85:
             return targets, splits, contexts
     raise AssertionError("no near-threshold state in 200 draws")
@@ -195,6 +202,75 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
     assert outcomes["infeasible"] > 0
 
 
+@pytest.mark.parametrize("solver", ["lp", "greedy"])
+def test_undecided_reaches_every_solve(monkeypatch, solver):
+    """Under :func:`undecided`, every check and every batch that fits the Primary solves.
+
+    The parity tests compare the certified path against this one, so a
+    shortcut anywhere but behind ``_local_certified`` and ``_certify_ideal``
+    would stay on in both and go unchecked.
+    """
+    undecided(monkeypatch)
+    solved = []
+    reached = Counter()
+    real_solve, real_solve_ideal = Dispatcher._solve, Dispatcher._solve_ideal
+    real_check, real_dispatch = Dispatcher.check_ideal, Dispatcher.dispatch_new
+
+    def solve(self, problem):
+        solved.append("solve")
+        return real_solve(self, problem)
+
+    def solve_ideal(self, problem):
+        solved.append("ideal")
+        return real_solve_ideal(self, problem)
+
+    def check_ideal(self, all_requests, current, theta):
+        solved.clear()
+        check = real_check(self, all_requests, current, theta)
+        if all_requests:
+            assert "ideal" in solved
+            reached["check"] += 1
+        return check
+
+    def dispatch_new(self, requests):
+        demand = sum(ctx for _, ctx in requests) * self.model.num_heads
+        fits = bool(requests) and demand <= self.primary.free_token_heads + 1e-9
+        solved.clear()
+        decision = real_dispatch(self, requests)
+        if fits:
+            assert "solve" in solved
+            reached["dispatch"] += 1
+        return decision
+
+    for name, patched in (
+        ("_solve", solve),
+        ("_solve_ideal", solve_ideal),
+        ("check_ideal", check_ideal),
+        ("dispatch_new", dispatch_new),
+    ):
+        monkeypatch.setattr(Dispatcher, name, patched)
+
+    model = get_model_spec("llama-13b")
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        targets, splits, contexts = random_state(model, rng, 0.0)
+        dispatcher = make_dispatcher(model, targets, solver=solver)
+        dispatcher.dispatch_new([(100 + j, int(rng.integers(50, 4_000))) for j in range(int(rng.integers(1, 4)))])
+        for theta in THETAS:
+            RedispatchPolicy(model, dispatcher, theta=theta).check_compute_balance(splits, contexts)
+    spec = DeploymentSpec().with_overrides(
+        {
+            "workload.num_requests": 24,
+            "workload.seed": 3,
+            "workload.dataset": "longbench",
+            "workload.request_rate": 4.0,
+            "system.options.solver": solver,
+        }
+    )
+    run(spec)
+    assert reached["check"] > 0 and reached["dispatch"] > 0
+
+
 # Checks near the trigger's threshold, as a multiplier of f* (1 + theta):
 # exactly on it, within a hair of it, and well clear of it.
 POSITIONS = st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6]) | st.floats(0.5, 2.5)
@@ -220,20 +296,14 @@ def test_single_request_certificate_is_exact(model_name, solver, profiling_error
     dispatcher = make_dispatcher(model, random_targets(model, rng, profiling_error), solver=solver)
     n = len(dispatcher.targets)
     context = int(rng.integers(16, 16_000))
-    problem = HeadDispatchProblem(
-        head_cost=dispatcher._head_cost,
-        cache_cost=dispatcher._cache_cost,
-        base_cost=rng.uniform(0.0, 5e-3, n) if rng.random() < 0.7 else np.zeros(n),
-        capacity=model.num_heads * context * rng.uniform(1.0, 4.0, n),
-        contexts=[context],
-        total_heads=model.num_heads,
-        group_size=model.gqa_ratio,
-    )
+    base = (rng.uniform(0.0, 5e-3, n) if rng.random() < 0.7 else np.zeros(n)).tolist()
+    capacity = (model.num_heads * context * rng.uniform(1.0, 4.0, n)).tolist()
+    problem = dispatcher._build_problem([context], base, capacity)
     assert solve_lp(problem).objective >= solve_greedy(problem).objective * (1 - 1e-12)
 
     ideal = dispatcher._solve_ideal(problem)
     current = ideal * (1 + theta) * position
-    check = dispatcher._certify_ideal(problem, current, theta)
+    check = dispatcher._certify_ideal([context], base, capacity, current, theta)
     assert check is not None or abs(position - 1) < 1e-8
     assert check is None or check.over == (current > ideal * (1 + theta))
 
@@ -278,9 +348,9 @@ def test_replay_is_bit_identical_to_reference(monkeypatch, options, single_reque
     single_within = []
     real_ideal = Dispatcher._certify_ideal
 
-    def count_single(self, problem, current, theta):
-        check = real_ideal(self, problem, current, theta)
-        if problem.n_requests == 1 and check is not None and not check.over:
+    def count_single(self, contexts, base, capacity, current, theta):
+        check = real_ideal(self, contexts, base, capacity, current, theta)
+        if len(contexts) == 1 and check is not None and not check.over:
             single_within.append(current)
         return check
 

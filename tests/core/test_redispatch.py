@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.attention_parallel import HeadSplit
+from repro.core.dispatcher import DispatchDecision
 from repro.core.redispatch import RedispatchAction, RedispatchPolicy
 from repro.models.spec import get_model_spec
 
@@ -116,3 +117,35 @@ class TestCacheBalance:
         decision = policy.handle_cache_exhaustion(0, splits, {1: 500_000}, [1])
         assert decision.action == RedispatchAction.PREEMPT
         assert decision.request_id == 1
+
+
+class TestRedispatchReasons:
+    """Why a triggered re-dispatch moved nothing: no placement, or the current one."""
+
+    def test_current_placement_is_unchanged_not_infeasible(self, llama70b):
+        # The trigger's f* spreads the request over equally fast workers, but
+        # waking one costs beta = 1 s, so the dispatcher keeps it local.
+        policy, targets, dispatcher = make_policy(llama70b, worker_speed=1.0, transfer_beta=1.0)
+        splits = place(targets, llama70b, {1: ({-1: 64}, 30_000)})
+        contexts = {1: 30_000}
+        current = max(dispatcher.attention_times())
+        assert dispatcher.check_ideal(list(contexts.items()), current, policy.theta).over
+        decision = policy.check_compute_balance(splits, contexts)
+        assert decision.action == RedispatchAction.NONE
+        assert decision.reason == "placement unchanged"
+
+    def test_no_placement_is_infeasible(self, llama70b, monkeypatch):
+        policy, targets, dispatcher = make_policy(
+            llama70b, worker_speed=5.0, transfer_beta=1e-6, worker_capacity=60e9
+        )
+        splits = place(targets, llama70b, {1: ({0: 64}, 20_000), 2: ({0: 64}, 15_000)})
+        contexts = {1: 20_000, 2: 15_000}
+        monkeypatch.setattr(
+            dispatcher, "dispatch_single", lambda *_: DispatchDecision(feasible=False, objective=float("inf"))
+        )
+        decision = policy.check_compute_balance(splits, contexts)
+        assert decision.action == RedispatchAction.NONE
+        assert decision.reason == "re-dispatch infeasible"
+        decision = policy.handle_cache_exhaustion(0, splits, contexts, [1, 2])
+        assert decision.action == RedispatchAction.PREEMPT
+        assert decision.reason == "re-dispatch infeasible despite free capacity"

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
+    _envelope_sum,
     objective_lower_bound,
-    objective_lower_bounds,
     round_to_groups,
     solve_greedy,
     solve_lp,
@@ -219,19 +221,62 @@ def water_level(problem):
     return hi
 
 
+def numpy_lower_bounds(problem, base_cost, usable):
+    """The oracle: the bound's array formula, one row per variant of ``problem``.
+
+    Row ``k`` of the (variants x devices) arrays replaces the bases with
+    ``base_cost[k]`` and bounds only the allocations that place heads on
+    ``usable[k]`` devices.
+    """
+    contexts = problem.contexts
+    if contexts.shape[0] <= 4:
+        reps = contexts
+    else:
+        reps = np.array([contexts.mean(), contexts.min(), contexts.max()])
+    bound = base_cost.max(axis=1)
+    per_head = problem.head_cost[None, :] + problem.cache_cost[None, :] * reps[:, None]
+    if not np.all(per_head > 0):
+        return bound
+    weights = usable[:, None, :] / per_head[None, :, :]
+    weights /= weights.sum(axis=2, keepdims=True)
+    unit = problem.head_cost[:, None] + problem.cache_cost[:, None] * contexts[None, :]
+    weighted = np.where(usable[:, None, :, None], weights[..., None] * unit, np.inf)
+    spread = weighted.min(axis=2).sum(axis=2)
+    value = (weights * base_cost[:, None, :]).sum(axis=2) + problem.total_heads * spread
+    return np.maximum(bound, value.max(axis=1))
+
+
+def lower_bound(problem, base_cost=None, usable=None):
+    """:func:`objective_lower_bound` of ``problem``, with its bases and every
+    device usable unless given."""
+    base_cost = problem.base_cost if base_cost is None else base_cost
+    usable = np.ones(problem.n_devices, dtype=bool) if usable is None else usable
+    return objective_lower_bound(
+        problem.head_cost.tolist(),
+        problem.cache_cost.tolist(),
+        base_cost.tolist(),
+        usable.tolist(),
+        problem.contexts.tolist(),
+        problem.total_heads,
+    )
+
+
 # HiGHS's reported LP optimum matches the exact water level of the one-request
 # problems to ~2e-16, and no bound of the random problems exceeds it; 1e-9
 # leaves room for simplex round-off only.  Integral objectives are evaluated
 # exactly.
 HIGHS_RTOL = 1e-9
 EXACT_RTOL = 1e-12
+# The plain-float bound and the array oracle evaluate one formula, differing
+# only in summation order; 1e-12 allows a few thousand ulps.
+ORACLE_RTOL = 1e-12
 
 
 class TestObjectiveLowerBound:
     @pytest.mark.parametrize("seed", range(60))
     def test_never_exceeds_any_solver_objective(self, seed):
         p = random_problem(seed)
-        bound = objective_lower_bound(p)
+        bound = lower_bound(p)
         lp = solve_lp(p)
         greedy = solve_greedy(p)
         if lp.lp_objective is not None:
@@ -254,21 +299,21 @@ class TestObjectiveLowerBound:
     @pytest.mark.parametrize("seed", range(30))
     def test_equals_lp_optimum_for_one_request_under_slack_capacity(self, seed):
         p = random_problem(seed, n_requests=1, slack=True)
-        bound = objective_lower_bound(p)
+        bound = lower_bound(p)
         assert bound == pytest.approx(water_level(p), rel=EXACT_RTOL)
         assert bound == pytest.approx(solve_lp(p).lp_objective, rel=HIGHS_RTOL)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_batched_rows_bound_their_restricted_problems(self, seed):
-        """Row k bounds allocations that use only usable[k] devices, with the
-        other devices idling at their row-k base."""
+        """A bound with usable[k] devices bounds allocations that use only
+        those, with the other devices idling at their row-k base."""
         p = random_problem(seed, slack=True)
         rng = np.random.default_rng(1000 + seed)
         usable = rng.random((4, p.n_devices)) < 0.6
         usable[np.arange(4), rng.integers(0, p.n_devices, 4)] = True
         bases = p.base_cost + rng.uniform(0.0, 2e-3, (4, p.n_devices))
-        bounds = objective_lower_bounds(p, bases, usable)
         for k in range(4):
+            bound = lower_bound(p, bases[k], usable[k])
             keep = usable[k]
             sub = HeadDispatchProblem(
                 head_cost=p.head_cost[keep],
@@ -281,5 +326,50 @@ class TestObjectiveLowerBound:
             )
             optimum = solve_lp(sub).lp_objective
             idle_base = float(bases[k][~keep].max()) if (~keep).any() else 0.0
-            assert bounds[k] <= max(optimum, idle_base) * (1 + HIGHS_RTOL)
-            assert bounds[k] == pytest.approx(max(objective_lower_bound(sub), idle_base), rel=EXACT_RTOL)
+            assert bound <= max(optimum, idle_base) * (1 + HIGHS_RTOL)
+            assert bound == pytest.approx(max(lower_bound(sub), idle_base), rel=EXACT_RTOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_requests=st.integers(1, 40),  # both the every-context and the mean/min/max branch
+        n_kinds=st.integers(1, 3),
+        group_size=st.sampled_from([1, 8]),
+    )
+    def test_matches_array_oracle(self, seed, n_requests, n_kinds, group_size):
+        """The plain-float bound equals the array formula on problems with
+        1-3 kinds of identical device, nonzero bases and unusable devices."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 4, n_kinds)
+        head_cost = np.repeat(rng.uniform(1e-6, 5e-5, n_kinds), counts)
+        cache_cost = np.repeat(rng.uniform(1e-10, 5e-9, n_kinds), counts)
+        n_dev = head_cost.shape[0]
+        p = HeadDispatchProblem(
+            head_cost=head_cost,
+            cache_cost=cache_cost,
+            base_cost=rng.uniform(0.0, 5e-3, n_dev),
+            capacity=np.full(n_dev, 1e12),
+            contexts=rng.integers(16, 60_000, n_requests).astype(float),
+            total_heads=group_size * int(rng.integers(1, 9)),
+            group_size=group_size,
+        )
+        usable = rng.random(n_dev) < 0.6
+        usable[rng.integers(0, n_dev)] = True
+        oracle = numpy_lower_bounds(p, p.base_cost[None, :], usable[None, :])[0]
+        assert lower_bound(p, usable=usable) == pytest.approx(oracle, rel=ORACLE_RTOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-4, 2e-4, 5e-4, 1e-3])), min_size=1, max_size=4
+        ),
+        contexts=st.lists(st.integers(1, 5_000), min_size=1, max_size=40),
+    )
+    def test_envelope_sum_is_the_pointwise_min(self, lines, contexts):
+        """Parallel lines, lines that are never the lowest and ties included."""
+        ordered = sorted(contexts)
+        prefix = [0]
+        for l in ordered:
+            prefix.append(prefix[-1] + l)
+        pointwise = sum(min(a + c * l for a, c in lines) for l in ordered)
+        assert _envelope_sum(lines, ordered, prefix) == pytest.approx(pointwise, rel=ORACLE_RTOL, abs=1e-300)
