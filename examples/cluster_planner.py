@@ -9,12 +9,10 @@ proved dominated -- with the full serving simulator scoring each candidate.
 
 By default it runs the checked-in ``examples/configs/planner_slo.toml`` study;
 point ``--config`` at your own ``[planner]``/``[deployment]`` file to plan a
-different fleet.  ``--layout`` keeps the old behaviour of this example: run
-the single-deployment Parallelizer and print the Primary/Attention role
-assignment for one described cluster.
+different fleet.  For the Parallelizer's Primary/Attention layout of one
+cluster, run ``python -m repro plan --model M --gpus ...``.
 
 Run:  python examples/cluster_planner.py --jobs 4
-      python examples/cluster_planner.py --layout --gpus a100:2 rtx3090:4 --model llama-13b
 """
 
 import argparse
@@ -74,45 +72,6 @@ def run_fleet_plan(args: argparse.Namespace) -> None:
         print(f"  wrote runnable deployment config to {args.save}")
 
 
-def run_layout_plan(args: argparse.Namespace) -> None:
-    """The pre-planner behaviour: one cluster through the Parallelizer."""
-    from repro.core.parallelizer import Parallelizer, WorkloadHint
-    from repro.hardware.cluster import ClusterBuilder
-    from repro.models.spec import get_model_spec
-
-    builder = ClusterBuilder()
-    for host_spec in args.gpus:
-        name, _, count = host_spec.partition(":")
-        builder.add_host(name, count=int(count or "1"))
-    cluster = builder.build()
-    model = get_model_spec(args.model)
-    hint = WorkloadHint(
-        avg_prompt_tokens=args.avg_prompt,
-        avg_context_tokens=args.avg_context,
-        expected_concurrency=args.concurrency,
-    )
-
-    print(f"Planning {model.name} on {cluster!r} (delta={args.delta}) ...")
-    plan = Parallelizer(cluster, model, hint=hint, delta=args.delta).plan()
-    print(f"  search took {plan.search_seconds:.2f}s over {plan.configs_evaluated} candidate configurations\n")
-
-    for idx, instance in enumerate(plan.config.instances):
-        print(f"Serving instance {idx}:")
-        for stage_idx, stage in enumerate(instance.stages):
-            devices = ", ".join(d.name for d in stage.devices)
-            print(f"  stage {stage_idx}: {stage.num_layers:3d} layers, TP={stage.tp_degree}  [{devices}]")
-        workers = ", ".join(d.name for d in instance.attention_workers) or "(none)"
-        print(f"  attention workers: {workers}")
-        kv_gb = instance.total_kv_capacity_bytes(model) / 1e9
-        print(f"  KV-cache capacity after weights: {kv_gb:.0f} GB\n")
-
-    print(
-        f"Primary workers: {len(plan.primary_devices)}; "
-        f"Attention workers: {len(plan.attention_workers)}; "
-        f"estimated dense-computation cost: {plan.cost:.4f} s/iteration"
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -122,25 +81,7 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1, help="candidate evaluation processes")
     parser.add_argument("--cache", default=None, help="result-cache directory")
     parser.add_argument("--save", default=None, help="write the chosen plan here (.json)")
-    parser.add_argument(
-        "--layout", action="store_true",
-        help="instead: run the Parallelizer on --gpus and print the stage layout",
-    )
-    parser.add_argument(
-        "--gpus", nargs="+", default=["a100:4", "rtx3090:2", "rtx3090:2", "p100:4"],
-        help="(--layout) one entry per host, e.g. a100:4 rtx3090:2",
-    )
-    parser.add_argument("--model", default="llama-70b")
-    parser.add_argument("--avg-prompt", type=int, default=512)
-    parser.add_argument("--avg-context", type=int, default=1024)
-    parser.add_argument("--concurrency", type=int, default=64)
-    parser.add_argument("--delta", type=float, default=0.05, help="(--layout) pruning threshold")
-    args = parser.parse_args()
-
-    if args.layout:
-        run_layout_plan(args)
-    else:
-        run_fleet_plan(args)
+    run_fleet_plan(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -11,13 +11,14 @@ produce the cache-capacity penalty the paper highlights (Fig. 1a / Fig. 11).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUDevice
 from repro.models.spec import ModelSpec
 from repro.parallel.config import InstanceParallelConfig, StageConfig
 from repro.parallel.partitioner import partition_layers_balanced
+from repro.parallel.placement import stage_groups
 from repro.sim.engine import ServingSystem
 from repro.sim.iteration import Iteration, IterationOutcome
 from repro.sim.recorder import TimeSeriesRecorder
@@ -67,12 +68,7 @@ def _build_prefill_config(devices: List[GPUDevice], model: ModelSpec) -> Instanc
 
 def _build_decode_config(devices: List[GPUDevice], model: ModelSpec) -> InstanceParallelConfig:
     """Decode instance: one homogeneous TP stage per (host, type) group."""
-    groups: Dict[Tuple[int, str], List[GPUDevice]] = {}
-    for dev in devices:
-        groups.setdefault((dev.host_id, dev.spec.name), []).append(dev)
-    stage_devices = sorted(
-        groups.values(), key=lambda ds: (-ds[0].spec.matmul_flops, ds[0].host_id)
-    )
+    stage_devices = stage_groups(devices)
     speeds = [sum(d.spec.mem_bandwidth for d in devs) for devs in stage_devices]
     layers = partition_layers_balanced(model.num_layers, speeds)
     stages = [

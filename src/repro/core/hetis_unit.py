@@ -468,7 +468,8 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         duration also carries the blocking time of re-dispatches applied since
         the last iteration was planned; the module metrics do not.
         """
-        dense, mlp, _ = self.pipeline.iteration(chunks, len(decode_requests))
+        prefill = [(c.new_tokens, c.cached_tokens) for c in chunks]
+        dense, mlp, _ = self.pipeline.iteration(prefill, len(decode_requests))
         decode_attn = self._decode_attention_time(decode_requests)
         duration = dense + decode_attn
         penalty, self._pending_penalty = self._pending_penalty, 0.0

@@ -15,8 +15,14 @@ The search follows the paper's hierarchical process (Fig. 4):
    ``1 + delta`` (default 5 %).  Removed devices become Attention workers.
 4. **Intra-stage TP x PP search.**  For each unified stage, all factorizations
    of its device count into (tensor-parallel, pipeline-parallel) degrees are
-   evaluated with the full cost model (computation + communication), and the
-   cheapest is kept.
+   evaluated, and the cheapest is kept.  A candidate is priced by the call
+   the execution units are charged through,
+   :meth:`~repro.perf.pipeline_cost.PipelineCost.iteration` over its stages:
+   a prefill of the hint's typical prompt, and a decode step of the
+   instance's expected concurrency with decode Attention on the Primary
+   shards.  Both durations cover the dense modules, TP all-reduces,
+   Attention, the LM head and stage hand-offs, and the cost weighs them by
+   ``PREFILL_WEIGHT``.  A plan's cost is that of its slowest instance.
 
 The result is a :class:`~repro.parallel.config.ClusterParallelConfig` whose
 instances carry both Primary workers and the pooled Attention workers.
@@ -30,13 +36,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUDevice
-from repro.models.flops import BatchProfile
 from repro.models.spec import ModelSpec
 from repro.parallel.config import ClusterParallelConfig, InstanceParallelConfig, StageConfig
 from repro.parallel.partitioner import partition_layers_balanced
 from repro.parallel.placement import feasible_instance_counts, group_devices_evenly
 from repro.perf.commcost import CommModel
+from repro.perf.pipeline_cost import PipelineCost
 from repro.perf.roofline import RooflineExecutor
+
+#: Weight of the prefill iteration in a layout's cost; the decode step takes the rest.
+PREFILL_WEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,22 +60,12 @@ class WorkloadHint:
     avg_prompt_tokens: int = 512
     avg_context_tokens: int = 1024
     expected_concurrency: int = 64
-    prefill_weight: float = 0.5
 
     def __post_init__(self) -> None:
         if self.avg_prompt_tokens <= 0 or self.avg_context_tokens <= 0:
             raise ValueError("token counts must be positive")
         if self.expected_concurrency <= 0:
             raise ValueError("expected_concurrency must be positive")
-        if not 0.0 <= self.prefill_weight <= 1.0:
-            raise ValueError("prefill_weight must be in [0, 1]")
-
-    def prefill_batch(self) -> BatchProfile:
-        return BatchProfile.prefill_only([self.avg_prompt_tokens])
-
-    def decode_batch(self, concurrency: int | None = None) -> BatchProfile:
-        n = concurrency or self.expected_concurrency
-        return BatchProfile.decode_only([self.avg_context_tokens] * n)
 
     def kv_demand_bytes(self, model: ModelSpec) -> float:
         """KV bytes needed to host the expected concurrent contexts."""
@@ -211,8 +210,7 @@ class Parallelizer:
         config = InstanceParallelConfig(stages=stages, attention_workers=pruned)
         if not config.fits_in_memory(self.model):
             return None
-        cost = self._config_cost(config, per_instance_concurrency)
-        return config, cost
+        return config, self._stages_cost(config.stages, per_instance_concurrency)
 
     # -- cost models -------------------------------------------------------------------------
 
@@ -288,42 +286,13 @@ class Parallelizer:
             stages.extend(best_layout)
         return stages or None
 
-    def _stages_cost(self, stages: Sequence[StageConfig], concurrency: int) -> float:
-        """Weighted prefill + decode dense cost of a candidate stage layout."""
-        prefill = self._pipeline_time(stages, self.hint.prefill_batch())
-        decode = self._pipeline_time(stages, self.hint.decode_batch(concurrency))
-        w = self.hint.prefill_weight
-        return w * prefill + (1.0 - w) * decode
-
-    def _config_cost(self, config: InstanceParallelConfig, concurrency: int) -> float:
-        return self._stages_cost(config.stages, concurrency)
-
-    def _pipeline_time(self, stages: Sequence[StageConfig], batch: BatchProfile) -> float:
-        """Dense + prefill-attention pipeline traversal time for a batch."""
-        tokens = batch.total_tokens
-        total = 0.0
-        for stage in stages:
-            per_layer = 0.0
-            for dev, frac in zip(stage.devices, stage.fractions()):
-                heads = max(self.model.gqa_ratio, int(round(self.model.num_heads * frac)))
-                dense = self.executor.cost_model.dense_cost(batch).scaled(frac)
-                attn = self.executor.cost_model.prefill_attention_batch_cost(batch, heads)
-                dec = self.executor.cost_model.decode_attention_batch_cost(
-                    batch.decode_contexts, [heads] * len(batch.decode_contexts)
-                )
-                dev_time = (
-                    self.executor.module_time(dense, dev.spec, tokens)
-                    + self.executor.attention_module_time(attn, dev.spec)
-                    + self.executor.attention_module_time(dec, dev.spec)
-                )
-                per_layer = max(per_layer, dev_time)
-            comm = 0.0
-            if stage.tp_degree > 1:
-                comm = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
-            total += stage.num_layers * (per_layer + comm)
-        for prev, nxt in zip(stages[:-1], stages[1:]):
-            total += self.comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
-        return total
+    def _stages_cost(self, stages: List[StageConfig], concurrency: int) -> float:
+        """Weighted prefill and decode iteration durations of a stage layout, as the units pay them."""
+        pipeline = PipelineCost(InstanceParallelConfig(stages=stages), self.executor, self.comm)
+        hint = self.hint
+        prefill, _, _ = pipeline.iteration([(hint.avg_prompt_tokens, 0)], 0)
+        decode, _, _ = pipeline.iteration([], concurrency, concurrency * hint.avg_context_tokens)
+        return PREFILL_WEIGHT * prefill + (1.0 - PREFILL_WEIGHT) * decode
 
 
 def _factorizations(n: int) -> List[Tuple[int, int]]:

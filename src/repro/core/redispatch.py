@@ -136,8 +136,10 @@ class RedispatchPolicy:
 
         Victim selection is the paper's modified LIFO: among requests that
         actually hold cache on the exhausted device, pick the one admitted
-        most recently.  If the cluster still has aggregate capacity the victim
-        is re-dispatched; otherwise it is preempted.
+        most recently.  If the cluster's free cache can hold all of the
+        victim's heads at its context the victim is re-dispatched; otherwise
+        it is preempted.  The victim's own blocks do not count as free: a
+        re-dispatch places it before its old placement is released.
         """
         candidates = [
             rid
@@ -149,12 +151,8 @@ class RedispatchPolicy:
         victim = candidates[-1]
 
         total_free = sum(t.free_token_heads for t in self.dispatcher.targets)
-        # Freeing the victim's placement returns its token-heads to the pool.
-        victim_token_heads = sum(
-            heads * contexts.get(victim, 0) for heads in splits[victim].allocation.values()
-        )
         demand = self.model.num_heads * contexts.get(victim, 0)
-        if total_free + victim_token_heads < demand:
+        if total_free < demand:
             return RedispatchDecision(
                 RedispatchAction.PREEMPT,
                 request_id=victim,

@@ -45,11 +45,11 @@ def run_table1(
     the roofline model; the ratios are relative to the first device.
     """
     executor = RooflineExecutor(get_model_spec("opt-2.7b"))
-    prefill_batch = BatchProfile.prefill_only([prompt_tokens] * num_prefill)
-    decode_batch = BatchProfile.decode_only([decode_context_tokens] * num_decode)
+    prefill_profile = BatchProfile.prefill_only([prompt_tokens] * num_prefill)
+    decode_profile = BatchProfile.decode_only([decode_context_tokens] * num_decode)
     specs = [get_gpu_spec(name) for name in devices]
-    prefill = [executor.full_model_time(spec, prefill_batch) for spec in specs]
-    decode = [executor.full_model_time(spec, decode_batch) for spec in specs]
+    prefill = [executor.full_model_time(spec, prefill_profile) for spec in specs]
+    decode = [executor.full_model_time(spec, decode_profile) for spec in specs]
     return [
         Table1Row(
             device=name,

@@ -154,12 +154,13 @@ class LayerCostModel:
         self.decode_flops_per_head_token = 4.0 * model.head_dim + 1.0
         self.decode_vector_pair_bytes = 2.0 * model.head_dim * model.dtype_bytes
         # Dense-module costs depend only on (num_tokens, tp_degree).  The
-        # Parallelizer's layout search prices a few token counts for many
-        # candidate layouts, so it mostly hits this memo (140 of 156 lookups
-        # when building a Hetis deployment of llama-13b on the paper cluster).
-        # The simulation loop prices from per-token constants instead (see
-        # repro.perf.pipeline_cost).  ModuleCost is frozen, so sharing the
-        # returned objects is safe.
+        # Parallelizer's layout search builds a PipelineCost per candidate
+        # layout, and each derives its per-token constants from the dense,
+        # MLP and LM-head costs at one token, so the search mostly hits this
+        # memo (85 of 90 lookups when building a Hetis deployment of
+        # llama-13b on the paper cluster).  The simulation loop prices from
+        # those constants (see repro.perf.pipeline_cost).  ModuleCost is
+        # frozen, so sharing the returned objects is safe.
         self._cost_memo: dict = {}
 
     def _memoized(self, kind: str, compute, num_tokens: int, tp_degree: int) -> ModuleCost:

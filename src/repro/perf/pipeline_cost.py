@@ -1,8 +1,9 @@
 """Compiled iteration cost of one execution unit's stage pipeline.
 
 Both execution units push every iteration through a pipeline of (possibly
-asymmetric) tensor-parallel stages.  The iteration's cost splits into two kinds
-of terms:
+asymmetric) tensor-parallel stages, and the Parallelizer scores candidate
+layouts with the same :meth:`PipelineCost.iteration`.  The iteration's cost
+splits into two kinds of terms:
 
 * terms that depend only on how many tokens the iteration carries: each
   stage's dense (QKV, projection, MLP) and MLP module times, its TP
@@ -44,7 +45,7 @@ every request on every iteration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.interconnect import Link
@@ -52,9 +53,6 @@ from repro.models.flops import ModuleCost
 from repro.parallel.config import InstanceParallelConfig
 from repro.perf.commcost import CommModel, hidden_state_bytes
 from repro.perf.roofline import RooflineExecutor
-
-if TYPE_CHECKING:
-    from repro.sim.scheduler import PrefillChunk
 
 
 class Shard(NamedTuple):
@@ -198,26 +196,27 @@ class PipelineCost:
     # -- iterations ----------------------------------------------------------------------
 
     def iteration(
-        self, chunks: Sequence["PrefillChunk"], num_decode: int, decode_context: int | None = None
+        self, chunks: Sequence[Tuple[int, int]], num_decode: int, decode_context: int | None = None
     ) -> Tuple[float, float, float]:
         """Duration, MLP and Attention module latency of one pass through the pipeline.
 
-        Each stage's Attention covers the prefill ``chunks`` and, unless
-        ``decode_context`` is ``None``, decode Attention over ``num_decode``
-        requests holding ``decode_context`` cached tokens in all, every shard
-        running its share of every request's heads.  ``None`` leaves decode
-        Attention to the caller (Hetis dispatches it head-wise).  The module
-        latencies follow the paper's definition: the largest per-stage time
-        times the number of stages, reflecting pipeline bubbles.
+        Each stage's Attention covers the prefill ``chunks``, given as
+        ``(new_tokens, cached_tokens)`` pairs, and, unless ``decode_context``
+        is ``None``, decode Attention over ``num_decode`` requests holding
+        ``decode_context`` cached tokens in all, every shard running its share
+        of every request's heads.  ``None`` leaves decode Attention to the
+        caller (Hetis dispatches it head-wise).  The module latencies follow
+        the paper's definition: the largest per-stage time times the number of
+        stages, reflecting pipeline bubbles.
         """
         tokens = num_decode
-        for chunk in chunks:
-            tokens += chunk.new_tokens
+        for new_tokens, _ in chunks:
+            tokens += new_tokens
         terms = self._terms.get(tokens)
         if terms is None:
             terms = self._terms[tokens] = self._compile(tokens)
         stage_terms, mlp, lm_head, handoff = terms
-        prefill = self.cost_model.prefill_chunk_terms([(c.new_tokens, c.cached_tokens) for c in chunks]) if chunks else ()
+        prefill = self.cost_model.prefill_chunk_terms(chunks) if chunks else ()
         decode = decode_context is not None and num_decode > 0
         totals = []
         max_attention = 0.0

@@ -193,7 +193,8 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
         share of every request's heads.
         """
         context = sum(group_context for _, group_context, _ in self._decode_groups())
-        duration, mlp, attention = self.pipeline.iteration(chunks, len(decode_requests), context)
+        prefill = [(c.new_tokens, c.cached_tokens) for c in chunks]
+        duration, mlp, attention = self.pipeline.iteration(prefill, len(decode_requests), context)
         return duration, {"mlp": mlp, "attention": attention, "iteration": duration}
 
     # -- introspection ---------------------------------------------------------------------------

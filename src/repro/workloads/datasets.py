@@ -136,9 +136,6 @@ DATASETS.register(
     aliases=("lb",),
 )
 
-#: The paper's two-letter figure abbreviations.
-DATASET_ALIASES = {"sg": "sharegpt", "he": "humaneval", "lb": "longbench"}
-
 
 def get_dataset_spec(name: str) -> DatasetSpec:
     """Look up a dataset by name or by the paper's two-letter alias."""

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.parallelizer import Parallelizer, WorkloadHint
+from repro.api import build_cluster
+from repro.core.parallelizer import PREFILL_WEIGHT, Parallelizer, WorkloadHint
+from repro.core.system import build_hetis_system
 from repro.hardware.cluster import ClusterBuilder, paper_cluster
 from repro.models.spec import get_model_spec
 
@@ -18,13 +20,6 @@ class TestWorkloadHint:
             WorkloadHint(avg_prompt_tokens=0)
         with pytest.raises(ValueError):
             WorkloadHint(expected_concurrency=0)
-        with pytest.raises(ValueError):
-            WorkloadHint(prefill_weight=1.5)
-
-    def test_batches(self, hint):
-        assert hint.prefill_batch().prefill_tokens == 400
-        assert hint.decode_batch().decode_tokens == 64
-        assert hint.decode_batch(8).decode_tokens == 8
 
     def test_kv_demand(self, hint):
         model = get_model_spec("llama-13b")
@@ -101,3 +96,17 @@ class TestFeasibility:
             paper_cluster(), get_model_spec("llama-13b"), WorkloadHint(), max_instances=1
         ).plan()
         assert plan.num_instances == 1
+
+
+class TestCostSurface:
+    @pytest.mark.parametrize("cluster_kind, model_name", [("paper", "llama-13b"), ("a100:4", "opt-2.7b")])
+    def test_plan_cost_is_what_the_units_are_charged(self, hint, cluster_kind, model_name):
+        """The plan's cost prices the hint's prefill and decode step through each unit's own pipeline."""
+        system = build_hetis_system(build_cluster(cluster_kind), get_model_spec(model_name), hint=hint)
+        concurrency = max(1, hint.expected_concurrency // system.plan.num_instances)
+        charged = []
+        for unit in system.units:
+            prefill, _, _ = unit.pipeline.iteration([(hint.avg_prompt_tokens, 0)], 0)
+            decode, _, _ = unit.pipeline.iteration([], concurrency, concurrency * hint.avg_context_tokens)
+            charged.append(PREFILL_WEIGHT * prefill + (1.0 - PREFILL_WEIGHT) * decode)
+        assert system.plan.cost == max(charged)

@@ -109,14 +109,26 @@ class TestCacheBalance:
         # Modified LIFO: the most recently admitted request on the device.
         assert decision.request_id == 2
 
-    def test_preempt_when_no_capacity_anywhere(self, llama70b):
-        policy, targets, _ = make_policy(
+    def test_preempt_when_no_capacity_anywhere(self, llama70b, monkeypatch):
+        # Both workers are full and the Primary is half full, so the free
+        # space is half the victim's demand.  The victim's own blocks do not
+        # count: a re-dispatch places it before releasing them.
+        policy, targets, dispatcher = make_policy(
             llama70b, worker_capacity=1e8, primary_capacity=1e8
         )
-        splits = place(targets, llama70b, {1: ({0: 64}, 100)})
-        decision = policy.handle_cache_exhaustion(0, splits, {1: 500_000}, [1])
+        manager = targets[0].manager
+        ctx = manager.total_blocks // (llama70b.num_heads // llama70b.gqa_ratio) * manager.block_size
+        contexts = {1: ctx // 2, 2: ctx, 3: ctx}
+        splits = place(
+            targets, llama70b, {1: ({-1: 64}, ctx // 2), 2: ({1: 64}, ctx), 3: ({0: 64}, ctx)}
+        )
+        demand = llama70b.num_heads * ctx
+        assert 0 < sum(t.free_token_heads for t in targets) < demand
+        monkeypatch.setattr(dispatcher, "dispatch_single", lambda *_: pytest.fail("dispatched without room"))
+        decision = policy.handle_cache_exhaustion(0, splits, contexts, [1, 2, 3])
         assert decision.action == RedispatchAction.PREEMPT
-        assert decision.request_id == 1
+        assert decision.request_id == 3
+        assert decision.reason == "no cluster-wide cache capacity remaining"
 
 
 class TestRedispatchReasons:

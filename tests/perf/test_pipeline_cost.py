@@ -14,7 +14,7 @@ inexact), asymmetric fractions on a model with an ungated MLP and a TP ring
 across hosts, and GQA shards whose head counts are not multiples of r.
 """
 
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 import pytest
@@ -34,13 +34,6 @@ from repro.sim.scheduler import SchedulerLimits
 # Scaling a per-token coefficient by the token count is exact while the
 # product stays below 2**53; twice the default iteration cap, 8,448 tokens.
 EXACT_TOKENS = 16_384
-
-
-class Chunk(NamedTuple):
-    """The two fields of a prefill chunk that pricing reads."""
-
-    new_tokens: int
-    cached_tokens: int
 
 
 def built(system: str, cluster: str, dataset: str = "sharegpt", rate: float = 2.0) -> Tuple[PipelineCost, SchedulerLimits]:
@@ -123,17 +116,16 @@ def reference_decode_attention(executor: RooflineExecutor, spec, head_context: i
 
 def reference_iteration(pipeline, executor, comm, chunks, num_decode, decode_context):
     """``PipelineCost.iteration`` with every term through the call chain."""
-    tokens = num_decode + sum(c.new_tokens for c in chunks)
+    tokens = num_decode + sum(new_tokens for new_tokens, _ in chunks)
     stage_terms, mlp, lm_head, handoff = reference_terms(pipeline, executor, comm, tokens)
-    prefill = [(c.new_tokens, c.cached_tokens) for c in chunks]
     totals = []
     max_attention = 0.0
     for (layers, dense, comm_t), shards in zip(stage_terms, pipeline.shards):
         attention = 0.0
         for shard in shards:
             t = 0.0
-            if prefill:
-                cost = executor.cost_model.prefill_chunks_cost(prefill, shard.heads)
+            if chunks:
+                cost = executor.cost_model.prefill_chunks_cost(chunks, shard.heads)
                 t = executor.attention_module_time(cost, shard.spec)
             if decode_context is not None and num_decode > 0:
                 t += reference_decode_attention(
@@ -180,7 +172,7 @@ def test_iterations_match_the_call_chain(layout):
     rng = np.random.default_rng(7)
     for _ in range(200):
         chunks = [
-            Chunk(int(rng.integers(1, 2048)), int(rng.integers(0, 4096)) * int(rng.integers(0, 2)))
+            (int(rng.integers(1, 2048)), int(rng.integers(0, 4096)) * int(rng.integers(0, 2)))
             for _ in range(int(rng.integers(0, 4)))
         ]
         num_decode = int(rng.integers(0, 256))
