@@ -4,8 +4,11 @@
 Used to verify that engine/performance refactors do not change simulation
 outputs: run once before the change, once after, and diff the JSON files.
 ``check_snapshot.sh`` runs this same file against the base revision's ``src``
-tree and the working tree's, so it builds each scenario as an
-``api.run(DeploymentSpec(...))`` from spec fields both sides accept.
+tree and the working tree's, so it builds each scenario with
+``api.build(DeploymentSpec(...))`` from spec fields both sides accept and runs
+it with ``.run()``.  For a Hetis scenario it also records the Eq. (3)/(4)
+coefficients the Dispatcher was built with, per dispatch target, so a fit
+that moves shows up even when no dispatch decision does.
 
     PYTHONPATH=src python scripts/metrics_snapshot.py out.json
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.api import run
+from repro.api import build
 from repro.config import ClusterSpec, DeploymentSpec, SystemSpec, WorkloadSpec
 
 SCENARIOS = [
@@ -44,7 +47,7 @@ SCENARIOS = [
 def snapshot() -> dict:
     out = {}
     for system, model, dataset, rate, n, chunk, *cluster in SCENARIOS:
-        result = run(
+        prepared = build(
             DeploymentSpec(
                 model=model,
                 system=SystemSpec(name=system, prefill_chunk_tokens=chunk),
@@ -52,6 +55,7 @@ def snapshot() -> dict:
                 workload=WorkloadSpec(dataset=dataset, request_rate=rate, num_requests=n, seed=0),
             )
         )
+        result = prepared.run()
         s = result.summary
         records = sorted(result.metrics.records, key=lambda r: r.request_id)
         key = f"{system}/{model}/{dataset}/r{rate:g}/n{n}" + (f"/chunk{chunk}" if chunk else "")
@@ -73,6 +77,24 @@ def snapshot() -> dict:
                 str(r.request_id): r.normalized_latency for r in records
             },
         }
+        if system == "hetis":
+            out[key]["device_models"] = device_models(prepared.system)
+    return out
+
+
+def device_models(system) -> dict:
+    """Per dispatch target of every instance, the fitted ``a, b, c, gamma, beta``."""
+    out = {}
+    for unit in system.units:
+        for target in unit.dispatcher.targets:
+            compute, transfer = target.device_model.compute, target.device_model.transfer
+            out[target.name] = {
+                "a": compute.a,
+                "b": compute.b,
+                "c": compute.c,
+                "gamma": transfer.gamma,
+                "beta": transfer.beta,
+            }
     return out
 
 
