@@ -111,6 +111,10 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self._device_host: Dict[int, int] = {PRIMARY_TARGET_ID: self._primary_front.host_id}
         for w in config.attention_workers:
             self._device_host[w.device_id] = w.host_id
+        # Each Attention worker's decode-Attention slot (see _slot_sums) and device.
+        self._worker_slots: Dict[int, Tuple[int, GPUDevice]] = {
+            w.device_id: (slot, w) for slot, w in enumerate(config.attention_workers, len(self.pipeline.fractions))
+        }
 
         # Decode Attention is priced per slot: one per distinct Primary shard
         # fraction, then one per Attention worker.  Decoding requests are
@@ -161,17 +165,19 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
     # ------------------------------------------------------------------ profiling --
 
     def _fit_device_models(self, profiling_error: float) -> Dict[int, DeviceAttentionModel]:
-        """Fit the linear Attention/transfer models per dispatch target.
+        """Fit Eq. (3) and Eq. (4) per dispatch target: the Dispatcher's only profiler.
 
-        The fit grid mirrors the Profiler (a small grid of head counts and
-        cache sizes); ``profiling_error`` perturbs the fitted coefficients for
-        the robustness experiment (Fig. 16b).
+        Every target is measured through :meth:`attention_time` on a 6 x 6
+        grid of head counts and cache sizes, and every Attention worker's link
+        through :meth:`transfer_time` on the same head counts.
+        ``profiling_error`` perturbs the fitted coefficients for the
+        robustness experiment (Fig. 16b).
         """
         heads_grid = np.linspace(self.model.gqa_ratio, self.model.num_heads * 12, 6).astype(int)
         ctx_grid = np.linspace(128, 4096, 6).astype(int)
         models: Dict[int, DeviceAttentionModel] = {}
 
-        def fit(target_id: int, time_of) -> AttentionTimeModel:
+        def fit(target_id: int) -> AttentionTimeModel:
             hs, gs, ts = [], [], []
             for h in heads_grid:
                 for ctx in ctx_grid:
@@ -180,38 +186,51 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
                     per_req = max(self.model.gqa_ratio, int(h) // n_req)
                     hs.append(float(n_req * per_req))
                     gs.append(float(n_req * per_req * int(ctx)))
-                    shares = self._head_shares({target_id: per_req})
-                    ts.append(time_of(self._slot_sums([(shares, n_req * int(ctx), n_req)])))
+                    ts.append(self.attention_time(target_id, n_req, per_req, int(ctx)))
             return fit_linear_attention_model(hs, gs, ts)
 
         models[PRIMARY_TARGET_ID] = DeviceAttentionModel(
             device_id=PRIMARY_TARGET_ID,
             device_name=f"{self.name}/primary",
-            compute=fit(PRIMARY_TARGET_ID, self.pipeline.primary_decode_attention_time),
+            compute=fit(PRIMARY_TARGET_ID),
             transfer=LOCAL_TRANSFER,
             is_remote=False,
         )
-        for slot, worker in enumerate(self.config.attention_workers, len(self.pipeline.fractions)):
-            compute = fit(worker.device_id, lambda sums, w=worker, i=slot: self._worker_attention_time(w, *sums[i]))
+        for worker in self.config.attention_workers:
+            compute = fit(worker.device_id)
             # The transfer model is expressed over the *total* per-iteration byte
             # volume, but the underlying traffic is one scatter/gather per layer,
             # so the fitted beta absorbs `num_layers` point-to-point latencies --
             # this fixed cost is what makes premature offloading unattractive
             # under light load (the delayed ramp-up in Fig. 14).
             sizes = [attention_transfer_bytes(self.model, float(h), per_layer=False) for h in heads_grid]
-            times = [self._transfer_time(worker, int(h)) for h in heads_grid]
-            transfer = fit_linear_transfer_model(sizes, times)
-            dev_model = DeviceAttentionModel(
+            times = [self.transfer_time(worker.device_id, int(h)) for h in heads_grid]
+            models[worker.device_id] = DeviceAttentionModel(
                 device_id=worker.device_id,
                 device_name=worker.name,
                 compute=compute,
-                transfer=transfer,
+                transfer=fit_linear_transfer_model(sizes, times),
                 is_remote=True,
             )
-            models[worker.device_id] = dev_model
         if profiling_error > 0:
             models = {k: m.with_error(profiling_error, self._rng) for k, m in models.items()}
         return models
+
+    def attention_time(self, target_id: int, num_requests: int, heads: int, context: int) -> float:
+        """Decode Attention time per iteration of ``num_requests`` requests on ``target_id``.
+
+        Each request holds ``heads`` query heads there at ``context`` tokens.
+        The time is priced like a decode iteration's (:meth:`_decode_attention_time`).
+        """
+        key = ((target_id, heads),)
+        shares = self._head_shares_memo.get(key)
+        if shares is None:
+            shares = self._head_shares_memo[key] = self._head_shares(dict(key))
+        sums = self._slot_sums([(shares, num_requests * context, num_requests)])
+        if target_id == PRIMARY_TARGET_ID:
+            return self.pipeline.primary_decode_attention_time(sums)
+        slot, worker = self._worker_slots[target_id]
+        return self._worker_attention_time(worker, *sums[slot])
 
     # --------------------------------------------------------------- ground truth --
 
@@ -247,13 +266,15 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         """Decode Attention time per iteration for heads offloaded to ``worker``."""
         return self.pipeline.decode_attention_time(worker.spec, head_context, group_context, heads) * self.model.num_layers
 
-    def _transfer_time(self, worker: GPUDevice, heads: int) -> float:
-        """One per-head scatter/gather per layer for ``heads`` heads offloaded to ``worker``."""
-        key = (worker.device_id, heads)
+    def transfer_time(self, target_id: int, heads: int) -> float:
+        """One per-head scatter/gather per layer for ``heads`` heads offloaded to worker ``target_id``."""
+        key = (target_id, heads)
         transfer = self._worker_transfer_cache.get(key)
         if transfer is None:
             transfer = self._worker_transfer_cache[key] = self.model.num_layers * self.cluster.p2p_time(
-                attention_transfer_bytes(self.model, float(heads), per_layer=True), self._primary_front, worker
+                attention_transfer_bytes(self.model, float(heads), per_layer=True),
+                self._primary_front,
+                self._worker_slots[target_id][1],
             )
         return transfer
 
@@ -495,7 +516,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         for worker, (head_context, group_context, heads) in zip(self.config.attention_workers, sums[len(fractions):]):
             if heads:
                 compute = self._worker_attention_time(worker, head_context, group_context, heads)
-                times.append(compute + self._transfer_time(worker, heads))
+                times.append(compute + self.transfer_time(worker.device_id, heads))
         return max(times)
 
     # ------------------------------------------------------------------ introspection --

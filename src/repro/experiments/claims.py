@@ -251,8 +251,9 @@ def _profiling_error_sensitivity() -> Data:
 
 
 def _modeling_accuracy() -> Data:
-    """Sec. 7.4: held-out accuracy of the profiled compute and transfer models (24 points each)."""
-    result = run_modeling_accuracy()
+    """Sec. 7.4: held-out accuracy of the Dispatcher's compute and transfer models
+    in each model's paper-cluster Hetis deployment (24 points per target)."""
+    result = run_modeling_accuracy(MODELS)
     data: Data = {f"compute_{device}": acc for device, acc in result.compute_accuracy.items()}
     data.update({f"transfer_{link}": acc for link, acc in result.transfer_accuracy.items()})
     data["min_compute"] = result.min_compute

@@ -1,4 +1,4 @@
-"""Performance models: device rooflines, communication costs, and the Profiler.
+"""Performance models: device rooflines, communication costs, and the linear dispatch models.
 
 The package layers three models:
 
@@ -11,10 +11,12 @@ The package layers three models:
    communication patterns of distributed serving (hidden-state hand-off
    between pipeline stages, tensor-parallel all-reduce, head-wise Q/K/V and
    partial-output exchange of dynamic Attention parallelism, KV migration).
-3. :mod:`repro.perf.attention_model` / :mod:`repro.perf.profiler` -- the
-   *paper's* lightweight linear models (Eq. 3 and Eq. 4), fitted by the
-   Profiler from a handful of roofline measurements, which is exactly how the
-   real Hetis profiles a handful of configurations on real hardware.
+3. :mod:`repro.perf.attention_model` -- the *paper's* lightweight linear
+   models (Eq. 3 and Eq. 4).  Each Hetis instance fits them per dispatch
+   target from a handful of its own pricing measurements
+   (:meth:`~repro.core.hetis_unit.HetisInstanceUnit._fit_device_models`),
+   which is how the real Hetis profiles a handful of configurations on real
+   hardware.
 
 :mod:`repro.perf.pipeline_cost` compiles the first two into the iteration
 cost of one execution unit's stage pipeline, the simulator's hot path.
@@ -23,7 +25,6 @@ cost of one execution unit's stage pipeline, the simulator's hot path.
 from repro.perf.roofline import RooflineExecutor, ModuleTiming, IterationTiming
 from repro.perf.commcost import CommModel, attention_transfer_bytes, hidden_state_bytes
 from repro.perf.attention_model import AttentionTimeModel, TransferTimeModel, DeviceAttentionModel
-from repro.perf.profiler import Profiler, ProfileReport
 
 __all__ = [
     "RooflineExecutor",
@@ -35,6 +36,4 @@ __all__ = [
     "AttentionTimeModel",
     "TransferTimeModel",
     "DeviceAttentionModel",
-    "Profiler",
-    "ProfileReport",
 ]

@@ -9,10 +9,11 @@ Eq. (4):  rho_i(t) = gamma_i * d_i(t) + beta_i
     ``d_i(t) = (2 + 2/r) * h_i(t)`` head-vectors of traffic.
 
 These models are deliberately simple -- they are what allows the online
-Dispatcher to solve a linear program per batch of arrivals.  They are fitted
-per device by the :class:`~repro.perf.profiler.Profiler` and can be perturbed
-(``with_error``) to reproduce the paper's profiling-error robustness study
-(Fig. 16b).
+Dispatcher to solve a linear program per batch of arrivals.  Each Hetis
+instance fits them per dispatch target
+(:meth:`~repro.core.hetis_unit.HetisInstanceUnit._fit_device_models`), and
+they can be perturbed (``with_error``) to reproduce the paper's
+profiling-error robustness study (Fig. 16b).
 """
 
 from __future__ import annotations

@@ -61,8 +61,9 @@ class RooflineExecutor:
 
     The executor is *stateless* with respect to requests -- it answers
     "how long would this much work take on this device" -- and is used both as
-    the ground truth inside the discrete-event simulator and as the target the
-    Profiler fits its linear models against.
+    the ground truth inside the discrete-event simulator and, through the
+    Hetis units' pricing, as the target their linear dispatch models are fitted
+    against.
     """
 
     # Dense batches at or below this many tokens are treated as launch/bandwidth

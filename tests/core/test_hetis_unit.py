@@ -49,6 +49,17 @@ class TestConstruction:
         for target in unit.dispatcher.targets[1:]:
             assert target.device_model.is_remote
 
+    def test_slower_device_has_larger_cache_coefficient(self):
+        unit, _, _ = make_unit()
+        primary, *workers = unit.dispatcher.targets
+        for worker in workers:
+            assert worker.device_model.compute.b > primary.device_model.compute.b
+
+    def test_worker_transfer_models_have_positive_gamma(self):
+        unit, _, _ = make_unit()
+        for worker in unit.dispatcher.targets[1:]:
+            assert worker.device_model.transfer.gamma > 0
+
     def test_kv_capacity_counts_attention_workers(self):
         with_workers, _, _ = make_unit(n_workers=2)
         without, _, _ = make_unit(n_workers=1)

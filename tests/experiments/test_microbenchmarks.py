@@ -53,10 +53,12 @@ class TestFig7:
 
 class TestModelingAccuracy:
     def test_accuracy_at_least_as_good_as_paper(self):
-        result = accuracy.run_modeling_accuracy(num_holdout=12)
+        result = accuracy.run_modeling_accuracy(("opt-30b",), num_holdout=12)
         assert result.min_compute >= 0.90
         assert result.min_transfer >= 0.90
-        assert set(result.compute_accuracy) == {"a100", "rtx3090", "p100"}
+        workers = {f"opt-30b/p100:{i}" for i in range(8, 12)}
+        assert set(result.compute_accuracy) == {"opt-30b/hetis-0/primary"} | workers
+        assert set(result.transfer_accuracy) == workers
 
 
 class TestSearchOverhead:
