@@ -173,7 +173,8 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         ``profiling_error`` perturbs the fitted coefficients for the
         robustness experiment (Fig. 16b).
         """
-        heads_grid = np.linspace(self.model.gqa_ratio, self.model.num_heads * 12, 6).astype(int)
+        r = self.model.gqa_ratio
+        heads_grid = np.linspace(r, self.model.num_heads * 12, 6).astype(int)
         ctx_grid = np.linspace(128, 4096, 6).astype(int)
         models: Dict[int, DeviceAttentionModel] = {}
 
@@ -181,9 +182,10 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             hs, gs, ts = [], [], []
             for h in heads_grid:
                 for ctx in ctx_grid:
-                    # n_req requests of per_req heads each, all on the target.
+                    # n_req requests of per_req heads each, all on the target;
+                    # per_req is a multiple of r, as every head split's share is.
                     n_req = max(1, int(h) // max(1, self.model.num_heads // 2))
-                    per_req = max(self.model.gqa_ratio, int(h) // n_req)
+                    per_req = max(r, int(h) // n_req // r * r)
                     hs.append(float(n_req * per_req))
                     gs.append(float(n_req * per_req * int(ctx)))
                     ts.append(self.attention_time(target_id, n_req, per_req, int(ctx)))

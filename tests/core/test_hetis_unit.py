@@ -60,6 +60,27 @@ class TestConstruction:
         for worker in unit.dispatcher.targets[1:]:
             assert worker.device_model.transfer.gamma > 0
 
+    def test_fit_profiles_head_counts_a_request_can_hold(self, monkeypatch):
+        """Every fit sample gives each request a multiple of r heads (llama-70b: r = 8)."""
+        seen = []
+        measure = HetisInstanceUnit.attention_time
+
+        def spy(self, target_id, num_requests, heads, context):
+            seen.append(heads)
+            return measure(self, target_id, num_requests, heads, context)
+
+        monkeypatch.setattr(HetisInstanceUnit, "attention_time", spy)
+        _, model, _ = make_unit("llama-70b")
+        assert seen and all(h % model.gqa_ratio == 0 for h in seen)
+
+    def test_gqa_models_predict_whole_requests(self):
+        unit, model, _ = make_unit("llama-70b")
+        for target in unit.dispatcher.targets:
+            for n_req, ctx in ((4, 200), (17, 1234), (63, 3999)):
+                heads = n_req * model.num_heads
+                measured = unit.attention_time(target.target_id, n_req, model.num_heads, ctx)
+                assert target.device_model.compute.predict(heads, heads * ctx) == pytest.approx(measured, rel=1e-6)
+
     def test_kv_capacity_counts_attention_workers(self):
         with_workers, _, _ = make_unit(n_workers=2)
         without, _, _ = make_unit(n_workers=1)
