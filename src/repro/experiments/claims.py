@@ -208,12 +208,18 @@ def _dynamic_usage() -> Data:
 
 
 def _redispatch_benefit() -> Data:
-    """Fig. 15(a): plain LIFO over re-dispatching latency; llama-13b, ShareGPT, 5 req/s, 120 requests."""
-    base = serving_spec("hetis", "llama-13b", "sharegpt", 5.0, num_requests=120)
+    """Fig. 15(a): plain LIFO over re-dispatching latency; opt-30b, LongBench, 6 req/s, 48 requests.
+
+    The cell runs short of cache, so both arms preempt and the ratios measure
+    the mechanism rather than two identical runs.
+    """
+    base = serving_spec("hetis", "opt-30b", "longbench", 6.0, num_requests=48)
     (_, redispatch), (_, lifo) = sweep(base, {"system.options.enable_redispatch": (True, False)})
     return {
         "mean_improvement": lifo["mean_normalized_latency"] / redispatch["mean_normalized_latency"],
         "p95_improvement": lifo["p95_normalized_latency"] / redispatch["p95_normalized_latency"],
+        "redispatch_preemptions": redispatch["total_preemptions"],
+        "lifo_preemptions": lifo["total_preemptions"],
     }
 
 
@@ -457,6 +463,8 @@ CLAIMS: List[Claim] = [
     ),
     Claim("Fig. 15(a)", "re-dispatching is no worse than LIFO in mean latency", "fig15a", "mean_improvement", ">=", 0.95, 1.06),
     Claim("Fig. 15(a)", "re-dispatching is no worse than LIFO in P95 latency", "fig15a", "p95_improvement", ">=", 0.9, 1.14),
+    Claim("Fig. 15(a)", "plain LIFO preempts more than re-dispatching", "fig15a",
+          "lifo_preemptions", ">", "redispatch_preemptions"),
     Claim("Fig. 15(b)", "head-wise management stores more", "fig15b", "storage_op_ratio", ">=", 1.05, 1.13),
     Claim("Fig. 15(b)", "head-wise management stores more", "fig15b", "storage_op_ratio", "<=", 1.25, 1.13),
     Claim("Fig. 15(b)", "multi-core indexing fetches faster", "fig15b", "fetch_time_ratio", ">=", 0.6, 0.74),
