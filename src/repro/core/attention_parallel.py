@@ -15,7 +15,7 @@ of a cache slice, and batch-wise migrates whole requests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GPUDevice
@@ -68,29 +68,9 @@ class HeadSplit:
     def targets(self) -> Iterable[int]:
         return (t for t, h in self.allocation.items() if h > 0)
 
-    @property
-    def num_targets(self) -> int:
-        return sum(1 for _ in self.targets())
-
-    @property
-    def is_fully_local(self) -> bool:
-        """True when a single target holds every head (no cross-device traffic)."""
-        return self.num_targets == 1
-
     def offloaded_heads(self, primary_target: int) -> int:
         """Heads not kept on ``primary_target``."""
         return self.total_heads - self.heads_on(primary_target)
-
-    # -- mutation --------------------------------------------------------------------
-
-    def replace(self, new_allocation: Mapping[int, int]) -> "HeadSplit":
-        """Return a new split with a different allocation (validated)."""
-        return HeadSplit(
-            request_id=self.request_id,
-            total_heads=self.total_heads,
-            group_size=self.group_size,
-            allocation={k: int(v) for k, v in new_allocation.items() if v > 0},
-        )
 
 
 # -- communication-overhead comparison (Fig. 5) ----------------------------------------

@@ -354,20 +354,15 @@ class Dispatcher:
         """Dispatch (or re-dispatch) one request against the current state."""
         return self.dispatch_new([(request_id, context_length)])
 
-    def ideal_objective(self, all_requests: Sequence[Tuple[int, int]]) -> float:
-        """The paper's f*: the min--max Attention time if *all* requests were
-        re-dispatched from scratch, subject only to total cluster capacity."""
-        if not all_requests:
-            return 0.0
-        return self._solve_ideal(self._ideal_problem([ctx for _, ctx in all_requests]))
-
     def check_ideal(
         self, all_requests: Sequence[Tuple[int, int]], current: float, theta: float
     ) -> IdealCheck:
         """Answer the balance trigger's question: is ``current > f* * (1 + theta)``?
 
-        Bounds on f* settle most calls (:meth:`_certify_ideal`); the rest
-        solve for f* exactly as :meth:`ideal_objective` does.
+        f* is the paper's ideal objective: the min--max Attention time if
+        *all* requests were re-dispatched from scratch, subject only to each
+        target's total capacity.  Bounds on f* settle most calls
+        (:meth:`_certify_ideal`); the rest solve for it.
         """
         if not all_requests:
             return IdealCheck(over=False, ideal=0.0)

@@ -59,8 +59,6 @@ class Hauler:
         self.cluster = cluster
         self.model = model
         self.interference_factor = interference_factor
-        self.total_bytes_moved = 0.0
-        self.total_migrations = 0
 
     def plan(
         self,
@@ -88,9 +86,6 @@ class Hauler:
                 step.n_bytes
             )
         transfer = max(per_source.values()) if per_source else 0.0
-        self.total_bytes_moved += plan.total_bytes
-        if not plan.is_empty:
-            self.total_migrations += 1
         return MigrationReport(
             plan=plan,
             transfer_seconds=transfer,

@@ -40,10 +40,6 @@ class HetisSystem(ServingSystem):
 
     # -- reporting ---------------------------------------------------------------------
 
-    @property
-    def total_redispatches(self) -> int:
-        return sum(u.num_redispatches for u in self._instances)
-
     def describe(self) -> str:
         parts = []
         for unit in self._instances:

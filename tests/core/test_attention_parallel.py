@@ -28,8 +28,6 @@ class TestHeadSplit:
         assert split.heads_on(-1) == 48
         assert split.heads_on(5) == 16
         assert split.heads_on(99) == 0
-        assert split.num_targets == 2
-        assert not split.is_fully_local
         assert split.offloaded_heads(-1) == 16
 
     def test_integrity_enforced(self):
@@ -46,18 +44,7 @@ class TestHeadSplit:
 
     def test_empty_allocation_allowed_before_dispatch(self):
         split = HeadSplit(request_id=1, total_heads=64, group_size=8)
-        assert split.num_targets == 0
-
-    def test_fully_local(self):
-        split = HeadSplit(request_id=1, total_heads=40, group_size=1, allocation={-1: 40})
-        assert split.is_fully_local
-
-    def test_replace_builds_validated_copy(self):
-        split = HeadSplit(request_id=1, total_heads=64, group_size=8, allocation={-1: 64})
-        new = split.replace({-1: 32, 3: 32})
-        assert new.heads_on(3) == 32
-        with pytest.raises(ValueError):
-            split.replace({-1: 8})
+        assert list(split.targets()) == []
 
     def test_total_heads_must_divide_by_group(self):
         with pytest.raises(ValueError):

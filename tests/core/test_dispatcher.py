@@ -144,13 +144,6 @@ class TestStateAndObjectives:
         targets[0].manager.allocate(1, llama70b.num_heads, 5000)
         assert max(dispatcher.attention_times()) > empty
 
-    def test_ideal_objective_no_requests_is_zero(self, llama70b):
-        assert make_dispatcher(llama70b, make_targets(llama70b)).ideal_objective([]) == 0.0
-
-    def test_ideal_objective_positive(self, llama70b):
-        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
-        assert dispatcher.ideal_objective([(1, 2000), (2, 3000)]) > 0.0
-
     def test_free_token_heads_accounting(self, llama70b):
         targets = make_targets(llama70b)
         dispatcher = make_dispatcher(llama70b, targets)

@@ -39,8 +39,6 @@ def test_partial_move_priced_and_counted(setup):
     assert report.moved_bytes == pytest.approx(32 * 2000 * model.kv_bytes_per_token() / 64)
     assert report.transfer_seconds > 0
     assert report.blocking_seconds == pytest.approx(report.transfer_seconds * 0.1)
-    assert hauler.total_migrations == 1
-    assert hauler.total_bytes_moved == pytest.approx(report.moved_bytes)
 
 
 def test_longer_context_costs_more(setup):

@@ -49,6 +49,3 @@ def test_end_to_end_run_records_heads_and_cache(small_hetis):
     assert "cache_usage" in result.recorder.series_names()
     assert result.available_cache_bytes > 0
 
-
-def test_total_redispatch_counter(small_hetis):
-    assert small_hetis.total_redispatches >= 0
