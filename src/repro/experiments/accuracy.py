@@ -8,15 +8,16 @@ instance fits its models from its own pricing when it is built
 study builds the Hetis deployment of each model on the paper cluster with
 :func:`repro.api.build` and scores every dispatch target's
 :class:`~repro.perf.attention_model.DeviceAttentionModel` -- the models the
-Dispatcher runs -- on *held-out* operating points, priced through the same
-unit methods the fit measures with.  The points lie off the fit grid, so the
-reported accuracy is a generalization number rather than a training fit.
+Dispatcher runs -- on random *held-out* operating points, priced through the
+same unit methods the fit measures with.  The points are drawn independently
+of the fit grid, so the reported accuracy is a generalization number rather
+than a training fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class ModelingAccuracy:
         return min(self.transfer_accuracy.values()) if self.transfer_accuracy else 0.0
 
 
-def _accuracy(pairs: List[tuple]) -> float:
+def _accuracy(pairs: List[Tuple[float, float]]) -> float:
     """``1 - mean(|predicted - measured| / measured)`` over ``(predicted, measured)`` pairs."""
     errors = [abs(predicted - measured) / measured for predicted, measured in pairs if measured > 0]
     return float(max(0.0, 1.0 - np.mean(errors)))
@@ -64,7 +65,8 @@ def run_modeling_accuracy(
     result = ModelingAccuracy()
     for model_name in models:
         model = get_model_spec(model_name)
-        prepared = build(DeploymentSpec(model=model_name, system=SystemSpec(name="hetis"), cluster=ClusterSpec(kind="paper")))
+        spec = DeploymentSpec(model=model_name, system=SystemSpec(name="hetis"), cluster=ClusterSpec(kind="paper"))
+        prepared = build(spec)
         rng = make_rng(seed + 1)
         for unit in prepared.system.units:
             targets = unit.dispatcher.targets
@@ -83,7 +85,9 @@ def run_modeling_accuracy(
                 pairs = []
                 for _ in range(num_holdout):
                     heads = int(rng.integers(model.gqa_ratio, model.num_heads * 10))
-                    n_bytes = attention_transfer_bytes(model, float(heads), per_layer=False)
-                    pairs.append((target.device_model.transfer.predict(n_bytes), unit.transfer_time(target.target_id, heads)))
+                    predicted = target.device_model.transfer.predict(
+                        attention_transfer_bytes(model, float(heads), per_layer=False)
+                    )
+                    pairs.append((predicted, unit.transfer_time(target.target_id, heads)))
                 result.transfer_accuracy[f"{model_name}/{target.name}"] = _accuracy(pairs)
     return result

@@ -49,6 +49,11 @@ class TestConstruction:
         for target in unit.dispatcher.targets[1:]:
             assert target.device_model.is_remote
 
+    def test_models_predict_positive_times(self):
+        unit, model, _ = make_unit()
+        for target in unit.dispatcher.targets:
+            assert target.device_model.compute.predict(model.num_heads, model.num_heads * 1000) > 0
+
     def test_slower_device_has_larger_cache_coefficient(self):
         unit, _, _ = make_unit()
         primary, *workers = unit.dispatcher.targets
