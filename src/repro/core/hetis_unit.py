@@ -198,14 +198,14 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             transfer=LOCAL_TRANSFER,
             is_remote=False,
         )
+        # The transfer model is expressed over the *total* per-iteration byte
+        # volume, but the underlying traffic is one scatter/gather per layer,
+        # so the fitted beta absorbs `num_layers` point-to-point latencies --
+        # this fixed cost is what makes premature offloading unattractive
+        # under light load (the delayed ramp-up in Fig. 14).
+        sizes = [attention_transfer_bytes(self.model, float(h), per_layer=False) for h in heads_grid]
         for worker in self.config.attention_workers:
             compute = fit(worker.device_id)
-            # The transfer model is expressed over the *total* per-iteration byte
-            # volume, but the underlying traffic is one scatter/gather per layer,
-            # so the fitted beta absorbs `num_layers` point-to-point latencies --
-            # this fixed cost is what makes premature offloading unattractive
-            # under light load (the delayed ramp-up in Fig. 14).
-            sizes = [attention_transfer_bytes(self.model, float(h), per_layer=False) for h in heads_grid]
             times = [self.transfer_time(worker.device_id, int(h)) for h in heads_grid]
             models[worker.device_id] = DeviceAttentionModel(
                 device_id=worker.device_id,
