@@ -144,6 +144,17 @@ class TestStateAndObjectives:
         targets[0].manager.allocate(1, llama70b.num_heads, 5000)
         assert max(dispatcher.attention_times()) > empty
 
+    def test_check_ideal_no_requests_is_balanced(self, llama70b):
+        check = make_dispatcher(llama70b, make_targets(llama70b)).check_ideal([], current=1.0, theta=0.1)
+        assert not check.over and check.ideal == 0.0
+
+    def test_check_ideal_positive(self, llama70b):
+        dispatcher = make_dispatcher(llama70b, make_targets(llama70b))
+        requests = [(1, 2000), (2, 3000)]
+        over = dispatcher.check_ideal(requests, current=float("inf"), theta=0.1)
+        assert over.over and over.ideal > 0.0
+        assert not dispatcher.check_ideal(requests, current=0.0, theta=0.1).over
+
     def test_free_token_heads_accounting(self, llama70b):
         targets = make_targets(llama70b)
         dispatcher = make_dispatcher(llama70b, targets)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.hetis_unit import HetisInstanceUnit
+from repro.core.hetis_unit import PRIMARY_TARGET_ID, HetisInstanceUnit
 from repro.hardware.cluster import ClusterBuilder, simple_cluster
 from repro.models.spec import get_model_spec
 from repro.parallel.config import InstanceParallelConfig, StageConfig
+from repro.perf.commcost import attention_transfer_bytes
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
 
@@ -85,6 +86,35 @@ class TestConstruction:
                 heads = n_req * model.num_heads
                 measured = unit.attention_time(target.target_id, n_req, model.num_heads, ctx)
                 assert target.device_model.compute.predict(heads, heads * ctx) == pytest.approx(measured, rel=1e-6)
+
+    def test_transfer_models_predict_transfer_time(self):
+        """Eq. (4) is exact for a link priced per byte: the fit reproduces held-out head counts."""
+        unit, model, _ = make_unit("llama-70b")
+        for target in unit.dispatcher.targets[1:]:
+            for heads in (8, 40, 200, 520):
+                n_bytes = attention_transfer_bytes(model, float(heads), per_layer=False)
+                measured = unit.transfer_time(target.target_id, heads)
+                assert target.device_model.transfer.predict(n_bytes) == pytest.approx(measured, rel=1e-6)
+
+    def test_attention_time_is_what_decode_iterations_charge(self, monkeypatch):
+        """The fit's measurement prices a decode batch exactly as the iteration does."""
+        unit, model, _ = make_unit()
+        charged = []
+        price = HetisInstanceUnit._decode_attention_time
+
+        def spy(self, decode_requests):
+            groups = self._decode_groups()
+            charged.append((groups, price(self, decode_requests)))
+            return charged[-1][1]
+
+        monkeypatch.setattr(HetisInstanceUnit, "_decode_attention_time", spy)
+        unit.enqueue(make_request(prompt=500, output=6), 0.0)
+        drive(unit)
+        decode = [(groups, time) for groups, time in charged if groups]
+        assert decode
+        for [(key, context, count)], time in decode:
+            assert key == ((PRIMARY_TARGET_ID, model.num_heads),) and count == 1
+            assert unit.attention_time(PRIMARY_TARGET_ID, 1, model.num_heads, context) == time
 
     def test_kv_capacity_counts_attention_workers(self):
         with_workers, _, _ = make_unit(n_workers=2)

@@ -60,6 +60,15 @@ class TestModelingAccuracy:
         assert set(result.compute_accuracy) == {"opt-30b/hetis-0/primary"} | workers
         assert set(result.transfer_accuracy) == workers
 
+    def test_gqa_worker_models_score_whole_requests(self):
+        """llama-70b (r = 8): the fit profiles only head counts a request can hold, so its
+        P100 workers predict held-out whole requests to within 1 %."""
+        result = accuracy.run_modeling_accuracy(("llama-70b",), num_holdout=12)
+        workers = {name: score for name, score in result.compute_accuracy.items() if "/p100:" in name}
+        assert len(workers) == 4
+        assert min(workers.values()) >= 0.99
+        assert result.min_transfer >= 0.99
+
 
 class TestSearchOverhead:
     def test_search_completes_quickly_on_both_clusters(self):
