@@ -61,6 +61,8 @@ from repro.solvers.head_dispatch import (
     objective_lower_bound,
     solve_greedy,
     solve_lp,
+    summarize_contexts,
+    summary_lower_bound,
 )
 
 CERTIFICATE_SLACK = 1e-9
@@ -321,7 +323,10 @@ class Dispatcher:
         for every allocation that wakes exactly W, so the minimum over all W
         holds for any allocation.  Idle targets of one kind are
         interchangeable here, so only how many of each kind wake matters:
-        four identical idle workers give 5 cases, not 16.
+        four identical idle workers give 5 cases, not 16.  What the cases
+        share (the sorted contexts and their prefix sums, the representative
+        contexts and each kind's weight at them) is summarized once per call
+        (:func:`~repro.solvers.head_dispatch.summarize_contexts`).
         """
         kinds: Dict[int, List[int]] = {}
         for i, off in enumerate(idle):
@@ -331,6 +336,7 @@ class Dispatcher:
         if math.prod(len(g) + 1 for g in groups) > MAX_WAKE_CASES:
             return -math.inf
         busy = [not off for off in idle]
+        summary = summarize_contexts(self._head_cost, self._cache_cost, contexts)
         lowest = math.inf
         for counts in product(*(range(len(g) + 1) for g in groups)):
             usable = list(busy)
@@ -340,12 +346,7 @@ class Dispatcher:
                     usable[i] = True
                     case_base[i] = base[i] + self._fixed_cost[i]
             if any(usable):
-                lowest = min(
-                    lowest,
-                    objective_lower_bound(
-                        self._head_cost, self._cache_cost, case_base, usable, contexts, self.model.num_heads
-                    ),
-                )
+                lowest = min(lowest, summary_lower_bound(summary, case_base, usable, self.model.num_heads))
         return lowest
 
     # -- re-dispatching support -----------------------------------------------------------------

@@ -24,7 +24,7 @@ capacity-aware re-dispatch) while keeping per-stage bookkeeping tractable.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,16 +111,19 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self._device_host: Dict[int, int] = {PRIMARY_TARGET_ID: self._primary_front.host_id}
         for w in config.attention_workers:
             self._device_host[w.device_id] = w.host_id
-        # Each Attention worker's decode-Attention slot (see _slot_sums) and device.
+        # Each Attention worker's decode-Attention slot (see _slot_ledger) and device.
         self._worker_slots: Dict[int, Tuple[int, GPUDevice]] = {
             w.device_id: (slot, w) for slot, w in enumerate(config.attention_workers, len(self.pipeline.fractions))
         }
 
         # Decode Attention is priced per slot: one per distinct Primary shard
-        # fraction, then one per Attention worker.  Decoding requests are
-        # priced in groups that share a head allocation (_pricing_group), and
-        # a group's head shares per slot are memoized by that allocation (see
-        # _head_shares), so a re-dispatch needs no invalidation.
+        # fraction, then one per Attention worker.  Per slot, the ledger keeps
+        # four sums over the decoding requests' head shares there (see
+        # _regroup), so an iteration prices in O(slots).  Head shares are
+        # memoized by head allocation (see _shares), so a re-dispatch needs
+        # no invalidation.
+        self._slot_ledger = [[0, 0, 0, 0] for _ in range(len(self.pipeline.fractions) + len(config.attention_workers))]
+        self._worker_ledger = list(zip(config.attention_workers, self._slot_ledger[len(self.pipeline.fractions):]))
         self._head_shares_memo: Dict[Tuple[Tuple[int, int], ...], HeadShares] = {}
         # Per-(worker, total offloaded heads) scatter/gather time memo: head
         # counts repeat across decode iterations while the underlying p2p cost
@@ -224,11 +227,10 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         Each request holds ``heads`` query heads there at ``context`` tokens.
         The time is priced like a decode iteration's (:meth:`_decode_attention_time`).
         """
-        key = ((target_id, heads),)
-        shares = self._head_shares_memo.get(key)
-        if shares is None:
-            shares = self._head_shares_memo[key] = self._head_shares(dict(key))
-        sums = self._slot_sums([(shares, num_requests * context, num_requests)])
+        total = num_requests * context
+        sums = [(0, 0, 0)] * len(self._slot_ledger)
+        for slot, h, groups in self._shares({target_id: heads}):
+            sums[slot] = (h * total, groups * total, h * num_requests)
         if target_id == PRIMARY_TARGET_ID:
             return self.pipeline.primary_decode_attention_time(sums)
         slot, worker = self._worker_slots[target_id]
@@ -248,21 +250,13 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         r = self.model.gqa_ratio
         return tuple((slot, h, -(-h // r)) for slot, h in enumerate(heads) if h > 0)
 
-    def _slot_sums(self, groups: Iterable[Tuple[HeadShares, int, int]]) -> List[List[int]]:
-        """Per slot, the decode batch's ``[Σ h·ctx, Σ ⌈h/r⌉·ctx, Σ h]``.
-
-        ``groups`` holds ``(head shares, Σ ctx, count)`` for each set of
-        requests sharing their head shares.  The sums are integers, so the
-        grouping cannot change a bit of the closed-form price.
-        """
-        sums = [[0, 0, 0] for _ in range(len(self.pipeline.fractions) + len(self.config.attention_workers))]
-        for shares, context, count in groups:
-            for slot, heads, kv_groups in shares:
-                slot_sums = sums[slot]
-                slot_sums[0] += heads * context
-                slot_sums[1] += kv_groups * context
-                slot_sums[2] += heads * count
-        return sums
+    def _shares(self, allocation: Mapping[int, int]) -> HeadShares:
+        """:meth:`_head_shares` of ``allocation``, memoized by its items."""
+        key = tuple(allocation.items())
+        shares = self._head_shares_memo.get(key)
+        if shares is None:
+            shares = self._head_shares_memo[key] = self._head_shares(allocation)
+        return shares
 
     def _worker_attention_time(self, worker: GPUDevice, head_context: int, group_context: int, heads: int) -> float:
         """Decode Attention time per iteration for heads offloaded to ``worker``."""
@@ -462,7 +456,9 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         try:
             self._allocate_split(request, new_split)
         except BlockAllocationError:
-            # Restore the previous placement; abandon this re-dispatch.
+            # Free what the new placement took before it failed, restore the
+            # previous placement and abandon this re-dispatch.
+            self._free_request(request)
             self._allocate_split(request, old_split)
             return
         self._regroup(request, -1)
@@ -498,26 +494,42 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         penalty, self._pending_penalty = self._pending_penalty, 0.0
         return duration + penalty, {"mlp": mlp, "attention": decode_attn, "iteration": duration}
 
-    def _pricing_group(self, request: Request) -> Hashable:
-        return tuple(self._splits[request.request_id].allocation.items())
+    def _regroup(self, request: Request, sign: int) -> None:
+        """Also add or remove decoding ``request``'s head shares in the slot ledger.
+
+        Per slot, the ledger holds Σ h·decode_base, Σ ⌈h/r⌉·decode_base, Σ h
+        and Σ ⌈h/r⌉ over the decoding requests with h heads there.  The sums
+        are integers, so the price read from them (:meth:`_decode_attention_time`)
+        is the one a per-request sum gives, bit for bit.  A re-dispatch removes
+        the request under its old split and adds it under the new one.
+        """
+        if request.decode_clock is not self.clock:
+            return
+        super()._regroup(request, sign)
+        base = request.decode_base
+        ledger = self._slot_ledger
+        for slot, heads, groups in self._shares(self._splits[request.request_id].allocation):
+            sums = ledger[slot]
+            sums[0] += sign * heads * base
+            sums[1] += sign * groups * base
+            sums[2] += sign * heads
+            sums[3] += sign * groups
 
     def _decode_attention_time(self, decode_requests: Sequence[Request]) -> float:
-        """Max over dispatch targets of their decode-Attention + transfer time."""
+        """Max over dispatch targets of their decode-Attention + transfer time.
+
+        Each slot's ``(Σ h·ctx, Σ ⌈h/r⌉·ctx, Σ h)`` is read from the slot
+        ledger, adding back the epoch the decode bases leave out.
+        """
         if not decode_requests:
             return 0.0
-        memo = self._head_shares_memo
-        batch = []
-        for key, context, count in self._decode_groups():
-            shares = memo.get(key)
-            if shares is None:
-                shares = memo[key] = self._head_shares(dict(key))
-            batch.append((shares, context, count))
-        sums = self._slot_sums(batch)
-        fractions = self.pipeline.fractions
-        times = [self.pipeline.primary_decode_attention_time(sums)]
-        for worker, (head_context, group_context, heads) in zip(self.config.attention_workers, sums[len(fractions):]):
+        epoch = self.clock.epoch
+        pipeline = self.pipeline
+        primary = [(hb + epoch * h, gb + epoch * g, h) for hb, gb, h, g in self._slot_ledger[:len(pipeline.fractions)]]
+        times = [pipeline.primary_decode_attention_time(primary)]
+        for worker, (hb, gb, heads, groups) in self._worker_ledger:
             if heads:
-                compute = self._worker_attention_time(worker, head_context, group_context, heads)
+                compute = self._worker_attention_time(worker, hb + epoch * heads, gb + epoch * groups, heads)
                 times.append(compute + self.transfer_time(worker.device_id, heads))
         return max(times)
 

@@ -150,8 +150,16 @@ class PipelineCost:
             self.shards.append(shards)
         # Derived on the first compile, so building a unit stays cheap.
         self._layout: Optional[Layout] = None
+        # Derived on the first primary_decode_attention_time call (only Hetis
+        # makes one): the distinct (spec, slot) shards over all stages, and
+        # per stage its layer count and the indices of its shards among them.
+        self._decode_shards: List[Tuple[GPUSpec, int]] = []
+        self._decode_stages: List[Tuple[int, Tuple[int, ...]]] = []
         # Filled lazily: one entry per distinct iteration token count.
         self._terms: Dict[int, TokenTerms] = {}
+        # Filled lazily: per token count, the price of an iteration with no
+        # prefill chunk and no in-stage decode Attention (Hetis's decode steps).
+        self._bare: Dict[int, Tuple[float, float, float]] = {}
 
     def _derive(self) -> Layout:
         cost_model, stages = self.cost_model, self.config.stages
@@ -207,8 +215,21 @@ class PipelineCost:
         of every request's heads.  ``None`` leaves decode Attention to the
         caller (Hetis dispatches it head-wise).  The module latencies follow
         the paper's definition: the largest per-stage time times the number of
-        stages, reflecting pipeline bubbles.
+        stages, reflecting pipeline bubbles.  Without chunks and with
+        ``decode_context`` ``None`` the price depends on ``num_decode`` alone,
+        so it is memoized per token count.
         """
+        if chunks or decode_context is not None:
+            return self._price(chunks, num_decode, decode_context)
+        price = self._bare.get(num_decode)
+        if price is None:
+            price = self._bare[num_decode] = self._price(chunks, num_decode, None)
+        return price
+
+    def _price(
+        self, chunks: Sequence[Tuple[int, int]], num_decode: int, decode_context: int | None
+    ) -> Tuple[float, float, float]:
+        """:meth:`iteration`, computed."""
         tokens = num_decode
         for new_tokens, _ in chunks:
             tokens += new_tokens
@@ -262,12 +283,21 @@ class PipelineCost:
         """Decode Attention time through every stage, each shard running a share of the heads.
 
         ``sums[i]`` holds the ``(head_context, group_context, heads)`` sums of
-        the batch's heads at shard fraction ``fractions[i]``.
+        the batch's heads at shard fraction ``fractions[i]``.  Each distinct
+        ``(spec, slot)`` shard is priced once, however many stages hold it.
         """
+        if not self._decode_stages:
+            distinct: Dict[Tuple[GPUSpec, int], int] = {}
+            self._decode_stages = [
+                (stage.num_layers, tuple(distinct.setdefault((shard.spec, shard.slot), len(distinct)) for shard in shards))
+                for stage, shards in zip(self.config.stages, self.shards)
+            ]
+            self._decode_shards = list(distinct)
+        times = [self.decode_attention_time(spec, *sums[slot]) for spec, slot in self._decode_shards]
         total = 0.0
-        for stage, shards in zip(self.config.stages, self.shards):
+        for layers, shards in self._decode_stages:
             per_layer = 0.0
-            for shard in shards:
-                per_layer = max(per_layer, self.decode_attention_time(shard.spec, *sums[shard.slot]))
-            total += stage.num_layers * per_layer
+            for k in shards:
+                per_layer = max(per_layer, times[k])
+            total += layers * per_layer
         return total

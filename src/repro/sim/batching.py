@@ -16,7 +16,7 @@ import abc
 import math
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.models.spec import ModelSpec
 from repro.sim.iteration import Handoff, Iteration, IterationOutcome
@@ -148,10 +148,11 @@ class ContinuousBatchingUnit(ExecutionUnit):
     re-dispatch re-allocates a request's cache at its full context, which
     moves its next block start, possibly onto this iteration (:meth:`_recache`).
 
-    The iteration cost needs the decode batch's context sum per *pricing
-    group* (:meth:`_pricing_group`).  A decoding request's ``context_length``
-    less the epoch never changes, so ``_groups`` keeps those sums and counts
-    per group, touched only when a request joins, leaves or changes group.
+    The iteration cost needs the decode batch's context sum.  A decoding
+    request's ``context_length`` less the epoch (``decode_base``) never
+    changes, so ``_decode_sums`` keeps Σ ``decode_base`` and the count of
+    decoding requests, touched only when a request joins or leaves decode
+    (:meth:`_regroup`); :meth:`_decode_context` adds the epoch back.
     """
 
     hands_off = False
@@ -175,7 +176,7 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self._taken: Optional[float] = None
         self._current: Optional[Request] = None
         self._admissions = 0
-        self._groups: Dict[Hashable, List[int]] = {}
+        self._decode_sums = [0, 0]  # Σ decode_base and count of the decoding requests
         # Observation (see observe): the recorder last written to, the value
         # written there per (series, key), and whether a KV hook moved the
         # KV state since.
@@ -222,10 +223,6 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self, chunks: List[PrefillChunk], decode_requests: List[Request]
     ) -> Tuple[float, Dict[str, float]]:
         """Duration and module-latency metrics of an iteration running ``chunks`` and ``decode_requests``."""
-
-    def _pricing_group(self, request: Request) -> Hashable:
-        """Key of the decode requests the iteration cost prices together (one group by default)."""
-        return None
 
     def _on_iteration_complete(self) -> None:
         """Runs after every completed iteration's effects are applied."""
@@ -276,10 +273,10 @@ class ContinuousBatchingUnit(ExecutionUnit):
         """Tokens of running ``request``'s context that its KV cache on this unit holds."""
         return request.context_length + self.running[request]
 
-    def _decode_groups(self) -> List[Tuple[Hashable, int, int]]:
-        """``(pricing group, Σ context_length, count)`` of the decoding requests."""
-        epoch = self.clock.epoch
-        return [(key, base + count * epoch, count) for key, (base, count) in self._groups.items()]
+    def _decode_context(self) -> int:
+        """Σ ``context_length`` of the decoding requests, read outside a commit."""
+        base, count = self._decode_sums
+        return base + count * self.clock.epoch
 
     # -- egress (drains / failures) ----------------------------------------------------------
 
@@ -310,17 +307,12 @@ class ContinuousBatchingUnit(ExecutionUnit):
         self._schedule(request)
 
     def _regroup(self, request: Request, sign: int) -> None:
-        """Add (``sign`` 1) or remove (-1) decoding ``request`` in its pricing group's sums."""
+        """Add (``sign`` 1) or remove (-1) decoding ``request`` in the decode sums."""
         if request.decode_clock is not self.clock:
             return
-        key = self._pricing_group(request)
-        sums = self._groups.get(key)
-        if sums is None:
-            sums = self._groups[key] = [0, 0]
+        sums = self._decode_sums
         sums[0] += sign * request.decode_base
         sums[1] += sign
-        if not sums[1]:
-            del self._groups[key]
 
     def _schedule(self, request: Request) -> None:
         """Queue decoding ``request``'s next due event where the loop that must visit it looks."""

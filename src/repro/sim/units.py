@@ -192,7 +192,7 @@ class StaticPipelineUnit(ContinuousBatchingUnit):
         (sum of stage times plus hidden-state hand-offs); every shard runs its
         share of every request's heads.
         """
-        context = sum(group_context for _, group_context, _ in self._decode_groups())
+        context = self._decode_context()
         prefill = [(c.new_tokens, c.cached_tokens) for c in chunks]
         duration, mlp, attention = self.pipeline.iteration(prefill, len(decode_requests), context)
         return duration, {"mlp": mlp, "attention": attention, "iteration": duration}

@@ -24,6 +24,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -128,6 +129,56 @@ class HeadDispatchSolution:
     lp_objective: Optional[float] = None
 
 
+class ContextSummary(NamedTuple):
+    """What every :func:`objective_lower_bound` over one batch's contexts shares.
+
+    Built once per batch by :func:`summarize_contexts`; each set of bases
+    and usable targets then costs :func:`summary_lower_bound` only.
+    """
+
+    ordered: List[float]
+    """The contexts, ascending."""
+    prefix: List[float]
+    """``prefix[m]`` is the sum of the first ``m`` entries of ``ordered``."""
+    kinds: List[Tuple[float, float]]
+    """The distinct ``(head_i, cache_i)`` pairs over the targets, first-seen order."""
+    kind_of: List[int]
+    """Each target's index in ``kinds``."""
+    inverse: List[List[float]]
+    """Per representative context l, each kind's ``1 / (head + cache l)`` (0.0 where not positive)."""
+    positive: List[bool]
+    """Per kind, whether ``head + cache l > 0`` at every representative context."""
+
+
+def summarize_contexts(
+    head_cost: Sequence[float], cache_cost: Sequence[float], contexts: Sequence[float]
+) -> ContextSummary:
+    """The :class:`ContextSummary` of ``contexts`` on targets with these costs.
+
+    The representative contexts are every context when there are at most
+    four, else the mean, min and max (see :func:`objective_lower_bound`).
+    """
+    n = len(contexts)
+    reps = contexts if n <= 4 else (sum(contexts) / n, min(contexts), max(contexts))
+    index: Dict[Tuple[float, float], int] = {}
+    kind_of = [index.setdefault(key, len(index)) for key in zip(head_cost, cache_cost)]
+    kinds = list(index)
+    positive = [True] * len(kinds)
+    inverse = []
+    for l in reps:
+        row = []
+        for k, (a, c) in enumerate(kinds):
+            per_head = a + c * l
+            if per_head > 0:
+                row.append(1.0 / per_head)
+            else:
+                positive[k] = False
+                row.append(0.0)
+        inverse.append(row)
+    ordered = sorted(contexts)
+    return ContextSummary(ordered, list(accumulate(ordered, initial=0)), kinds, kind_of, inverse, positive)
+
+
 def objective_lower_bound(
     head_cost: Sequence[float],
     cache_cost: Sequence[float],
@@ -163,29 +214,48 @@ def objective_lower_bound(
     the inner min is over one line ``mu_k (head_k + cache_k l)`` per kind
     of target, and its sum over the sorted contexts is taken segment by
     segment of the lines' lower envelope.  The result agrees with a
-    per-context evaluation of the formula to within a few ulps.
+    per-context evaluation of the formula to within a few ulps.  This is
+    :func:`summary_lower_bound` over the contexts' :func:`summarize_contexts`.
+    """
+    summary = summarize_contexts(head_cost, cache_cost, contexts)
+    return summary_lower_bound(summary, base_cost, usable, total_heads)
+
+
+def summary_lower_bound(
+    summary: ContextSummary, base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
+) -> float:
+    """:func:`objective_lower_bound` for the contexts of ``summary``, bit for bit.
+
+    Only what depends on the bases and the usable targets is computed here:
+    the usable kinds (in the order of their first usable target), their
+    counts and base sums, the weights and the envelope.
     """
     bound = max(base_cost)
-    n = len(contexts)
-    reps = contexts if n <= 4 else (sum(contexts) / n, min(contexts), max(contexts))
-    kinds: Dict[Tuple[float, float], List[float]] = {}
-    for a, c, b, u in zip(head_cost, cache_cost, base_cost, usable):
+    kind_of, positive = summary.kind_of, summary.positive
+    kinds: List[int] = []
+    counts: List[int] = []
+    base_sums: List[float] = []
+    for i, u in enumerate(usable):
         if u:
-            kinds.setdefault((a, c), []).append(b)
-    counts = [len(bases) for bases in kinds.values()]
-    base_sums = [sum(bases) for bases in kinds.values()]
-    ordered = sorted(contexts)
-    prefix = list(accumulate(ordered, initial=0))
+            kind = kind_of[i]
+            if kind in kinds:
+                m = kinds.index(kind)
+                counts[m] += 1
+                base_sums[m] += base_cost[i]
+            else:
+                if not positive[kind]:
+                    return bound  # no such weights
+                kinds.append(kind)
+                counts.append(1)
+                base_sums.append(0 + base_cost[i])  # sum()'s start: -0.0 counts as 0.0
+    costs = [summary.kinds[kind] for kind in kinds]
     value = -math.inf
-    for l in reps:
-        per_head = [a + c * l for a, c in kinds]
-        if not all(p > 0 for p in per_head):
-            return bound  # no such weights
-        inverse = [1.0 / p for p in per_head]
+    for inverse_at in summary.inverse:
+        inverse = [inverse_at[kind] for kind in kinds]
         total = sum(v * k for v, k in zip(inverse, counts))
         weighted_base = sum(v * b for v, b in zip(inverse, base_sums)) / total
-        lines = [(v / total * a, v / total * c) for v, (a, c) in zip(inverse, kinds)]
-        value = max(value, weighted_base + total_heads * _envelope_sum(lines, ordered, prefix))
+        lines = [(v / total * a, v / total * c) for v, (a, c) in zip(inverse, costs)]
+        value = max(value, weighted_base + total_heads * _envelope_sum(lines, summary.ordered, summary.prefix))
     return max(bound, value)
 
 
@@ -491,7 +561,12 @@ def solve_greedy(problem: HeadDispatchProblem) -> HeadDispatchSolution:
     whose projected Attention time stays lowest.
 
     Requests are processed longest-context first so the hardest placements see
-    the most free capacity.  Complexity is O(J * H/r * N).
+    the most free capacity.  Within a request, each of its H/r groups goes in
+    turn to the device whose load after taking it is lowest (the first such
+    device on ties), among the devices with room for it.  The groups are
+    identical, so only how many each device gets matters, and the placement
+    is a merge of each device's sequence of next-group loads
+    (:func:`_group_counts`): O(N + H/r log N) per request, not O(H/r N).
     """
     if not problem.total_capacity_sufficient():
         empty = np.zeros((problem.n_devices, problem.n_requests))
@@ -503,46 +578,74 @@ def solve_greedy(problem: HeadDispatchProblem) -> HeadDispatchSolution:
     allocation = np.zeros((n_dev, n_req), dtype=float)
     order = np.argsort(-problem.contexts)
 
-    # The water-filling inner loop runs J * H/r times over a handful of
-    # devices; plain-float scalar arithmetic is an order of magnitude faster
-    # than elementwise numpy on arrays this small and is bit-identical (all
-    # quantities are IEEE doubles either way).  First-minimum tie-breaking
-    # matches ``np.argmin``.
-    base_cost = problem.base_cost.tolist()
-    head_cost = problem.head_cost.tolist()
-    cache_cost = problem.cache_cost.tolist()
+    # At dispatch sizes (a few devices, a few dozen requests) plain-float
+    # scalar arithmetic beats elementwise numpy by an order of magnitude.
+    costs = list(zip(problem.base_cost.tolist(), problem.head_cost.tolist(), problem.cache_cost.tolist()))
     capacity = problem.capacity.tolist()
+    contexts = problem.contexts.tolist()
     heads_on = [0.0] * n_dev
     cache_on = [0.0] * n_dev
-
-    for j in order:
-        ctx = float(problem.contexts[j])
-        ctx_r = ctx * r
-        need = ctx_r - 1e-9
-        j_alloc = allocation[:, j]
-        for _ in range(groups_total):
-            best_i = -1
-            best_load = float("inf")
-            for i in range(n_dev):
-                if capacity[i] - cache_on[i] < need:
-                    continue
-                load = (
-                    base_cost[i]
-                    + head_cost[i] * (heads_on[i] + r)
-                    + cache_cost[i] * (cache_on[i] + ctx_r)
-                )
-                if load < best_load:
-                    best_load = load
-                    best_i = i
-            if best_i < 0:
-                empty = np.zeros((n_dev, n_req))
-                return HeadDispatchSolution(empty, float("inf"), method="greedy", feasible=False)
-            j_alloc[best_i] += r
-            heads_on[best_i] += r
-            cache_on[best_i] += ctx_r
+    for j in order.tolist():
+        counts = _group_counts(costs, capacity, heads_on, cache_on, r, contexts[j], groups_total)
+        if counts is None:
+            empty = np.zeros((n_dev, n_req))
+            return HeadDispatchSolution(empty, float("inf"), method="greedy", feasible=False)
+        for i, count in enumerate(counts):
+            if count:
+                allocation[i, j] = count * r
     return HeadDispatchSolution(
         allocation=allocation,
         objective=problem.objective(allocation),
         method="greedy",
         feasible=True,
     )
+
+
+def _group_counts(
+    costs: List[Tuple[float, float, float]],
+    capacity: List[float],
+    heads_on: List[float],
+    cache_on: List[float],
+    r: int,
+    ctx: float,
+    groups: int,
+) -> Optional[List[int]]:
+    """How many of one request's ``groups`` head groups each device takes, or
+    None when a group finds no device.
+
+    ``costs`` holds each device's ``(base, head, cache)`` costs.  Giving
+    device i one more group would bring its load to ``base_i + head_i (h_i +
+    r) + cache_i (c_i + l r)``; the group goes to the device where that is
+    lowest, the first such device on ties, among those whose room
+    ``capacity_i - c_i`` is at least ``l r - 1e-9`` and whose load is below
+    infinity.  A heap keyed by (load, device index) holds each such device's
+    next load; ``heads_on`` (h_i) and ``cache_on`` (c_i) advance group by
+    group, so every load is the one a scan over all devices per group
+    computes, bit for bit, for any costs.
+    """
+    inf = math.inf
+    ctx_r = ctx * r
+    need = ctx_r - 1e-9
+    heap = []
+    for i, (base, head, cache) in enumerate(costs):
+        if not capacity[i] - cache_on[i] < need:
+            load = base + head * (heads_on[i] + r) + cache * (cache_on[i] + ctx_r)
+            if load < inf:
+                heap.append((load, i))
+    heapify(heap)
+    counts = [0] * len(costs)
+    for _ in range(groups):
+        if not heap:
+            return None
+        i = heap[0][1]
+        counts[i] += 1
+        heads_on[i] += r
+        cache_on[i] += ctx_r
+        if not capacity[i] - cache_on[i] < need:
+            base, head, cache = costs[i]
+            load = base + head * (heads_on[i] + r) + cache * (cache_on[i] + ctx_r)
+            if load < inf:
+                heapreplace(heap, (load, i))
+                continue
+        heappop(heap)
+    return counts

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.dispatcher
 from repro.api import run
 from repro.config import DeploymentSpec
 from repro.core.attention_parallel import HeadSplit
@@ -26,6 +27,7 @@ from repro.perf.attention_model import AttentionTimeModel, DeviceAttentionModel,
 from repro.solvers.head_dispatch import objective_lower_bound, solve_greedy, solve_lp
 
 from tests.core.test_dispatcher import make_dispatcher
+from tests.solvers.test_head_dispatch import fused_lower_bound
 
 THETAS = (0.3, 0.4, 0.5, 0.6, 0.7)  # the Fig. 16a grid
 
@@ -200,6 +202,39 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
     assert outcomes["local undecided"] > 0
     assert outcomes["within"] > 0 and outcomes["over"] > 0 and outcomes["undecided"] > 0
     assert outcomes["infeasible"] > 0
+
+
+@pytest.mark.parametrize("model_name", ["llama-70b", "llama-13b"])
+def test_wake_case_bounds_equal_the_one_pass_bound(monkeypatch, model_name):
+    """Each wake case's bound from the call's shared context summary is the
+    one-pass :func:`objective_lower_bound` of that case, bit for bit."""
+    model = get_model_spec(model_name)
+    cases = []
+    per_case = repro.core.dispatcher.summary_lower_bound
+
+    def spy(summary, base, usable, total_heads):
+        value = per_case(summary, base, usable, total_heads)
+        cases.append((list(base), list(usable), total_heads, value))
+        return value
+
+    monkeypatch.setattr(repro.core.dispatcher, "summary_lower_bound", spy)
+    woken = Counter()
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        targets, _splits, _contexts = random_state(model, rng, 0.0)
+        dispatcher = make_dispatcher(model, targets)
+        batch = [(100 + j, int(rng.integers(50, 4_000))) for j in range(int(rng.integers(1, 7)))]
+        contexts = [ctx for _, ctx in batch]
+        idle = [h == 0 for h in dispatcher.loads()[0]]
+        start = len(cases)
+        dispatcher.dispatch_new(batch)
+        for base, usable, total_heads, value in cases[start:]:
+            assert value == fused_lower_bound(
+                dispatcher._head_cost, dispatcher._cache_cost, base, usable, contexts, total_heads
+            )
+            woken[sum(u and off for u, off in zip(usable, idle))] += 1
+    # Cases that wake none, one and several idle targets.
+    assert woken[0] > 0 and woken[1] > 0 and sum(n for k, n in woken.items() if k > 1) > 0
 
 
 @pytest.mark.parametrize("solver", ["lp", "greedy"])

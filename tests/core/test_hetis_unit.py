@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.attention_parallel import HeadSplit
 from repro.core.hetis_unit import PRIMARY_TARGET_ID, HetisInstanceUnit
 from repro.hardware.cluster import ClusterBuilder, simple_cluster
 from repro.models.spec import get_model_spec
@@ -9,6 +10,8 @@ from repro.parallel.config import InstanceParallelConfig, StageConfig
 from repro.perf.commcost import attention_transfer_bytes
 from repro.sim.request import Request
 from repro.sim.scheduler import SchedulerLimits
+
+from tests.sim.test_batching_parity import recounted_loads
 
 
 def make_unit(model_name="llama-13b", n_workers=2, **kwargs):
@@ -103,17 +106,17 @@ class TestConstruction:
         price = HetisInstanceUnit._decode_attention_time
 
         def spy(self, decode_requests):
-            groups = self._decode_groups()
-            charged.append((groups, price(self, decode_requests)))
+            batch = [(dict(self._splits[r.request_id].allocation), r.context_length) for r in decode_requests]
+            charged.append((batch, price(self, decode_requests)))
             return charged[-1][1]
 
         monkeypatch.setattr(HetisInstanceUnit, "_decode_attention_time", spy)
         unit.enqueue(make_request(prompt=500, output=6), 0.0)
         drive(unit)
-        decode = [(groups, time) for groups, time in charged if groups]
-        assert decode
-        for [(key, context, count)], time in decode:
-            assert key == ((PRIMARY_TARGET_ID, model.num_heads),) and count == 1
+        decode = [(batch, time) for batch, time in charged if batch]
+        assert len(decode) == 5
+        for [(allocation, context)], time in decode:
+            assert allocation == {PRIMARY_TARGET_ID: model.num_heads}
             assert unit.attention_time(PRIMARY_TARGET_ID, 1, model.num_heads, context) == time
 
     def test_kv_capacity_counts_attention_workers(self):
@@ -221,3 +224,46 @@ class TestMemoryPressure:
         it = unit.next_iteration(0.0)
         assert it is None
         assert huge in unit.dropped
+
+
+class TestFailedRedispatch:
+    """A re-dispatch whose new placement does not fit leaves only the old placement behind."""
+
+    def decoding_unit(self):
+        """A request decoding on the Primary, and the second Attention worker full."""
+        unit, model, _ = make_unit(n_workers=2)
+        request = make_request(prompt=300, output=20)
+        unit.enqueue(request, 0.0)
+        now = 0.0
+        for _ in range(4):
+            it = unit.next_iteration(now)
+            now += it.duration
+            unit.complete_iteration(it, now)
+        assert dict(unit._splits[request.request_id].allocation) == {PRIMARY_TARGET_ID: model.num_heads}
+        w1, w2 = (w.device_id for w in unit.config.attention_workers)
+        full = unit._managers[w2]
+        full.allocate(-1, model.gqa_ratio, full.free_blocks * full.block_size)
+        assert full.free_blocks == 0
+        return unit, model, request, w1, w2
+
+    @pytest.mark.parametrize("placed_first", ["worker", "primary"])
+    def test_failed_redispatch_frees_the_partial_placement(self, placed_first):
+        unit, model, request, w1, w2 = self.decoding_unit()
+        rid = request.request_id
+        old = unit._splits[rid]
+        first = w1 if placed_first == "worker" else PRIMARY_TARGET_ID
+        half = model.num_heads // 2
+        # The first target takes its half, then the full worker raises.
+        unit._apply_redispatch(rid, HeadSplit(rid, model.num_heads, model.gqa_ratio, {first: half, w2: half}))
+        assert unit._splits[rid] is old and unit.num_redispatches == 0
+        assert unit._managers[PRIMARY_TARGET_ID].heads_of(rid) == model.num_heads
+        assert not unit._managers[w1].has_sequence(rid) and unit._managers[w1].used_blocks == 0
+        heads, token_heads = unit.target_loads()
+        assert heads[1] == token_heads[1] == 0
+        recounted_heads, recounted_token_heads = recounted_loads(unit)
+        recounted_heads[2] += model.gqa_ratio  # the sequence filling the full worker
+        assert (heads, token_heads) == (recounted_heads, recounted_token_heads)
+
+        finished, _ = drive(unit)
+        assert finished == [request]
+        assert unit._managers[PRIMARY_TARGET_ID].used_blocks == unit._managers[w1].used_blocks == 0

@@ -2,11 +2,13 @@
 
 A unit counts a decoding request's tokens from its decode epoch, visits only
 due events (block starts, last tokens, hand-offs' first tokens) and keeps
-running context sums per pricing group.  After every committed iteration the
-recount here must agree with all of it:
+running decode sums.  After every committed iteration the recount here must
+agree with all of it:
 
-* each pricing group's context sum and count equal a fresh pass over the
-  decoding requests;
+* the core's context sum and count of the decoding requests equal a fresh
+  pass over them, and on a Hetis unit so does every decode-Attention slot's
+  Σ h·ctx, Σ ⌈h/r⌉·ctx, Σ h and Σ ⌈h/r⌉, recounted from the requests' splits
+  (:func:`recounted_slot_ledger`);
 * each decoding request's cached count matches its KV: ``ceil(cached / 16)``
   blocks in a static table, ``groups x ceil(cached / 16)`` on every Hetis
   target;
@@ -43,17 +45,39 @@ from tests.sim.test_batching_parity import (
 from tests.sim.test_kv_conservation import SPECS
 
 
+def recounted_slot_ledger(unit: HetisInstanceUnit, decoding: List[Request]) -> List[List[int]]:
+    """Per decode-Attention slot, ``[Σ h·ctx, Σ ⌈h/r⌉·ctx, Σ h, Σ ⌈h/r⌉]`` over ``decoding``.
+
+    Every Primary shard fraction runs its rounded share of a request's
+    Primary heads; every Attention worker runs the heads its split gives it.
+    """
+    r = unit.model.gqa_ratio
+    sums = [[0, 0, 0, 0] for _ in range(len(unit.pipeline.fractions) + len(unit.config.attention_workers))]
+    for req in decoding:
+        allocation = unit._splits[req.request_id].allocation
+        primary = allocation.get(PRIMARY_TARGET_ID, 0)
+        heads = [int(round(primary * frac)) for frac in unit.pipeline.fractions]
+        heads += [allocation.get(w.device_id, 0) for w in unit.config.attention_workers]
+        for slot_sums, h in zip(sums, heads):
+            groups = -(-h // r)
+            slot_sums[0] += h * req.context_length
+            slot_sums[1] += groups * req.context_length
+            slot_sums[2] += h
+            slot_sums[3] += groups
+    return sums
+
+
 def check_lazy_state(unit) -> None:
     clock, block_size = unit.clock, unit.block_size
     decoding = [r for r in unit.running if r.decode_clock is clock]
     assert len(decoding) == len(unit.running), "a running request is not decoding between iterations"
 
-    fresh: Dict[object, List[int]] = {}
-    for req in decoding:
-        sums = fresh.setdefault(unit._pricing_group(req), [0, 0])
-        sums[0] += req.context_length
-        sums[1] += 1
-    assert {key: [context, count] for key, context, count in unit._decode_groups()} == fresh
+    assert unit._decode_context() == sum(req.context_length for req in decoding)
+    assert unit._decode_sums[1] == len(decoding)
+    if isinstance(unit, HetisInstanceUnit):
+        epoch = clock.epoch
+        ledger = [[hb + epoch * h, gb + epoch * g, h, g] for hb, gb, h, g in unit._slot_ledger]
+        assert ledger == recounted_slot_ledger(unit, decoding)
 
     for req in decoding:
         cached, rid = unit.cached_tokens(req), req.request_id

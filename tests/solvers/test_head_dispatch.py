@@ -1,5 +1,9 @@
 """Tests for the min-max head-dispatching solvers."""
 
+import math
+from collections import Counter
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +11,14 @@ from hypothesis import strategies as st
 
 from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
+    HeadDispatchSolution,
     _envelope_sum,
     objective_lower_bound,
     round_to_groups,
     solve_greedy,
     solve_lp,
+    summarize_contexts,
+    summary_lower_bound,
 )
 
 
@@ -373,3 +380,195 @@ class TestObjectiveLowerBound:
             prefix.append(prefix[-1] + l)
         pointwise = sum(min(a + c * l for a, c in lines) for l in ordered)
         assert _envelope_sum(lines, ordered, prefix) == pytest.approx(pointwise, rel=ORACLE_RTOL, abs=1e-300)
+
+
+# -- greedy by count against the one-group-at-a-time loop --------------------------------
+
+
+def one_group_at_a_time(problem):
+    """The oracle: greedy as a loop that places one head group per step.
+
+    Each step scans every device with room for the group and gives it to the
+    first one whose load after taking it is lowest.
+    """
+    if not problem.total_capacity_sufficient():
+        empty = np.zeros((problem.n_devices, problem.n_requests))
+        return HeadDispatchSolution(empty, float("inf"), method="greedy", feasible=False)
+    r = problem.group_size
+    n_dev, n_req = problem.n_devices, problem.n_requests
+    allocation = np.zeros((n_dev, n_req), dtype=float)
+    base_cost, head_cost = problem.base_cost.tolist(), problem.head_cost.tolist()
+    cache_cost, capacity = problem.cache_cost.tolist(), problem.capacity.tolist()
+    heads_on, cache_on = [0.0] * n_dev, [0.0] * n_dev
+    for j in np.argsort(-problem.contexts):
+        ctx_r = float(problem.contexts[j]) * r
+        need = ctx_r - 1e-9
+        for _ in range(problem.total_heads // r):
+            best_i, best_load = -1, float("inf")
+            for i in range(n_dev):
+                if capacity[i] - cache_on[i] < need:
+                    continue
+                load = base_cost[i] + head_cost[i] * (heads_on[i] + r) + cache_cost[i] * (cache_on[i] + ctx_r)
+                if load < best_load:
+                    best_load, best_i = load, i
+            if best_i < 0:
+                empty = np.zeros((n_dev, n_req))
+                return HeadDispatchSolution(empty, float("inf"), method="greedy", feasible=False)
+            allocation[best_i, j] += r
+            heads_on[best_i] += r
+            cache_on[best_i] += ctx_r
+    return HeadDispatchSolution(allocation, problem.objective(allocation), method="greedy", feasible=True)
+
+
+def greedy_problem(seed, n_requests, group_size, capacity, costs):
+    """A seeded problem with 1-3 kinds of identical device (equal costs, and
+    equal bases unless drawn apart, so loads tie).
+
+    ``capacity``: "slack" (10x the demand), "binding" (within 0.95-1.3x of
+    the demand, so devices fill partway through a request and some problems
+    cannot be placed) or "short" (below the demand).  ``costs``: "positive",
+    "zero" (one kind costs nothing), "negative" (some per-head costs below
+    zero, so a device's loads fall as it takes groups), "fractional"
+    (contexts that are not whole numbers, so running sums round) or
+    "infinite" (the last device's base is infinite, so it never takes a
+    group, though it has room for all of them).
+    """
+    rng = np.random.default_rng(seed)
+    n_kinds = int(rng.integers(1, 4))
+    counts = rng.integers(1, 4, n_kinds)
+    head_cost = np.repeat(rng.uniform(1e-6, 5e-5, n_kinds), counts)
+    cache_cost = np.repeat(rng.uniform(1e-10, 5e-9, n_kinds), counts)
+    n_dev = head_cost.shape[0]
+    if costs == "zero":
+        head_cost[: counts[0]] = cache_cost[: counts[0]] = 0.0
+    if costs == "negative":
+        head_cost *= rng.choice([-1.0, 1.0], n_dev)
+    draw = rng.integers(0, 3)
+    if draw == 0:
+        base_cost = np.zeros(n_dev)
+    elif draw == 1:
+        base_cost = np.repeat(rng.uniform(0.0, 5e-3, n_kinds), counts)
+    else:
+        base_cost = rng.uniform(0.0, 5e-3, n_dev)
+    contexts = rng.integers(16, 6_000, n_requests).astype(float)
+    if costs == "fractional":
+        contexts += rng.uniform(0.1, 0.9, n_requests)
+    heads = group_size * int(rng.integers(1, 9))
+    demand = float(contexts.sum()) * heads
+    if capacity == "slack":
+        cap = np.full(n_dev, 10.0 * demand)
+    elif capacity == "binding":
+        cap = np.floor(rng.dirichlet(np.ones(n_dev)) * demand * rng.uniform(0.95, 1.3))
+    else:
+        cap = rng.dirichlet(np.ones(n_dev)) * demand * 0.9
+    if costs == "infinite":
+        base_cost[-1] = np.inf
+        cap[-1] = max(cap[-1], demand)
+    return HeadDispatchProblem(head_cost, cache_cost, base_cost, cap, contexts, heads, group_size)
+
+
+GREEDY_CASES = [
+    (capacity, costs, group_size)
+    for capacity in ("slack", "binding", "short")
+    for costs in ("positive", "zero", "negative", "fractional", "infinite")
+    for group_size in (1, 8)
+]
+
+
+class TestGreedyByCount:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_requests=st.integers(1, 40),
+        case=st.sampled_from(GREEDY_CASES),
+    )
+    def test_matches_the_one_group_loop(self, seed, n_requests, case):
+        capacity, costs, group_size = case
+        problem = greedy_problem(seed, n_requests, group_size, capacity, costs)
+        expected, got = one_group_at_a_time(problem), solve_greedy(problem)
+        assert got.feasible == expected.feasible
+        assert got.objective == expected.objective
+        assert np.array_equal(got.allocation, expected.allocation)
+
+    def test_sample_reaches_ties_binding_capacity_and_infeasibility(self):
+        """The problems above exercise what the parity test claims to cover."""
+        seen = Counter()
+        for seed in range(8):
+            for capacity, costs, group_size in GREEDY_CASES:
+                problem = greedy_problem(seed, 1 + seed * 5, group_size, capacity, costs)
+                got = solve_greedy(problem)
+                if not got.feasible:
+                    seen["infeasible"] += problem.total_capacity_sufficient()
+                    continue
+                slack = HeadDispatchProblem(
+                    problem.head_cost, problem.cache_cost, problem.base_cost,
+                    np.full(problem.n_devices, np.inf), problem.contexts, problem.total_heads, problem.group_size,
+                )
+                seen["capacity moved a placement"] += not np.array_equal(solve_greedy(slack).allocation, got.allocation)
+                # Two devices of equal costs and base sharing one request's groups broke a tie.
+                keys = list(zip(problem.head_cost, problem.cache_cost, problem.base_cost))
+                for column in got.allocation.T:
+                    placed = [keys[i] for i in np.flatnonzero(column)]
+                    seen["tie"] += len(placed) > len(set(placed))
+        assert seen["infeasible"] >= 5
+        assert seen["capacity moved a placement"] >= 10
+        assert seen["tie"] >= 10
+
+
+# -- the locality certificate's shared context summary ----------------------------------
+
+
+def fused_lower_bound(head_cost, cache_cost, base_cost, usable, contexts, total_heads):
+    """The oracle: :func:`objective_lower_bound` computed in one pass, with no summary."""
+    bound = max(base_cost)
+    n = len(contexts)
+    reps = contexts if n <= 4 else (sum(contexts) / n, min(contexts), max(contexts))
+    kinds = {}
+    for a, c, b, u in zip(head_cost, cache_cost, base_cost, usable):
+        if u:
+            kinds.setdefault((a, c), []).append(b)
+    counts = [len(bases) for bases in kinds.values()]
+    base_sums = [sum(bases) for bases in kinds.values()]
+    ordered = sorted(contexts)
+    prefix = list(accumulate(ordered, initial=0))
+    value = -math.inf
+    for l in reps:
+        per_head = [a + c * l for a, c in kinds]
+        if not all(p > 0 for p in per_head):
+            return bound
+        inverse = [1.0 / p for p in per_head]
+        total = sum(v * k for v, k in zip(inverse, counts))
+        weighted_base = sum(v * b for v, b in zip(inverse, base_sums)) / total
+        lines = [(v / total * a, v / total * c) for v, (a, c) in zip(inverse, kinds)]
+        value = max(value, weighted_base + total_heads * _envelope_sum(lines, ordered, prefix))
+    return max(bound, value)
+
+
+class TestContextSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_requests=st.integers(1, 40),
+        n_kinds=st.integers(1, 3),
+    )
+    def test_every_case_equals_the_one_pass_bound(self, seed, n_requests, n_kinds):
+        """One summary, many (bases, usable) cases: each bound is the one-pass bound, bit for bit.
+
+        Kinds interleave in target order, so a case's first usable target
+        of each kind need not be the kind's first target.
+        """
+        rng = np.random.default_rng(seed)
+        kind_of = rng.integers(0, n_kinds, int(rng.integers(n_kinds, 8)))
+        head = rng.uniform(1e-6, 5e-5, n_kinds)[kind_of].tolist()
+        cache = rng.uniform(1e-10, 5e-9, n_kinds)[kind_of].tolist()
+        if rng.random() < 0.2:
+            head[0], cache[0] = -1e-5, 0.0  # a kind with no positive weight
+        contexts = rng.integers(16, 60_000, n_requests).tolist()
+        summary = summarize_contexts(head, cache, contexts)
+        for _ in range(6):
+            usable = (rng.random(len(head)) < 0.6).tolist()
+            usable[int(rng.integers(0, len(head)))] = True
+            base = rng.uniform(0.0, 5e-3, len(head)).tolist()
+            expected = fused_lower_bound(head, cache, base, usable, contexts, 40)
+            assert summary_lower_bound(summary, base, usable, 40) == expected
+            assert objective_lower_bound(head, cache, base, usable, contexts, 40) == expected
