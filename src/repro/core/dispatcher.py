@@ -26,9 +26,21 @@ comparison goes.  The solver runs only when the bounds leave the outcome
 open, and then exactly as it would without them, so every decision is the
 one the solver path takes.  For the imbalance check of one request whose
 whole cache fits every target, greedy's objective *is* f*, so greedy alone
-settles it.  The certificates live only behind :meth:`Dispatcher._local_certified`
-and :meth:`Dispatcher._certify_ideal`, so replacing those two with
-"undecided" gives the always-solve path.
+settles it.  A batch of one request, most admissions and every
+re-dispatch, bounds each way of waking idle workers in closed form.
+
+An owner that checks balance over the requests it holds and reports each
+leave (a Hetis unit) also gets an f* floor
+(:meth:`Dispatcher.keep_ideal_floor`): the highest weighted bound
+:meth:`Dispatcher._certify_ideal` has computed, kept across checks.
+Joins and context growth only raise the ideal problem's cost, so the floor
+stays below f*; a leave lowers it by the leaving request's term.  The
+trigger answers "within theta" from the floor alone when it can
+(:meth:`Dispatcher.floor_certified`).
+
+The certificates live only behind :meth:`Dispatcher._local_certified`,
+:meth:`Dispatcher._certify_ideal` and :meth:`Dispatcher.floor_certified`,
+so replacing those three with "undecided" gives the always-solve path.
 
 The certificates work in plain floats on the per-target lists the
 Dispatcher holds (bases, free capacities, idle flags, the batch's
@@ -46,6 +58,7 @@ cannot give g_i themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -58,17 +71,23 @@ from repro.perf.attention_model import DeviceAttentionModel
 from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     HeadDispatchSolution,
-    objective_lower_bound,
+    one_request_lower_bound,
     solve_greedy,
     solve_lp,
     summarize_contexts,
     summary_lower_bound,
+    weighted_lower_bound,
 )
 
 CERTIFICATE_SLACK = 1e-9
 """Relative slack a certificate leaves toward "undecided".  It dwarfs the
 ~1e-15 rounding of evaluating a bound or an objective, so a certified answer
 is always the one the solver path would give."""
+
+FLOOR_GUARD = 1e-12
+"""Relative rounding allowance the f* floor gives up when it is raised and
+at each leave (see :meth:`Dispatcher.request_left`): far above the few ulps
+an evaluation or a subtraction can err by, far below the certificate slack."""
 
 MAX_WAKE_CASES = 64
 """Wake-up patterns the locality certificate enumerates at most; beyond this
@@ -171,6 +190,11 @@ class Dispatcher:
             kinds.setdefault(key, len(kinds))
             for key in zip(self._head_cost, self._cache_cost, self._ideal_base, self._fixed_cost)
         ]
+        # The f* floor (see keep_ideal_floor), and the lines of the weights
+        # that produced it, one (mu_k head_k, mu_k cache_k) per target kind.
+        self._keeps_floor = False
+        self._floor: Optional[float] = None
+        self._floor_lines: List[Tuple[float, float]] = []
 
     def attention_times(self) -> List[float]:
         """Each target's Attention time f_i under its current h_i and g_i."""
@@ -323,10 +347,13 @@ class Dispatcher:
         for every allocation that wakes exactly W, so the minimum over all W
         holds for any allocation.  Idle targets of one kind are
         interchangeable here, so only how many of each kind wake matters:
-        four identical idle workers give 5 cases, not 16.  What the cases
-        share (the sorted contexts and their prefix sums, the representative
-        contexts and each kind's weight at them) is summarized once per call
-        (:func:`~repro.solvers.head_dispatch.summarize_contexts`).
+        four identical idle workers give 5 cases, not 16.  A batch of one
+        request, the usual case, is bounded in closed form per case
+        (:func:`~repro.solvers.head_dispatch.one_request_lower_bound`) when
+        every target's cost per head is positive at its context.  Otherwise
+        what the cases share (the sorted contexts and their prefix sums, the
+        representative contexts and each kind's weight at them) is summarized
+        once per call (:func:`~repro.solvers.head_dispatch.summarize_contexts`).
         """
         kinds: Dict[int, List[int]] = {}
         for i, off in enumerate(idle):
@@ -336,7 +363,14 @@ class Dispatcher:
         if math.prod(len(g) + 1 for g in groups) > MAX_WAKE_CASES:
             return -math.inf
         busy = [not off for off in idle]
-        summary = summarize_contexts(self._head_cost, self._cache_cost, contexts)
+        bound = None
+        if len(contexts) == 1:
+            per_head = [a + c * contexts[0] for a, c in zip(self._head_cost, self._cache_cost)]
+            if min(per_head) > 0:
+                bound = functools.partial(one_request_lower_bound, [1.0 / p for p in per_head])
+        if bound is None:
+            bound = functools.partial(summary_lower_bound, summarize_contexts(self._head_cost, self._cache_cost, contexts))
+        heads = self.model.num_heads
         lowest = math.inf
         for counts in product(*(range(len(g) + 1) for g in groups)):
             usable = list(busy)
@@ -346,7 +380,7 @@ class Dispatcher:
                     usable[i] = True
                     case_base[i] = base[i] + self._fixed_cost[i]
             if any(usable):
-                lowest = min(lowest, summary_lower_bound(summary, case_base, usable, self.model.num_heads))
+                lowest = min(lowest, bound(case_base, usable, heads))
         return lowest
 
     # -- re-dispatching support -----------------------------------------------------------------
@@ -399,6 +433,8 @@ class Dispatcher:
         whenever greedy finds a placement: ``solve_lp`` keeps the better of
         its rounded LP and greedy, and falls back to greedy when the LP fails.
         The bound is plain arithmetic; a problem is built only for greedy.
+        A Dispatcher that keeps an f* floor (:meth:`keep_ideal_floor`) raises
+        it with the bound's weighted part.
 
         For one request whose whole cache (H x l token-heads) fits every
         target, greedy's objective is f* itself, so greedy alone settles both
@@ -412,9 +448,11 @@ class Dispatcher:
         """
         single = len(contexts) == 1 and self.model.num_heads * contexts[0] <= min(capacity)
         if not single:
-            lower = objective_lower_bound(
-                self._head_cost, self._cache_cost, base, self._all_usable, contexts, self.model.num_heads
-            )
+            summary = summarize_contexts(self._head_cost, self._cache_cost, contexts)
+            weighted, lines = weighted_lower_bound(summary, base, self._all_usable, self.model.num_heads)
+            if self._keeps_floor:
+                self._raise_floor(weighted, lines)
+            lower = max(max(base), weighted)  # objective_lower_bound, bit for bit
             if current * (1.0 + CERTIFICATE_SLACK) <= lower * (1.0 + theta):
                 return IdealCheck(over=False, ideal=lower, exact=False)
             if lower <= 0:
@@ -427,3 +465,56 @@ class Dispatcher:
         if single and current * (1.0 + CERTIFICATE_SLACK) <= greedy.objective * (1.0 + theta):
             return IdealCheck(over=False, ideal=greedy.objective, exact=False)
         return None
+
+    # -- the f* floor ---------------------------------------------------------------------------
+
+    def keep_ideal_floor(self) -> None:
+        """Keep a floor on f* across :meth:`check_ideal` calls from now on.
+
+        The caller promises that every later check asks about the requests it
+        holds, and that it reports each one that stops holding cache through
+        :meth:`request_left`; a Hetis unit sees every join and leave.  A
+        Dispatcher that was not asked keeps no floor, so one asked about
+        unrelated states never reads a stale one.
+
+        Each weighted bound :meth:`_certify_ideal` computes for the check's
+        requests raises the floor when it is higher.  The floor stays below
+        f* while requests join and contexts grow: head and cache costs are
+        non-negative (the fitted models clip to that), so the bound's sum
+        over requests only gains terms that grow with the context, and the
+        solver's f* is the objective of an allocation, which no bound
+        undercuts.  A leave lowers it by that request's term.
+        """
+        self._keeps_floor = True
+
+    def request_left(self, context: int) -> None:
+        """A request holding ``context`` tokens stopped holding cache: lower the floor.
+
+        The floor's weights mu bound f* by ``sum_i mu_i base_i + H sum_j
+        min_i mu_i (head_i + cache_i l_j)``, so losing request j costs at most
+        its term at its current context.  The floor also gives up
+        :data:`FLOOR_GUARD` of the magnitudes involved, which covers the
+        subtraction's rounding; a floor that falls to 0 is dropped.
+        """
+        floor = self._floor
+        if floor is None:
+            return
+        drop = self.model.num_heads * min(a + c * context for a, c in self._floor_lines)
+        floor = floor - drop - FLOOR_GUARD * (floor + drop)
+        self._floor = floor if floor > 0 else None
+
+    def floor_certified(self, current: float, theta: float) -> bool:
+        """Whether the kept floor on f* proves ``current <= f* * (1 + theta)``.
+
+        The third certificate, next to :meth:`_local_certified` and
+        :meth:`_certify_ideal`: it answers the balance trigger from the
+        current objective alone, before any request is read.
+        """
+        floor = self._floor
+        return floor is not None and current * (1.0 + CERTIFICATE_SLACK) <= floor * (1.0 + theta)
+
+    def _raise_floor(self, weighted: float, lines: List[Tuple[float, float]]) -> None:
+        """Keep ``weighted``, a bound on f* from the weights with ``lines``, if it beats the floor."""
+        floor = weighted - FLOOR_GUARD * weighted
+        if floor > 0 and (self._floor is None or floor > self._floor):
+            self._floor, self._floor_lines = floor, lines

@@ -24,7 +24,7 @@ capacity-aware re-dispatch) while keeping per-stage bookkeeping tractable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +64,26 @@ HAULER_INTERFERENCE = 0.05
 
 HeadShares = Tuple[Tuple[int, int, int], ...]
 """``(slot, query heads, KV groups)`` of one request, for each decode-Attention slot it has heads on."""
+
+
+class _Contexts(Mapping[int, int]):
+    """Each held request's current context length, by request id, read only when looked up.
+
+    Live over the unit's requests: a balance check the f* floor settles
+    reads none of them.
+    """
+
+    def __init__(self, requests: Dict[int, Request]) -> None:
+        self._requests = requests
+
+    def __getitem__(self, request_id: int) -> int:
+        return self._requests[request_id].context_length
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._requests)
+
+    def __len__(self) -> int:
+        return len(self._requests)
 
 
 class HetisInstanceUnit(ContinuousBatchingUnit):
@@ -111,19 +131,22 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self._device_host: Dict[int, int] = {PRIMARY_TARGET_ID: self._primary_front.host_id}
         for w in config.attention_workers:
             self._device_host[w.device_id] = w.host_id
-        # Each Attention worker's decode-Attention slot (see _slot_ledger) and device.
-        self._worker_slots: Dict[int, Tuple[int, GPUDevice]] = {
-            w.device_id: (slot, w) for slot, w in enumerate(config.attention_workers, len(self.pipeline.fractions))
+        # Each Attention worker's index in the layout (and in its decode plan) and device.
+        self._workers: Dict[int, Tuple[int, GPUDevice]] = {
+            w.device_id: (k, w) for k, w in enumerate(config.attention_workers)
         }
 
         # Decode Attention is priced per slot: one per distinct Primary shard
         # fraction, then one per Attention worker.  Per slot, the ledger keeps
         # four sums over the decoding requests' head shares there (see
-        # _regroup), so an iteration prices in O(slots).  Head shares are
-        # memoized by head allocation (see _shares), so a re-dispatch needs
-        # no invalidation.
+        # _regroup), so an iteration prices in O(slots) from the pipeline's
+        # decode plan.  Head shares are memoized by head allocation (see
+        # _shares), so a re-dispatch needs no invalidation.
         self._slot_ledger = [[0, 0, 0, 0] for _ in range(len(self.pipeline.fractions) + len(config.attention_workers))]
-        self._worker_ledger = list(zip(config.attention_workers, self._slot_ledger[len(self.pipeline.fractions):]))
+        self._worker_ledger = [
+            (k, w.device_id, sums)
+            for k, (w, sums) in enumerate(zip(config.attention_workers, self._slot_ledger[len(self.pipeline.fractions):]))
+        ]
         self._head_shares_memo: Dict[Tuple[Tuple[int, int], ...], HeadShares] = {}
         # Per-(worker, total offloaded heads) scatter/gather time memo: head
         # counts repeat across decode iterations while the underlying p2p cost
@@ -153,6 +176,9 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self.dispatcher = Dispatcher(
             model, targets, self.target_loads, solver=solver, local_preference=local_preference
         )
+        # The unit checks balance over exactly the requests holding cache and
+        # reports each leave (_release), so the dispatcher may keep an f* floor.
+        self.dispatcher.keep_ideal_floor()
         self.redispatcher = RedispatchPolicy(model, self.dispatcher, theta=theta)
         self.hauler = Hauler(cluster, model, interference_factor=HAULER_INTERFERENCE)
 
@@ -161,6 +187,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         # order the modified-LIFO victim selection walks), and the requests.
         self._splits: Dict[int, HeadSplit] = {}
         self._requests: Dict[int, Request] = {}
+        self._contexts = _Contexts(self._requests)
         self._pending_penalty = 0.0
         self.num_redispatches = 0
         self.num_cache_redispatches = 0
@@ -225,16 +252,17 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         """Decode Attention time per iteration of ``num_requests`` requests on ``target_id``.
 
         Each request holds ``heads`` query heads there at ``context`` tokens.
-        The time is priced like a decode iteration's (:meth:`_decode_attention_time`).
+        The time is priced like a decode iteration's (:meth:`_decode_attention_time`),
+        from slot sums at epoch 0.
         """
         total = num_requests * context
-        sums = [(0, 0, 0)] * len(self._slot_ledger)
+        ledger = [(0, 0, 0, 0)] * len(self._slot_ledger)
         for slot, h, groups in self._shares({target_id: heads}):
-            sums[slot] = (h * total, groups * total, h * num_requests)
+            ledger[slot] = (h * total, groups * total, h * num_requests, groups * num_requests)
+        plan = self.pipeline.decode_plan()
         if target_id == PRIMARY_TARGET_ID:
-            return self.pipeline.primary_decode_attention_time(sums)
-        slot, worker = self._worker_slots[target_id]
-        return self._worker_attention_time(worker, *sums[slot])
+            return plan.primary_time(ledger, 0)
+        return plan.worker_time(self._workers[target_id][0], ledger, 0)
 
     # --------------------------------------------------------------- ground truth --
 
@@ -258,10 +286,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             shares = self._head_shares_memo[key] = self._head_shares(allocation)
         return shares
 
-    def _worker_attention_time(self, worker: GPUDevice, head_context: int, group_context: int, heads: int) -> float:
-        """Decode Attention time per iteration for heads offloaded to ``worker``."""
-        return self.pipeline.decode_attention_time(worker.spec, head_context, group_context, heads) * self.model.num_layers
-
     def transfer_time(self, target_id: int, heads: int) -> float:
         """One per-head scatter/gather per layer for ``heads`` heads offloaded to worker ``target_id``."""
         key = (target_id, heads)
@@ -270,7 +294,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
             transfer = self._worker_transfer_cache[key] = self.model.num_layers * self.cluster.p2p_time(
                 attention_transfer_bytes(self.model, float(heads), per_layer=True),
                 self._primary_front,
-                self._worker_slots[target_id][1],
+                self._workers[target_id][1],
             )
         return transfer
 
@@ -371,7 +395,8 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
 
     def _release(self, request: Request) -> None:
         self._free_request(request)
-        self._splits.pop(request.request_id, None)
+        if self._splits.pop(request.request_id, None) is not None:
+            self.dispatcher.request_left(request.context_length)
         self._requests.pop(request.request_id, None)
 
     # ------------------------------------------------------------------- scheduling --
@@ -426,8 +451,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
                 return False
             self._preempt(self._requests[next(reversed(self._splits))])
             return True
-        contexts = {rid: self._requests[rid].context_length for rid in self._splits}
-        decision = self.redispatcher.handle_cache_exhaustion(exhausted, self._splits, contexts, self._splits)
+        decision = self.redispatcher.handle_cache_exhaustion(exhausted, self._splits, self._contexts, self._splits)
         if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
             self._apply_redispatch(decision.request_id, decision.new_split)
             self.num_cache_redispatches += 1
@@ -470,8 +494,7 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
 
     def _on_iteration_complete(self) -> None:
         if self.enable_redispatch and self.clock.epoch % REDISPATCH_CHECK_INTERVAL == 0:
-            contexts = {rid: self._requests[rid].context_length for rid in self._splits}
-            decision = self.redispatcher.check_compute_balance(self._splits, contexts)
+            decision = self.redispatcher.check_compute_balance(self._splits, self._contexts)
             if decision.action == RedispatchAction.REDISPATCH and decision.new_split is not None:
                 self._apply_redispatch(decision.request_id, decision.new_split)
 
@@ -518,20 +541,20 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
     def _decode_attention_time(self, decode_requests: Sequence[Request]) -> float:
         """Max over dispatch targets of their decode-Attention + transfer time.
 
-        Each slot's ``(Σ h·ctx, Σ ⌈h/r⌉·ctx, Σ h)`` is read from the slot
-        ledger, adding back the epoch the decode bases leave out.
+        The pipeline's decode plan prices each slot from the slot ledger,
+        adding back the epoch the decode bases leave out.
         """
         if not decode_requests:
             return 0.0
-        epoch = self.clock.epoch
-        pipeline = self.pipeline
-        primary = [(hb + epoch * h, gb + epoch * g, h) for hb, gb, h, g in self._slot_ledger[:len(pipeline.fractions)]]
-        times = [pipeline.primary_decode_attention_time(primary)]
-        for worker, (hb, gb, heads, groups) in self._worker_ledger:
+        plan, ledger, epoch = self.pipeline.decode_plan(), self._slot_ledger, self.clock.epoch
+        longest = plan.primary_time(ledger, epoch)
+        for worker, device_id, sums in self._worker_ledger:
+            heads = sums[2]
             if heads:
-                compute = self._worker_attention_time(worker, hb + epoch * heads, gb + epoch * groups, heads)
-                times.append(compute + self.transfer_time(worker.device_id, heads))
-        return max(times)
+                time = plan.worker_time(worker, ledger, epoch) + self.transfer_time(device_id, heads)
+                if time > longest:
+                    longest = time
+        return longest
 
     # ------------------------------------------------------------------ introspection --
 

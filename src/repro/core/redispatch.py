@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.attention_parallel import HeadSplit
 from repro.core.dispatcher import Dispatcher
@@ -59,7 +59,7 @@ class RedispatchPolicy:
     def check_compute_balance(
         self,
         splits: Dict[int, HeadSplit],
-        contexts: Dict[int, int],
+        contexts: Mapping[int, int],
     ) -> RedispatchDecision:
         """Re-dispatch one request when the load imbalance exceeds theta.
 
@@ -70,6 +70,8 @@ class RedispatchPolicy:
             return RedispatchDecision(RedispatchAction.NONE, reason="no active requests")
         times = self.dispatcher.attention_times()
         current = max(times)
+        if self.dispatcher.floor_certified(current, self.theta):
+            return RedispatchDecision(RedispatchAction.NONE, reason="within threshold")
         check = self.dispatcher.check_ideal(
             [(rid, contexts[rid]) for rid in splits], current, self.theta
         )
@@ -91,7 +93,7 @@ class RedispatchPolicy:
         )
 
     def _pick_compute_victim(
-        self, bottleneck: int, splits: Dict[int, HeadSplit], contexts: Dict[int, int]
+        self, bottleneck: int, splits: Dict[int, HeadSplit], contexts: Mapping[int, int]
     ) -> Optional[int]:
         """The request contributing the most load to the ``bottleneck`` target."""
         best_req, best_load = None, 0.0
@@ -129,7 +131,7 @@ class RedispatchPolicy:
         self,
         exhausted_target_id: int,
         splits: Dict[int, HeadSplit],
-        contexts: Dict[int, int],
+        contexts: Mapping[int, int],
         admission_order: Iterable[int],
     ) -> RedispatchDecision:
         """React to a device running out of cache space.

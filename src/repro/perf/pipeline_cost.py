@@ -13,6 +13,8 @@ splits into two kinds of terms:
   chunk.  Decode Attention is linear in query heads and cached token-heads
   (the paper's Eq. 3, Fig. 7), so it is priced in closed form from integer
   sums over the batch (:meth:`~repro.models.flops.LayerCostModel.decode_attention_from_sums`).
+  Hetis keeps those sums per slot and prices them through a
+  :class:`DecodePlan` compiled from the layout (:meth:`PipelineCost.decode_plan`).
 
 Every cost model behind these terms is linear.  A dense module's work is a
 per-token coefficient times the token count plus fixed weight bytes, a
@@ -119,6 +121,68 @@ class Layout(NamedTuple):
     handoffs: Tuple[Link, ...]
 
 
+class DecodePlan(NamedTuple):
+    """Hetis decode Attention, priced from per-slot ledger sums.
+
+    A slot is a distinct Primary shard fraction (:attr:`PipelineCost.fractions`)
+    or, after those, an Attention worker.  Its ledger entry ``(Σ h·base,
+    Σ ⌈h/r⌉·base, Σ h, Σ ⌈h/r⌉)`` sums over the decoding requests with h
+    heads there, each at a context of ``base`` plus the decode epoch.  Each
+    price performs :meth:`PipelineCost.decode_attention_time`'s floating-point
+    operations in the same order, on constants compiled once per layout
+    instead of read through a method call per shard per iteration.
+    """
+
+    shards: Tuple[Tuple[int, float, float, float], ...]
+    """Per distinct ``(spec, slot)`` Primary shard: its slot, FLOP rate, memory bandwidth and launch overhead."""
+    stages: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    """Per stage: its layer count and the indices of its shards in :attr:`shards`."""
+    workers: Tuple[Tuple[int, float, float, float], ...]
+    """Per Attention worker, in the layout's order: the same four constants."""
+    flops: float
+    """Decode Attention FLOPs per head-token of context."""
+    pair_bytes: float
+    """Bytes of one key/value vector pair."""
+    layers: int
+    """The model's layers, all of which a worker runs its heads' Attention for."""
+
+    @staticmethod
+    def device(slot: int, spec: GPUSpec) -> Tuple[int, float, float, float]:
+        """The constants of one shard or worker on ``spec`` reading ledger ``slot``."""
+        return slot, spec.small_batch_flops, spec.mem_bandwidth, spec.kernel_overhead
+
+    def primary_time(self, ledger: Sequence[Sequence[int]], epoch: int) -> float:
+        """Decode Attention time through every stage, each shard running its slot's heads."""
+        flops, pair_bytes = self.flops, self.pair_bytes
+        times = []
+        for slot, rate, bandwidth, launch in self.shards:
+            head_base, group_base, heads, groups = ledger[slot]
+            if heads > 0:
+                compute = (head_base + epoch * heads) * flops / rate
+                memory = pair_bytes * (group_base + epoch * groups + heads) / bandwidth
+                times.append((memory if memory > compute else compute) + launch)
+            else:
+                times.append(0.0)
+        total = 0.0
+        for layers, shards in self.stages:
+            per_layer = 0.0
+            for k in shards:
+                if times[k] > per_layer:
+                    per_layer = times[k]
+            total += layers * per_layer
+        return total
+
+    def worker_time(self, worker: int, ledger: Sequence[Sequence[int]], epoch: int) -> float:
+        """Decode Attention time of Attention worker ``worker`` (an index into :attr:`workers`), transfers excluded."""
+        slot, rate, bandwidth, launch = self.workers[worker]
+        head_base, group_base, heads, groups = ledger[slot]
+        if heads <= 0:
+            return 0.0
+        compute = (head_base + epoch * heads) * self.flops / rate
+        memory = self.pair_bytes * (group_base + epoch * groups + heads) / bandwidth
+        return ((memory if memory > compute else compute) + launch) * self.layers
+
+
 class PipelineCost:
     """Per-iteration cost of an instance's stage pipeline, compiled from its layout.
 
@@ -150,11 +214,9 @@ class PipelineCost:
             self.shards.append(shards)
         # Derived on the first compile, so building a unit stays cheap.
         self._layout: Optional[Layout] = None
-        # Derived on the first primary_decode_attention_time call (only Hetis
-        # makes one): the distinct (spec, slot) shards over all stages, and
-        # per stage its layer count and the indices of its shards among them.
-        self._decode_shards: List[Tuple[GPUSpec, int]] = []
-        self._decode_stages: List[Tuple[int, Tuple[int, ...]]] = []
+        # Compiled on the first decode_plan call (only Hetis makes one), so
+        # static units and Parallelizer candidates never pay for it.
+        self._decode_plan: Optional[DecodePlan] = None
         # Filled lazily: one entry per distinct iteration token count.
         self._terms: Dict[int, TokenTerms] = {}
         # Filled lazily: per token count, the price of an iteration with no
@@ -279,25 +341,22 @@ class PipelineCost:
         memory = self.cost_model.decode_vector_pair_bytes * (group_context + heads) / spec.mem_bandwidth
         return max(compute, memory) + spec.kernel_overhead
 
-    def primary_decode_attention_time(self, sums: Sequence[Sequence[int]]) -> float:
-        """Decode Attention time through every stage, each shard running a share of the heads.
-
-        ``sums[i]`` holds the ``(head_context, group_context, heads)`` sums of
-        the batch's heads at shard fraction ``fractions[i]``.  Each distinct
-        ``(spec, slot)`` shard is priced once, however many stages hold it.
-        """
-        if not self._decode_stages:
+    def decode_plan(self) -> DecodePlan:
+        """The layout's :class:`DecodePlan`, compiled on the first call."""
+        plan = self._decode_plan
+        if plan is None:
             distinct: Dict[Tuple[GPUSpec, int], int] = {}
-            self._decode_stages = [
+            stages = tuple(
                 (stage.num_layers, tuple(distinct.setdefault((shard.spec, shard.slot), len(distinct)) for shard in shards))
                 for stage, shards in zip(self.config.stages, self.shards)
-            ]
-            self._decode_shards = list(distinct)
-        times = [self.decode_attention_time(spec, *sums[slot]) for spec, slot in self._decode_shards]
-        total = 0.0
-        for layers, shards in self._decode_stages:
-            per_layer = 0.0
-            for k in shards:
-                per_layer = max(per_layer, times[k])
-            total += layers * per_layer
-        return total
+            )
+            workers = enumerate(self.config.attention_workers, len(self.fractions))
+            plan = self._decode_plan = DecodePlan(
+                tuple(DecodePlan.device(slot, spec) for spec, slot in distinct),
+                stages,
+                tuple(DecodePlan.device(slot, worker.spec) for slot, worker in workers),
+                self.cost_model.decode_flops_per_head_token,
+                self.cost_model.decode_vector_pair_bytes,
+                self.executor.model.num_layers,
+            )
+        return plan

@@ -224,13 +224,23 @@ def objective_lower_bound(
 def summary_lower_bound(
     summary: ContextSummary, base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
 ) -> float:
-    """:func:`objective_lower_bound` for the contexts of ``summary``, bit for bit.
+    """:func:`objective_lower_bound` for the contexts of ``summary``, bit for bit."""
+    return max(max(base_cost), weighted_lower_bound(summary, base_cost, usable, total_heads)[0])
 
-    Only what depends on the bases and the usable targets is computed here:
-    the usable kinds (in the order of their first usable target), their
-    counts and base sums, the weights and the envelope.
+
+def weighted_lower_bound(
+    summary: ContextSummary, base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
+) -> Tuple[float, List[Tuple[float, float]]]:
+    """The weighted part of :func:`summary_lower_bound` and the weights that give it.
+
+    Returns the largest ``sum_i mu_i base_i + H * sum_j min_i mu_i (head_i +
+    cache_i l_j)`` over the weights tried, and per usable kind the line
+    ``(mu_k head_k, mu_k cache_k)`` of those weights; ``(-inf, [])`` when
+    some usable kind's per-head cost is not positive.  Only what depends on
+    the bases and the usable targets is computed here: the usable kinds (in
+    the order of their first usable target), their counts and base sums, the
+    weights and the envelope.
     """
-    bound = max(base_cost)
     kind_of, positive = summary.kind_of, summary.positive
     kinds: List[int] = []
     counts: List[int] = []
@@ -244,19 +254,43 @@ def summary_lower_bound(
                 base_sums[m] += base_cost[i]
             else:
                 if not positive[kind]:
-                    return bound  # no such weights
+                    return -math.inf, []  # no such weights
                 kinds.append(kind)
                 counts.append(1)
                 base_sums.append(0 + base_cost[i])  # sum()'s start: -0.0 counts as 0.0
     costs = [summary.kinds[kind] for kind in kinds]
-    value = -math.inf
+    value, best = -math.inf, []
     for inverse_at in summary.inverse:
         inverse = [inverse_at[kind] for kind in kinds]
         total = sum(v * k for v, k in zip(inverse, counts))
         weighted_base = sum(v * b for v, b in zip(inverse, base_sums)) / total
         lines = [(v / total * a, v / total * c) for v, (a, c) in zip(inverse, costs)]
-        value = max(value, weighted_base + total_heads * _envelope_sum(lines, summary.ordered, summary.prefix))
-    return max(bound, value)
+        bound = weighted_base + total_heads * _envelope_sum(lines, summary.ordered, summary.prefix)
+        if bound > value:
+            value, best = bound, lines
+    return value, best
+
+
+def one_request_lower_bound(
+    inverse: Sequence[float], base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
+) -> float:
+    """:func:`objective_lower_bound` of one request, in closed form and O(targets).
+
+    ``inverse`` holds each target's ``1 / p_i``, where ``p_i = head_i +
+    cache_i l > 0`` is its cost per head at the request's context ``l``.
+    With one context the weights ``mu_i ~ 1 / p_i`` make every usable
+    target's line ``mu_i p_i`` the same, ``1 / sum_U 1 / p_i``, so the bound
+    is ``max(max_i base_i, (sum_U base_i / p_i + H) / sum_U 1 / p_i)`` over
+    the usable targets U.  It agrees with :func:`objective_lower_bound` to
+    within a few ulps (the envelope path rounds the weights first).
+    """
+    weighted = float(total_heads)
+    total = 0.0
+    for v, b, u in zip(inverse, base_cost, usable):
+        if u:
+            weighted += b * v
+            total += v
+    return max(max(base_cost), weighted / total)
 
 
 def _envelope_sum(lines: List[Tuple[float, float]], ordered: List[float], prefix: List[float]) -> float:

@@ -17,7 +17,7 @@ reported for production LLM traffic, and clipped to sane per-dataset ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -62,13 +62,17 @@ class DatasetSpec:
 
     def sample(self, rng: np.random.Generator, n: int) -> List[RequestSample]:
         """Draw ``n`` requests."""
+        return [RequestSample(p, o) for p, o in zip(*self.lengths(rng, n))]
+
+    def lengths(self, rng: np.random.Generator, n: int) -> Tuple[List[int], List[int]]:
+        """The prompt and output lengths of :meth:`sample`'s ``n`` requests, as two lists."""
         if n < 0:
             raise ValueError("n must be >= 0")
         prompts = np.exp(rng.normal(self.prompt_mu, self.prompt_sigma, size=n))
         outputs = np.exp(rng.normal(self.output_mu, self.output_sigma, size=n))
         prompts = np.clip(np.round(prompts), self.prompt_min, self.prompt_max).astype(int)
         outputs = np.clip(np.round(outputs), self.output_min, self.output_max).astype(int)
-        return [RequestSample(int(p), int(o)) for p, o in zip(prompts, outputs)]
+        return prompts.tolist(), outputs.tolist()
 
     @property
     def mean_prompt_tokens(self) -> float:

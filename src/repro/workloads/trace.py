@@ -25,7 +25,7 @@ from repro.workloads.arrivals import (
     poisson_arrival_stream,
     poisson_arrivals,
 )
-from repro.workloads.datasets import RequestSample, get_dataset_spec
+from repro.workloads.datasets import get_dataset_spec
 
 
 @dataclass(frozen=True)
@@ -212,21 +212,17 @@ def generate_trace_stream(
             times: Iterator[float] = piecewise_rate_arrival_stream(phases, seed=arrival_rng)
         else:
             times = poisson_arrival_stream(request_rate, seed=arrival_rng)
-        buffer: List[RequestSample] = []
+        prompts: List[int] = []
+        outputs: List[int] = []
         produced = 0
         for t in times:
             if num_requests and produced >= num_requests:
                 break
-            if not buffer:
-                buffer = spec.sample(length_rng, chunk_size)
-                buffer.reverse()  # pop() from the tail preserves draw order
-            sample = buffer.pop()
+            k = produced % chunk_size
+            if k == 0:
+                prompts, outputs = spec.lengths(length_rng, chunk_size)
             produced += 1
-            yield TraceEntry(
-                arrival_time=t,
-                prompt_tokens=sample.prompt_tokens,
-                output_tokens=sample.output_tokens,
-            )
+            yield TraceEntry(arrival_time=t, prompt_tokens=prompts[k], output_tokens=outputs[k])
 
     return StreamingTrace(
         factory=_entries,

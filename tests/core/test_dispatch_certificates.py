@@ -1,10 +1,10 @@
 """Parity of the Dispatcher's certified decisions with the solver path.
 
-The certificates (``Dispatcher._local_certified`` and
-``Dispatcher._certify_ideal``) may only skip a solve whose outcome they
-prove.  The reference path patches them to answer "undecided", so every call
-solves exactly as before they existed; both paths must return the same
-decisions, bit for bit.
+The certificates (``Dispatcher._local_certified``, ``Dispatcher._certify_ideal``
+and the f* floor's ``Dispatcher.floor_certified``) may only skip a solve
+whose outcome they prove.  The reference path patches them to answer
+"undecided", so every call solves exactly as before they existed; both paths
+must return the same decisions, bit for bit.
 """
 
 from collections import Counter
@@ -19,12 +19,19 @@ from repro.api import run
 from repro.config import DeploymentSpec
 from repro.core.attention_parallel import HeadSplit
 from repro.core.dispatcher import Dispatcher, DispatchTarget
-from repro.core.hetis_unit import HetisInstanceUnit
+from repro.core.hetis_unit import REDISPATCH_CHECK_INTERVAL, HetisInstanceUnit
 from repro.core.redispatch import RedispatchPolicy
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import get_model_spec
 from repro.perf.attention_model import AttentionTimeModel, DeviceAttentionModel, TransferTimeModel
-from repro.solvers.head_dispatch import objective_lower_bound, solve_greedy, solve_lp
+from repro.solvers.head_dispatch import (
+    HeadDispatchProblem,
+    _solve_epigraph,
+    epigraph_lp,
+    objective_lower_bound,
+    solve_greedy,
+    solve_lp,
+)
 
 from tests.core.test_dispatcher import make_dispatcher
 from tests.solvers.test_head_dispatch import fused_lower_bound
@@ -35,6 +42,7 @@ THETAS = (0.3, 0.4, 0.5, 0.6, 0.7)  # the Fig. 16a grid
 def undecided(monkeypatch):
     monkeypatch.setattr(Dispatcher, "_local_certified", lambda *args: False)
     monkeypatch.setattr(Dispatcher, "_certify_ideal", lambda *args: None)
+    monkeypatch.setattr(Dispatcher, "floor_certified", lambda *args: False)
 
 
 def random_targets(model, rng, profiling_error):
@@ -239,17 +247,23 @@ def test_wake_case_bounds_equal_the_one_pass_bound(monkeypatch, model_name):
 
 @pytest.mark.parametrize("solver", ["lp", "greedy"])
 def test_undecided_reaches_every_solve(monkeypatch, solver):
-    """Under :func:`undecided`, every check and every batch that fits the Primary solves.
+    """Under :func:`undecided`, every θ check and every batch that fits the Primary solves.
 
     The parity tests compare the certified path against this one, so a
-    shortcut anywhere but behind ``_local_certified`` and ``_certify_ideal``
-    would stay on in both and go unchecked.
+    shortcut anywhere but behind the certificate seams would stay on in both
+    and go unchecked.  A Hetis unit's θ checks are counted from its schedule,
+    each ``REDISPATCH_CHECK_INTERVAL``-th committed epoch with requests
+    holding cache, not from the calls that happen: a shortcut that skips the
+    call, in ``_on_iteration_complete`` or in ``check_compute_balance``,
+    fails here too.
     """
     undecided(monkeypatch)
     solved = []
+    ideal_solves = [0]
     reached = Counter()
     real_solve, real_solve_ideal = Dispatcher._solve, Dispatcher._solve_ideal
     real_check, real_dispatch = Dispatcher.check_ideal, Dispatcher.dispatch_new
+    real_complete = HetisInstanceUnit._on_iteration_complete
 
     def solve(self, problem):
         solved.append("solve")
@@ -257,6 +271,7 @@ def test_undecided_reaches_every_solve(monkeypatch, solver):
 
     def solve_ideal(self, problem):
         solved.append("ideal")
+        ideal_solves[0] += 1
         return real_solve_ideal(self, problem)
 
     def check_ideal(self, all_requests, current, theta):
@@ -277,13 +292,22 @@ def test_undecided_reaches_every_solve(monkeypatch, solver):
             reached["dispatch"] += 1
         return decision
 
-    for name, patched in (
-        ("_solve", solve),
-        ("_solve_ideal", solve_ideal),
-        ("check_ideal", check_ideal),
-        ("dispatch_new", dispatch_new),
+    def on_iteration_complete(self):
+        scheduled = self.enable_redispatch and self.clock.epoch % REDISPATCH_CHECK_INTERVAL == 0 and bool(self._splits)
+        before = ideal_solves[0]
+        real_complete(self)
+        if scheduled:
+            assert ideal_solves[0] > before, f"the θ check at epoch {self.clock.epoch} did not solve"
+            reached["scheduled"] += 1
+
+    for owner, name, patched in (
+        (Dispatcher, "_solve", solve),
+        (Dispatcher, "_solve_ideal", solve_ideal),
+        (Dispatcher, "check_ideal", check_ideal),
+        (Dispatcher, "dispatch_new", dispatch_new),
+        (HetisInstanceUnit, "_on_iteration_complete", on_iteration_complete),
     ):
-        monkeypatch.setattr(Dispatcher, name, patched)
+        monkeypatch.setattr(owner, name, patched)
 
     model = get_model_spec("llama-13b")
     for seed in range(4):
@@ -303,7 +327,139 @@ def test_undecided_reaches_every_solve(monkeypatch, solver):
         }
     )
     run(spec)
-    assert reached["check"] > 0 and reached["dispatch"] > 0
+    assert reached["check"] > 0 and reached["dispatch"] > 0 and reached["scheduled"] > 0
+
+
+@pytest.mark.parametrize("model_name", ["llama-70b", "llama-13b"])
+@pytest.mark.parametrize("profiling_error", [0.0, 0.3])
+def test_one_request_wake_case_bounds_are_the_one_pass_bound(monkeypatch, model_name, profiling_error):
+    """Each wake case of a one-request batch is bounded in closed form.
+
+    The bound agrees with the one-pass :func:`objective_lower_bound` to 1e-12
+    and is at most the case's LP optimum: only the case's usable targets take
+    heads, each within its free cache, and the others keep their base.
+    """
+    model = get_model_spec(model_name)
+    cases = []
+    closed_form = repro.core.dispatcher.one_request_lower_bound
+
+    def spy(inverse, base, usable, total_heads):
+        value = closed_form(inverse, base, usable, total_heads)
+        cases.append((list(base), list(usable), value))
+        return value
+
+    monkeypatch.setattr(repro.core.dispatcher, "one_request_lower_bound", spy)
+    checked = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        targets, _splits, _contexts = random_state(model, rng, profiling_error)
+        dispatcher = make_dispatcher(model, targets)
+        context = int(rng.integers(16, 30_000))
+        free = [t.free_token_heads for t in dispatcher.targets]
+        start = len(cases)
+        dispatcher.dispatch_new([(100, context)])
+        for base, usable, value in cases[start:]:
+            expected = fused_lower_bound(
+                dispatcher._head_cost, dispatcher._cache_cost, base, usable, [context], model.num_heads
+            )
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+            kept = [i for i, u in enumerate(usable) if u]
+            problem = HeadDispatchProblem(
+                [dispatcher._head_cost[i] for i in kept],
+                [dispatcher._cache_cost[i] for i in kept],
+                [base[i] for i in kept],
+                [free[i] for i in kept],
+                [context],
+                model.num_heads,
+                model.gqa_ratio,
+            )
+            x = _solve_epigraph(epigraph_lp(problem))
+            if x is not None:
+                assert value <= max(max(base), x[-1]) * (1 + 1e-12)
+                checked += 1
+    assert checked > 0
+
+
+def test_non_positive_cost_per_head_takes_the_envelope_path(monkeypatch):
+    """A target whose cost per head is 0 has no closed-form weight: the case goes through the envelope."""
+    model = get_model_spec("llama-13b")
+    rng = np.random.default_rng(0)
+    targets = random_targets(model, rng, 0.0)
+    free = DeviceAttentionModel(99, "free", AttentionTimeModel(a=0.0, b=0.0, c=1e-4), TransferTimeModel(0.0, 1e-3), True)
+    targets.append(DispatchTarget(99, "free", free, HeadwiseBlockManager(4e9, model)))
+    calls = Counter()
+    for name in ("one_request_lower_bound", "summary_lower_bound"):
+        real = getattr(repro.core.dispatcher, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(repro.core.dispatcher, name, spy)
+    dispatcher = make_dispatcher(model, targets)
+    certified = dispatch_key(dispatcher.dispatch_new([(1, 500)]))
+    assert calls["summary_lower_bound"] > 0 and calls["one_request_lower_bound"] == 0
+    undecided(monkeypatch)
+    assert dispatch_key(dispatcher.dispatch_new([(1, 500)])) == certified
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model_name=st.sampled_from(["llama-13b", "llama-70b"]),  # r = 1 and 8
+    profiling_error=st.sampled_from([0.0, 0.3]),
+    theta=st.sampled_from(THETAS),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(["join", "leave", "grow"]), min_size=1, max_size=24),
+)
+def test_floor_stays_below_the_ideal_lp(model_name, profiling_error, theta, seed, steps):
+    """A kept f* floor, driven through joins, leaves and epochs of growth.
+
+    At every step it is at most the HiGHS optimum t of the ideal LP, and
+    every θ answer it gives (or, when it cannot, check_ideal gives) is the
+    floorless check_ideal's.  Once every request has left, the leaves have
+    driven it under its rounding guard and it is gone.
+    """
+    model = get_model_spec(model_name)
+    rng = np.random.default_rng(seed)
+    targets = random_targets(model, rng, profiling_error)
+    kept = make_dispatcher(model, targets)
+    kept.keep_ideal_floor()
+    floorless = make_dispatcher(model, targets)
+    contexts = {}
+    for rid, step in enumerate(steps):
+        if step == "join":
+            contexts[rid] = int(rng.integers(16, 12_000))
+        elif step == "leave" and contexts:
+            kept.request_left(contexts.pop(int(rng.choice(list(contexts)))))
+        elif step == "grow":
+            growth = int(rng.integers(1, 500))
+            contexts = {r: ctx + growth for r, ctx in contexts.items()}
+        if not contexts:
+            assert kept._floor is None
+            continue
+        requests = list(contexts.items())
+        x = _solve_epigraph(epigraph_lp(kept._ideal_problem(list(contexts.values()))))
+        if x is not None and kept._floor is not None:
+            assert kept._floor <= x[-1]
+        scale = x[-1] if x is not None else 1e-3
+        current = scale * (1 + theta) * float(rng.choice([0.5, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.1, 2.0]))
+        over = False if kept.floor_certified(current, theta) else kept.check_ideal(requests, current, theta).over
+        assert over == floorless.check_ideal(requests, current, theta).over
+
+
+def test_floor_settles_checks_of_a_replay(monkeypatch):
+    """In a Hetis replay the floor settles some θ checks and leaves others to check_ideal."""
+    answers = Counter()
+    real = Dispatcher.floor_certified
+
+    def count(self, current, theta):
+        certified = real(self, current, theta)
+        answers[certified] += 1
+        return certified
+
+    monkeypatch.setattr(Dispatcher, "floor_certified", count)
+    run(DeploymentSpec().with_overrides({"workload.num_requests": 24, "workload.seed": 3, "workload.dataset": "longbench"}))
+    assert answers[True] > 0 and answers[False] > 0
 
 
 # Checks near the trigger's threshold, as a multiplier of f* (1 + theta):

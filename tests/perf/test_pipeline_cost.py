@@ -202,16 +202,20 @@ def test_decode_attention_matches_the_executor(layout):
         for sums in grid:
             assert pipeline.decode_attention_time(spec, *sums) == reference_decode_attention(executor, spec, *sums), (spec.name, sums)
 
-    # Through every stage, each shard reading its slot's sums.
+    # Through every stage, each shard reading its slot's ledger sums at a decode epoch.
+    plan = pipeline.decode_plan()
     for _ in range(50):
-        slot_sums = [tuple(int(x) for x in rng.integers(0, 10**6, size=3)) for _ in pipeline.fractions]
+        ledger = [tuple(int(x) for x in rng.integers(0, 10**6, size=4)) for _ in pipeline.fractions]
+        epoch = int(rng.integers(0, 4096))
         expected = 0.0
         for stage, shards in zip(pipeline.config.stages, pipeline.shards):
             per_layer = 0.0
             for shard in shards:
-                per_layer = max(per_layer, reference_decode_attention(executor, shard.spec, *slot_sums[shard.slot]))
+                head_base, group_base, heads, groups = ledger[shard.slot]
+                sums = (head_base + epoch * heads, group_base + epoch * groups, heads)
+                per_layer = max(per_layer, reference_decode_attention(executor, shard.spec, *sums))
             expected += stage.num_layers * per_layer
-        assert pipeline.primary_decode_attention_time(slot_sums) == expected
+        assert plan.primary_time(ledger, epoch) == expected
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_CATALOG))
@@ -232,3 +236,54 @@ def test_per_token_coefficients_scale_exactly(name):
             assert cost.weight_bytes == per_token.weight_bytes
     assert all(c == int(c) for c in coefficients)
     assert max(coefficients) * EXACT_TOKENS < 2**53
+
+
+# Every registered model's Hetis layout on the paper cluster and on the
+# snapshot's a100:1,p100:2 (where no layout holds llama-70b or opt-30b).
+HETIS_CELLS = [
+    (cluster, name)
+    for cluster in ("paper", "a100:1,p100:2")
+    for name in sorted(MODEL_CATALOG)
+    if not (cluster == "a100:1,p100:2" and name in ("llama-70b", "opt-30b"))
+]
+
+
+@pytest.mark.parametrize("cluster, model_name", HETIS_CELLS)
+def test_decode_plan_prices_like_the_pipeline(cluster, model_name):
+    """The compiled decode plan equals ``PipelineCost.decode_attention_time`` per shard and worker, by ``==``.
+
+    The Primary's price walks the stages, each taking its shards' largest
+    per-layer time; a worker's is its per-layer time over every layer.
+    Ledgers are random, a third of their slots holding no heads.
+    """
+    spec = DeploymentSpec.from_dict({
+        "model": model_name, "system": {"name": "hetis"}, "cluster": {"kind": cluster},
+        "workload": {"dataset": "sharegpt", "request_rate": 2.0},
+    })
+    rng = np.random.default_rng(13)
+    for unit in api.build(spec).system.units:
+        pipeline, workers = unit.pipeline, unit.config.attention_workers
+        plan = pipeline.decode_plan()
+        slots = len(pipeline.fractions) + len(workers)
+        for _ in range(200):
+            ledger = []
+            for _slot in range(slots):
+                heads = int(rng.integers(0, 3)) * int(rng.integers(1, 20_000))
+                groups = -(-heads // unit.model.gqa_ratio)
+                ledger.append((heads * int(rng.integers(1, 20_000)), groups * int(rng.integers(1, 20_000)), heads, groups))
+            epoch = int(rng.integers(0, 4096))
+
+            def sums(slot):
+                head_base, group_base, heads, groups = ledger[slot]
+                return head_base + epoch * heads, group_base + epoch * groups, heads
+
+            expected = 0.0
+            for stage, shards in zip(unit.config.stages, pipeline.shards):
+                per_layer = 0.0
+                for shard in shards:
+                    per_layer = max(per_layer, pipeline.decode_attention_time(shard.spec, *sums(shard.slot)))
+                expected += stage.num_layers * per_layer
+            assert plan.primary_time(ledger, epoch) == expected
+            for k, worker in enumerate(workers):
+                per_layer = pipeline.decode_attention_time(worker.spec, *sums(len(pipeline.fractions) + k))
+                assert plan.worker_time(k, ledger, epoch) == per_layer * unit.model.num_layers

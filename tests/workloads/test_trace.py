@@ -101,3 +101,20 @@ def test_generate_trace_stream_rejects_unbounded_poisson():
         generate_trace_stream("sharegpt", 5.0, 0, seed=0)
     with pytest.raises(ValueError, match="chunk_size"):
         generate_trace_stream("sharegpt", 5.0, 10, chunk_size=0)
+
+
+@pytest.mark.parametrize("chunk_size", [7, 4096])
+def test_generate_trace_stream_lengths_are_successive_chunk_draws(chunk_size):
+    """The stream's lengths are successive ``sample(rng, chunk_size)`` draws of its length generator."""
+    from repro.utils.rng import spawn_rngs
+    from repro.workloads.datasets import get_dataset_spec
+    from repro.workloads.trace import generate_trace_stream
+
+    n = 2 * chunk_size + 3  # two whole chunks and part of a third
+    stream = generate_trace_stream("humaneval", 50.0, n, seed=5, chunk_size=chunk_size)
+    _, length_rng = spawn_rngs(5, 2)
+    spec = get_dataset_spec("humaneval")
+    draws = [s for _ in range(3) for s in spec.sample(length_rng, chunk_size)][:n]
+    entries = list(stream)
+    assert [(e.prompt_tokens, e.output_tokens) for e in entries] == [(s.prompt_tokens, s.output_tokens) for s in draws]
+    assert all(type(e.prompt_tokens) is int and type(e.output_tokens) is int for e in entries)
