@@ -20,7 +20,7 @@ Two practical behaviours from the paper are implemented on top of the raw LP:
 
 Both the locality test and the re-dispatcher's imbalance check use the LP
 only to compare against its optimum.  Each first tries a *certificate*: a
-closed-form bound (:func:`~repro.solvers.head_dispatch.objective_lower_bound`,
+closed-form bound (:func:`~repro.solvers.head_dispatch.summary_lower_bound`,
 and the greedy objective as an upper bound on f*) that proves which way the
 comparison goes.  The solver runs only when the bounds leave the outcome
 open, and then exactly as it would without them, so every decision is the
@@ -29,14 +29,12 @@ whole cache fits every target, greedy's objective *is* f*, so greedy alone
 settles it.  A batch of one request, most admissions and every
 re-dispatch, bounds each way of waking idle workers in closed form.
 
-An owner that checks balance over the requests it holds and reports each
-leave (a Hetis unit) also gets an f* floor
-(:meth:`Dispatcher.keep_ideal_floor`): the highest weighted bound
-:meth:`Dispatcher._certify_ideal` has computed, kept across checks.
-Joins and context growth only raise the ideal problem's cost, so the floor
-stays below f*; a leave lowers it by the leaving request's term.  The
-trigger answers "within theta" from the floor alone when it can
-(:meth:`Dispatcher.floor_certified`).
+The Dispatcher also keeps an f* floor across balance checks: the highest
+weighted bound :meth:`Dispatcher._certify_ideal` has computed.  Joins and
+context growth only raise the ideal problem's cost, so the floor stays
+below f*; a leave, which the owner reports (:meth:`Dispatcher.request_left`),
+lowers it by the leaving request's term.  The trigger answers "within
+theta" from the floor alone when it can (:meth:`Dispatcher.floor_certified`).
 
 The certificates live only behind :meth:`Dispatcher._local_certified`,
 :meth:`Dispatcher._certify_ideal` and :meth:`Dispatcher.floor_certified`,
@@ -148,6 +146,8 @@ class Dispatcher:
     """Dispatches Attention heads of incoming requests across targets.
 
     ``loads`` supplies every target's h_i and g_i (:data:`TargetLoads`).
+    The owner reports each request that stops holding cache there
+    (:meth:`request_left`), which keeps the f* floor sound.
     """
 
     def __init__(
@@ -190,9 +190,8 @@ class Dispatcher:
             kinds.setdefault(key, len(kinds))
             for key in zip(self._head_cost, self._cache_cost, self._ideal_base, self._fixed_cost)
         ]
-        # The f* floor (see keep_ideal_floor), and the lines of the weights
+        # The f* floor (see floor_certified), and the lines of the weights
         # that produced it, one (mu_k head_k, mu_k cache_k) per target kind.
-        self._keeps_floor = False
         self._floor: Optional[float] = None
         self._floor_lines: List[Tuple[float, float]] = []
 
@@ -342,18 +341,18 @@ class Dispatcher:
 
         An allocation wakes some set W of the idle targets.  Those pay their
         fixed cost on top of their load; the other idle targets get no heads
-        and keep their base load.  :func:`objective_lower_bound` over the
+        and keep their base load.  :func:`summary_lower_bound` over the
         busy targets plus W, with the fixed costs folded into W's bases, holds
         for every allocation that wakes exactly W, so the minimum over all W
         holds for any allocation.  Idle targets of one kind are
         interchangeable here, so only how many of each kind wake matters:
         four identical idle workers give 5 cases, not 16.  A batch of one
         request, the usual case, is bounded in closed form per case
-        (:func:`~repro.solvers.head_dispatch.one_request_lower_bound`) when
-        every target's cost per head is positive at its context.  Otherwise
-        what the cases share (the sorted contexts and their prefix sums, the
-        representative contexts and each kind's weight at them) is summarized
-        once per call (:func:`~repro.solvers.head_dispatch.summarize_contexts`).
+        (:func:`~repro.solvers.head_dispatch.one_request_lower_bound`).  For
+        larger batches, what the cases share (the sorted contexts and their
+        prefix sums, the representative contexts and each kind's weight at
+        them) is summarized once per call
+        (:func:`~repro.solvers.head_dispatch.summarize_contexts`).
         """
         kinds: Dict[int, List[int]] = {}
         for i, off in enumerate(idle):
@@ -363,12 +362,10 @@ class Dispatcher:
         if math.prod(len(g) + 1 for g in groups) > MAX_WAKE_CASES:
             return -math.inf
         busy = [not off for off in idle]
-        bound = None
         if len(contexts) == 1:
             per_head = [a + c * contexts[0] for a, c in zip(self._head_cost, self._cache_cost)]
-            if min(per_head) > 0:
-                bound = functools.partial(one_request_lower_bound, [1.0 / p for p in per_head])
-        if bound is None:
+            bound = functools.partial(one_request_lower_bound, [1.0 / p if p > 0 else None for p in per_head])
+        else:
             bound = functools.partial(summary_lower_bound, summarize_contexts(self._head_cost, self._cache_cost, contexts))
         heads = self.model.num_heads
         lowest = math.inf
@@ -429,12 +426,12 @@ class Dispatcher:
 
         f* is the optimum over ``contexts`` on targets with loads ``base``
         and free token-heads ``capacity``.  It is at least
-        :func:`objective_lower_bound`.  It is at most the greedy objective
+        :func:`summary_lower_bound`.  It is at most the greedy objective
         whenever greedy finds a placement: ``solve_lp`` keeps the better of
         its rounded LP and greedy, and falls back to greedy when the LP fails.
         The bound is plain arithmetic; a problem is built only for greedy.
-        A Dispatcher that keeps an f* floor (:meth:`keep_ideal_floor`) raises
-        it with the bound's weighted part.
+        The bound's weighted part also raises the f* floor
+        (:meth:`floor_certified`).
 
         For one request whose whole cache (H x l token-heads) fits every
         target, greedy's objective is f* itself, so greedy alone settles both
@@ -450,9 +447,8 @@ class Dispatcher:
         if not single:
             summary = summarize_contexts(self._head_cost, self._cache_cost, contexts)
             weighted, lines = weighted_lower_bound(summary, base, self._all_usable, self.model.num_heads)
-            if self._keeps_floor:
-                self._raise_floor(weighted, lines)
-            lower = max(max(base), weighted)  # objective_lower_bound, bit for bit
+            self._raise_floor(weighted, lines)
+            lower = max(max(base), weighted)  # summary_lower_bound, bit for bit
             if current * (1.0 + CERTIFICATE_SLACK) <= lower * (1.0 + theta):
                 return IdealCheck(over=False, ideal=lower, exact=False)
             if lower <= 0:
@@ -467,25 +463,6 @@ class Dispatcher:
         return None
 
     # -- the f* floor ---------------------------------------------------------------------------
-
-    def keep_ideal_floor(self) -> None:
-        """Keep a floor on f* across :meth:`check_ideal` calls from now on.
-
-        The caller promises that every later check asks about the requests it
-        holds, and that it reports each one that stops holding cache through
-        :meth:`request_left`; a Hetis unit sees every join and leave.  A
-        Dispatcher that was not asked keeps no floor, so one asked about
-        unrelated states never reads a stale one.
-
-        Each weighted bound :meth:`_certify_ideal` computes for the check's
-        requests raises the floor when it is higher.  The floor stays below
-        f* while requests join and contexts grow: head and cache costs are
-        non-negative (the fitted models clip to that), so the bound's sum
-        over requests only gains terms that grow with the context, and the
-        solver's f* is the objective of an allocation, which no bound
-        undercuts.  A leave lowers it by that request's term.
-        """
-        self._keeps_floor = True
 
     def request_left(self, context: int) -> None:
         """A request holding ``context`` tokens stopped holding cache: lower the floor.
@@ -509,6 +486,18 @@ class Dispatcher:
         The third certificate, next to :meth:`_local_certified` and
         :meth:`_certify_ideal`: it answers the balance trigger from the
         current objective alone, before any request is read.
+
+        Each weighted bound :meth:`_certify_ideal` computes raises the floor
+        when it is higher.  The floor stays below f* while requests join and
+        contexts grow: head and cache costs are non-negative (the fitted
+        models clip to that), so the bound's sum over requests only gains
+        terms that grow with the context, and the solver's f* is the
+        objective of an allocation, which no bound undercuts.  A leave lowers
+        it (:meth:`request_left`).  So the answer holds for the requests the
+        checks ask about, provided the owner reports every one of them that
+        stops holding cache; a Hetis unit checks exactly the requests it
+        holds and reports each leave from ``_release``.  Checks about
+        unrelated states need a Dispatcher each.
         """
         floor = self._floor
         return floor is not None and current * (1.0 + CERTIFICATE_SLACK) <= floor * (1.0 + theta)

@@ -176,9 +176,6 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
         self.dispatcher = Dispatcher(
             model, targets, self.target_loads, solver=solver, local_preference=local_preference
         )
-        # The unit checks balance over exactly the requests holding cache and
-        # reports each leave (_release), so the dispatcher may keep an f* floor.
-        self.dispatcher.keep_ideal_floor()
         self.redispatcher = RedispatchPolicy(model, self.dispatcher, theta=theta)
         self.hauler = Hauler(cluster, model, interference_factor=HAULER_INTERFERENCE)
 
@@ -396,6 +393,8 @@ class HetisInstanceUnit(ContinuousBatchingUnit):
     def _release(self, request: Request) -> None:
         self._free_request(request)
         if self._splits.pop(request.request_id, None) is not None:
+            # Balance checks ask about exactly the requests in _splits, so the
+            # dispatcher's f* floor must drop this one's term.
             self.dispatcher.request_left(request.context_length)
         self._requests.pop(request.request_id, None)
 

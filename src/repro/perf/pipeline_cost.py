@@ -121,6 +121,27 @@ class Layout(NamedTuple):
     handoffs: Tuple[Link, ...]
 
 
+def decode_roofline(
+    head_context: int, group_context: int, heads: int,
+    flops: float, pair_bytes: float, rate: float, bandwidth: float, launch: float,
+) -> float:
+    """Per-layer decode Attention time of a batch given by its sums, on one device.
+
+    The batch holds ``heads`` query heads over ``head_context`` cached
+    token-heads (``group_context`` per KV group).  ``flops`` is the FLOPs per
+    head-token and ``pair_bytes`` the bytes of one key/value vector pair;
+    the device computes at ``rate`` FLOP/s, reads at ``bandwidth`` bytes/s
+    and launches in ``launch`` seconds.  The executor's Attention roofline
+    over :meth:`~repro.models.flops.LayerCostModel.decode_attention_from_sums`,
+    bit for bit.
+    """
+    if heads <= 0:
+        return 0.0
+    compute = head_context * flops / rate
+    memory = pair_bytes * (group_context + heads) / bandwidth
+    return (memory if memory > compute else compute) + launch
+
+
 class DecodePlan(NamedTuple):
     """Hetis decode Attention, priced from per-slot ledger sums.
 
@@ -128,9 +149,9 @@ class DecodePlan(NamedTuple):
     or, after those, an Attention worker.  Its ledger entry ``(Σ h·base,
     Σ ⌈h/r⌉·base, Σ h, Σ ⌈h/r⌉)`` sums over the decoding requests with h
     heads there, each at a context of ``base`` plus the decode epoch.  Each
-    price performs :meth:`PipelineCost.decode_attention_time`'s floating-point
-    operations in the same order, on constants compiled once per layout
-    instead of read through a method call per shard per iteration.
+    device is priced by :func:`decode_roofline`, as
+    :meth:`PipelineCost.decode_attention_time` prices it, on constants
+    compiled once per layout instead of read from its spec per iteration.
     """
 
     shards: Tuple[Tuple[int, float, float, float], ...]
@@ -157,12 +178,10 @@ class DecodePlan(NamedTuple):
         times = []
         for slot, rate, bandwidth, launch in self.shards:
             head_base, group_base, heads, groups = ledger[slot]
-            if heads > 0:
-                compute = (head_base + epoch * heads) * flops / rate
-                memory = pair_bytes * (group_base + epoch * groups + heads) / bandwidth
-                times.append((memory if memory > compute else compute) + launch)
-            else:
-                times.append(0.0)
+            times.append(decode_roofline(
+                head_base + epoch * heads, group_base + epoch * groups, heads,
+                flops, pair_bytes, rate, bandwidth, launch,
+            ))
         total = 0.0
         for layers, shards in self.stages:
             per_layer = 0.0
@@ -176,11 +195,11 @@ class DecodePlan(NamedTuple):
         """Decode Attention time of Attention worker ``worker`` (an index into :attr:`workers`), transfers excluded."""
         slot, rate, bandwidth, launch = self.workers[worker]
         head_base, group_base, heads, groups = ledger[slot]
-        if heads <= 0:
-            return 0.0
-        compute = (head_base + epoch * heads) * self.flops / rate
-        memory = self.pair_bytes * (group_base + epoch * groups + heads) / bandwidth
-        return ((memory if memory > compute else compute) + launch) * self.layers
+        per_layer = decode_roofline(
+            head_base + epoch * heads, group_base + epoch * groups, heads,
+            self.flops, self.pair_bytes, rate, bandwidth, launch,
+        )
+        return per_layer * self.layers
 
 
 class PipelineCost:
@@ -335,11 +354,12 @@ class PipelineCost:
         Equal to the executor's Attention roofline over
         :meth:`~repro.models.flops.LayerCostModel.decode_attention_from_sums`.
         """
-        if heads <= 0:
-            return 0.0
-        compute = head_context * self.cost_model.decode_flops_per_head_token / spec.small_batch_flops
-        memory = self.cost_model.decode_vector_pair_bytes * (group_context + heads) / spec.mem_bandwidth
-        return max(compute, memory) + spec.kernel_overhead
+        cost_model = self.cost_model
+        return decode_roofline(
+            head_context, group_context, heads,
+            cost_model.decode_flops_per_head_token, cost_model.decode_vector_pair_bytes,
+            spec.small_batch_flops, spec.mem_bandwidth, spec.kernel_overhead,
+        )
 
     def decode_plan(self) -> DecodePlan:
         """The layout's :class:`DecodePlan`, compiled on the first call."""

@@ -20,17 +20,19 @@ provides:
 from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     HeadDispatchSolution,
-    objective_lower_bound,
     solve_lp,
     solve_greedy,
     round_to_groups,
+    summarize_contexts,
+    summary_lower_bound,
 )
 
 __all__ = [
     "HeadDispatchProblem",
     "HeadDispatchSolution",
-    "objective_lower_bound",
     "solve_lp",
     "solve_greedy",
     "round_to_groups",
+    "summarize_contexts",
+    "summary_lower_bound",
 ]

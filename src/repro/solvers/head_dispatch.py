@@ -130,7 +130,7 @@ class HeadDispatchSolution:
 
 
 class ContextSummary(NamedTuple):
-    """What every :func:`objective_lower_bound` over one batch's contexts shares.
+    """What every :func:`summary_lower_bound` over one batch's contexts shares.
 
     Built once per batch by :func:`summarize_contexts`; each set of bases
     and usable targets then costs :func:`summary_lower_bound` only.
@@ -156,7 +156,7 @@ def summarize_contexts(
     """The :class:`ContextSummary` of ``contexts`` on targets with these costs.
 
     The representative contexts are every context when there are at most
-    four, else the mean, min and max (see :func:`objective_lower_bound`).
+    four, else the mean, min and max (see :func:`summary_lower_bound`).
     """
     n = len(contexts)
     reps = contexts if n <= 4 else (sum(contexts) / n, min(contexts), max(contexts))
@@ -179,19 +179,14 @@ def summarize_contexts(
     return ContextSummary(ordered, list(accumulate(ordered, initial=0)), kinds, kind_of, inverse, positive)
 
 
-def objective_lower_bound(
-    head_cost: Sequence[float],
-    cache_cost: Sequence[float],
-    base_cost: Sequence[float],
-    usable: Sequence[bool],
-    contexts: Sequence[float],
-    total_heads: int,
+def summary_lower_bound(
+    summary: ContextSummary, base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
 ) -> float:
     """A lower bound on the min--max objective of every allocation, without solving.
 
-    The per-target sequences hold each target's ``head_i``, ``cache_i`` and
-    ``base_i`` and whether it may take heads (at least one may);
-    ``contexts`` holds ``l_j``.
+    ``summary`` holds the contexts ``l_j`` (:func:`summarize_contexts`); the
+    per-target sequences hold each target's ``base_i`` and whether it may
+    take heads (at least one may).
     For weights ``mu_i >= 0`` summing to one over the usable targets, any
     ``x >= 0`` with ``sum_i x_ij = H`` that places heads only on usable
     targets satisfies
@@ -213,18 +208,10 @@ def objective_lower_bound(
     Usable targets with equal head and cache costs get equal weights, so
     the inner min is over one line ``mu_k (head_k + cache_k l)`` per kind
     of target, and its sum over the sorted contexts is taken segment by
-    segment of the lines' lower envelope.  The result agrees with a
-    per-context evaluation of the formula to within a few ulps.  This is
-    :func:`summary_lower_bound` over the contexts' :func:`summarize_contexts`.
+    segment of the lines' lower envelope (:func:`weighted_lower_bound`).
+    The result agrees with a per-context evaluation of the formula to within
+    a few ulps.
     """
-    summary = summarize_contexts(head_cost, cache_cost, contexts)
-    return summary_lower_bound(summary, base_cost, usable, total_heads)
-
-
-def summary_lower_bound(
-    summary: ContextSummary, base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
-) -> float:
-    """:func:`objective_lower_bound` for the contexts of ``summary``, bit for bit."""
     return max(max(base_cost), weighted_lower_bound(summary, base_cost, usable, total_heads)[0])
 
 
@@ -272,25 +259,31 @@ def weighted_lower_bound(
 
 
 def one_request_lower_bound(
-    inverse: Sequence[float], base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
+    inverse: Sequence[Optional[float]], base_cost: Sequence[float], usable: Sequence[bool], total_heads: int
 ) -> float:
-    """:func:`objective_lower_bound` of one request, in closed form and O(targets).
+    """:func:`summary_lower_bound` of one request, in closed form and O(targets).
 
     ``inverse`` holds each target's ``1 / p_i``, where ``p_i = head_i +
-    cache_i l > 0`` is its cost per head at the request's context ``l``.
-    With one context the weights ``mu_i ~ 1 / p_i`` make every usable
-    target's line ``mu_i p_i`` the same, ``1 / sum_U 1 / p_i``, so the bound
-    is ``max(max_i base_i, (sum_U base_i / p_i + H) / sum_U 1 / p_i)`` over
-    the usable targets U.  It agrees with :func:`objective_lower_bound` to
-    within a few ulps (the envelope path rounds the weights first).
+    cache_i l`` is its cost per head at the request's context ``l``, or
+    None where ``p_i <= 0``.  With one context the weights ``mu_i ~ 1 / p_i``
+    make every usable target's line ``mu_i p_i`` the same, ``1 / sum_U 1 /
+    p_i``, so the bound is ``max(max_i base_i, (sum_U base_i / p_i + H) /
+    sum_U 1 / p_i)`` over the usable targets U.  It agrees with
+    :func:`summary_lower_bound` to within a few ulps (the envelope path
+    rounds the weights first).  When a usable target's ``p_i`` is not
+    positive there are no such weights, and the bound is ``max_i base_i``,
+    as on the envelope path.
     """
+    bound = max(base_cost)
     weighted = float(total_heads)
     total = 0.0
     for v, b, u in zip(inverse, base_cost, usable):
         if u:
+            if v is None:
+                return bound
             weighted += b * v
             total += v
-    return max(max(base_cost), weighted / total)
+    return max(bound, weighted / total)
 
 
 def _envelope_sum(lines: List[Tuple[float, float]], ordered: List[float], prefix: List[float]) -> float:

@@ -28,9 +28,10 @@ from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     _solve_epigraph,
     epigraph_lp,
-    objective_lower_bound,
     solve_greedy,
     solve_lp,
+    summarize_contexts,
+    summary_lower_bound,
 )
 
 from tests.core.test_dispatcher import make_dispatcher
@@ -123,14 +124,8 @@ def near_threshold_state(model, rng, profiling_error):
         if len(splits) < 2:
             continue
         dispatcher = make_dispatcher(model, targets)
-        lower = objective_lower_bound(
-            dispatcher._head_cost,
-            dispatcher._cache_cost,
-            dispatcher._ideal_base,
-            dispatcher._all_usable,
-            list(contexts.values()),
-            model.num_heads,
-        )
+        summary = summarize_contexts(dispatcher._head_cost, dispatcher._cache_cost, list(contexts.values()))
+        lower = summary_lower_bound(summary, dispatcher._ideal_base, dispatcher._all_usable, model.num_heads)
         if 1.3 <= max(dispatcher.attention_times()) / lower <= 1.85:
             return targets, splits, contexts
     raise AssertionError("no near-threshold state in 200 draws")
@@ -161,6 +156,7 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
     model = get_model_spec(model_name)
     outcomes = Counter()
     real_local, real_ideal = Dispatcher._local_certified, Dispatcher._certify_ideal
+    real_floor = Dispatcher.floor_certified
 
     def record_local(self, *args):
         certified = real_local(self, *args)
@@ -172,6 +168,11 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
         outcomes["undecided" if check is None else ("over" if check.over else "within")] += 1
         return check
 
+    def record_floor(self, *args):
+        certified = real_floor(self, *args)
+        outcomes["floor" if certified else "floor undecided"] += 1
+        return certified
+
     for seed in range(12):
         rng = np.random.default_rng(seed)
         targets, splits, contexts = random_state(model, rng, profiling_error)
@@ -181,22 +182,28 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
             [(200 + j, int(rng.integers(2_000, 60_000))) for j in range(int(rng.integers(1, 7)))],
         ]
         near_targets, near_splits, near_contexts = near_threshold_state(model, rng, profiling_error)
-        near = make_dispatcher(model, near_targets, solver=solver, local_preference=local_preference)
-        states = [(dispatcher, splits, contexts), (near, near_splits, near_contexts)]
+        states = [(targets, splits, contexts), (near_targets, near_splits, near_contexts)]
+
+        def balance(dispatcher, splits, contexts, theta):
+            return balance_key(RedispatchPolicy(model, dispatcher, theta=theta).check_compute_balance(splits, contexts))
 
         def decide():
-            return (
-                [dispatch_key(dispatcher.dispatch_new(batch)) for batch in batches],
-                [
-                    balance_key(RedispatchPolicy(model, d, theta=theta).check_compute_balance(s, c))
-                    for d, s, c in states
-                    for theta in THETAS
-                ],
-            )
+            # Each state is checked at every theta twice: by a fresh Dispatcher,
+            # which has no f* floor yet, and by one Dispatcher across the grid,
+            # whose floor the earlier checks raised.
+            checks = []
+            for state_targets, state_splits, state_contexts in states:
+                kept = make_dispatcher(model, state_targets, solver=solver, local_preference=local_preference)
+                for theta in THETAS:
+                    fresh = make_dispatcher(model, state_targets, solver=solver, local_preference=local_preference)
+                    checks.append(balance(fresh, state_splits, state_contexts, theta))
+                    checks.append(balance(kept, state_splits, state_contexts, theta))
+            return [dispatch_key(dispatcher.dispatch_new(batch)) for batch in batches], checks
 
         with monkeypatch.context() as m:
             m.setattr(Dispatcher, "_local_certified", record_local)
             m.setattr(Dispatcher, "_certify_ideal", record_ideal)
+            m.setattr(Dispatcher, "floor_certified", record_floor)
             certified = decide()
         with monkeypatch.context() as m:
             undecided(m)
@@ -209,13 +216,14 @@ def test_certified_decisions_match_reference(monkeypatch, model_name, profiling_
     assert outcomes["local"] > 0 or local_preference == 0.0
     assert outcomes["local undecided"] > 0
     assert outcomes["within"] > 0 and outcomes["over"] > 0 and outcomes["undecided"] > 0
+    assert outcomes["floor"] > 0 and outcomes["floor undecided"] > 0
     assert outcomes["infeasible"] > 0
 
 
 @pytest.mark.parametrize("model_name", ["llama-70b", "llama-13b"])
 def test_wake_case_bounds_equal_the_one_pass_bound(monkeypatch, model_name):
     """Each wake case's bound from the call's shared context summary is the
-    one-pass :func:`objective_lower_bound` of that case, bit for bit."""
+    one-pass bound of that case (:func:`fused_lower_bound`), bit for bit."""
     model = get_model_spec(model_name)
     cases = []
     per_case = repro.core.dispatcher.summary_lower_bound
@@ -335,7 +343,7 @@ def test_undecided_reaches_every_solve(monkeypatch, solver):
 def test_one_request_wake_case_bounds_are_the_one_pass_bound(monkeypatch, model_name, profiling_error):
     """Each wake case of a one-request batch is bounded in closed form.
 
-    The bound agrees with the one-pass :func:`objective_lower_bound` to 1e-12
+    The bound agrees with the one-pass bound (:func:`fused_lower_bound`) to 1e-12
     and is at most the case's LP optimum: only the case's usable targets take
     heads, each within its free cache, and the others keep their base.
     """
@@ -380,25 +388,45 @@ def test_one_request_wake_case_bounds_are_the_one_pass_bound(monkeypatch, model_
     assert checked > 0
 
 
-def test_non_positive_cost_per_head_takes_the_envelope_path(monkeypatch):
-    """A target whose cost per head is 0 has no closed-form weight: the case goes through the envelope."""
+def test_non_positive_cost_per_head_bounds_by_the_bases(monkeypatch):
+    """A target whose cost per head is 0 has no closed-form weight.
+
+    A one-request batch still takes the closed form: the wake cases that
+    leave that target idle get the weighted bound, and those that wake it
+    get the largest base, as the one-pass bound does.
+    """
     model = get_model_spec("llama-13b")
     rng = np.random.default_rng(0)
     targets = random_targets(model, rng, 0.0)
     free = DeviceAttentionModel(99, "free", AttentionTimeModel(a=0.0, b=0.0, c=1e-4), TransferTimeModel(0.0, 1e-3), True)
     targets.append(DispatchTarget(99, "free", free, HeadwiseBlockManager(4e9, model)))
-    calls = Counter()
-    for name in ("one_request_lower_bound", "summary_lower_bound"):
-        real = getattr(repro.core.dispatcher, name)
+    cases, calls = [], Counter()
+    closed_form = repro.core.dispatcher.one_request_lower_bound
 
-        def spy(*args, real=real, name=name):
-            calls[name] += 1
-            return real(*args)
+    def spy(inverse, base, usable, total_heads):
+        value = closed_form(inverse, base, usable, total_heads)
+        cases.append((list(base), list(usable), value))
+        return value
 
-        monkeypatch.setattr(repro.core.dispatcher, name, spy)
+    def envelope(*args):
+        calls["summary_lower_bound"] += 1
+        return real_envelope(*args)
+
+    real_envelope = repro.core.dispatcher.summary_lower_bound
+    monkeypatch.setattr(repro.core.dispatcher, "one_request_lower_bound", spy)
+    monkeypatch.setattr(repro.core.dispatcher, "summary_lower_bound", envelope)
     dispatcher = make_dispatcher(model, targets)
     certified = dispatch_key(dispatcher.dispatch_new([(1, 500)]))
-    assert calls["summary_lower_bound"] > 0 and calls["one_request_lower_bound"] == 0
+    assert calls["summary_lower_bound"] == 0
+    woken = Counter()
+    for base, usable, value in cases:
+        expected = fused_lower_bound(dispatcher._head_cost, dispatcher._cache_cost, base, usable, [500], model.num_heads)
+        if usable[-1]:
+            assert value == expected == max(base)
+        else:
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        woken[usable[-1]] += 1
+    assert woken[True] > 0 and woken[False] > 0
     undecided(monkeypatch)
     assert dispatch_key(dispatcher.dispatch_new([(1, 500)])) == certified
 
@@ -412,18 +440,18 @@ def test_non_positive_cost_per_head_takes_the_envelope_path(monkeypatch):
     steps=st.lists(st.sampled_from(["join", "leave", "grow"]), min_size=1, max_size=24),
 )
 def test_floor_stays_below_the_ideal_lp(model_name, profiling_error, theta, seed, steps):
-    """A kept f* floor, driven through joins, leaves and epochs of growth.
+    """A Dispatcher's f* floor, driven through joins, leaves and epochs of growth.
 
     At every step it is at most the HiGHS optimum t of the ideal LP, and
     every θ answer it gives (or, when it cannot, check_ideal gives) is the
-    floorless check_ideal's.  Once every request has left, the leaves have
-    driven it under its rounding guard and it is gone.
+    one a second Dispatcher's check_ideal gives, which never reads a floor.
+    Once every request has left, the leaves have driven it under its
+    rounding guard and it is gone.
     """
     model = get_model_spec(model_name)
     rng = np.random.default_rng(seed)
     targets = random_targets(model, rng, profiling_error)
     kept = make_dispatcher(model, targets)
-    kept.keep_ideal_floor()
     floorless = make_dispatcher(model, targets)
     contexts = {}
     for rid, step in enumerate(steps):

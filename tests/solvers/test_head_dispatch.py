@@ -13,7 +13,6 @@ from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
     HeadDispatchSolution,
     _envelope_sum,
-    objective_lower_bound,
     round_to_groups,
     solve_greedy,
     solve_lp,
@@ -254,18 +253,12 @@ def numpy_lower_bounds(problem, base_cost, usable):
 
 
 def lower_bound(problem, base_cost=None, usable=None):
-    """:func:`objective_lower_bound` of ``problem``, with its bases and every
+    """:func:`summary_lower_bound` of ``problem``, with its bases and every
     device usable unless given."""
     base_cost = problem.base_cost if base_cost is None else base_cost
     usable = np.ones(problem.n_devices, dtype=bool) if usable is None else usable
-    return objective_lower_bound(
-        problem.head_cost.tolist(),
-        problem.cache_cost.tolist(),
-        base_cost.tolist(),
-        usable.tolist(),
-        problem.contexts.tolist(),
-        problem.total_heads,
-    )
+    summary = summarize_contexts(problem.head_cost.tolist(), problem.cache_cost.tolist(), problem.contexts.tolist())
+    return summary_lower_bound(summary, base_cost.tolist(), usable.tolist(), problem.total_heads)
 
 
 # HiGHS's reported LP optimum matches the exact water level of the one-request
@@ -519,7 +512,7 @@ class TestGreedyByCount:
 
 
 def fused_lower_bound(head_cost, cache_cost, base_cost, usable, contexts, total_heads):
-    """The oracle: :func:`objective_lower_bound` computed in one pass, with no summary."""
+    """The oracle: :func:`summary_lower_bound` computed in one pass, with no summary."""
     bound = max(base_cost)
     n = len(contexts)
     reps = contexts if n <= 4 else (sum(contexts) / n, min(contexts), max(contexts))
@@ -571,4 +564,3 @@ class TestContextSummary:
             base = rng.uniform(0.0, 5e-3, len(head)).tolist()
             expected = fused_lower_bound(head, cache, base, usable, contexts, 40)
             assert summary_lower_bound(summary, base, usable, 40) == expected
-            assert objective_lower_bound(head, cache, base, usable, contexts, 40) == expected
