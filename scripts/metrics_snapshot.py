@@ -8,7 +8,10 @@ tree and the working tree's, so it builds each scenario with
 ``api.build(DeploymentSpec(...))`` from spec fields both sides accept and runs
 it with ``.run()``.  For a Hetis scenario it also records the Eq. (3)/(4)
 coefficients the Dispatcher was built with, per dispatch target, so a fit
-that moves shows up even when no dispatch decision does.
+that moves shows up even when no dispatch decision does.  Under
+``analytic_studies`` it records the data of every study of the claims table
+that serves no requests, so a change that moves Table 1 or Fig. 7 by an ulp
+shows up even when no claim bound is crossed.
 
     PYTHONPATH=src python scripts/metrics_snapshot.py out.json
 """
@@ -20,6 +23,7 @@ import sys
 
 from repro.api import build
 from repro.config import ClusterSpec, DeploymentSpec, SystemSpec, WorkloadSpec
+from repro.experiments.claims import STUDIES
 
 SCENARIOS = [
     # (system, model, dataset, rate, num_requests, prefill_chunk_tokens[, cluster kind])
@@ -42,6 +46,21 @@ SCENARIOS = [
     # g_i after the commit has given some decoding requests their token.
     ("hetis", "llama-13b", "longbench", 4.0, 32, None, "a100:1,p100:2"),
 ]
+
+#: The studies of the claims table that serve no requests.
+ANALYTIC_STUDIES = (
+    "table1",
+    "fig2",
+    "fig2-calibration",
+    "fig5",
+    "fig7",
+    "fig11",
+    "accuracy",
+    "search",
+    "ablation-split",
+    "ablation-solver",
+    "ablation-delta",
+)
 
 
 def snapshot() -> dict:
@@ -79,6 +98,14 @@ def snapshot() -> dict:
         }
         if system == "hetis":
             out[key]["device_models"] = device_models(prepared.system)
+    out["analytic_studies"] = analytic_studies()
+    return out
+
+
+def analytic_studies() -> dict:
+    """Each analytic study's data; ``search``'s ``*_seconds`` are wall clock and stay out."""
+    out = {name: STUDIES[name]() for name in ANALYTIC_STUDIES}
+    out["search"] = {k: v for k, v in out["search"].items() if not k.endswith("_seconds")}
     return out
 
 
