@@ -4,14 +4,15 @@
 Each study runs once.  A row's test records its study's data and the row's
 outcome in ``benchmark.extra_info``, so ``--benchmark-json`` carries every
 reproduced number.  Rows whose study serves requests are ``slow``; the
-analytic rest stays in the fast tier.
+analytic rest stays in the fast tier.  The tests after ``test_claim`` check
+behaviour that is not the paper's point on the same cached study data.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from repro.experiments.claims import CLAIMS, STUDIES
+from repro.experiments.claims import BASELINES, CLAIMS, DATASETS, MODELS, STUDIES
 
 SERVING = {"fig8", "fig9", "fig10", "fig12-13", "fig14", "fig15a", "fig16a", "fig16b", "ablation-dynamic"}
 
@@ -38,3 +39,18 @@ def test_claim(benchmark, claim):
         "provenance": claim.provenance,
     }
     assert holds, f"{claim.figure}, {claim.text}: {claim.value} = {value!r} is not {claim.op} {bound!r}"
+
+
+def test_every_fig11_cell_is_positive():
+    data = study("fig11")
+    cells = [f"{model}_{dataset}_{system}_gb" for model in MODELS for dataset in DATASETS for system in ("hetis",) + BASELINES]
+    assert all(data[cell] > 0 for cell in cells), {cell: data[cell] for cell in cells}
+
+
+def test_llama_70b_p100_worker_models_score_whole_requests():
+    """llama-70b (r = 8): the fit profiles only head counts a request can hold, so the
+    compute and transfer models of its four P100 workers predict held-out whole
+    requests to within 1%."""
+    data = study("accuracy")
+    scores = {key: data[key] for kind in ("compute", "transfer") for key in (f"{kind}_llama-70b/p100:{i}" for i in range(8, 12))}
+    assert min(scores.values()) >= 0.99, scores

@@ -124,23 +124,31 @@ def _module_gaps(num_requests: Sequence[int]) -> Data:
 
 
 def _split_overhead() -> Data:
-    """Fig. 5: sequence-wise over head-wise communication overhead."""
+    """Fig. 5: sequence-wise over head-wise communication overhead, and head-wise's
+    own overhead at 1 and 4 workers."""
     result = run_fig5()
-    return {
-        "advantage_at_20pct_offload": result.headwise_advantage_at(0.2),
-        "advantage_at_1_worker": result.headwise_advantage_at_workers(1),
-        "advantage_at_4_workers": result.headwise_advantage_at_workers(4),
-    }
+    data: Data = {f"advantage_at_{pct}pct_offload": result.headwise_advantage_at(pct / 100) for pct in (20, 40, 60, 80)}
+    for k, label in ((1, "1_worker"), (4, "4_workers")):
+        data[f"advantage_at_{label}"] = result.headwise_advantage_at_workers(k)
+        data[f"headwise_s_at_{label}"] = result.headwise_by_workers[result.num_workers.index(k)]
+    return data
+
+
+FIG7_CONTEXTS = (900, 1000, 1100, 1200)
+FIG7_HEADS = (15_000, 30_000, 45_000)
 
 
 def _attention_linearity() -> Data:
     """Fig. 7: decode Attention time is flat in request count, linear in cache and heads."""
     result = run_fig7()
-    return {
+    data: Data = {
         "request_count_variation": result.requests_variation(),
         "context_linearity_r2": result.context_linearity(),
         "heads_linearity_r2": result.heads_linearity(),
     }
+    data.update({f"time_at_{ctx}_tokens": t for ctx, t in zip(FIG7_CONTEXTS, result.time_by_context)})
+    data.update({f"time_at_{heads}_heads": t for heads, t in zip(FIG7_HEADS, result.time_by_heads)})
+    return data
 
 
 def panel_rates(model: str, dataset: str) -> Sequence[float]:
@@ -434,11 +442,27 @@ CLAIMS: List[Claim] = [
           "p100_mean_mlp_gap", ">", (3, "p100_mean_attention_gap")),
     *_fig2_calibration_claims(),
     Claim("Fig. 5", "head-wise splitting moves over 1.5x less at 20% offload", "fig5", "advantage_at_20pct_offload", ">", 1.5, 2.68),
+    *(
+        Claim("Fig. 5", f"head-wise splitting moves less than sequence-wise at {pct}% offload", "fig5",
+              f"advantage_at_{pct}pct_offload", ">", 1.0)
+        for pct in (40, 60, 80)
+    ),
+    Claim("Fig. 5", "head-wise splitting's advantage shrinks as more load is offloaded", "fig5",
+          "advantage_at_20pct_offload", ">", "advantage_at_80pct_offload"),
     Claim("Fig. 5", "head-wise splitting gains from 1 to 4 workers", "fig5",
           "advantage_at_4_workers", ">", "advantage_at_1_worker", 3.55),
+    Claim("Fig. 5", "head-wise overhead falls from 1 to 4 workers", "fig5", "headwise_s_at_4_workers", "<", "headwise_s_at_1_worker"),
     Claim("Fig. 7", "Attention time is flat in the request count", "fig7", "request_count_variation", "<", 0.1),
     Claim("Fig. 7", "Attention time is linear in the cache size", "fig7", "context_linearity_r2", ">", 0.98),
     Claim("Fig. 7", "Attention time is linear in the head count", "fig7", "heads_linearity_r2", ">", 0.95),
+    *(
+        Claim("Fig. 7", "Attention time grows with the context", "fig7", f"time_at_{high}_tokens", ">", f"time_at_{low}_tokens")
+        for low, high in zip(FIG7_CONTEXTS, FIG7_CONTEXTS[1:])
+    ),
+    *(
+        Claim("Fig. 7", "Attention time grows with the head count", "fig7", f"time_at_{high}_heads", ">", f"time_at_{low}_heads")
+        for low, high in zip(FIG7_HEADS, FIG7_HEADS[1:])
+    ),
     *_peak_rate_claims("Fig. 8", "fig8", "llama-13b"),
     *_peak_rate_claims("Fig. 9", "fig9", "opt-30b"),
     *_peak_rate_claims("Fig. 10", "fig10", "llama-70b"),
@@ -482,6 +506,7 @@ CLAIMS: List[Claim] = [
           "seqwise_seconds", "<", "batchwise_seconds"),
     Claim("Ablation", "the LP is no worse than greedy", "ablation-solver", "greedy_gap", ">=", 0.99),
     Claim("Ablation", "the LP is no worse than a static proportional split", "ablation-solver", "proportional_gap", ">=", 0.99),
+    Claim("Ablation", "Delta = 0 prunes no device", "ablation-delta", "delta_0.0_workers", "==", 0),
     *(
         Claim("Ablation", "a larger Delta prunes no fewer devices", "ablation-delta",
               f"delta_{high}_workers", ">=", f"delta_{low}_workers")

@@ -7,7 +7,7 @@ claims table (``repro.experiments.claims``, checked by
 
 import pytest
 
-from repro.experiments import ablation, cache_space, fig14
+from repro.experiments import fig14
 from repro.experiments.claims import PAPER_RATE_GRID, PAPER_TAIL_RATES, serving_spec, sweep
 
 pytestmark = pytest.mark.slow
@@ -56,15 +56,6 @@ class TestServing:
         assert points[0][1]["p95_tpot"] > 0
 
 
-class TestCacheSpace:
-    def test_all_cells_present(self):
-        cells = cache_space.run_cache_space(
-            models=("llama-13b", "llama-70b"), datasets=("sharegpt",), systems=("hetis", "hexgen", "splitwise")
-        )
-        assert len(cells) == 2 * 1 * 3
-        assert all(c.cache_gb > 0 for c in cells)
-
-
 class TestFig14:
     def test_dynamic_usage_shape(self):
         result = fig14.run_dynamic_usage(max_requests=60)
@@ -104,11 +95,6 @@ class TestFig16:
 
 
 class TestAblations:
-    def test_delta_ablation_monotone_pruning(self):
-        result = ablation.run_delta_ablation(deltas=(0.0, 0.05, 0.3))
-        assert result.num_attention_workers[0] == 0
-        assert result.num_attention_workers == sorted(result.num_attention_workers)
-
     def test_dynamic_parallelism_beats_static(self):
         base = serving_spec("hetis", "llama-13b", "sharegpt", 8.0, num_requests=30)
         latency = by("system.name", sweep(base, {"system.name": ("hetis", "static-tp")}))
