@@ -47,7 +47,7 @@ def test_every_fig11_cell_is_positive():
     assert all(data[cell] > 0 for cell in cells), {cell: data[cell] for cell in cells}
 
 
-def test_llama_70b_p100_worker_models_score_whole_requests():
+def test_accuracy_of_llama_70b_p100_worker_models():
     """llama-70b (r = 8): the fit profiles only head counts a request can hold, so the
     compute and transfer models of its four P100 workers predict held-out whole
     requests to within 1%."""

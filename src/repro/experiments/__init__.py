@@ -3,10 +3,12 @@
 The paper's evaluation is one table, :data:`repro.experiments.claims.CLAIMS`:
 each row names the study that measures it (a function of
 :data:`repro.experiments.claims.STUDIES`), the value it checks, the bound and
-the paper's number.  The per-figure modules (``table1``, ``fig02``, ``fig05``,
-``fig07``, ``cache_space``, ``fig14``, ``accuracy``, ``search_overhead``,
-``ablation``) hold the studies that do not serve requests; the serving studies
-are spec grids run through :func:`repro.experiments.claims.sweep`.
+the paper's number.  The analytic studies (Table 1, Figs. 2, 5, 7 and 11,
+Sec. 7.4 and the split, solver and Delta ablations) compute their data in
+:mod:`~repro.experiments.claims` itself; the serving studies are spec grids
+run through :func:`repro.experiments.claims.sweep`.  ``fig14`` is the one
+per-figure module: Fig. 14 drives a hand-built Hetis unit through a
+time-varying load.
 
 Grids of independent points execute through the parallel, cached,
 fault-tolerant :class:`repro.experiments.runner.SweepRunner`.  A checked-in
@@ -16,32 +18,6 @@ with ``repro sweep``; ``repro figures`` runs every checked-in study config,
 planner searches included, in one resumable command.
 """
 
-from repro.experiments import (  # noqa: F401
-    table1,
-    fig02,
-    fig05,
-    fig07,
-    cache_space,
-    fig14,
-    accuracy,
-    search_overhead,
-    ablation,
-    runner,
-    driver,
-    claims,
-)
+from repro.experiments import fig14, runner, driver, claims  # noqa: F401
 
-__all__ = [
-    "table1",
-    "fig02",
-    "fig05",
-    "fig07",
-    "cache_space",
-    "fig14",
-    "accuracy",
-    "search_overhead",
-    "ablation",
-    "runner",
-    "driver",
-    "claims",
-]
+__all__ = ["fig14", "runner", "driver", "claims"]

@@ -246,6 +246,19 @@ def paper_cluster() -> Cluster:
     )
 
 
+def large_scale_cluster(gpus_per_type: int = 32) -> Cluster:
+    """Sec. 7.4's large-scale cluster: five GPU types with ``gpus_per_type`` devices
+    each, 8 per host."""
+    builder = ClusterBuilder()
+    for gpu_type in ("a100", "a6000", "v100", "rtx3090", "p100"):
+        remaining = gpus_per_type
+        while remaining > 0:
+            per_host = min(8, remaining)
+            builder.add_host(gpu_type, count=per_host)
+            remaining -= per_host
+    return builder.build()
+
+
 def simple_cluster(high: str = "a100", low: str = "rtx3090", n_high: int = 1, n_low: int = 2) -> Cluster:
     """A small two-type cluster (one host per type) for unit tests and the
     Fig.-14 ablation (one A100 primary worker + two 3090 Attention workers)."""

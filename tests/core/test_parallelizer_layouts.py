@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import build_cluster
 from repro.core.parallelizer import Parallelizer, WorkloadHint
-from repro.experiments.search_overhead import large_scale_cluster
+from repro.hardware.cluster import large_scale_cluster
 from repro.models.spec import get_model_spec
 from repro.systems import default_hint
 
