@@ -16,14 +16,13 @@ the Hauler, reusing overlap between the old and new head placements so only
 the moved head groups are transferred.
 """
 
-from repro.kvcache.block_manager import PagedBlockManager, BlockAllocationError, CacheStats
+from repro.kvcache.block_manager import PagedBlockManager, BlockAllocationError
 from repro.kvcache.head_block_manager import HeadwiseBlockManager, HeadPlacement
 from repro.kvcache.migration import MigrationPlan, MigrationStep, plan_head_migration
 
 __all__ = [
     "PagedBlockManager",
     "BlockAllocationError",
-    "CacheStats",
     "HeadwiseBlockManager",
     "HeadPlacement",
     "MigrationPlan",

@@ -10,7 +10,6 @@ preemption behaviour depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.utils.validation import check_positive
@@ -18,33 +17,6 @@ from repro.utils.validation import check_positive
 
 class BlockAllocationError(RuntimeError):
     """Raised when an allocation cannot be satisfied from the free block pool."""
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Snapshot of a block manager's occupancy."""
-
-    total_blocks: int
-    used_blocks: int
-    num_sequences: int
-    block_size: int
-    bytes_per_block: float
-
-    @property
-    def free_blocks(self) -> int:
-        return self.total_blocks - self.used_blocks
-
-    @property
-    def utilization(self) -> float:
-        return self.used_blocks / self.total_blocks if self.total_blocks else 0.0
-
-    @property
-    def used_bytes(self) -> float:
-        return self.used_blocks * self.bytes_per_block
-
-    @property
-    def capacity_bytes(self) -> float:
-        return self.total_blocks * self.bytes_per_block
 
 
 class PagedBlockManager:
@@ -119,15 +91,6 @@ class PagedBlockManager:
         # arithmetic beats the method/property indirection measurably.
         new_blocks = -(-(current + num_tokens) // self.block_size) - self._seq_blocks[seq_id]
         return new_blocks <= self.total_blocks - self._used_blocks
-
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            total_blocks=self.total_blocks,
-            used_blocks=self._used_blocks,
-            num_sequences=self.num_sequences,
-            block_size=self.block_size,
-            bytes_per_block=self.bytes_per_block,
-        )
 
     # -- mutation ----------------------------------------------------------------
 

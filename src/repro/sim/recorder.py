@@ -141,11 +141,11 @@ class PrefixedRecorderView:
 
     Composed systems (e.g. several same-blueprint replicas behind a router)
     reuse unit and device names, so their per-device time series would silently
-    merge under one key without a disambiguating prefix.  Only the two write
-    methods prefix; every other attribute (queries such as ``keys``/``raw``,
-    or further writes by nested views) is forwarded to the wrapped recorder
+    merge under one key without a disambiguating prefix.  Only ``record``
+    prefixes; every other attribute (queries such as ``keys``/``raw``, or
+    further writes by nested views) is forwarded to the wrapped recorder
     unchanged, so the view is a drop-in ``TimeSeriesRecorder`` everywhere a
-    hook only holds the facade.
+    hook only holds the facade and writes through ``record``.
 
     The prefix must end with ``/`` and raw keys must not contain ``/``; this
     makes a prefixed key structurally distinct from any unprefixed key (and
@@ -162,12 +162,8 @@ class PrefixedRecorderView:
     def record(self, series: str, key: str, time: float, value: float) -> None:
         self._inner.record(series, self._prefix + key, time, value)
 
-    def record_many(self, series: str, time: float, values: Dict[str, float]) -> None:
-        for key, value in values.items():
-            self._inner.record(series, self._prefix + key, time, value)
-
     def __getattr__(self, name: str):
-        # Defensive passthrough: recorder methods beyond record/record_many
-        # (queries, future write helpers) work on the view too instead of
-        # raising AttributeError inside a system hook.
+        # Defensive passthrough: recorder methods beyond record (queries)
+        # work on the view too instead of raising AttributeError inside a
+        # system hook.
         return getattr(self._inner, name)

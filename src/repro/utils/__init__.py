@@ -7,15 +7,12 @@ from repro.utils.units import (
     GIB,
     MIB,
     KIB,
-    bytes_to_gb,
     gb_to_bytes,
-    seconds_to_ms,
-    ms_to_seconds,
     tera,
     giga,
 )
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.validation import check_positive, check_non_negative, check_in
+from repro.utils.validation import check_positive, check_in
 
 __all__ = [
     "GB",
@@ -24,15 +21,11 @@ __all__ = [
     "GIB",
     "MIB",
     "KIB",
-    "bytes_to_gb",
     "gb_to_bytes",
-    "seconds_to_ms",
-    "ms_to_seconds",
     "tera",
     "giga",
     "make_rng",
     "spawn_rngs",
     "check_positive",
-    "check_non_negative",
     "check_in",
 ]

@@ -44,21 +44,6 @@ def gb_to_bytes(gb: float) -> int:
     return int(gb * GB)
 
 
-def bytes_to_gb(n_bytes: float) -> float:
-    """Convert bytes to decimal gigabytes."""
-    return n_bytes / GB
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1e3
-
-
-def ms_to_seconds(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms / 1e3
-
-
 def gbit_per_s_to_bytes_per_s(gbit: float) -> float:
     """Convert a link speed quoted in Gbit/s to bytes/s."""
     return gbit * 1e9 / 8.0

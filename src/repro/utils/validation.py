@@ -31,13 +31,6 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def check_non_negative(name: str, value: float) -> float:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 def check_in(name: str, value: Any, allowed: Iterable[Any]) -> Any:
     """Raise ``ValueError`` unless ``value`` is a member of ``allowed``."""
     allowed = list(allowed)

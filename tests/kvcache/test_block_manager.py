@@ -87,16 +87,6 @@ def test_free_unknown_sequence(manager):
         manager.free(5)
 
 
-def test_stats_snapshot(manager):
-    manager.allocate(1, 160)
-    stats = manager.stats()
-    assert stats.used_blocks == 10
-    assert stats.free_blocks == 90
-    assert stats.utilization == pytest.approx(0.1)
-    assert stats.used_bytes == pytest.approx(10 * 16 * 1024)
-    assert stats.capacity_bytes == pytest.approx(100 * 16 * 1024)
-
-
 def test_zero_capacity_manager():
     manager = PagedBlockManager(capacity_bytes=0, kv_bytes_per_token=1024)
     assert manager.total_blocks == 0

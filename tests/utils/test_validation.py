@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.validation import check_in, check_non_negative, check_positive
+from repro.utils.validation import check_in, check_positive
 
 
 def test_check_positive_passes_through():
@@ -13,15 +13,6 @@ def test_check_positive_passes_through():
 def test_check_positive_rejects(value):
     with pytest.raises(ValueError, match="x must be > 0"):
         check_positive("x", value)
-
-
-def test_check_non_negative_accepts_zero():
-    assert check_non_negative("y", 0) == 0
-
-
-def test_check_non_negative_rejects_negative():
-    with pytest.raises(ValueError):
-        check_non_negative("y", -2)
 
 
 def test_check_in_accepts_member():
