@@ -19,8 +19,6 @@ from repro.workloads.datasets import (
 from repro.workloads.arrivals import (
     poisson_arrivals,
     poisson_arrival_stream,
-    constant_rate_arrivals,
-    piecewise_rate_arrivals,
     piecewise_rate_arrival_stream,
     diurnal_phases,
     spike_phases,
@@ -41,8 +39,6 @@ __all__ = [
     "RequestSample",
     "poisson_arrivals",
     "poisson_arrival_stream",
-    "constant_rate_arrivals",
-    "piecewise_rate_arrivals",
     "piecewise_rate_arrival_stream",
     "diurnal_phases",
     "spike_phases",

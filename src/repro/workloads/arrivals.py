@@ -1,4 +1,4 @@
-"""Arrival processes: Poisson, constant-gap, and piecewise (bursty) rates.
+"""Arrival processes: Poisson and piecewise (bursty) rates.
 
 The end-to-end experiments (Figs. 8--10, 12) use Poisson arrivals at a range
 of rates; the dynamic-behaviour study (Fig. 14) uses a piecewise rate schedule
@@ -48,16 +48,6 @@ def poisson_arrival_stream(
         yield t
 
 
-def constant_rate_arrivals(rate: float, n: int, start: float = 0.0) -> List[float]:
-    """``n`` evenly spaced arrivals at ``rate`` requests/s (deterministic)."""
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    gap = 1.0 / rate
-    return [start + gap * (i + 1) for i in range(n)]
-
-
 @dataclass(frozen=True)
 class RatePhase:
     """One segment of a piecewise-constant arrival schedule."""
@@ -72,45 +62,18 @@ class RatePhase:
             raise ValueError("duration must be > 0")
 
 
-def piecewise_rate_arrivals(
-    phases: Sequence[RatePhase],
-    seed: int | np.random.Generator = 0,
-    start: float = 0.0,
-) -> List[float]:
-    """Poisson arrivals whose rate follows a piecewise-constant schedule.
-
-    Used to reproduce the Fig.-14 scenario (rps 5 -> 0 -> 2.5 -> 0).  Phases
-    with rate 0 simply advance time.
-    """
-    if not phases:
-        raise ValueError("need at least one phase")
-    rng = make_rng(seed)
-    arrivals: List[float] = []
-    t = start
-    for phase in phases:
-        end = t + phase.duration
-        if phase.rate > 0:
-            cur = t
-            while True:
-                cur += rng.exponential(1.0 / phase.rate)
-                if cur >= end:
-                    break
-                arrivals.append(cur)
-        t = end
-    return arrivals
-
-
 def piecewise_rate_arrival_stream(
     phases: Sequence[RatePhase],
     seed: int | np.random.Generator = 0,
     start: float = 0.0,
 ) -> Iterator[float]:
-    """Lazy counterpart of :func:`piecewise_rate_arrivals`.
+    """Poisson arrivals whose rate follows a piecewise-constant schedule.
 
-    Draws gap-by-gap in exactly the order the list version does, so the
-    yielded timestamps are bit-identical to ``piecewise_rate_arrivals`` with
-    the same seed -- without ever holding the full schedule's arrivals in
-    memory.  The stream is finite: it ends when the last phase does.
+    Used to reproduce the Fig.-14 scenario (rps 5 -> 0 -> 2.5 -> 0).  Phases
+    with rate 0 simply advance time.  Gaps are drawn one at a time, so the
+    schedule's arrivals are never held in memory; the stream ends when the
+    last phase does.  An empty schedule raises ``ValueError`` on the first
+    iteration.
     """
     if not phases:
         raise ValueError("need at least one phase")

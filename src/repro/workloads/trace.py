@@ -21,7 +21,6 @@ from repro.utils.rng import spawn_rngs
 from repro.workloads.arrivals import (
     RatePhase,
     piecewise_rate_arrival_stream,
-    piecewise_rate_arrivals,
     poisson_arrival_stream,
     poisson_arrivals,
 )
@@ -161,7 +160,7 @@ def generate_trace(
     """
     arrival_rng, length_rng = spawn_rngs(seed, 2)
     if phases is not None:
-        times = piecewise_rate_arrivals(phases, seed=arrival_rng)
+        times = list(piecewise_rate_arrival_stream(phases, seed=arrival_rng))
         if num_requests:
             times = times[:num_requests]
     else:

@@ -5,8 +5,7 @@ import pytest
 
 from repro.workloads.arrivals import (
     RatePhase,
-    constant_rate_arrivals,
-    piecewise_rate_arrivals,
+    piecewise_rate_arrival_stream,
     poisson_arrivals,
 )
 
@@ -32,17 +31,6 @@ def test_poisson_invalid_rate():
         poisson_arrivals(0.0, 10)
 
 
-def test_constant_rate_evenly_spaced():
-    times = constant_rate_arrivals(rate=4.0, n=8)
-    gaps = np.diff(times)
-    assert np.allclose(gaps, 0.25)
-
-
-def test_constant_rate_start_offset():
-    times = constant_rate_arrivals(rate=1.0, n=3, start=10.0)
-    assert times[0] == pytest.approx(11.0)
-
-
 def test_rate_phase_validation():
     with pytest.raises(ValueError):
         RatePhase(rate=-1.0, duration=5.0)
@@ -56,7 +44,7 @@ def test_piecewise_respects_idle_phases():
         RatePhase(rate=1e-9, duration=10.0),
         RatePhase(rate=10.0, duration=10.0),
     ]
-    times = piecewise_rate_arrivals(phases, seed=0)
+    times = list(piecewise_rate_arrival_stream(phases, seed=0))
     in_gap = [t for t in times if 10.0 <= t < 20.0]
     assert len(in_gap) == 0
     assert any(t < 10.0 for t in times)
@@ -65,10 +53,10 @@ def test_piecewise_respects_idle_phases():
 
 def test_piecewise_all_arrivals_within_schedule():
     phases = [RatePhase(rate=5.0, duration=4.0), RatePhase(rate=2.0, duration=6.0)]
-    times = piecewise_rate_arrivals(phases, seed=3)
+    times = list(piecewise_rate_arrival_stream(phases, seed=3))
     assert all(0.0 <= t < 10.0 for t in times)
 
 
 def test_piecewise_empty_phases_rejected():
     with pytest.raises(ValueError):
-        piecewise_rate_arrivals([])
+        list(piecewise_rate_arrival_stream([]))

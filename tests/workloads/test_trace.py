@@ -65,16 +65,6 @@ def test_empty_trace_properties():
 # ------------------------------------------------------------------ streaming
 
 
-def test_stream_phase_arrivals_bit_identical_to_list():
-    from repro.workloads.arrivals import piecewise_rate_arrival_stream, piecewise_rate_arrivals
-
-    phases = [RatePhase(rate=5.0, duration=10.0), RatePhase(rate=0.0, duration=5.0),
-              RatePhase(rate=2.5, duration=10.0)]
-    assert list(piecewise_rate_arrival_stream(phases, seed=7)) == piecewise_rate_arrivals(
-        phases, seed=7
-    )
-
-
 def test_generate_trace_stream_phases_matches_list_timestamps():
     from repro.workloads.trace import generate_trace_stream
 
