@@ -52,5 +52,5 @@ def test_accuracy_of_llama_70b_p100_worker_models():
     compute and transfer models of its four P100 workers predict held-out whole
     requests to within 1%."""
     data = study("accuracy")
-    scores = {key: data[key] for kind in ("compute", "transfer") for key in (f"{kind}_llama-70b/p100:{i}" for i in range(8, 12))}
-    assert min(scores.values()) >= 0.99, scores
+    workers = [f"{kind}_llama-70b/p100:{i}" for kind in ("compute", "transfer") for i in range(8, 12)]
+    assert all(data[worker] >= 0.99 for worker in workers), {worker: data[worker] for worker in workers}

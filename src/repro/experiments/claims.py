@@ -184,9 +184,9 @@ def _split_overhead() -> Data:
     batch = 32
     data: Data = {}
     # (a) One worker, a growing share of the Attention load offloaded.
+    seqwise = seqwise_transfer_overhead(model, cluster, primary, workers[:1], batch)
     for pct in (20, 40, 60, 80):
         headwise = headwise_transfer_overhead(model, cluster, primary, workers[:1], model.num_heads * (pct / 100) * batch)
-        seqwise = seqwise_transfer_overhead(model, cluster, primary, workers[:1], batch)
         data[f"advantage_at_{pct}pct_offload"] = seqwise / headwise
     # (b) The whole load spread evenly over k workers.
     for k, label in ((1, "1_worker"), (4, "4_workers")):
@@ -225,13 +225,13 @@ def _attention_linearity() -> Data:
     executor = RooflineExecutor(model)
     by_requests = []
     for n in (400, 500, 600, 700):
-        heads_per_request = max(model.gqa_ratio, int(round(25_000 / n)))
+        heads_per_request = round(25_000 / n)
         by_requests.append(executor.decode_attention_time(spec, [1000] * n, [heads_per_request] * n))
     by_context = [executor.decode_attention_time(spec, [ctx] * 500, [model.num_heads] * 500) for ctx in FIG7_CONTEXTS]
     by_heads = []
     for total in FIG7_HEADS:
-        n = max(1, total // model.num_heads)
-        ctx = max(1, int(round(800 * 1000 / n)))
+        n = total // model.num_heads
+        ctx = round(800_000 / n)
         by_heads.append(executor.decode_attention_time(spec, [ctx] * n, [model.num_heads] * n))
     values = np.asarray(by_requests)
     data: Data = {
