@@ -199,10 +199,10 @@ def _split_overhead() -> Data:
 
 def _r_squared(x: Sequence[float], y: Sequence[float]) -> float:
     """R^2 of the least-squares line through ``(x, y)``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pred = np.polyval(np.polyfit(x, y, 1), x)
-    return 1.0 - float(np.sum((y - pred) ** 2)) / float(np.sum((y - y.mean()) ** 2))
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    pred = np.polyval(np.polyfit(xs, ys, 1), xs)
+    return 1.0 - float(np.sum((ys - pred) ** 2)) / float(np.sum((ys - ys.mean()) ** 2))
 
 
 FIG7_CONTEXTS = (900, 1000, 1100, 1200)
