@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.cluster import Cluster, ClusterBuilder, paper_cluster, simple_cluster
+from repro.hardware.cluster import Cluster, ClusterBuilder, large_scale_cluster, paper_cluster, simple_cluster
 from repro.hardware.gpu import GPUDevice, get_gpu_spec
 from repro.hardware.node import Host
 
@@ -65,6 +65,18 @@ class TestPaperCluster:
         inter = self.cluster.p2p_time(1e8, a100s[0], p100s[0])
         assert inter > intra
 
+
+class TestLargeScaleCluster:
+    def test_five_types_of_equal_count(self):
+        cluster = large_scale_cluster(16)
+        assert cluster.counts_by_type() == {t: 16 for t in ("a100", "a6000", "v100", "rtx3090", "p100")}
+        assert cluster.num_devices == 80
+
+    @pytest.mark.parametrize("gpus_per_type, host_sizes", [(8, [8]), (12, [8, 4]), (32, [8, 8, 8, 8])])
+    def test_hosts_hold_at_most_eight_of_one_type(self, gpus_per_type, host_sizes):
+        cluster = large_scale_cluster(gpus_per_type)
+        assert [h.num_devices for h in cluster.hosts] == host_sizes * 5
+        assert all(len({d.spec.name for d in h.devices}) == 1 for h in cluster.hosts)
 
 class TestClusterBuilder:
     def test_empty_cluster_rejected(self):

@@ -87,6 +87,23 @@ def test_free_unknown_sequence(manager):
         manager.free(5)
 
 
+def test_allocation_moves_blocks_from_free_to_used(manager):
+    manager.allocate(1, 160)
+    assert manager.used_blocks == 10
+    assert manager.free_blocks == 90
+    manager.free(1)
+    assert manager.free_blocks == 100
+
+
+def test_sequence_bookkeeping(manager):
+    manager.allocate(1, 10)
+    manager.allocate(2, 20)
+    assert manager.num_sequences == 2
+    assert sorted(manager.sequences()) == [1, 2]
+    manager.free(1)
+    assert not manager.has_sequence(1) and manager.has_sequence(2)
+    assert manager.num_sequences == 1
+
 def test_zero_capacity_manager():
     manager = PagedBlockManager(capacity_bytes=0, kv_bytes_per_token=1024)
     assert manager.total_blocks == 0

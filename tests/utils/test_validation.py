@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_in, check_positive, is_integer, is_number
 
 
 def test_check_positive_passes_through():
@@ -22,3 +22,13 @@ def test_check_in_accepts_member():
 def test_check_in_rejects_non_member():
     with pytest.raises(ValueError, match="mode must be one of"):
         check_in("mode", "exact", ["lp", "greedy"])
+
+
+def test_is_number_accepts_int_and_float_but_not_bool():
+    assert is_number(3) and is_number(2.5)
+    assert not any(is_number(v) for v in (True, "3", None))
+
+
+def test_is_integer_rejects_bool_and_float():
+    assert is_integer(3)
+    assert not any(is_integer(v) for v in (2.0, 0.5, True))

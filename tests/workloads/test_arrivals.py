@@ -1,11 +1,14 @@
 """Tests for arrival processes."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from repro.workloads.arrivals import (
     RatePhase,
     piecewise_rate_arrival_stream,
+    poisson_arrival_stream,
     poisson_arrivals,
 )
 
@@ -30,6 +33,14 @@ def test_poisson_invalid_rate():
     with pytest.raises(ValueError):
         poisson_arrivals(0.0, 10)
 
+
+def test_poisson_stream_yields_the_list_timestamps():
+    assert list(islice(poisson_arrival_stream(3.0, seed=9), 20)) == poisson_arrivals(3.0, 20, seed=9)
+
+
+def test_poisson_stream_invalid_rate():
+    with pytest.raises(ValueError):
+        next(poisson_arrival_stream(0.0))
 
 def test_rate_phase_validation():
     with pytest.raises(ValueError):
@@ -60,3 +71,10 @@ def test_piecewise_all_arrivals_within_schedule():
 def test_piecewise_empty_phases_rejected():
     with pytest.raises(ValueError):
         list(piecewise_rate_arrival_stream([]))
+
+
+def test_piecewise_start_offset():
+    phases = [RatePhase(rate=5.0, duration=4.0), RatePhase(rate=2.0, duration=6.0)]
+    shifted = list(piecewise_rate_arrival_stream(phases, seed=3, start=10.0))
+    assert all(10.0 <= t < 20.0 for t in shifted)
+    assert shifted == pytest.approx([t + 10.0 for t in piecewise_rate_arrival_stream(phases, seed=3)])
